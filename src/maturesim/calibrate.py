@@ -273,7 +273,12 @@ def uniaxial_eng_stress(params: MaterialParams, stretches, rho):
 
 
 def biaxial_eng_stress(params: MaterialParams, strains, ratio, rho, axis=0):
-    """P along `axis` for a biaxial protocol e1 = ratio * e2, thickness free."""
+    """P along `axis` for a biaxial protocol e1 = ratio * e2, thickness free.
+
+    Calibration series (`make_point_model`) use axis 0 only, so constants
+    acting mainly along axis 1 (the second yarn, e.g. `k1_2`) are weakly
+    identified by them.
+    """
     strains = np.asarray(strains, dtype=float)
     e1 = np.concatenate([[0.0], strains])
     prog = LoadProgram(times=np.arange(e1.size, dtype=float),
@@ -290,7 +295,9 @@ def make_point_model(base: MaterialParams, param_names, kind="uniaxial",
 
     kind "uniaxial": series.x are stretches, predictions are P11 at the
     frozen density `rho_by_series[name]`.  kind "biaxial": series.x are
-    engineering strains of axis 1 with strain ratio `ratio_by_series[name]`.
+    engineering strains of axis 1 with strain ratio `ratio_by_series[name]`;
+    predictions are P along axis 0 only, so second-yarn constants such as
+    `textile.k1_2` are weakly identified by biaxial series.
     """
     if kind not in ("uniaxial", "biaxial"):
         raise FitError(f"unknown model kind {kind!r}")

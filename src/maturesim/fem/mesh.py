@@ -46,9 +46,10 @@ class Mesh:
         n = len(self.nodes)
         if self.hex8.size and (self.hex8.min() < 0 or self.hex8.max() >= n):
             raise MeshError("hex8 references nodes outside the mesh")
-        for e, conn in enumerate(self.hex8):
-            if len(set(conn.tolist())) != 8:
-                raise MeshError(f"element {e} repeats a corner node")
+        corners = np.sort(self.hex8, axis=1)
+        repeats = np.any(corners[:, 1:] == corners[:, :-1], axis=1)
+        if repeats.any():
+            raise MeshError(f"element {int(np.argmax(repeats))} repeats a corner node")
         self.node_sets = {k: np.ascontiguousarray(v, dtype=int)
                           for k, v in self.node_sets.items()}
         for name, ids in self.node_sets.items():
@@ -97,35 +98,19 @@ def strip_mesh(length, width, thickness, nx, ny, nz):
     X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
     nodes = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
 
-    def nid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    conn = np.empty((nx * ny * nz, 8), dtype=int)
-    faces_bottom = []
-    faces_top = []
-    e = 0
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                conn[e] = [nid(i, j, k), nid(i + 1, j, k),
-                           nid(i + 1, j + 1, k), nid(i, j + 1, k),
-                           nid(i, j, k + 1), nid(i + 1, j, k + 1),
-                           nid(i + 1, j + 1, k + 1), nid(i, j + 1, k + 1)]
-                if k == 0:
-                    faces_bottom.append((e, 0))
-                if k == nz - 1:
-                    faces_top.append((e, 1))
-                e += 1
-
-    I, J, K = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1),
-                          np.arange(nz + 1), indexing="ij")
-    ids = (I * (ny + 1) + J) * (nz + 1) + K
+    ids = np.arange(len(nodes)).reshape(nx + 1, ny + 1, nz + 1)
+    lo, hi = slice(None, -1), slice(1, None)
+    # corner slots 0-3 on the lower z layer, 4-7 on the upper, each ccw
+    conn = np.stack([ids[a, b, c].ravel() for c in (lo, hi)
+                     for a, b in ((lo, lo), (hi, lo), (hi, hi), (lo, hi))], axis=1)
+    elems = np.arange(nx * ny * nz).reshape(nx, ny, nz)
     node_sets = {
         "xmin": ids[0].ravel(), "xmax": ids[-1].ravel(),
         "ymin": ids[:, 0].ravel(), "ymax": ids[:, -1].ravel(),
         "zmin": ids[:, :, 0].ravel(), "zmax": ids[:, :, -1].ravel(),
     }
-    face_sets = {"bottom": np.array(faces_bottom), "top": np.array(faces_top)}
+    face_sets = {name: np.stack([elems[:, :, k].ravel(), np.full(nx * ny, face)], axis=1)
+                 for name, k, face in (("bottom", 0, 0), ("top", -1, 1))}
     return Mesh(nodes=nodes, hex8=conn, node_sets=node_sets, face_sets=face_sets)
 
 

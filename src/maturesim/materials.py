@@ -207,6 +207,21 @@ def collagen_psim_batch(C, p: CollagenParams):
     return psi_m, g, curv, E
 
 
+def _collagen_stress_tangent(p: CollagenParams, psi_m, g, curv, rho, D, D2):
+    """Collagen stress and growth-consistent tangent for a batch of points.
+
+    Takes the outputs of `collagen_psim_batch` with the densities rho and
+    their sensitivities D = drho/dpsi_m and D2 = d2rho/dpsi_m2; with the
+    chain drho/dC = D g the stress is S_co = 2 (rho + D psi_m) g.
+    """
+    S_co = 2.0 * (rho + D * psi_m)[..., None] * g
+    # rank-one tangent blocks; both live on H (x) H
+    h6 = tn.to_voigt(p.H)
+    CC_co = (4.0 * (D2 * psi_m + 2.0 * D))[..., None, None] * tn.outer6(g, g) \
+        + (4.0 * (D * psi_m + rho) * curv)[..., None, None] * tn.outer6(h6, h6)
+    return S_co, CC_co
+
+
 def textile_batch(C, p: TextileParams):
     """Textile energy, stress and tangent for a batch of C tensors."""
     C = np.asarray(C, dtype=float)
@@ -247,9 +262,7 @@ def textile_batch(C, p: TextileParams):
     m2_6 = tn.to_voigt(p.M2)
     a3 = tn.to_voigt(C @ p.M1 + p.M1 @ C)
     a5 = tn.to_voigt(C @ p.M2 + p.M2 @ C)
-    ones = np.ones_like(u1)
-    A = [ones[..., None] * _I6, ones[..., None] * m1_6, a3,
-         ones[..., None] * m2_6, a5]
+    A = [_I6, m1_6, a3, m2_6, a5]
 
     S = 2.0 * (p1[..., None] * A[0] + p2[..., None] * A[1] + p3[..., None] * A[2]
                + p4[..., None] * A[3] + p5[..., None] * A[4])
@@ -262,11 +275,9 @@ def textile_batch(C, p: TextileParams):
     for coef, k, l in cross:
         CC += coef[..., None, None] * (tn.outer6(A[k], A[l]) + tn.outer6(A[l], A[k]))
     # constant curvature of I3t and I5t in C
-    eyeb = np.broadcast_to(_EYE3, C.shape)
-    CC += p3[..., None, None] * (tn.sym_outer_product(eyeb, np.broadcast_to(p.M1, C.shape))
-                                 + tn.sym_outer_product(np.broadcast_to(p.M1, C.shape), eyeb))
-    CC += p5[..., None, None] * (tn.sym_outer_product(eyeb, np.broadcast_to(p.M2, C.shape))
-                                 + tn.sym_outer_product(np.broadcast_to(p.M2, C.shape), eyeb))
+    for coef, M in ((p3, p.M1), (p5, p.M2)):
+        CC += coef[..., None, None] * (tn.sym_outer_product(_EYE3, M)
+                                       + tn.sym_outer_product(M, _EYE3))
     CC *= 4.0
     return psi, S, CC
 
@@ -287,22 +298,21 @@ def collagen_stress(C, p: CollagenParams, rho, drho_dC, drho_dpsim=0.0, d2rho_dp
     """Collagen stress S_co = 2 (psi_m drho_dC + rho dpsim_dC) with tangent.
 
     `drho_dC` is the density sensitivity chained through psi_m, i.e.
-    drho_dpsim * dpsim_dC, as produced by the growth update.  The tangent is
+    drho_dpsim * dpsim_dC, as produced by the growth update; None stands
+    for that chain and a given value must match it.  The tangent is
     consistent with that chain when the scalar sensitivities drho_dpsim and
     d2rho_dpsim2 are supplied; with the defaults it is the frozen-density
     tangent.
     """
     if rho < 0.0 or not np.isfinite(rho):
         raise StateError(f"density must be finite and non-negative, got {rho}")
-    C = np.asarray(C, dtype=float)
-    psi_m, g, curv, _ = collagen_psim_batch(C[None], p)
-    psi_m, g, curv = float(psi_m[0]), g[0], curv[0]
-    drho_dC = np.zeros(6) if drho_dC is None else np.asarray(drho_dC, dtype=float)
-    S = 2.0 * (psi_m * drho_dC + rho * g)
-    h6 = tn.to_voigt(p.H)
-    CC = (4.0 * (d2rho_dpsim2 * psi_m + 2.0 * drho_dpsim) * tn.outer6(g, g)
-          + 4.0 * (drho_dpsim * psi_m + rho) * curv * tn.outer6(h6, h6))
-    return StressTangent(S, CC)
+    psi_m, g, curv, _ = collagen_psim_batch(np.asarray(C, dtype=float)[None], p)
+    if drho_dC is not None:
+        chain = drho_dpsim * g[0]
+        if not np.allclose(drho_dC, chain, rtol=1e-12, atol=1e-12 * np.max(np.abs(chain))):
+            raise StateError("drho_dC must equal drho_dpsim * dpsim_dC")
+    S, CC = _collagen_stress_tangent(p, psi_m, g, curv, rho, drho_dpsim, d2rho_dpsim2)
+    return StressTangent(S[0], CC[0])
 
 
 def textile_psi_stress_tangent(C, p: TextileParams):
@@ -341,11 +351,7 @@ def response_batch(C, params: MaterialParams, rho_n, t, dt, pbar=None):
         D = np.zeros_like(rho)
         D2 = np.zeros_like(rho)
 
-    # rank-one collagen tangent blocks; both live on H (x) H
-    h6 = np.broadcast_to(tn.to_voigt(params.collagen.H), g.shape)
-    S_co = 2.0 * (rho + D * psi_m)[..., None] * g
-    CC_co = (4.0 * (D2 * psi_m + 2.0 * D))[..., None, None] * tn.outer6(g, g) \
-        + (4.0 * (D * psi_m + rho) * curv)[..., None, None] * tn.outer6(h6, h6)
+    S_co, CC_co = _collagen_stress_tangent(params.collagen, psi_m, g, curv, rho, D, D2)
 
     return {
         "S": S + S_tex + S_co,

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensors as tn
 from .errors import ParameterError, SolverError
-from .growth import GrowthParams, GrowthState, update_density
+from .growth import GrowthParams, GrowthState, bio_rate
 from .materials import (MaterialParams, cauchy_stress, collagen_psi_mass,
                         total_response)
 
@@ -101,23 +100,10 @@ def _free_axis_jacobian(lams, st, sigma, free):
     CC[(ii),(jj)] * lambda_j under the package tangent convention.
     """
     J = np.prod(lams)
-    n = len(free)
-    jac = np.empty((n, n))
-    for r, i in enumerate(free):
-        for c, j in enumerate(free):
-            dS = st.CC[i, j] * lams[j]
-            val = (lams[i] ** 2 * dS) / J - sigma[i] / lams[j]
-            if i == j:
-                val += 2.0 * lams[i] * tn.from_voigt(st.S)[i, i] / J
-            jac[r, c] = val
+    lf = lams[free]
+    jac = (lf[:, None] ** 2 * (st.CC[np.ix_(free, free)] * lf)) / J - sigma[free, None] / lf
+    jac[np.diag_indices(len(free))] += 2.0 * lf * st.S[free] / J
     return jac
-
-
-def _evaluate(lams, params, state, dt, t):
-    F = np.diag(lams)
-    st, new_state = total_response(F, params, state, dt, t)
-    sigma = cauchy_stress(F, st.S)
-    return F, st, sigma, new_state
 
 
 def solve_mixed_point(program: LoadProgram, params: MaterialParams,
@@ -150,8 +136,7 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
                                    sigma=sigma.copy(), rho=rho, psi_m=psi_m))
 
     # initial point: solve free axes at t = 0 with frozen growth
-    lams = _newton_free_axes(lams, free, params, state, 0.0, 0.0)
-    F, st, sigma, _ = _evaluate(lams, params, state, 0.0, 0.0)
+    lams, F, st, sigma, _ = _newton_free_axes(lams, free, params, state, 0.0, 0.0)
     record(0.0, F, st, sigma, state.rho)
 
     t_prev = program.times[0]
@@ -164,8 +149,8 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
             tgt = targets(k, k + 1, w)
             for ax in controlled:
                 lams[ax] = tgt[ax]
-            lams = _newton_free_axes(lams, free, params, state, dt, t)
-            F, st, sigma, new_state = _evaluate(lams, params, state, dt, t)
+            lams, F, st, sigma, new_state = _newton_free_axes(lams, free, params,
+                                                              state, dt, t)
             state = new_state if program.grow else state
             record(t, F, st, sigma, state.rho)
             t_prev = t
@@ -173,16 +158,21 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
 
 
 def _newton_free_axes(lams, free, params, state, dt, t):
-    if not free:
-        return lams
+    """Zero the Cauchy stress on the free axes.
+
+    Returns the converged stretches with the evaluation taken there:
+    (lams, F, stress/tangent, sigma, new growth state).
+    """
     lams = lams.copy()
     last = np.inf
     for _ in range(NEWTON_MAXIT):
-        F, st, sigma, _ = _evaluate(lams, params, state, dt, t)
-        res = np.array([sigma[i] for i in free])
-        last = float(np.max(np.abs(res)))
+        F = np.diag(lams)
+        st, new_state = total_response(F, params, state, dt, t)
+        sigma = cauchy_stress(F, st.S)
+        res = sigma[free]
+        last = float(np.max(np.abs(res), initial=0.0))
         if last <= STRESS_TOL:
-            return lams
+            return lams, F, st, sigma, new_state
         jac = _free_axis_jacobian(lams, st, sigma, free)
         try:
             step = np.linalg.solve(jac, -res)
@@ -202,18 +192,13 @@ def _newton_free_axes(lams, free, params, state, dt, t):
 def unloaded_maturation(p: GrowthParams, t_end, dt):
     """Density history at F = I: the pure biological time course.
 
-    Returns (times, rho) arrays with backward-Euler steps of size dt.
+    Returns (times, rho) arrays with backward-Euler steps of size dt; with
+    psi_m = 0 the update is explicit, a cumulative sum of bio increments.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ParameterError("t_end and dt must be positive")
-    n = int(round(t_end / dt))
-    times = np.arange(1, n + 1) * dt
-    rhos = np.empty(n)
-    state = GrowthState()
-    for i, t in enumerate(times):
-        state = update_density(state, float(t), dt, 0.0, p)
-        rhos[i] = state.rho
-    return times, rhos
+    times = np.arange(1, int(round(t_end / dt)) + 1) * dt
+    return times, np.cumsum(dt * bio_rate(times, p))
 
 
 def records_to_csv(records) -> str:

@@ -349,6 +349,7 @@ def strip_runs():
     return run
 
 
+@pytest.mark.slow
 def test_criterion_8a_deflection_monotone(strip_runs):
     _, history, _, _ = strip_runs("base_fine", dt_max=0.25)
     after = [(r.time, r.deflection) for r in history if r.time >= 1.0]
@@ -360,6 +361,7 @@ def test_criterion_8a_deflection_monotone(strip_runs):
                 f"max rise {worst:.1e} mm")
 
 
+@pytest.mark.slow
 def test_criterion_8b_mesh_convergence(strip_runs):
     _, coarse, _, _ = strip_runs("base_fine", dt_max=0.25)
     _, fine, _, _ = strip_runs("mesh960", dt_max=0.25, nx=40, ny=12, nz=2)
@@ -370,6 +372,7 @@ def test_criterion_8b_mesh_convergence(strip_runs):
             ok, f"{w240:.4f} vs {w960:.4f} mm, rel diff {diff:.3f} < 0.05")
 
 
+@pytest.mark.slow
 def test_criterion_8c_density_follows_fiber_strain(strip_runs):
     model, _, _, _ = strip_runs("base_fine", dt_max=0.25)
     dens = model.element_density()
@@ -383,6 +386,7 @@ def test_criterion_8c_density_follows_fiber_strain(strip_runs):
                 f"90th percentile {band:.4f} (rank {rank:.3f})")
 
 
+@pytest.mark.slow
 def test_criterion_8d_parameter_orderings(strip_runs):
     def mean_at_28(tag, **kw):
         _, history, _, _ = strip_runs(tag, **kw)

@@ -59,6 +59,39 @@ class TestStripMesh:
         with pytest.raises(MeshError):
             mesh_from_dict({"nodes": m.nodes.tolist()})
 
+    def test_repeated_corner_rejected(self):
+        m = strip_mesh(3, 1, 1, 3, 1, 1)
+        conn = m.hex8.copy()
+        conn[1, 6] = conn[1, 2]
+        conn[2, 0] = conn[2, 7]
+        with pytest.raises(MeshError, match="element 1 repeats"):
+            Mesh(nodes=m.nodes, hex8=conn)
+
+    def test_matches_explicit_numbering(self):
+        nx, ny, nz = 3, 2, 2
+        m = strip_mesh(3.0, 2.0, 1.0, nx, ny, nz)
+
+        def nid(i, j, k):
+            return (i * (ny + 1) + j) * (nz + 1) + k
+
+        conn, bottom, top = [], [], []
+        for i in range(nx):
+            for j in range(ny):
+                for k in range(nz):
+                    e = len(conn)
+                    conn.append([nid(i, j, k), nid(i + 1, j, k),
+                                 nid(i + 1, j + 1, k), nid(i, j + 1, k),
+                                 nid(i, j, k + 1), nid(i + 1, j, k + 1),
+                                 nid(i + 1, j + 1, k + 1), nid(i, j + 1, k + 1)])
+                    if k == 0:
+                        bottom.append((e, 0))
+                    if k == nz - 1:
+                        top.append((e, 1))
+                    assert np.allclose(m.nodes[nid(i, j, k)], [i, j, 0.5 * k])
+        assert np.array_equal(m.hex8, conn)
+        assert np.array_equal(m.face_sets["bottom"], bottom)
+        assert np.array_equal(m.face_sets["top"], top)
+
     def test_folded_element_rejected(self):
         m = strip_mesh(1, 1, 1, 1, 1, 1)
         conn = m.hex8.copy()

@@ -109,6 +109,16 @@ class TestCollagen:
             s_fn = lambda c: collagen_stress(c, p, rho, np.zeros(6)).S
             assert rel_err(fd_tangent(s_fn, C), st.CC) < 1e-5
 
+    def test_chained_sensitivity_must_match(self, collagen_params):
+        C = np.diag([1.21, 1.0, 1.0])
+        _, g = collagen_psi_mass(C, collagen_params)
+        chained = collagen_stress(C, collagen_params, 5.0, 0.3 * g, 0.3, -0.2)
+        implied = collagen_stress(C, collagen_params, 5.0, None, 0.3, -0.2)
+        assert np.array_equal(chained.S, implied.S)
+        assert np.array_equal(chained.CC, implied.CC)
+        with pytest.raises(StateError):
+            collagen_stress(C, collagen_params, 5.0, 0.3 * g)
+
     def test_rejects_negative_density(self, collagen_params):
         with pytest.raises(StateError):
             collagen_stress(np.eye(3), collagen_params, -1.0, np.zeros(6))
@@ -232,6 +242,22 @@ class TestTotalResponse:
 
             out = response_batch(C[None], params, np.array([rho_n]), t, dt)
             assert rel_err(fd_tangent(stress, C), out["CC"][0]) < 1e-5
+
+    def test_batch_is_sum_of_point_helpers(self):
+        # one implementation per constituent: the Gauss-point batch and the
+        # single-point helpers must agree to round-off
+        params = make_material(kappa=0.1)
+        rng = np.random.default_rng(27)
+        C = np.array([random_C(rng, spread=0.2) for _ in range(40)])
+        rho = 6.0
+        out = response_batch(C, params, np.full(len(C), rho), 2.0, 0.0)
+        assert np.any(out["psi_m"] > 0.0) and np.any(out["psi_m"] == 0.0)
+        for c, S, CC in zip(C, out["S"], out["CC"]):
+            parts = [matrix_psi_stress_tangent(c, params.matrix)[1],
+                     textile_psi_stress_tangent(c, params.textile)[1],
+                     collagen_stress(c, params.collagen, rho, None)]
+            assert rel_err(parts[0].S + parts[1].S + parts[2].S, S) <= 1e-14
+            assert rel_err(parts[0].CC + parts[1].CC + parts[2].CC, CC) <= 1e-14
 
     def test_rejects_inverted_deformation(self):
         params = make_material()

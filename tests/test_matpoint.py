@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from maturesim import matpoint
 from maturesim.errors import ParameterError
 from maturesim.growth import GrowthState, bio_rate
 from maturesim.materials import (MaterialParams, MatrixParams, collagen_stress,
@@ -89,6 +90,26 @@ class TestMixedControl:
         for r in recs:
             assert r.F[0, 0] - 1.0 == pytest.approx(3.0 * (r.F[1, 1] - 1.0), abs=1e-14)
             assert abs(r.sigma[2]) <= 1e-10
+
+
+class TestEvaluationCount:
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_one_response_per_converged_step(self, material_params, monkeypatch,
+                                             steps):
+        # the reference state converges at the first evaluation, and that
+        # evaluation is the one recorded: no second call per step
+        calls = []
+        response = matpoint.total_response
+
+        def counted(*args):
+            calls.append(args)
+            return response(*args)
+
+        monkeypatch.setattr(matpoint, "total_response", counted)
+        prog = LoadProgram(times=[0, 1], controls=(np.ones(2), FREE, FREE),
+                           steps_per_interval=steps, grow=False)
+        solve_mixed_point(prog, material_params)
+        assert len(calls) == steps + 1
 
 
 class TestCollagenScaling:
