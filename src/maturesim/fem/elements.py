@@ -2,9 +2,11 @@
 
 Everything here is stateless and vectorized over (element, gauss point)
 leading axes so that the whole mesh is assembled with a handful of array
-operations.  Stress and strain follow the 6-vector convention of
-`maturesim.tensors`; element degrees of freedom are ordered node-major,
-(node 0 x, node 0 y, node 0 z, node 1 x, ...).
+operations.  The per-assembly kernels are batched `matmul` products over
+those axes: a sum over Gauss points is folded into the inner dimension of
+one (E, ., G*k) @ (E, G*k, .) product per element batch.  Stress and strain
+follow the 6-vector convention of `maturesim.tensors`; element degrees of
+freedom are ordered node-major, (node 0 x, node 0 y, node 0 z, node 1 x, ...).
 """
 
 import numpy as np
@@ -84,7 +86,7 @@ def reference_gradients(Xe):
 
 def deformation_gradients(ue, dNdX):
     """F = I + grad u at every Gauss point; ue is (E, 8, 3)."""
-    F = np.einsum("eai,egaj->egij", ue, dNdX)
+    F = ue.swapaxes(1, 2)[:, None] @ dNdX
     F[..., 0, 0] += 1.0
     F[..., 1, 1] += 1.0
     F[..., 2, 2] += 1.0
@@ -93,39 +95,49 @@ def deformation_gradients(ue, dNdX):
 
 def b_matrices(F, dNdX):
     """Strain-displacement operators dE_eng = B du_e, shape (E, G, 6, 24)."""
-    t1 = np.einsum("egkm,egam->egmak", F[..., :, VOIGT_I], dNdX[..., VOIGT_J])
-    t2 = np.einsum("egkm,egam->egmak", F[..., :, VOIGT_J], dNdX[..., VOIGT_I])
-    off = (VOIGT_I != VOIGT_J).astype(float)
-    B = t1 + off[None, None, :, None, None] * t2
-    e, g = B.shape[:2]
+    e, g = F.shape[:2]
+    B = np.empty((e, g, 6, 8, 3))
+    # row m of (i, j): dN_a/dX_j F_ki, plus the twin dN_a/dX_i F_kj for shear
+    for m, (i, j) in enumerate(zip(VOIGT_I, VOIGT_J)):
+        np.multiply(dNdX[..., j, None], F[..., None, :, i], out=B[:, :, m])
+        if i != j:
+            B[:, :, m] += dNdX[..., i, None] * F[..., None, :, j]
     return B.reshape(e, g, 6, 24)
 
 
 def internal_forces(B, S6, wdet):
     """Element internal force vectors sum_g w |J| B^T S, shape (E, 24)."""
-    return np.einsum("eg,egmn,egm->en", wdet, B, S6)
+    e, g = wdet.shape
+    wS = (S6 * wdet[..., None]).reshape(e, 1, g * 6)
+    return (wS @ B.reshape(e, g * 6, 24)).reshape(e, 24)
 
 
 def material_stiffness(B, CC, wdet):
     """sum_g w |J| B^T CC B as (E, 24, 24)."""
-    CB = CC @ B
-    return np.einsum("eg,egmi,egmj->eij", wdet, B, CB)
+    e, g = wdet.shape
+    CB = (CC @ B) * wdet[..., None, None]
+    return B.reshape(e, g * 6, 24).swapaxes(1, 2) @ CB.reshape(e, g * 6, 24)
 
 
 def geometric_stiffness(S6, dNdX, wdet):
     """Initial-stress stiffness, block diagonal in the spatial index."""
-    S = from_voigt(S6)
-    kab = np.einsum("eg,egak,egkl,egbl->eab", wdet, dNdX, S, dNdX)
-    e = kab.shape[0]
-    K = (kab[:, :, None, :, None] * np.eye(3)[None, None, :, None, :])
-    return K.reshape(e, 24, 24)
+    e, g, n = dNdX.shape[:3]
+    a = (dNdX @ from_voigt(S6)) * wdet[..., None, None]      # (E, G, 8, 3)
+    # kab = sum_g w dN_a S dN_b, with (g, l) folded into one inner axis
+    kab = a.swapaxes(1, 2).reshape(e, n, g * 3) \
+        @ dNdX.swapaxes(2, 3).reshape(e, g * 3, n)
+    K = np.zeros((e, n, 3, n, 3))
+    for i in range(3):
+        K[:, :, i, :, i] = kab
+    return K.reshape(e, 3 * n, 3 * n)
 
 
 def volume_gradient(F, J, dNdX, wdet):
     """G_e = sum_g w |J_ref| J F^-T grad N as (E, 24); dJbar/du = G/V0."""
-    spat = np.einsum("egki,egak->egai", np.linalg.inv(F), dNdX)
-    G = np.einsum("eg,eg,egai->eai", wdet, J, spat)
-    return G.reshape(G.shape[0], 24)
+    e, g = wdet.shape
+    spat = dNdX @ np.linalg.inv(F)                            # (E, G, 8, 3)
+    G = (wdet * J)[:, None, :] @ spat.reshape(e, g, 24)
+    return G.reshape(e, 24)
 
 
 def mean_dilatation(J, wdet, V0):

@@ -10,6 +10,12 @@ rank-one element stiffness term.
 
 Pressure loads follow the deformed surface by default, so the global
 tangent picks up an (unsymmetric) load-stiffness contribution.
+
+The sparsity pattern of the reduced tangent depends only on the mesh, the
+Dirichlet dofs and the follower-load faces, so `FemModel` builds it once at
+construction, in CSC form, together with a scatter map from every dense
+element and load-block entry to its slot in the CSC `data`.  Each assembly
+then fills `data` with one `bincount` and wraps it; nothing is sorted.
 """
 
 from dataclasses import dataclass
@@ -73,7 +79,11 @@ class StepRecord:
 
 
 class FemModel:
-    """Mesh, material, boundary conditions and Gauss-point growth state."""
+    """Mesh, material, boundary conditions and Gauss-point growth state.
+
+    The tangent's CSC pattern and scatter map are fixed at construction;
+    `assemble` only computes the values.
+    """
 
     def __init__(self, mesh: Mesh, params: MaterialParams,
                  dirichlet=(), loads=()):
@@ -109,31 +119,48 @@ class FemModel:
         reduced[self.free_idx] = np.arange(len(self.free_idx))
         self._reduced = reduced
 
-        rows = np.broadcast_to(self.dofmap[:, :, None], self.dofmap.shape + (24,))
-        cols = np.broadcast_to(self.dofmap[:, None, :], (len(self.conn), 24, 24))
-        self._krows, self._kcols, self._kmask = self._reduce_triplets(rows, cols)
-
         self.loads = []
+        blocks = [self.dofmap]
         for load in loads:
             if load.face_set not in mesh.face_sets:
                 raise MeshError(f"unknown face set '{load.face_set}'")
             fnodes = mesh.face_nodes(load.face_set)
             fdofs = (3 * fnodes[:, :, None] + np.arange(3)).reshape(-1, 12)
-            lrows = np.broadcast_to(fdofs[:, :, None], fdofs.shape + (12,))
-            lcols = np.broadcast_to(fdofs[:, None, :], (len(fnodes), 12, 12))
-            trip = self._reduce_triplets(lrows, lcols)
-            self.loads.append((load, fnodes, fdofs, trip))
+            self.loads.append((load, fnodes, fdofs))
+            if load.follower:
+                blocks.append(fdofs)
+        self._build_pattern(blocks)
 
         egrid = (len(self.conn), self.wdet.shape[1])
         self.rho = np.zeros(egrid)
         self.hist_strain = np.zeros(egrid)    # running max fiber strain
         self.hist_psim = np.zeros(egrid)
 
-    def _reduce_triplets(self, rows, cols):
-        r = self._reduced[rows].ravel()
-        c = self._reduced[cols].ravel()
-        keep = (r >= 0) & (c >= 0)
-        return r[keep], c[keep], keep
+    def _build_pattern(self, blocks):
+        """CSC pattern of the reduced tangent and the slot of every entry.
+
+        `blocks` lists the dof maps (m, n) whose dense (m, n, n) blocks
+        `assemble` scatters, in that order: the elements, then each follower
+        load.  Entry (row, col) of the reduced matrix is keyed col*nf + row,
+        so the sorted unique keys are the CSC `indices`/`indptr`, and the
+        inverse map gives each block entry its position in `data`.  Entries
+        in a fixed row or column get the key nf*nf, which sorts after every
+        real one, so they share one trailing slot that is dropped.
+        """
+        nf = len(self.free_idx)
+        keys = []
+        for dofs in blocks:
+            r = self._reduced[dofs][:, :, None]
+            c = self._reduced[dofs][:, None, :]
+            keys.append(np.where((r >= 0) & (c >= 0), c * nf + r, nf * nf).ravel())
+        uniq, self._slot = np.unique(np.concatenate(keys), return_inverse=True)
+        self._indptr = np.searchsorted(uniq, nf * np.arange(nf + 1)).astype(np.int32)
+        self._nnz = int(self._indptr[-1])
+        self._indices = (uniq[:self._nnz] % nf).astype(np.int32)
+        # every K shares these two arrays; the pattern is canonical (sorted,
+        # no duplicates), so scipy has no reason to write to them
+        self._indptr.flags.writeable = False
+        self._indices.flags.writeable = False
 
     # -- assembly -----------------------------------------------------------
 
@@ -151,7 +178,7 @@ class FemModel:
         J = np.linalg.det(F)
         if np.any(J <= 0.0):
             raise DeformationError("an element inverted during the solve")
-        C = np.einsum("egki,egkj->egij", F, F)
+        C = F.swapaxes(-1, -2) @ F
         _, E_fiber = fiber_strain(C, self.params.collagen.H)
         if float(E_fiber.max(initial=0.0)) > 10.0:
             # far outside any physical state; the exponential fiber law would
@@ -178,12 +205,10 @@ class FemModel:
 
         R = np.bincount(self.dofmap.ravel(), weights=fint.ravel(),
                         minlength=self.n_dof)
-        data = [Ke.ravel()[self._kmask]]
-        rows = [self._krows]
-        cols = [self._kcols]
+        blocks = [Ke.ravel()]
 
         fext = np.zeros(self.n_dof)
-        for load, fnodes, fdofs, (lr, lc, lmask) in self.loads:
+        for load, fnodes, fdofs in self.loads:
             xf = self.mesh.nodes[fnodes]
             if load.follower:
                 xf = xf + u.reshape(-1, 3)[fnodes]
@@ -191,15 +216,13 @@ class FemModel:
             np.add.at(fext, fdofs.ravel(), f.ravel())
             if load.follower:
                 # R = fint - fext, so the load stiffness enters negated
-                data.append(-Kl.reshape(-1, 12, 12).ravel()[lmask])
-                rows.append(lr)
-                cols.append(lc)
+                blocks.append(-Kl.ravel())
         R -= fext
 
+        data = np.bincount(self._slot, weights=np.concatenate(blocks),
+                           minlength=self._nnz + 1)[:self._nnz]
         nf = len(self.free_idx)
-        K = sp.coo_matrix((np.concatenate(data),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(nf, nf)).tocsc()
+        K = sp.csc_matrix((data, self._indices, self._indptr), shape=(nf, nf))
 
         aux = {
             "rho": resp["rho"].reshape(shape),
@@ -339,12 +362,12 @@ def _pseudo_transient(model: FemModel, u, t, tol, max_steps=600):
         raise SolverError("pseudo-transient continuation needs external loads")
     k0 = 2.0 * fmax
     k = k0
-    nf = len(model.free_idx)
+    eye = sp.identity(len(model.free_idx), format="csc")
     best, best_step = rnorm, 0
     for step in range(max_steps):
         if rnorm < tol:
             return u, aux, step
-        Kd = K if k == 0.0 else K + k * sp.identity(nf, format="csc")
+        Kd = K if k == 0.0 else K + k * eye
         du = splu(Kd).solve(-R[model.free_idx])
         u_try = u.copy()
         u_try[model.free_idx] += du

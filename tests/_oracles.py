@@ -1,4 +1,5 @@
-"""Shared finite-difference oracles and random-state generators for tests.
+"""Shared finite-difference oracles, random-state generators and reference
+element kernels for tests.
 
 The FD rules mirror the symmetric-tensor convention of the package: a
 6-vector direction n perturbs the component pair (i, j) and (j, i) of C
@@ -7,6 +8,8 @@ multiplicity w_n.
 """
 
 import numpy as np
+
+from maturesim.tensors import VOIGT_I, VOIGT_J, from_voigt
 
 VOIGT_PAIRS = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
 W = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
@@ -69,3 +72,41 @@ def random_rotation(rng):
     if np.linalg.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
     return Q
+
+
+# -- reference element kernels ----------------------------------------------
+# Index-notation (einsum) forms of the batched kernels in
+# maturesim.fem.elements, kept as the independent statement of what each
+# kernel computes.  Leading axes are (element e, gauss point g).
+
+def ref_deformation_gradients(ue, dNdX):
+    F = np.einsum("eai,egaj->egij", ue, dNdX)
+    return F + np.eye(3)
+
+
+def ref_b_matrices(F, dNdX):
+    t1 = np.einsum("egkm,egam->egmak", F[..., :, VOIGT_I], dNdX[..., VOIGT_J])
+    t2 = np.einsum("egkm,egam->egmak", F[..., :, VOIGT_J], dNdX[..., VOIGT_I])
+    off = (VOIGT_I != VOIGT_J).astype(float)
+    B = t1 + off[None, None, :, None, None] * t2
+    return B.reshape(B.shape[:2] + (6, 24))
+
+
+def ref_internal_forces(B, S6, wdet):
+    return np.einsum("eg,egmn,egm->en", wdet, B, S6)
+
+
+def ref_material_stiffness(B, CC, wdet):
+    return np.einsum("eg,egmi,egmj->eij", wdet, B, CC @ B)
+
+
+def ref_geometric_stiffness(S6, dNdX, wdet):
+    kab = np.einsum("eg,egak,egkl,egbl->eab", wdet, dNdX, from_voigt(S6), dNdX)
+    K = kab[:, :, None, :, None] * np.eye(3)[None, None, :, None, :]
+    return K.reshape(kab.shape[0], 24, 24)
+
+
+def ref_volume_gradient(F, J, dNdX, wdet):
+    spat = np.einsum("egki,egak->egai", np.linalg.inv(F), dNdX)
+    G = np.einsum("eg,eg,egai->eai", wdet, J, spat)
+    return G.reshape(G.shape[0], 24)

@@ -8,6 +8,8 @@ from maturesim.fem import elements as el
 from maturesim.fem.mesh import (FACE_CORNERS, Mesh, load_mesh, mesh_from_dict,
                                 mesh_to_dict, save_mesh, strip_mesh)
 
+import _oracles as ref
+
 
 class TestStripMesh:
     def test_counts_and_sets(self):
@@ -212,6 +214,54 @@ class TestKinematicsAndForces:
         fd = (energy(self.ue + h * du) - energy(self.ue - h * du)) / (2 * h)
         assert np.dot(fint.ravel(), du.reshape(-1, 24).ravel()) == \
             pytest.approx(fd, rel=1e-6)
+
+
+class TestKernelsMatchReference:
+    """Batched kernels against the index-notation forms in _oracles."""
+
+    TOL = 1e-13
+
+    def setup_method(self):
+        rng = np.random.default_rng(17)
+        m = strip_mesh(3.0, 2.0, 1.0, 3, 2, 2)
+        nodes = m.nodes + 0.05 * rng.standard_normal(m.nodes.shape)
+        self.dNdX, self.wdet, _ = el.reference_gradients(nodes[m.hex8])
+        self.ue = (0.05 * rng.standard_normal(m.nodes.shape))[m.hex8]
+        self.F = el.deformation_gradients(self.ue, self.dNdX)
+        self.B = el.b_matrices(self.F, self.dNdX)
+        grid = self.wdet.shape
+        self.S6 = rng.standard_normal(grid + (6,))
+        A = rng.standard_normal(grid + (6, 6))
+        self.CC = A + A.swapaxes(-1, -2)
+
+    def test_deformation_gradients(self):
+        expect = ref.ref_deformation_gradients(self.ue, self.dNdX)
+        assert ref.rel_err(self.F, expect) < self.TOL
+
+    def test_b_matrices(self):
+        expect = ref.ref_b_matrices(self.F, self.dNdX)
+        assert ref.rel_err(self.B, expect) < self.TOL
+
+    def test_internal_forces(self):
+        got = el.internal_forces(self.B, self.S6, self.wdet)
+        expect = ref.ref_internal_forces(self.B, self.S6, self.wdet)
+        assert ref.rel_err(got, expect) < self.TOL
+
+    def test_material_stiffness(self):
+        got = el.material_stiffness(self.B, self.CC, self.wdet)
+        expect = ref.ref_material_stiffness(self.B, self.CC, self.wdet)
+        assert ref.rel_err(got, expect) < self.TOL
+
+    def test_geometric_stiffness(self):
+        got = el.geometric_stiffness(self.S6, self.dNdX, self.wdet)
+        expect = ref.ref_geometric_stiffness(self.S6, self.dNdX, self.wdet)
+        assert ref.rel_err(got, expect) < self.TOL
+
+    def test_volume_gradient(self):
+        J = np.linalg.det(self.F)
+        got = el.volume_gradient(self.F, J, self.dNdX, self.wdet)
+        expect = ref.ref_volume_gradient(self.F, J, self.dNdX, self.wdet)
+        assert ref.rel_err(got, expect) < self.TOL
 
 
 class TestFacePressure:

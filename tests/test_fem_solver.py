@@ -7,11 +7,15 @@ from maturesim.errors import MeshError, SolverError
 from maturesim.fem import (Dirichlet, FemModel, PressureLoad,
                            clamped_strip_model, march_maturation,
                            ramp_pressure, strip_mesh)
+from maturesim.fem import elements as el
 from maturesim.fem.mesh import Mesh
+from maturesim.materials import (response_batch, volumetric_modulus,
+                                 volumetric_pressure)
 from maturesim.matpoint import LoadProgram, solve_mixed_point
 
 from conftest import make_material
 
+import _oracles as ref
 from _oracles import rel_err
 
 
@@ -143,6 +147,84 @@ class TestGlobalTangent:
         R2, K2, _ = model.assemble(u, 0.5, 0.1)
         assert np.array_equal(R1, R2)
         assert np.array_equal(K1.toarray(), K2.toarray())
+
+
+def _dense_tangent(model, u, t, dt):
+    """Reduced tangent scattered densely with np.add.at, block by block.
+
+    Element blocks come from the reference kernels in _oracles; follower
+    loads add their negated load stiffness, dead loads add nothing.
+    """
+    ue = u.reshape(-1, 3)[model.conn]
+    F = ref.ref_deformation_gradients(ue, model.dNdX)
+    J = np.linalg.det(F)
+    C = np.swapaxes(F, -1, -2) @ F
+    Jbar = el.mean_dilatation(J, model.wdet, model.V0)
+    mat = model.params.matrix
+    ng = model.wdet.shape[1]
+    resp = response_batch(C.reshape(-1, 3, 3), model.params,
+                          model.rho.reshape(-1), t, dt,
+                          pbar=np.repeat(volumetric_pressure(Jbar, mat), ng))
+    S6 = resp["S"].reshape(model.wdet.shape + (6,))
+    CC = resp["CC"].reshape(model.wdet.shape + (6, 6))
+    B = ref.ref_b_matrices(F, model.dNdX)
+    G = ref.ref_volume_gradient(F, J, model.dNdX, model.wdet)
+    Ke = ref.ref_material_stiffness(B, CC, model.wdet) \
+        + ref.ref_geometric_stiffness(S6, model.dNdX, model.wdet) \
+        + (volumetric_modulus(Jbar, mat) / model.V0)[:, None, None] \
+        * G[:, :, None] * G[:, None, :]
+
+    K = np.zeros((model.n_dof, model.n_dof))
+    dm = model.dofmap
+    np.add.at(K, (dm[:, :, None], dm[:, None, :]), Ke)
+    for load, fnodes, fdofs in model.loads:
+        if not load.follower:
+            continue
+        xf = model.mesh.nodes[fnodes] + u.reshape(-1, 3)[fnodes]
+        _, Kl = el.face_pressure(xf, load.pressure)
+        np.add.at(K, (fdofs[:, :, None], fdofs[:, None, :]),
+                  -Kl.reshape(-1, 12, 12))
+    return K[np.ix_(model.free_idx, model.free_idx)]
+
+
+class TestSparsityPattern:
+    """The pattern and scatter map built at construction against np.add.at."""
+
+    def _check(self, model, seed):
+        rng = np.random.default_rng(seed)
+        model.rho = rng.uniform(0.5, 4.0, size=model.rho.shape)
+        u = np.zeros(model.n_dof)
+        u[model.free_idx] = 0.02 * rng.standard_normal(len(model.free_idx))
+        u[model.fixed] = model.fixed_values[model.fixed]
+        _, K, _ = model.assemble(u, 0.5, 0.1)
+        dense = _dense_tangent(model, u, 0.5, 0.1)
+        assert K.format == "csc" and K.has_canonical_format
+        assert rel_err(K.toarray(), dense) < 1e-14
+        # the stored entries are exactly the coupled free-dof pairs
+        coupled = np.zeros((model.n_dof, model.n_dof), dtype=bool)
+        dm = model.dofmap
+        coupled[dm[:, :, None], dm[:, None, :]] = True
+        for load, _, fdofs in model.loads:
+            if load.follower:
+                coupled[fdofs[:, :, None], fdofs[:, None, :]] = True
+        assert K.nnz == coupled[np.ix_(model.free_idx, model.free_idx)].sum()
+
+    def test_partial_dirichlet_with_follower_and_dead_loads(self):
+        params = make_material(kappa=0.1, psi_crit=2e-5)
+        mesh = strip_mesh(2.0, 1.5, 1.0, 3, 2, 2)
+        model = FemModel(mesh, params,
+                         dirichlet=[Dirichlet("xmin", dofs=(0, 2)),
+                                    Dirichlet("xmax")],
+                         loads=[PressureLoad("bottom", 0.003),
+                                PressureLoad("top", 0.001, follower=False)])
+        self._check(model, seed=43)
+
+    def test_no_loads(self):
+        params = make_material(kappa=0.1, psi_crit=2e-5)
+        mesh = strip_mesh(2.0, 1.5, 1.0, 3, 2, 2)
+        model = FemModel(mesh, params,
+                         dirichlet=[Dirichlet("xmin"), Dirichlet("xmax")])
+        self._check(model, seed=44)
 
 
 class TestRampAndEnergy:
