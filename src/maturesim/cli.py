@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 bad usage or configuration, 2 solver failure.
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -20,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .calibrate import fit_weibull
-from .config import RunConfig, load_config, parse_config, save_config
+from .config import (DEFAULTS, RunConfig, load_config, parse_config, read_json,
+                     save_config)
 from .errors import (ConfigError, DeformationError, FitError, MeshError,
                      ParameterError, SolverError, StateError)
 from .fem import clamped_strip_model, march_maturation, save_mesh, strip_mesh
@@ -56,12 +58,9 @@ def _build_parser():
         return sub.add_parser(name, parents=[common], **kw)
 
     mesh = add_parser("strip-mesh", help="write a strip mesh as JSON")
-    mesh.add_argument("--length", type=float, default=20.0)
-    mesh.add_argument("--width", type=float, default=6.0)
-    mesh.add_argument("--thickness", type=float, default=0.3)
-    mesh.add_argument("--nx", type=int, default=20)
-    mesh.add_argument("--ny", type=int, default=6)
-    mesh.add_argument("--nz", type=int, default=2)
+    for key in ("length", "width", "thickness", "nx", "ny", "nz"):
+        default = DEFAULTS["strip"][key]
+        mesh.add_argument(f"--{key}", type=type(default), default=default)
     mesh.add_argument("--out", required=True, metavar="FILE")
 
     grow = add_parser("grow", help="unloaded density-vs-time curve")
@@ -163,13 +162,7 @@ def _cmd_matpoint(args):
 
 def _cmd_fit(args):
     out = _outdir(args)
-    try:
-        with open(args.data, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read data: {exc.strerror}", args.data)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}", args.data)
+    data = read_json(args.data, "data")
     if not isinstance(data, dict) or "times" not in data or \
             "values" not in data:
         raise ConfigError("need 'times' and 'values' arrays", args.data)
@@ -205,11 +198,7 @@ def _cmd_fem(args):
     out = _outdir(args)
     if args.vtk_every < 0:
         raise ParameterError("--vtk-every must be >= 0")
-    s = cfg.strip
-    model = clamped_strip_model(cfg.material, nx=s.nx, ny=s.ny, nz=s.nz,
-                                length=s.length, width=s.width,
-                                thickness=s.thickness, pressure=s.pressure,
-                                follower=s.follower)
+    model = clamped_strip_model(cfg.material, **dataclasses.asdict(cfg.strip))
     save_config(cfg, os.path.join(out, "config.json"))
     counter = {"n": 0}
 
@@ -224,10 +213,8 @@ def _cmd_fem(args):
         if args.vtk_every and k % args.vtk_every == 0:
             _write_state(out, f"state_{k:04d}", model, u, aux)
 
-    sim = cfg.simulation
-    history, u, aux = march_maturation(model, sim.t_end, dt0=sim.dt0,
-                                       dt_max=sim.dt_max,
-                                       dt_ratio=sim.dt_ratio, on_step=on_step)
+    history, u, aux = march_maturation(
+        model, **dataclasses.asdict(cfg.simulation), on_step=on_step)
     path = os.path.join(out, "history.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("time,deflection,rho_mean,rho_max,newton_iters\n")

@@ -5,11 +5,16 @@ files may state stress-like constants in kPa and the critical collagen
 energy in J/ug; parsing converts them here, exactly once, so the numeric
 core never sees a unit tag.  A normalized copy of the effective config is
 written next to every run's outputs.
+
+`DEFAULTS` is the schema: it names every key, and the type of each default
+is the type a given value must have.  `_SCHEMA` adds, per section, the
+class it builds, its unit key and the keys stated in that unit.
 """
 
-import dataclasses
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 
@@ -42,13 +47,8 @@ DEFAULTS = {
                    "dt_ratio": 1.25},
     "strip": {"length": 20.0, "width": 6.0, "thickness": 0.3,
               "nx": 20, "ny": 6, "nz": 2,
-              "pressure": 0.002, "pressure_unit": "MPa", "follower": True},
+              "pressure": 0.002, "follower": True, "pressure_unit": "MPa"},
 }
-
-_INT_KEYS = {"beta1", "beta2", "gamma1", "gamma2", "delta1", "delta2", "xi",
-             "nx", "ny", "nz"}
-_VEC_KEYS = {"axis", "n1", "n2"}
-_UNIT_KEYS = {"unit", "psi_crit_unit", "pressure_unit"}
 
 
 @dataclass(frozen=True)
@@ -82,100 +82,98 @@ class RunConfig:
     strip: StripConfig
 
 
+# section -> (class it builds, unit key, unit table, keys stated in that
+# unit); every other key of the section is unit-free
+_SCHEMA = {
+    "material.matrix": (MatrixParams, "unit", STRESS_SCALE, ("lam", "mu")),
+    "material.collagen": (CollagenParams, "unit", STRESS_SCALE, ("k1",)),
+    "material.textile": (TextileParams, "unit", STRESS_SCALE,
+                         ("k1_1", "k2_1", "k1_2", "k2_2",
+                          "k_coup1", "k_coup2", "k_coup_ani")),
+    "material.growth": (GrowthParams, "psi_crit_unit", ENERGY_SCALE,
+                        ("psi_crit",)),
+    "simulation": (SimulationConfig, None, None, ()),
+    "strip": (StripConfig, "pressure_unit", STRESS_SCALE, ("pressure",)),
+}
+# config key -> dataclass field, where the names differ
+_RENAME = {"axis": "a"}
+
+
 def _merge(section, overrides, path):
     """Overlay `overrides` on defaults `section`, rejecting unknown keys."""
     if not isinstance(overrides, dict):
         raise ConfigError("expected an object", path)
     merged = {}
     for key, default in section.items():
-        here = f"{path}.{key}" if path else key
+        here = _join(path, key)
         if key not in overrides:
             merged[key] = default
         elif isinstance(default, dict):
             merged[key] = _merge(default, overrides[key], here)
         else:
-            merged[key] = _coerce(key, overrides[key], here)
+            merged[key] = _coerce(default, overrides[key], here)
     for key in overrides:
         if key not in section:
-            here = f"{path}.{key}" if path else key
-            raise ConfigError("unknown key", here)
+            raise ConfigError("unknown key", _join(path, key))
     return merged
 
 
-def _coerce(key, value, path):
-    if key in _UNIT_KEYS:
+def _coerce(default, value, path):
+    """Check `value` against the type of its default: str is a unit, bool a
+    flag, list a finite 3-vector, int an integer and float a number."""
+    if isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError("unit must be a string", path)
         return value
-    if key == "follower":
+    if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError("expected true or false", path)
         return value
-    if key in _VEC_KEYS:
+    if isinstance(default, list):
         vec = np.asarray(value, dtype=float)
         if vec.shape != (3,) or not np.all(np.isfinite(vec)):
             raise ConfigError("expected a finite 3-vector", path)
         return [float(v) for v in vec]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("expected a number", path)
-    if key in _INT_KEYS:
+    if isinstance(default, int):
         if float(value) != int(value):
             raise ConfigError("expected an integer", path)
         return int(value)
     return float(value)
 
 
-def _scale(table, kind, path):
-    unit = table[next(iter(k for k in table if k in _UNIT_KEYS))]
-    if unit not in kind:
-        known = ", ".join(sorted(kind))
+def _scale(unit, table, path):
+    if unit not in table:
+        known = ", ".join(sorted(table))
         raise ConfigError(f"unknown unit '{unit}' (expected one of {known})",
                           path)
-    return kind[unit]
+    return table[unit]
+
+
+def _slot(tree, dotted):
+    """The dict holding section `dotted` inside `tree` (created on demand)
+    and the section's own name."""
+    *parents, name = dotted.split(".")
+    for p in parents:
+        tree = tree.setdefault(p, {})
+    return tree, name
 
 
 def parse_config(data, path=""):
     """Validate a config mapping and build internal-unit parameter objects."""
     full = _merge(DEFAULTS, data, path)
-    mat, sim, strip = full["material"], full["simulation"], full["strip"]
-
-    mx = mat["matrix"]
-    s = _scale(mx, STRESS_SCALE, _join(path, "material.matrix.unit"))
-    matrix = MatrixParams(lam=mx["lam"] * s, mu=mx["mu"] * s)
-
-    co = mat["collagen"]
-    s = _scale(co, STRESS_SCALE, _join(path, "material.collagen.unit"))
-    collagen = CollagenParams(k1=co["k1"] * s, k2=co["k2"],
-                              kappa=co["kappa"],
-                              a=np.asarray(co["axis"]),
-                              rho_f=co["rho_f"])
-
-    tx = mat["textile"]
-    s = _scale(tx, STRESS_SCALE, _join(path, "material.textile.unit"))
-    textile = TextileParams(
-        k1_1=tx["k1_1"] * s, k2_1=tx["k2_1"] * s,
-        k1_2=tx["k1_2"] * s, k2_2=tx["k2_2"] * s,
-        k_coup1=tx["k_coup1"] * s, k_coup2=tx["k_coup2"] * s,
-        k_coup_ani=tx["k_coup_ani"] * s,
-        beta1=tx["beta1"], beta2=tx["beta2"],
-        gamma1=tx["gamma1"], gamma2=tx["gamma2"],
-        delta1=tx["delta1"], delta2=tx["delta2"], xi=tx["xi"],
-        n1=np.asarray(tx["n1"]), n2=np.asarray(tx["n2"]))
-
-    gr = mat["growth"]
-    s = _scale(gr, ENERGY_SCALE, _join(path, "material.growth.psi_crit_unit"))
-    growth = GrowthParams(a1=gr["a1"], a2=gr["a2"],
-                          psi_crit=gr["psi_crit"] * s,
-                          rho_th=gr["rho_th"], c_cell=gr["c_cell"],
-                          tau=gr["tau"], h=gr["h"])
-
-    simulation = SimulationConfig(**sim)
-    sp = _scale(strip, STRESS_SCALE, _join(path, "strip.pressure_unit"))
-    bvp = {k: v for k, v in strip.items() if k != "pressure_unit"}
-    bvp["pressure"] = bvp["pressure"] * sp
-    return RunConfig(material=MaterialParams(matrix, collagen, textile,
-                                             growth),
-                     simulation=simulation, strip=StripConfig(**bvp))
+    built = {}
+    for dotted, (cls, unit_key, table, scaled) in _SCHEMA.items():
+        values = dict(reduce(getitem, dotted.split("."), full))
+        if unit_key:
+            s = _scale(values.pop(unit_key), table,
+                       _join(path, f"{dotted}.{unit_key}"))
+            for key in scaled:
+                values[key] = values[key] * s
+        node, name = _slot(built, dotted)
+        node[name] = cls(**{_RENAME.get(k, k): v for k, v in values.items()})
+    return RunConfig(material=MaterialParams(**built.pop("material")), **built)
 
 
 def _join(prefix, dotted):
@@ -184,51 +182,37 @@ def _join(prefix, dotted):
 
 def config_to_dict(cfg):
     """Serialize a RunConfig in internal units (round-trips via parse)."""
-    m = cfg.material
+    out = {}
+    for dotted, (_, unit_key, table, _) in _SCHEMA.items():
+        names = dotted.split(".")
+        obj = reduce(getattr, names, cfg)
+        section = {}
+        for key, default in reduce(getitem, names, DEFAULTS).items():
+            if key == unit_key:
+                section[key] = next(u for u, f in table.items() if f == 1.0)
+                continue
+            value = getattr(obj, _RENAME.get(key, key))
+            section[key] = [float(x) for x in value] \
+                if isinstance(default, list) else value
+        node, name = _slot(out, dotted)
+        node[name] = section
+    return out
 
-    def vec(v):
-        return [float(x) for x in v]
 
-    return {
-        "material": {
-            "matrix": {"lam": m.matrix.lam, "mu": m.matrix.mu, "unit": "MPa"},
-            "collagen": {"k1": m.collagen.k1, "k2": m.collagen.k2,
-                         "kappa": m.collagen.kappa,
-                         "axis": vec(m.collagen.a),
-                         "rho_f": m.collagen.rho_f, "unit": "MPa"},
-            "textile": {"k1_1": m.textile.k1_1, "k2_1": m.textile.k2_1,
-                        "beta1": m.textile.beta1, "beta2": m.textile.beta2,
-                        "k1_2": m.textile.k1_2, "k2_2": m.textile.k2_2,
-                        "gamma1": m.textile.gamma1, "gamma2": m.textile.gamma2,
-                        "k_coup1": m.textile.k_coup1,
-                        "delta1": m.textile.delta1,
-                        "k_coup2": m.textile.k_coup2,
-                        "delta2": m.textile.delta2,
-                        "k_coup_ani": m.textile.k_coup_ani,
-                        "xi": m.textile.xi,
-                        "n1": vec(m.textile.n1), "n2": vec(m.textile.n2),
-                        "unit": "MPa"},
-            "growth": {"a1": m.growth.a1, "a2": m.growth.a2,
-                       "psi_crit": m.growth.psi_crit,
-                       "psi_crit_unit": "mJ/ug",
-                       "rho_th": m.growth.rho_th, "c_cell": m.growth.c_cell,
-                       "tau": m.growth.tau, "h": m.growth.h},
-        },
-        "simulation": dataclasses.asdict(cfg.simulation),
-        "strip": {**dataclasses.asdict(cfg.strip), "pressure_unit": "MPa"},
-    }
+def read_json(path, what):
+    """Load a JSON file; `what` names its role in the error message."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc.strerror}", path)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON: {exc}", path)
 
 
 def load_config(path):
     """Read a JSON config file; an empty object yields all defaults."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc.strerror}", path)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}", path)
-    return parse_config(data)
+    return parse_config(read_json(path, "config"))
 
 
 def save_config(cfg, path):

@@ -34,6 +34,7 @@ from .mesh import Mesh, strip_mesh
 
 RESIDUAL_TOL = 1e-8       # N, infinity norm over free dofs
 NEWTON_MAXIT = 25
+PSEUDO_MAXIT = 600        # damped iterations of the pseudo-transient ramp
 LINESEARCH_CUTS = 8
 STEP_MIN = 1e-8           # day, growth marching gives up below this
 
@@ -240,8 +241,7 @@ class FemModel:
 
     # -- solving ------------------------------------------------------------
 
-    def solve_step(self, u, t, dt, load_scale=1.0, tol=RESIDUAL_TOL,
-                   max_iter=NEWTON_MAXIT):
+    def solve_step(self, u, t, dt, load_scale=1.0, tol=RESIDUAL_TOL):
         """Newton solve of one step; returns (u, aux, iterations).
 
         The incoming state (previous densities) is left untouched; call
@@ -252,7 +252,7 @@ class FemModel:
         R, K, aux = self.assemble(u, t, dt, load_scale)
         rnorm = np.abs(R[self.free_idx]).max(initial=0.0)
         stalled = 0
-        for it in range(max_iter):
+        for it in range(NEWTON_MAXIT):
             if rnorm < tol:
                 return u, aux, it
             du = splu(K).solve(-R[self.free_idx])
@@ -285,9 +285,9 @@ class FemModel:
                 raise SolverError("Newton stagnated", iteration=it,
                                   residual=rnorm)
         if rnorm < tol:
-            return u, aux, max_iter
+            return u, aux, NEWTON_MAXIT
         raise SolverError("Newton did not converge", residual=rnorm,
-                          iterations=max_iter)
+                          iterations=NEWTON_MAXIT)
 
     def commit(self, aux):
         """Accept a converged step: densities and history maxima."""
@@ -327,7 +327,7 @@ class FemModel:
         return (self.wdet[..., None] * sig).sum(axis=1) / self.V0[:, None]
 
 
-def ramp_pressure(model: FemModel, u=None, t=0.0, tol=RESIDUAL_TOL):
+def ramp_pressure(model: FemModel, u=None, t=0.0):
     """Bring the loads to full scale with growth frozen.
 
     Plain Newton is tried first and usually suffices.  Thin flat sheets
@@ -337,12 +337,12 @@ def ramp_pressure(model: FemModel, u=None, t=0.0, tol=RESIDUAL_TOL):
     """
     u0 = np.zeros(model.n_dof) if u is None else np.asarray(u, dtype=float)
     try:
-        return model.solve_step(u0, t=t, dt=0.0, load_scale=1.0, tol=tol)
+        return model.solve_step(u0, t=t, dt=0.0, load_scale=1.0)
     except SolverError:
-        return _pseudo_transient(model, u0, t, tol)
+        return _pseudo_transient(model, u0, t)
 
 
-def _pseudo_transient(model: FemModel, u, t, tol, max_steps=600):
+def _pseudo_transient(model: FemModel, u, t):
     """Damped Newton continuation (K + k I) du = -R with adaptive damping.
 
     Implicit viscous dynamics toward equilibrium: large damping k follows a
@@ -364,8 +364,8 @@ def _pseudo_transient(model: FemModel, u, t, tol, max_steps=600):
     k = k0
     eye = sp.identity(len(model.free_idx), format="csc")
     best, best_step = rnorm, 0
-    for step in range(max_steps):
-        if rnorm < tol:
+    for step in range(PSEUDO_MAXIT):
+        if rnorm < RESIDUAL_TOL:
             return u, aux, step
         Kd = K if k == 0.0 else K + k * eye
         du = splu(Kd).solve(-R[model.free_idx])
@@ -398,7 +398,7 @@ def _pseudo_transient(model: FemModel, u, t, tol, max_steps=600):
 
 
 def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
-                     dt_ratio=1.25, tol=RESIDUAL_TOL, on_step=None):
+                     dt_ratio=1.25, on_step=None):
     """Ramp the load, then march the growth from 0 to t_end days.
 
     Steps start at dt0 and stretch geometrically by dt_ratio up to dt_max;
@@ -406,7 +406,7 @@ def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
     Gauss state and append a StepRecord; `on_step(time, u, aux, model)` runs
     after each accepted step when given.  Returns (history, u, aux).
     """
-    u, aux, its = ramp_pressure(model, tol=tol)
+    u, aux, its = ramp_pressure(model)
     model.commit(aux)
     history = [model.record(0.0, u, aux, its)]
     if on_step is not None:
@@ -417,8 +417,7 @@ def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
         step = min(dt, t_end - t)
         while True:
             try:
-                u_new, aux, its = model.solve_step(u, t=t + step, dt=step,
-                                                   tol=tol)
+                u_new, aux, its = model.solve_step(u, t=t + step, dt=step)
                 break
             except SolverError:
                 step *= 0.5

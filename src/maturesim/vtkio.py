@@ -18,8 +18,7 @@ def _fmt(values):
     return " ".join(f"{v:.9g}" for v in values)
 
 
-def write_vtk(path, mesh, point_vectors=None, cell_scalars=None,
-              title="maturesim result"):
+def write_vtk(path, mesh, point_vectors=None, cell_scalars=None):
     """Write an unstructured-grid snapshot of a brick mesh.
 
     `point_vectors` maps field names to (n_nodes, 3) arrays (displacements
@@ -40,7 +39,7 @@ def write_vtk(path, mesh, point_vectors=None, cell_scalars=None,
         if np.shape(arr) != (e,):
             raise MeshError(f"cell field '{name}' must be ({e},)")
 
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+    lines = ["# vtk DataFile Version 3.0", "maturesim result", "ASCII",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double"]
     lines.extend(_fmt(row) for row in mesh.nodes)
     lines.append(f"CELLS {e} {9 * e}")

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from maturesim.cli import main
-from maturesim.config import (config_to_dict, load_config, parse_config,
-                              save_config)
+from maturesim.config import (DEFAULTS, config_to_dict, load_config,
+                              parse_config, save_config)
 from maturesim.errors import ConfigError, MeshError, SolverError
 from maturesim.fem import load_mesh, strip_mesh
 from maturesim.vtkio import write_vtk
@@ -159,6 +159,83 @@ class TestConfig:
         assert dumped["material"]["growth"]["psi_crit"] == \
             pytest.approx(0.04, rel=1e-12)
 
+    def test_every_key_round_trips(self):
+        # every leaf differs from its default, except textile.unit: its
+        # default kPa is already the non-internal unit
+        given = {
+            "material": {
+                "matrix": {"lam": 9000.0, "mu": 45.0, "unit": "kPa"},
+                "collagen": {"k1": 800.0, "k2": 3.5, "kappa": 0.1,
+                             "axis": [0.0, 1.0, 0.0], "rho_f": 40.0,
+                             "unit": "kPa"},
+                "textile": {"k1_1": 40.0, "k2_1": 1.5, "beta1": 4,
+                            "beta2": 3, "k1_2": 200.0, "k2_2": 0.0002,
+                            "gamma1": 5, "gamma2": 3, "k_coup1": 180.0,
+                            "delta1": 3, "k_coup2": 60.0, "delta2": 4,
+                            "k_coup_ani": 570.0, "xi": 10,
+                            "n1": [0.0, 0.0, 1.0], "n2": [1.0, 0.0, 0.0],
+                            "unit": "kPa"},
+                "growth": {"a1": 4e-4, "a2": 6e-7, "psi_crit": 3e-8,
+                           "psi_crit_unit": "J/ug", "rho_th": 12.0,
+                           "c_cell": 14e3, "tau": 13.5, "h": 1.7},
+            },
+            "simulation": {"t_end": 7.0, "dt0": 0.01, "dt_max": 0.5,
+                           "dt_ratio": 1.5},
+            "strip": {"length": 10.0, "width": 4.0, "thickness": 0.5,
+                      "nx": 8, "ny": 3, "nz": 1, "pressure": 1.5,
+                      "pressure_unit": "kPa", "follower": False},
+        }
+        # section -> (factor to internal units, keys stated in its unit)
+        stated = {
+            "material.matrix": (1e-3, {"lam", "mu"}),
+            "material.collagen": (1e-3, {"k1"}),
+            "material.textile": (1e-3, {"k1_1", "k2_1", "k1_2", "k2_2",
+                                        "k_coup1", "k_coup2",
+                                        "k_coup_ani"}),
+            "material.growth": (1e3, {"psi_crit"}),
+            "simulation": (1.0, set()),
+            "strip": (1e-3, {"pressure"}),
+        }
+        leaves, defaults = _leaves(given), _leaves(DEFAULTS)
+        assert leaves.keys() == defaults.keys()
+        for dotted, value in leaves.items():
+            if dotted != "material.textile.unit":
+                assert value != defaults[dotted], dotted
+
+        cfg = parse_config(given)
+        for dotted, value in leaves.items():
+            section, key = dotted.rsplit(".", 1)
+            if key in ("unit", "psi_crit_unit", "pressure_unit"):
+                continue
+            factor, scaled = stated[section]
+            obj = cfg
+            for name in section.split("."):
+                obj = getattr(obj, name)
+            got = getattr(obj, "a" if key == "axis" else key)
+            want = value * factor if key in scaled else value
+            if isinstance(value, list):
+                assert list(got) == want, dotted
+            else:
+                assert got == want and type(got) is type(want), dotted
+
+        dumped = config_to_dict(cfg)
+        assert config_to_dict(parse_config(dumped)) == dumped
+        assert _leaves(dumped).keys() == defaults.keys()
+
+    def test_type_errors_name_the_key(self):
+        wrong = {"material.textile.unit": 1e-3,        # unit
+                 "strip.follower": 1,                  # flag
+                 "material.textile.n2": [1.0, 0.0],    # vector
+                 "material.textile.xi": 2.5,           # int
+                 "material.growth.tau": "long"}        # float
+        for dotted, value in wrong.items():
+            data = value
+            for name in reversed(dotted.split(".")):
+                data = {name: data}
+            with pytest.raises(ConfigError) as err:
+                parse_config(data)
+            assert err.value.path == dotted
+
     def test_save_and_load(self, tmp_path):
         cfg = parse_config({"simulation": {"t_end": 3.5}})
         path = tmp_path / "run.json"
@@ -174,6 +251,18 @@ class TestConfig:
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(bad)
+
+
+def _leaves(tree, prefix=""):
+    """Every leaf of a config tree, keyed by its dotted path."""
+    out = {}
+    for key, value in tree.items():
+        dotted = f"{prefix}.{key}" if prefix else key
+        if isinstance(value, dict):
+            out.update(_leaves(value, dotted))
+        else:
+            out[dotted] = value
+    return out
 
 
 def _write_json(path, data):
