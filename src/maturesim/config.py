@@ -12,6 +12,7 @@ class it builds, its unit key and the keys stated in that unit.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import getitem
@@ -136,6 +137,8 @@ def _coerce(default, value, path):
         return [float(v) for v in vec]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("expected a number", path)
+    if not math.isfinite(value):
+        raise ConfigError("expected a finite number", path)
     if isinstance(default, int):
         if float(value) != int(value):
             raise ConfigError("expected an integer", path)
@@ -163,6 +166,14 @@ def _slot(tree, dotted):
 def parse_config(data, path=""):
     """Validate a config mapping and build internal-unit parameter objects."""
     full = _merge(DEFAULTS, data, path)
+    # the march grows its step from dt0 by dt_ratio up to dt_max; a step
+    # that is not positive, or that shrinks, may never reach t_end
+    sim = full["simulation"]
+    for key, ok, need in (("dt0", sim["dt0"] > 0.0, "positive"),
+                          ("dt_max", sim["dt_max"] > 0.0, "positive"),
+                          ("dt_ratio", sim["dt_ratio"] >= 1.0, "at least 1")):
+        if not ok:
+            raise ConfigError(f"must be {need}", _join(path, f"simulation.{key}"))
     built = {}
     for dotted, (cls, unit_key, table, scaled) in _SCHEMA.items():
         values = dict(reduce(getitem, dotted.split("."), full))

@@ -132,10 +132,13 @@ def geometric_stiffness(S6, dNdX, wdet):
     return K.reshape(e, 3 * n, 3 * n)
 
 
-def volume_gradient(F, J, dNdX, wdet):
-    """G_e = sum_g w |J_ref| J F^-T grad N as (E, 24); dJbar/du = G/V0."""
+def volume_gradient(Finv, J, dNdX, wdet):
+    """G_e = sum_g w |J_ref| J F^-T grad N as (E, 24); dJbar/du = G/V0.
+
+    Takes F^-1 and J = det F, which the caller already has.
+    """
     e, g = wdet.shape
-    spat = dNdX @ np.linalg.inv(F)                            # (E, G, 8, 3)
+    spat = dNdX @ Finv                                        # (E, G, 8, 3)
     G = (wdet * J)[:, None, :] @ spat.reshape(e, g, 24)
     return G.reshape(e, 24)
 

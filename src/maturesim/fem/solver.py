@@ -24,11 +24,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from ..errors import DeformationError, MeshError, SolverError
+from ..errors import DeformationError, MeshError, ParameterError, SolverError
 from ..materials import (MaterialParams, cauchy_stress, response_batch,
                          volumetric_energy, volumetric_modulus,
                          volumetric_pressure)
-from ..tensors import fiber_strain
+from ..tensors import fiber_strain, inv_det3
 from . import elements as el
 from .mesh import Mesh, strip_mesh
 
@@ -176,7 +176,7 @@ class FemModel:
         u = np.asarray(u, dtype=float).reshape(-1)
         ue = u.reshape(-1, 3)[self.conn]
         F = el.deformation_gradients(ue, self.dNdX)
-        J = np.linalg.det(F)
+        Finv, J = inv_det3(F)
         if np.any(J <= 0.0):
             raise DeformationError("an element inverted during the solve")
         C = F.swapaxes(-1, -2) @ F
@@ -200,7 +200,7 @@ class FemModel:
         fint = el.internal_forces(B, S6, self.wdet)
         Ke = el.material_stiffness(B, CC, self.wdet) \
             + el.geometric_stiffness(S6, self.dNdX, self.wdet)
-        G = el.volume_gradient(F, J, self.dNdX, self.wdet)
+        G = el.volume_gradient(Finv, J, self.dNdX, self.wdet)
         kvol = volumetric_modulus(Jbar, mat) / self.V0
         Ke += kvol[:, None, None] * G[:, :, None] * G[:, None, :]
 
@@ -405,7 +405,12 @@ def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
     a failed step is retried with half the size.  Accepted steps commit the
     Gauss state and append a StepRecord; `on_step(time, u, aux, model)` runs
     after each accepted step when given.  Returns (history, u, aux).
+    Rejects dt0 <= 0, dt_max <= 0 and dt_ratio < 1: a step that is not
+    positive, or that shrinks, may never reach t_end.
     """
+    if not (dt0 > 0.0 and dt_max > 0.0 and dt_ratio >= 1.0):
+        raise ParameterError("need dt0 > 0, dt_max > 0 and dt_ratio >= 1, got "
+                             f"{dt0}, {dt_max}, {dt_ratio}")
     u, aux, its = ramp_pressure(model)
     model.commit(aux)
     history = [model.record(0.0, u, aux, its)]

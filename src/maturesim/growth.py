@@ -57,10 +57,12 @@ class GrowthParams:
 
 @dataclass(frozen=True)
 class GrowthState:
-    """Per-point internal state: density and its last update sensitivity."""
+    """Per-point internal state: density, and the per-mass collagen energy
+    and density sensitivity of its last update."""
 
     rho: float = 0.0
     drho_dpsim: float = 0.0
+    psi_m: float = 0.0
 
     def __post_init__(self):
         if not np.isfinite(self.rho) or self.rho < 0.0:
@@ -203,4 +205,5 @@ def update_density(state: GrowthState, t_np1, dt, psi_m, p: GrowthParams) -> Gro
     rho, D, _ = update_density_batch(
         np.array([state.rho]), np.array([float(psi_m)]), t_np1, dt, p
     )
-    return GrowthState(rho=float(rho[0]), drho_dpsim=float(D[0]))
+    return GrowthState(rho=float(rho[0]), drho_dpsim=float(D[0]),
+                       psi_m=float(psi_m))

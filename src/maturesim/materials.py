@@ -55,6 +55,7 @@ class CollagenParams:
     a: np.ndarray
     rho_f: float
     H: np.ndarray = field(init=False, repr=False)
+    h6: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.k1 <= 0.0 or self.k2 <= 0.0:
@@ -63,6 +64,7 @@ class CollagenParams:
             raise ParameterError(f"rho_f must be positive, got {self.rho_f}")
         object.__setattr__(self, "a", tn.unit_vector(self.a))
         object.__setattr__(self, "H", tn.gen_structural_tensor(self.a, self.kappa))
+        object.__setattr__(self, "h6", tn.to_voigt(self.H))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +73,11 @@ class TextileParams:
 
     Stiffness factors in MPa; exponents are integers >= 2 so every term has
     a continuous first derivative at the unloaded state.  n1 and n2 are the
-    two yarn directions.
+    two yarn directions.  Construction (also by `dataclasses.replace`)
+    builds the constants `textile_batch` evaluates with: the monomial tables
+    of the energy and its partials (`mono_*`, see `_textile_monomials`),
+    the linear part of the invariant gradients and their constant
+    curvatures.
     """
 
     k1_1: float
@@ -92,6 +98,13 @@ class TextileParams:
     n2: np.ndarray
     M1: np.ndarray = field(init=False, repr=False)
     M2: np.ndarray = field(init=False, repr=False)
+    m1_6: np.ndarray = field(init=False, repr=False)
+    m2_6: np.ndarray = field(init=False, repr=False)
+    mono_coef: np.ndarray = field(init=False, repr=False)
+    mono_pow: np.ndarray = field(init=False, repr=False)
+    mono_scatter: np.ndarray = field(init=False, repr=False)
+    grad_lin: np.ndarray = field(init=False, repr=False)
+    curv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("k1_1", "k2_1", "k1_2", "k2_2", "k_coup1", "k_coup2", "k_coup_ani"):
@@ -106,6 +119,72 @@ class TextileParams:
         object.__setattr__(self, "n2", tn.unit_vector(self.n2))
         object.__setattr__(self, "M1", np.outer(self.n1, self.n1))
         object.__setattr__(self, "M2", np.outer(self.n2, self.n2))
+        object.__setattr__(self, "m1_6", tn.to_voigt(self.M1))
+        object.__setattr__(self, "m2_6", tn.to_voigt(self.M2))
+        # dI3t/dC = C M1 + M1 C and dI5t/dC are linear in C: as 6-vectors
+        # they are c6 @ grad_lin, row b the image of C = from_voigt(e_b)
+        basis = tn.from_voigt(np.eye(6))
+        object.__setattr__(self, "grad_lin", np.hstack(
+            [tn.to_voigt(basis @ M + M @ basis) for M in (self.M1, self.M2)]))
+        # d2 I3t/dC2 and d2 I5t/dC2, constant in C
+        object.__setattr__(self, "curv", np.stack([
+            tn.sym_outer_product(_EYE3, M) + tn.sym_outer_product(M, _EYE3)
+            for M in (self.M1, self.M2)]))
+        coef, powers, rows = _textile_monomials(self)
+        start = np.flatnonzero(np.diff(rows, prepend=-1))
+        object.__setattr__(self, "mono_coef", coef)
+        object.__setattr__(self, "mono_pow", powers)
+        object.__setattr__(self, "mono_scatter", np.stack([start, rows[start]]))
+
+
+# Output rows of the textile monomial sums: psi, its five first partials
+# by u, then the 5x5 second partials row-major.
+_TEX_ROWS = 1 + 5 + 25
+# u = I * _TEX_HALF - _TEX_SHIFT with I the five invariants as dI/dC : C
+_TEX_HALF = np.array([1.0, 1.0, 0.5, 1.0, 0.5])
+_TEX_SHIFT = np.array([3.0, 1.0, 1.0, 1.0, 1.0])
+
+
+def _textile_monomials(p):
+    """Monomial table of the textile energy and of its first two partials.
+
+    In the shifted invariants u = (I1 - 3, I2t - 1, I3t - 1, I4t - 1,
+    I5t - 1) the energy is a sum of seven monomials f k u_a^ea u_b^eb, with
+    eb = 0 for a term in one invariant.  Differentiating by u_a lowers ea by
+    one and multiplies f by it, so the partials are monomials of the same
+    form.  Returns the coefficients f k, the rows 5 ea + a and 5 eb + b of
+    the two factors in the power table u^e_v (2, M), and each monomial's
+    output row (psi 0, dpsi/du_v 1 + v, d2psi/du_v du_w
+    6 + 5 v + w), sorted by row; within a row the seven terms keep their
+    order.
+    """
+    terms = [  # (k, a, ea, b, eb)
+        (p.k1_1, 1, p.beta1, 0, 0),
+        (p.k2_1, 2, p.beta2, 0, 0),
+        (p.k1_2, 3, p.gamma1, 0, 0),
+        (p.k2_2, 4, p.gamma2, 0, 0),
+        (p.k_coup1, 0, p.delta1, 1, p.delta1),
+        (p.k_coup2, 0, p.delta2, 3, p.delta2),
+        (p.k_coup_ani, 1, p.xi, 3, p.xi),
+    ]
+    level = [(1, k, a, ea, b, eb, 0) for k, a, ea, b, eb in terms]
+    table = list(level)
+    # the partial by u_v of a monomial in row r lands in row
+    # base + 5 (r - prev) + v: psi (row 0) feeds rows 1 + v, and
+    # dpsi/du_w (row 1 + w) feeds rows 6 + 5 w + v
+    for base, prev in ((1, 0), (6, 1)):
+        nxt = []
+        for f, k, a, ea, b, eb, r in level:
+            if ea:
+                nxt.append((f * ea, k, a, ea - 1, b, eb, base + 5 * (r - prev) + a))
+            if eb:
+                nxt.append((f * eb, k, a, ea, b, eb - 1, base + 5 * (r - prev) + b))
+        level = sorted(nxt, key=lambda m: m[-1])
+        table += level
+    coef = np.array([f * k for f, k, *_ in table])
+    powers = np.array([(5 * ea + a, 5 * eb + b) for _, _, a, ea, b, eb, _ in table]).T
+    rows = np.array([m[6] for m in table])
+    return coef, powers, rows
 
 
 @dataclass(frozen=True)
@@ -126,14 +205,6 @@ class StressTangent:
     CC: np.ndarray
 
 
-def _check_C(C):
-    C = np.asarray(C, dtype=float)
-    detC = np.linalg.det(C)
-    if np.any(detC <= 0.0):
-        raise DeformationError(f"det C must be positive, got min {np.min(detC):g}")
-    return C, detC
-
-
 def matrix_batch(C, p: MatrixParams, pbar=None):
     """Matrix energy, stress and tangent for a batch of C tensors.
 
@@ -144,9 +215,11 @@ def matrix_batch(C, p: MatrixParams, pbar=None):
 
     Returns (psi_mu, U_local, S, CC, J, Cinv).
     """
-    C, detC = _check_C(C)
+    C = np.asarray(C, dtype=float)
+    Cinv, detC = tn.inv_det3(C)
+    if (detC <= 0.0).any():
+        raise DeformationError(f"det C must be positive, got min {np.min(detC):g}")
     J = np.sqrt(detC)
-    Cinv = np.linalg.inv(C)
     cinv = tn.to_voigt(Cinv)
     I1 = np.trace(C, axis1=-2, axis2=-1)
     lnJ = 0.5 * np.log(detC)
@@ -199,11 +272,11 @@ def collagen_psim_batch(C, p: CollagenParams):
     tension = E > 0.0
     Es = np.where(tension, E, 0.0)
     expo = np.exp(p.k2 * Es**2)
-    psi_m = np.where(tension, 0.5 * p.k1 / p.k2 * (expo - 1.0) / p.rho_f, 0.0)
-    dphi = np.where(tension, p.k1 * Es * expo / p.rho_f, 0.0)
+    # Es = 0 gives expo = 1, so psi_m and dphi vanish there exactly
+    psi_m = 0.5 * p.k1 / p.k2 * (expo - 1.0) / p.rho_f
+    dphi = p.k1 * Es * expo / p.rho_f
     curv = np.where(tension, p.k1 * (1.0 + 2.0 * p.k2 * Es**2) * expo / p.rho_f, 0.0)
-    h6 = tn.to_voigt(p.H)
-    g = dphi[..., None] * h6
+    g = dphi[..., None] * p.h6
     return psi_m, g, curv, E
 
 
@@ -216,70 +289,65 @@ def _collagen_stress_tangent(p: CollagenParams, psi_m, g, curv, rho, D, D2):
     """
     S_co = 2.0 * (rho + D * psi_m)[..., None] * g
     # rank-one tangent blocks; both live on H (x) H
-    h6 = tn.to_voigt(p.H)
     CC_co = (4.0 * (D2 * psi_m + 2.0 * D))[..., None, None] * tn.outer6(g, g) \
-        + (4.0 * (D * psi_m + rho) * curv)[..., None, None] * tn.outer6(h6, h6)
+        + (4.0 * (D * psi_m + rho) * curv)[..., None, None] * tn.outer6(p.h6, p.h6)
     return S_co, CC_co
 
 
 def textile_batch(C, p: TextileParams):
-    """Textile energy, stress and tangent for a batch of C tensors."""
+    """Textile energy, stress and tangent for a batch of C tensors.
+
+    The energy is a polynomial in the shifted invariants u (see
+    `_textile_monomials`).  With A the (N, 5, 6) stack of dI/dC, dpsi the
+    first and P the second partials by u, S = 2 A^T dpsi and
+    CC = 4 (A^T P A + dpsi_3 d2I3t/dC2 + dpsi_5 d2I5t/dC2).  All powers of
+    u come from one table built by repeated multiplication, and the
+    monomials, their scatter into psi, dpsi and P, and the constant
+    curvatures are tables on `p`.
+    """
     C = np.asarray(C, dtype=float)
-    i1, i2, i3, i4, i5 = tn.textile_invariants(C, p.M1, p.M2)
-    u1, u2, u3, u4, u5 = i1 - 3.0, i2 - 1.0, i3 - 1.0, i4 - 1.0, i5 - 1.0
-    b1, b2, g1, g2, d1, d2, xi = (
-        p.beta1, p.beta2, p.gamma1, p.gamma2, p.delta1, p.delta2, p.xi)
+    lead = C.shape[:-2]
+    C = C.reshape(-1, 3, 3)
+    n = len(C)
+    # rows of A: dI/dC = I, M1, C M1 + M1 C, M2, C M2 + M2 C
+    c6 = C[:, tn.VOIGT_I, tn.VOIGT_J]
+    A = np.empty((n, 5, 6))
+    A[:, 0] = _I6
+    A[:, 1] = p.m1_6
+    A[:, 3] = p.m2_6
+    A[:, 2::2] = np.einsum("nb,bk->nk", c6, p.grad_lin).reshape(n, 2, 6)
+    # I1, I2t, I4t are dI/dC : C, and I3t, I5t half of it
+    u = np.einsum("nva,na->nv", A, tn.VOIGT_WEIGHTS * c6) * _TEX_HALF - _TEX_SHIFT
 
-    psi = (p.k1_1 * u2**b1 + p.k2_1 * u3**b2 + p.k1_2 * u4**g1 + p.k2_2 * u5**g2
-           + p.k_coup1 * u1**d1 * u2**d1 + p.k_coup2 * u1**d2 * u4**d2
-           + p.k_coup_ani * u2**xi * u4**xi)
+    # u^0 .. u^emax, invariant-major so each monomial gathers whole rows;
+    # a pass fills u^(k+1) .. u^(k+j) as u^1 .. u^j times u^k, doubling the
+    # top power k; emax is the highest power of the seven terms, which head
+    # the table
+    emax = int(p.mono_pow[:, :7].max()) // 5
+    upow = np.empty((emax + 1, 5, n))
+    upow[0] = 1.0
+    upow[1] = u.T
+    k = 1
+    while k < emax:
+        j = min(k, emax - k)
+        np.multiply(upow[1:j + 1], upow[k], out=upow[k + 1:k + j + 1])
+        k += j
+    upow = upow.reshape(-1, n)
+    mono = upow[p.mono_pow[0]]
+    mono *= p.mono_coef[:, None]
+    mono *= upow[p.mono_pow[1]]
+    start, row = p.mono_scatter
+    d = np.zeros((_TEX_ROWS, n))
+    d[row] = np.add.reduceat(mono, start, axis=0)
+    d = d.T.copy()
+    dpsi = d[:, 1:6]
+    hess = d[:, 6:].reshape(n, 5, 5)
 
-    # first partials w.r.t. the shifted invariants u1..u5
-    p1 = d1 * p.k_coup1 * u1 ** (d1 - 1) * u2**d1 + d2 * p.k_coup2 * u1 ** (d2 - 1) * u4**d2
-    p2 = (b1 * p.k1_1 * u2 ** (b1 - 1) + d1 * p.k_coup1 * u1**d1 * u2 ** (d1 - 1)
-          + xi * p.k_coup_ani * u2 ** (xi - 1) * u4**xi)
-    p3 = b2 * p.k2_1 * u3 ** (b2 - 1)
-    p4 = (g1 * p.k1_2 * u4 ** (g1 - 1) + d2 * p.k_coup2 * u1**d2 * u4 ** (d2 - 1)
-          + xi * p.k_coup_ani * u2**xi * u4 ** (xi - 1))
-    p5 = g2 * p.k2_2 * u5 ** (g2 - 1)
-
-    # second partials; only the couplings are non-diagonal
-    p11 = (d1 * (d1 - 1) * p.k_coup1 * u1 ** (d1 - 2) * u2**d1
-           + d2 * (d2 - 1) * p.k_coup2 * u1 ** (d2 - 2) * u4**d2)
-    p22 = (b1 * (b1 - 1) * p.k1_1 * u2 ** (b1 - 2)
-           + d1 * (d1 - 1) * p.k_coup1 * u1**d1 * u2 ** (d1 - 2)
-           + xi * (xi - 1) * p.k_coup_ani * u2 ** (xi - 2) * u4**xi)
-    p33 = b2 * (b2 - 1) * p.k2_1 * u3 ** (b2 - 2)
-    p44 = (g1 * (g1 - 1) * p.k1_2 * u4 ** (g1 - 2)
-           + d2 * (d2 - 1) * p.k_coup2 * u1**d2 * u4 ** (d2 - 2)
-           + xi * (xi - 1) * p.k_coup_ani * u2**xi * u4 ** (xi - 2))
-    p55 = g2 * (g2 - 1) * p.k2_2 * u5 ** (g2 - 2)
-    p12 = d1 * d1 * p.k_coup1 * u1 ** (d1 - 1) * u2 ** (d1 - 1)
-    p14 = d2 * d2 * p.k_coup2 * u1 ** (d2 - 1) * u4 ** (d2 - 1)
-    p24 = xi * xi * p.k_coup_ani * u2 ** (xi - 1) * u4 ** (xi - 1)
-
-    m1_6 = tn.to_voigt(p.M1)
-    m2_6 = tn.to_voigt(p.M2)
-    a3 = tn.to_voigt(C @ p.M1 + p.M1 @ C)
-    a5 = tn.to_voigt(C @ p.M2 + p.M2 @ C)
-    A = [_I6, m1_6, a3, m2_6, a5]
-
-    S = 2.0 * (p1[..., None] * A[0] + p2[..., None] * A[1] + p3[..., None] * A[2]
-               + p4[..., None] * A[3] + p5[..., None] * A[4])
-
-    CC = np.zeros(np.shape(u1) + (6, 6))
-    diag = [(p11, 0), (p22, 1), (p33, 2), (p44, 3), (p55, 4)]
-    for coef, k in diag:
-        CC += coef[..., None, None] * tn.outer6(A[k], A[k])
-    cross = [(p12, 0, 1), (p14, 0, 3), (p24, 1, 3)]
-    for coef, k, l in cross:
-        CC += coef[..., None, None] * (tn.outer6(A[k], A[l]) + tn.outer6(A[l], A[k]))
-    # constant curvature of I3t and I5t in C
-    for coef, M in ((p3, p.M1), (p5, p.M2)):
-        CC += coef[..., None, None] * (tn.sym_outer_product(_EYE3, M)
-                                       + tn.sym_outer_product(M, _EYE3))
+    S = 2.0 * (dpsi[:, None] @ A)[:, 0]
+    CC = A.swapaxes(1, 2) @ (hess @ A)
+    CC += np.einsum("nk,kij->nij", dpsi[:, 2::2], p.curv)
     CC *= 4.0
-    return psi, S, CC
+    return d[:, 0].reshape(lead), S.reshape(lead + (6,)), CC.reshape(lead + (6, 6))
 
 
 def matrix_psi_stress_tangent(C, p: MatrixParams):
@@ -376,7 +444,8 @@ def total_response(F, params: MaterialParams, state: GrowthState, dt, t):
     C = tn.right_cauchy_green(np.asarray(F, dtype=float))
     out = response_batch(C[None], params, np.array([state.rho]), t, dt)
     new_state = GrowthState(rho=float(out["rho"][0]),
-                            drho_dpsim=float(out["drho_dpsim"][0]))
+                            drho_dpsim=float(out["drho_dpsim"][0]),
+                            psi_m=float(out["psi_m"][0]))
     return StressTangent(out["S"][0], out["CC"][0]), new_state
 
 

@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import ParameterError, SolverError
 from .growth import GrowthParams, GrowthState, bio_rate
-from .materials import (MaterialParams, cauchy_stress, collagen_psi_mass,
-                        total_response)
+from .materials import MaterialParams, cauchy_stress, total_response
 
 #: free-axis convergence tolerance on Cauchy stress, MPa
 STRESS_TOL = 1e-10
@@ -130,14 +129,14 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
     state = init
     records = []
 
-    def record(t, F, st, sigma, rho):
-        psi_m, _ = collagen_psi_mass(F.T @ F, params.collagen)
+    def record(t, F, st, sigma, rho, psi_m):
         records.append(PointRecord(time=t, F=F.copy(), S=st.S.copy(),
                                    sigma=sigma.copy(), rho=rho, psi_m=psi_m))
 
     # initial point: solve free axes at t = 0 with frozen growth
-    lams, F, st, sigma, _ = _newton_free_axes(lams, free, params, state, 0.0, 0.0)
-    record(0.0, F, st, sigma, state.rho)
+    lams, F, st, sigma, evaluated = _newton_free_axes(lams, free, params,
+                                                      state, 0.0, 0.0)
+    record(0.0, F, st, sigma, state.rho, evaluated.psi_m)
 
     t_prev = program.times[0]
     for k in range(len(program.times) - 1):
@@ -149,10 +148,10 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
             tgt = targets(k, k + 1, w)
             for ax in controlled:
                 lams[ax] = tgt[ax]
-            lams, F, st, sigma, new_state = _newton_free_axes(lams, free, params,
+            lams, F, st, sigma, evaluated = _newton_free_axes(lams, free, params,
                                                               state, dt, t)
-            state = new_state if program.grow else state
-            record(t, F, st, sigma, state.rho)
+            state = evaluated if program.grow else state
+            record(t, F, st, sigma, state.rho, evaluated.psi_m)
             t_prev = t
     return records
 
@@ -161,7 +160,8 @@ def _newton_free_axes(lams, free, params, state, dt, t):
     """Zero the Cauchy stress on the free axes.
 
     Returns the converged stretches with the evaluation taken there:
-    (lams, F, stress/tangent, sigma, new growth state).
+    (lams, F, stress/tangent, sigma, new growth state); the state carries
+    that evaluation's psi_m, which the records report.
     """
     lams = lams.copy()
     last = np.inf

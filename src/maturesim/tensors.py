@@ -60,17 +60,51 @@ def outer6(a6, b6):
     return a6[..., :, None] * b6[..., None, :]
 
 
+# entry (m, n) of a 6x6 block pairs (i, j) = VOIGT pair m with (k, l) =
+# pair n; flat indices into the 9 entries of A for (A_ik, A_il) and of B
+# for (B_jl, B_jk)
+_SYM_A = np.stack([3 * VOIGT_I[:, None] + VOIGT_I, 3 * VOIGT_I[:, None] + VOIGT_J])
+_SYM_B = np.stack([3 * VOIGT_J[:, None] + VOIGT_J, 3 * VOIGT_J[:, None] + VOIGT_I])
+
+
 def sym_outer_product(A, B):
     """Symmetrized product (A . B)_ijkl = (A_ik B_jl + A_il B_jk) / 2.
 
     Both arguments are full (..., 3, 3) symmetric tensors; the result is the
     6x6 tangent block of that fourth-order tensor.
     """
-    i = VOIGT_I[:, None]
-    j = VOIGT_J[:, None]
-    k = VOIGT_I[None, :]
-    l = VOIGT_J[None, :]
-    return 0.5 * (A[..., i, k] * B[..., j, l] + A[..., i, l] * B[..., j, k])
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    a = A.reshape(A.shape[:-2] + (9,))[..., _SYM_A]
+    b = B.reshape(B.shape[:-2] + (9,))[..., _SYM_B]
+    return 0.5 * (a[..., 0, :, :] * b[..., 0, :, :] + a[..., 1, :, :] * b[..., 1, :, :])
+
+
+# adj(A)_ij = A_(j+1)(i+1) A_(j+2)(i+2) - A_(j+1)(i+2) A_(j+2)(i+1), indices
+# mod 3, as flat indices into the row-major 9 entries of A: the two factors
+# of the first product, then of the second
+_I, _J = np.indices((3, 3))
+_ADJ_TERMS = np.stack([3 * ((_J + 1) % 3) + (_I + 1) % 3,
+                       3 * ((_J + 2) % 3) + (_I + 2) % 3,
+                       3 * ((_J + 1) % 3) + (_I + 2) % 3,
+                       3 * ((_J + 2) % 3) + (_I + 1) % 3]).reshape(4, 9)
+
+
+def inv_det3(A):
+    """Inverse and determinant of a batch of 3x3 matrices, in closed form.
+
+    The inverse is the adjugate (cofactors) over the determinant, which is
+    expanded along the first row: a handful of array operations for the
+    whole batch instead of one LAPACK factorization per matrix.  Where
+    det A == 0 the inverse holds non-finite entries; callers check det.
+    """
+    A = np.asarray(A, dtype=float)
+    f = A.reshape(A.shape[:-2] + (9,))[..., _ADJ_TERMS]
+    adj = f[..., 0, :] * f[..., 1, :] - f[..., 2, :] * f[..., 3, :]
+    det = (A[..., 0, :] * adj[..., ::3]).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = adj / det[..., None]
+    return inv.reshape(A.shape), det
 
 
 def unit_vector(v):

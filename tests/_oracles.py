@@ -1,5 +1,5 @@
 """Shared finite-difference oracles, random-state generators and reference
-element kernels for tests.
+kernels (elements, textile energy, 3x3 inverse) for tests.
 
 The FD rules mirror the symmetric-tensor convention of the package: a
 6-vector direction n perturbs the component pair (i, j) and (j, i) of C
@@ -9,6 +9,7 @@ multiplicity w_n.
 
 import numpy as np
 
+from maturesim import tensors as tn
 from maturesim.tensors import VOIGT_I, VOIGT_J, from_voigt
 
 VOIGT_PAIRS = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
@@ -110,3 +111,73 @@ def ref_volume_gradient(F, J, dNdX, wdet):
     spat = np.einsum("egki,egak->egai", np.linalg.inv(F), dNdX)
     G = np.einsum("eg,eg,egai->eai", wdet, J, spat)
     return G.reshape(G.shape[0], 24)
+
+
+# -- reference constitutive and 3x3 kernels -----------------------------------
+# The pow-based textile kernel and the LAPACK inverse and determinant that
+# maturesim.materials.textile_batch and maturesim.tensors.inv_det3 replace,
+# kept as the plain statement of what those compute.
+
+def ref_inv_det3(A):
+    return np.linalg.inv(A), np.linalg.det(A)
+
+
+def ref_textile_batch(C, p):
+    """Textile energy, stress and tangent term by term, powers by `**`."""
+    C = np.asarray(C, dtype=float)
+    i1, i2, i3, i4, i5 = tn.textile_invariants(C, p.M1, p.M2)
+    u1, u2, u3, u4, u5 = i1 - 3.0, i2 - 1.0, i3 - 1.0, i4 - 1.0, i5 - 1.0
+    b1, b2, g1, g2, d1, d2, xi = (
+        p.beta1, p.beta2, p.gamma1, p.gamma2, p.delta1, p.delta2, p.xi)
+
+    psi = (p.k1_1 * u2**b1 + p.k2_1 * u3**b2 + p.k1_2 * u4**g1 + p.k2_2 * u5**g2
+           + p.k_coup1 * u1**d1 * u2**d1 + p.k_coup2 * u1**d2 * u4**d2
+           + p.k_coup_ani * u2**xi * u4**xi)
+
+    # first partials w.r.t. the shifted invariants u1..u5
+    p1 = d1 * p.k_coup1 * u1 ** (d1 - 1) * u2**d1 + d2 * p.k_coup2 * u1 ** (d2 - 1) * u4**d2
+    p2 = (b1 * p.k1_1 * u2 ** (b1 - 1) + d1 * p.k_coup1 * u1**d1 * u2 ** (d1 - 1)
+          + xi * p.k_coup_ani * u2 ** (xi - 1) * u4**xi)
+    p3 = b2 * p.k2_1 * u3 ** (b2 - 1)
+    p4 = (g1 * p.k1_2 * u4 ** (g1 - 1) + d2 * p.k_coup2 * u1**d2 * u4 ** (d2 - 1)
+          + xi * p.k_coup_ani * u2**xi * u4 ** (xi - 1))
+    p5 = g2 * p.k2_2 * u5 ** (g2 - 1)
+
+    # second partials; only the couplings are non-diagonal
+    p11 = (d1 * (d1 - 1) * p.k_coup1 * u1 ** (d1 - 2) * u2**d1
+           + d2 * (d2 - 1) * p.k_coup2 * u1 ** (d2 - 2) * u4**d2)
+    p22 = (b1 * (b1 - 1) * p.k1_1 * u2 ** (b1 - 2)
+           + d1 * (d1 - 1) * p.k_coup1 * u1**d1 * u2 ** (d1 - 2)
+           + xi * (xi - 1) * p.k_coup_ani * u2 ** (xi - 2) * u4**xi)
+    p33 = b2 * (b2 - 1) * p.k2_1 * u3 ** (b2 - 2)
+    p44 = (g1 * (g1 - 1) * p.k1_2 * u4 ** (g1 - 2)
+           + d2 * (d2 - 1) * p.k_coup2 * u1**d2 * u4 ** (d2 - 2)
+           + xi * (xi - 1) * p.k_coup_ani * u2**xi * u4 ** (xi - 2))
+    p55 = g2 * (g2 - 1) * p.k2_2 * u5 ** (g2 - 2)
+    p12 = d1 * d1 * p.k_coup1 * u1 ** (d1 - 1) * u2 ** (d1 - 1)
+    p14 = d2 * d2 * p.k_coup2 * u1 ** (d2 - 1) * u4 ** (d2 - 1)
+    p24 = xi * xi * p.k_coup_ani * u2 ** (xi - 1) * u4 ** (xi - 1)
+
+    eye6 = tn.IDENTITY6
+    m1_6 = tn.to_voigt(p.M1)
+    m2_6 = tn.to_voigt(p.M2)
+    a3 = tn.to_voigt(C @ p.M1 + p.M1 @ C)
+    a5 = tn.to_voigt(C @ p.M2 + p.M2 @ C)
+    A = [eye6, m1_6, a3, m2_6, a5]
+
+    S = 2.0 * (p1[..., None] * A[0] + p2[..., None] * A[1] + p3[..., None] * A[2]
+               + p4[..., None] * A[3] + p5[..., None] * A[4])
+
+    CC = np.zeros(np.shape(u1) + (6, 6))
+    diag = [(p11, 0), (p22, 1), (p33, 2), (p44, 3), (p55, 4)]
+    for coef, k in diag:
+        CC += coef[..., None, None] * tn.outer6(A[k], A[k])
+    cross = [(p12, 0, 1), (p14, 0, 3), (p24, 1, 3)]
+    for coef, k, l in cross:
+        CC += coef[..., None, None] * (tn.outer6(A[k], A[l]) + tn.outer6(A[l], A[k]))
+    # constant curvature of I3t and I5t in C
+    for coef, M in ((p3, p.M1), (p5, p.M2)):
+        CC += coef[..., None, None] * (tn.sym_outer_product(np.eye(3), M)
+                                       + tn.sym_outer_product(M, np.eye(3)))
+    CC *= 4.0
+    return psi, S, CC

@@ -1,4 +1,8 @@
-"""Shared parameter fixtures: the published calibration of the model."""
+"""Shared parameter fixtures (the published calibration of the model) and a
+deadline for tests whose failure mode is a hang."""
+
+import contextlib
+import signal
 
 import numpy as np
 import pytest
@@ -63,3 +67,19 @@ def growth_params():
 @pytest.fixture
 def material_params():
     return make_material()
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after `seconds` (SIGALRM, Unix), so a
+    test whose failure mode is an endless loop fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -13,6 +13,8 @@ from maturesim.errors import ConfigError, MeshError, SolverError
 from maturesim.fem import load_mesh, strip_mesh
 from maturesim.vtkio import write_vtk
 
+from conftest import deadline
+
 MATURATION_POINTS = [(0.0, 0.0), (7.0, 0.28486), (14.0, 0.6060),
                      (21.0, 0.8357), (28.0, 1.0)]
 
@@ -236,6 +238,25 @@ class TestConfig:
                 parse_config(data)
             assert err.value.path == dotted
 
+    def test_non_finite_numbers_rejected(self):
+        for dotted, value in {"strip.nx": float("inf"),
+                              "simulation.t_end": float("nan"),
+                              "material.matrix.mu": float("-inf")}.items():
+            data = value
+            for name in reversed(dotted.split(".")):
+                data = {name: data}
+            with pytest.raises(ConfigError, match="expected a finite number") as err:
+                parse_config(data)
+            assert err.value.path == dotted
+
+    def test_march_steps_must_advance(self):
+        for key, value in (("dt0", 0.0), ("dt0", -0.002), ("dt_max", 0.0),
+                           ("dt_ratio", 0.8)):
+            with pytest.raises(ConfigError) as err:
+                parse_config({"simulation": {key: value}})
+            assert err.value.path == f"simulation.{key}"
+        parse_config({"simulation": {"dt_ratio": 1.0}})
+
     def test_save_and_load(self, tmp_path):
         cfg = parse_config({"simulation": {"t_end": 3.5}})
         path = tmp_path / "run.json"
@@ -369,6 +390,22 @@ class TestCli:
         assert main(["-q", "fem", "--config", str(cfgfile),
                      "--out", str(tmp_path / "r")]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("simulation", "dt0", 0.0), ("strip", "nx", float("inf")),
+        ("simulation", "t_end", float("nan"))])
+    def test_bad_values_exit_one(self, tmp_path, capsys, section, key, value):
+        # dt0 = 0 used to march forever, Infinity and NaN to end in a
+        # traceback; the deadline turns a hang into a failure
+        cfgfile = tmp_path / "cfg.json"
+        _write_json(cfgfile, {"strip": {"nx": 2, "ny": 1, "nz": 1},
+                              section: {key: value}})
+        for command in ("fem", "grow"):
+            with deadline(60):
+                code = main(["-q", command, "--config", str(cfgfile),
+                             "--out", str(tmp_path / command)])
+            assert code == 1
+            assert f"{section}.{key}" in capsys.readouterr().err
 
     def test_solver_failure_exits_two(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):

@@ -1,9 +1,11 @@
 """Newton solver, patch test and maturation marching tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from maturesim.errors import MeshError, SolverError
+from maturesim.errors import DeformationError, MeshError, ParameterError, SolverError
 from maturesim.fem import (Dirichlet, FemModel, PressureLoad,
                            clamped_strip_model, march_maturation,
                            ramp_pressure, strip_mesh)
@@ -13,7 +15,7 @@ from maturesim.materials import (response_batch, volumetric_modulus,
                                  volumetric_pressure)
 from maturesim.matpoint import LoadProgram, solve_mixed_point
 
-from conftest import make_material
+from conftest import deadline, make_material
 
 import _oracles as ref
 from _oracles import rel_err
@@ -187,6 +189,19 @@ def _dense_tangent(model, u, t, dt):
     return K[np.ix_(model.free_idx, model.free_idx)]
 
 
+class TestInvertedElements:
+    @pytest.mark.parametrize("scale", [-2.0, -1.0])
+    def test_assemble_rejects_nonpositive_jacobian(self, scale):
+        # u = -2X mirrors every element (det F = -1), u = -X flattens it to
+        # a point (det F = 0, no divide-by-zero warning on the way)
+        model = clamped_strip_model(make_material(), nx=2, ny=1, nz=1)
+        u = scale * model.mesh.nodes.reshape(-1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeformationError):
+                model.assemble(u, 0.0, 0.0)
+
+
 class TestSparsityPattern:
     """The pattern and scatter map built at construction against np.add.at."""
 
@@ -302,6 +317,16 @@ class TestMaturationMarch:
         assert np.all(model.rho == aux1["rho"])
         u2, aux2, _ = model.solve_step(u1, t=1.0, dt=0.5)
         assert np.all(aux2["rho"] >= aux1["rho"] - 1e-15)
+
+    @pytest.mark.parametrize("steps", [
+        {"dt0": 0.0}, {"dt0": -0.1}, {"dt0": float("nan")}, {"dt_max": 0.0},
+        {"dt_ratio": 0.9}])
+    def test_steps_that_cannot_reach_t_end_rejected(self, steps):
+        # a zero step never advances the time; under a deadline a regression
+        # fails instead of hanging the suite
+        model = clamped_strip_model(make_material(), nx=2, ny=1, nz=1)
+        with deadline(60), pytest.raises(ParameterError):
+            march_maturation(model, t_end=1.0, **steps)
 
     def test_unloaded_march_matches_point_growth(self):
         # no load: every Gauss point follows the homogeneous growth curve

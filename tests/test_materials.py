@@ -1,18 +1,24 @@
 """Constitutive tests: closed-form values, FD oracles, model structure."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maturesim import tensors as tn
+from maturesim.calibrate import substitute
 from maturesim.errors import DeformationError, ParameterError, StateError
 from maturesim.growth import GrowthState
 from maturesim.materials import (CollagenParams, MatrixParams, TextileParams,
                                  cauchy_stress, collagen_psi_mass,
                                  collagen_stress, matrix_psi_stress_tangent,
-                                 response_batch, textile_psi_stress_tangent,
-                                 total_response)
+                                 matrix_batch, response_batch, textile_batch,
+                                 textile_psi_stress_tangent, total_response)
 
-from _oracles import fd_stress, fd_tangent, random_C, random_F, random_rotation, rel_err
+from _oracles import (fd_stress, fd_tangent, random_C, random_F, random_rotation,
+                      ref_textile_batch, rel_err)
 from conftest import (EX, EY, make_collagen, make_growth, make_material,
                       make_matrix, make_textile)
 
@@ -61,6 +67,18 @@ class TestMatrix:
             matrix_psi_stress_tangent(np.diag([1.0, 1.0, -1.0]), make_matrix())
         with pytest.raises(ParameterError):
             MatrixParams(lam=10.0, mu=0.0)
+
+    def test_nonpositive_det_in_a_batch_rejected(self):
+        # one bad point among good ones; a singular C raises without a
+        # divide-by-zero warning from the closed-form inverse
+        rng = np.random.default_rng(5)
+        good = np.array([random_C(rng) for _ in range(4)])
+        for bad in (np.diag([1.0, 1.0, -1.0]), np.diag([1.0, 1.0, 0.0])):
+            C = np.concatenate([good, bad[None]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DeformationError):
+                    matrix_batch(C, make_matrix())
 
 
 class TestCollagen:
@@ -176,6 +194,73 @@ class TestTextile:
                           k_coup2=1.0, k_coup_ani=1.0, beta1=1, beta2=2,
                           gamma1=4, gamma2=2, delta1=2, delta2=3, xi=12,
                           n1=EX, n2=EY)
+
+
+_STIFFNESSES = ("k1_1", "k2_1", "k1_2", "k2_2", "k_coup1", "k_coup2", "k_coup_ani")
+_EXPONENTS = ("beta1", "beta2", "gamma1", "gamma2", "delta1", "delta2", "xi")
+
+
+class TestTextileKernel:
+    """The table-driven textile kernel against the term-by-term pow form."""
+
+    @staticmethod
+    def _agree(got, want):
+        for g, w in zip(got, want):
+            assert np.all(np.isfinite(g))
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+    @settings(max_examples=200, deadline=None)
+    @given(stiff=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
+                          min_size=7, max_size=7),
+           exps=st.lists(st.integers(2, 12), min_size=7, max_size=7),
+           axes=st.permutations([0, 1, 2]),
+           state=st.sampled_from(["general", "identity", "compressive"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, stiff, exps, axes, state, seed):
+        rng = np.random.default_rng(seed)
+        n1, n2 = np.eye(3)[axes[0]], np.eye(3)[axes[1]]
+        if state == "general":
+            # skewed yarns, shear and stretch in every component
+            n1 = n1 + 0.5 * rng.standard_normal(3)
+            n2 = n2 + 0.5 * rng.standard_normal(3)
+            C = np.array([random_C(rng, spread=0.3) for _ in range(6)])
+        elif state == "identity":
+            # u = 0 exactly: zero-power factors are 1, the rest exact zeros
+            C = np.broadcast_to(np.eye(3), (2, 3, 3))
+        else:
+            # every stretch below 1: negative u, odd powers negative
+            C = np.array([np.diag(rng.uniform(0.6, 0.99, 3) ** 2)
+                          for _ in range(6)])
+        p = TextileParams(**dict(zip(_STIFFNESSES, stiff)),
+                          **dict(zip(_EXPONENTS, exps)), n1=n1, n2=n2)
+        got = textile_batch(C, p)
+        self._agree(got, ref_textile_batch(C, p))
+        if state == "identity":
+            assert np.all(got[0] == 0.0) and np.all(got[1] == 0.0)
+
+    def test_substituted_params_use_their_own_tables(self):
+        # a fit rebuilds TextileParams for every trial point and drops the
+        # old one, whose memory (and id) the next one often reuses; each
+        # must evaluate with its own constants
+        base = make_material()
+        rng = np.random.default_rng(41)
+        C = np.array([random_C(rng, spread=0.2, stretch=0.1) for _ in range(5)])
+        seen = [textile_batch(C, base.textile)[0]]
+        for k1_1, k_ani in ((0.031, 0.2), (0.5, 0.9), (0.2, 0.05), (2.0, 0.0)):
+            p = substitute(base, ["textile.k1_1", "textile.k_coup_ani"],
+                           [k1_1, k_ani]).textile
+            got = textile_batch(C, p)
+            self._agree(got, ref_textile_batch(C, p))
+            assert not any(np.allclose(got[0], psi) for psi in seen)
+            seen.append(got[0])
+            del p, got
+
+    def test_batch_shape_follows_input(self, textile_params):
+        rng = np.random.default_rng(43)
+        C = np.array([random_C(rng) for _ in range(6)]).reshape(2, 3, 3, 3)
+        psi, S, CC = textile_batch(C, textile_params)
+        assert psi.shape == (2, 3) and S.shape == (2, 3, 6) and CC.shape == (2, 3, 6, 6)
+        self._agree((psi, S, CC), ref_textile_batch(C, textile_params))
 
 
 class TestTotalResponse:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maturesim import matpoint
+from maturesim import materials, matpoint
 from maturesim.errors import ParameterError
 from maturesim.growth import GrowthState, bio_rate
 from maturesim.materials import (MaterialParams, MatrixParams, collagen_stress,
@@ -110,6 +110,34 @@ class TestEvaluationCount:
                            steps_per_interval=steps, grow=False)
         solve_mixed_point(prog, material_params)
         assert len(calls) == steps + 1
+
+
+class TestRecordedEnergy:
+    def test_records_reuse_the_converged_psi_m(self, material_params, monkeypatch):
+        # psi_m comes with the converged evaluation: one collagen energy
+        # evaluation per response, none extra per record
+        counts = {"psim": 0, "response": 0}
+        psim, response = materials.collagen_psim_batch, matpoint.total_response
+
+        def counted_psim(*args):
+            counts["psim"] += 1
+            return psim(*args)
+
+        def counted_response(*args):
+            counts["response"] += 1
+            return response(*args)
+
+        monkeypatch.setattr(materials, "collagen_psim_batch", counted_psim)
+        monkeypatch.setattr(matpoint, "total_response", counted_response)
+        prog = LoadProgram(times=[0, 1], controls=(np.array([1.0, 1.15]), FREE, FREE),
+                           steps_per_interval=10, grow=False)
+        recs = solve_mixed_point(prog, material_params)
+        assert counts["psim"] == counts["response"] > len(recs)
+        monkeypatch.undo()
+        for r in recs:
+            expect, _ = collagen_psi_mass(r.F.T @ r.F, material_params.collagen)
+            assert r.psi_m == pytest.approx(expect, rel=1e-14, abs=0.0)
+        assert recs[-1].psi_m > 0.0
 
 
 class TestCollagenScaling:

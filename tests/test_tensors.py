@@ -1,12 +1,14 @@
 """Kinematics and symmetric-tensor convention tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from maturesim import tensors as tn
 from maturesim.errors import DeformationError, ParameterError
 
-from _oracles import random_C, random_F, random_rotation
+from _oracles import random_C, random_F, random_rotation, ref_inv_det3
 
 
 class TestVoigt:
@@ -36,6 +38,53 @@ class TestVoigt:
         M = tn.sym_outer_product(A, A)
         contracted = M @ (tn.VOIGT_WEIGHTS * tn.to_voigt(B))
         assert np.allclose(contracted, tn.to_voigt(A @ B @ A), rtol=1e-13)
+
+
+class TestInvDet3:
+    """The closed-form 3x3 inverse and determinant against LAPACK."""
+
+    EPS = np.finfo(float).eps
+
+    def _agree(self, A):
+        inv, det = tn.inv_det3(A)
+        inv_ref, det_ref = ref_inv_det3(A)
+        # both are backward stable: the inverses differ by a few eps times
+        # the condition number, the determinants by a few eps times the
+        # Hadamard bound prod_i |row_i|
+        err = np.linalg.norm(inv - inv_ref, axis=(-2, -1)) \
+            / np.linalg.norm(inv_ref, axis=(-2, -1))
+        assert np.all(err <= 10.0 * self.EPS * np.linalg.cond(A))
+        hadamard = np.prod(np.linalg.norm(A, axis=-1), axis=-1)
+        assert np.all(np.abs(det - det_ref) <= 10.0 * self.EPS * hadamard)
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(31)
+        A = rng.standard_normal((400, 3, 3))
+        A[:200] += 3.0 * np.eye(3)
+        self._agree(A)
+        self._agree(np.array([random_F(rng) for _ in range(50)]))
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-8, 1e-12])
+    def test_near_singular_batches(self, gap):
+        rng = np.random.default_rng(37)
+        rank2 = rng.standard_normal((200, 3, 2)) @ rng.standard_normal((200, 2, 3))
+        self._agree(rank2 + gap * rng.standard_normal((200, 3, 3)))
+
+    def test_leading_axes_and_single_matrix(self):
+        rng = np.random.default_rng(39)
+        A = np.array([random_F(rng) for _ in range(12)]).reshape(3, 4, 3, 3)
+        inv, det = tn.inv_det3(A)
+        assert inv.shape == (3, 4, 3, 3) and det.shape == (3, 4)
+        inv1, det1 = tn.inv_det3(A[1, 2])
+        assert inv1.shape == (3, 3) and np.ndim(det1) == 0
+        assert np.array_equal(inv1, inv[1, 2]) and det1 == det[1, 2]
+
+    def test_singular_matrix_warns_nothing(self):
+        # det == 0 is the caller's to reject; the kernel itself stays quiet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inv, det = tn.inv_det3(np.array([np.diag([1.0, 1.0, 0.0]), np.zeros((3, 3))]))
+        assert np.all(det == 0.0)
 
 
 class TestDirections:
