@@ -272,12 +272,11 @@ def uniaxial_eng_stress(params: MaterialParams, stretches, rho):
     return np.array([r.F[0, 0] * r.S[0] for r in recs[1:]])
 
 
-def biaxial_eng_stress(params: MaterialParams, strains, ratio, rho, axis=0):
-    """P along `axis` for a biaxial protocol e1 = ratio * e2, thickness free.
+def biaxial_eng_stress(params: MaterialParams, strains, ratio, rho):
+    """P11 for a biaxial protocol e1 = ratio * e2, thickness free.
 
-    Calibration series (`make_point_model`) use axis 0 only, so constants
-    acting mainly along axis 1 (the second yarn, e.g. `k1_2`) are weakly
-    identified by them.
+    Only axis 0 is reported, so constants acting mainly along axis 1 (the
+    second yarn, e.g. `k1_2`) are weakly identified by these series.
     """
     strains = np.asarray(strains, dtype=float)
     e1 = np.concatenate([[0.0], strains])
@@ -285,8 +284,7 @@ def biaxial_eng_stress(params: MaterialParams, strains, ratio, rho, axis=0):
                        controls=(e1, e1 / ratio, FREE),
                        strain_measure="engineering", grow=False)
     recs = solve_mixed_point(prog, params, init=GrowthState(rho=float(rho)))
-    # normal components sit at the first three slots of the 6-vector
-    return np.array([r.F[axis, axis] * r.S[axis] for r in recs[1:]])
+    return np.array([r.F[0, 0] * r.S[0] for r in recs[1:]])
 
 
 def make_point_model(base: MaterialParams, param_names, kind="uniaxial",

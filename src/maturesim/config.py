@@ -166,10 +166,12 @@ def _slot(tree, dotted):
 def parse_config(data, path=""):
     """Validate a config mapping and build internal-unit parameter objects."""
     full = _merge(DEFAULTS, data, path)
-    # the march grows its step from dt0 by dt_ratio up to dt_max; a step
-    # that is not positive, or that shrinks, may never reach t_end
+    # a march to t_end <= 0 ends after the ramp; it grows its step from dt0
+    # by dt_ratio up to dt_max, and a step that is not positive, or that
+    # shrinks, may never reach t_end
     sim = full["simulation"]
-    for key, ok, need in (("dt0", sim["dt0"] > 0.0, "positive"),
+    for key, ok, need in (("t_end", sim["t_end"] > 0.0, "positive"),
+                          ("dt0", sim["dt0"] > 0.0, "positive"),
                           ("dt_max", sim["dt_max"] > 0.0, "positive"),
                           ("dt_ratio", sim["dt_ratio"] >= 1.0, "at least 1")):
         if not ok:

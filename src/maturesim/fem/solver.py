@@ -135,7 +135,6 @@ class FemModel:
         egrid = (len(self.conn), self.wdet.shape[1])
         self.rho = np.zeros(egrid)
         self.hist_strain = np.zeros(egrid)    # running max fiber strain
-        self.hist_psim = np.zeros(egrid)
 
     def _build_pattern(self, blocks):
         """CSC pattern of the reduced tangent and the slot of every entry.
@@ -272,8 +271,7 @@ class FemModel:
                 if rn2 < rnorm or rn2 < tol:
                     # without a decent reduction rate Newton is only creeping
                     # along a bending-to-membrane transition; give up early
-                    # so the caller can cut the increment or switch to the
-                    # damped continuation
+                    # so the caller can cut the increment
                     stalled = stalled + 1 if rn2 > 0.99 * rnorm else 0
                     u, R, K, aux, rnorm = u_try, R2, K2, aux2, rn2
                     break
@@ -290,10 +288,9 @@ class FemModel:
                           iterations=NEWTON_MAXIT)
 
     def commit(self, aux):
-        """Accept a converged step: densities and history maxima."""
+        """Accept a converged step: densities and the fiber strain maxima."""
         self.rho = aux["rho"].copy()
         self.hist_strain = np.maximum(self.hist_strain, aux["fiber_strain"])
-        self.hist_psim = np.maximum(self.hist_psim, aux["psi_m"])
 
     # -- postprocessing ------------------------------------------------------
 
@@ -327,40 +324,31 @@ class FemModel:
         return (self.wdet[..., None] * sig).sum(axis=1) / self.V0[:, None]
 
 
-def ramp_pressure(model: FemModel, u=None, t=0.0):
-    """Bring the loads to full scale with growth frozen.
+def ramp_pressure(model: FemModel):
+    """Bring the loads and prescribed displacements to full scale from u = 0
+    with growth frozen; returns (u, aux, iterations).
 
-    Plain Newton is tried first and usually suffices.  Thin flat sheets
-    loaded into the membrane regime defeat it (the flat-state tangent knows
-    nothing of membrane stiffening), so on failure a pseudo-transient
-    continuation takes over.  Returns (u, aux, total_iters).
+    The ramp is a pseudo-transient continuation (Kelley & Keyes 1998): a
+    damped Newton iteration (K + k I) du = -R with adaptive damping.  Plain
+    Newton from the flat state fails on thin clamped sheets loaded into
+    the membrane regime, since the flat-state tangent knows nothing of
+    membrane stiffening.  The continuation follows implicit viscous
+    dynamics toward equilibrium: large damping k follows a relaxation path
+    that cannot overshoot, k -> 0 recovers plain Newton.  The residual norm
+    is allowed to rise moderately along the way; flat sheets have to climb
+    a residual hill before membrane tension takes over, so rejecting every
+    uphill step would freeze the flow.  Steps are rejected only when the
+    state leaves the feasible range or the residual jumps by more than a
+    factor of five.  The damping starts at twice the largest external
+    force, or at twice the initial residual when nothing is loaded; a
+    start already in equilibrium returns with 0 iterations.
     """
-    u0 = np.zeros(model.n_dof) if u is None else np.asarray(u, dtype=float)
-    try:
-        return model.solve_step(u0, t=t, dt=0.0, load_scale=1.0)
-    except SolverError:
-        return _pseudo_transient(model, u0, t)
-
-
-def _pseudo_transient(model: FemModel, u, t):
-    """Damped Newton continuation (K + k I) du = -R with adaptive damping.
-
-    Implicit viscous dynamics toward equilibrium: large damping k follows a
-    relaxation path that cannot overshoot, k -> 0 recovers plain Newton.
-    The residual norm is allowed to rise moderately along the way; flat
-    sheets have to climb a residual hill before membrane tension takes
-    over, so rejecting every uphill step would freeze the flow.  Steps are
-    rejected only when the state leaves the feasible range or the residual
-    jumps by more than a factor of five.
-    """
-    u = np.asarray(u, dtype=float).copy()
+    u = np.zeros(model.n_dof)
     u[model.fixed] = model.fixed_values[model.fixed]
-    R, K, aux = model.assemble(u, t, 0.0, load_scale=1.0)
+    R, K, aux = model.assemble(u, 0.0, 0.0)
     rnorm = np.abs(R[model.free_idx]).max(initial=0.0)
     fmax = np.abs(aux["fext"]).max(initial=0.0)
-    if fmax == 0.0:
-        raise SolverError("pseudo-transient continuation needs external loads")
-    k0 = 2.0 * fmax
+    k0 = 2.0 * (fmax or rnorm)
     k = k0
     eye = sp.identity(len(model.free_idx), format="csc")
     best, best_step = rnorm, 0
@@ -372,7 +360,7 @@ def _pseudo_transient(model: FemModel, u, t):
         u_try = u.copy()
         u_try[model.free_idx] += du
         try:
-            R2, K2, aux2 = model.assemble(u_try, t, 0.0, load_scale=1.0)
+            R2, K2, aux2 = model.assemble(u_try, 0.0, 0.0)
             rn2 = np.abs(R2[model.free_idx]).max(initial=0.0)
         except (DeformationError, SolverError):
             rn2 = np.inf
@@ -405,9 +393,12 @@ def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
     a failed step is retried with half the size.  Accepted steps commit the
     Gauss state and append a StepRecord; `on_step(time, u, aux, model)` runs
     after each accepted step when given.  Returns (history, u, aux).
-    Rejects dt0 <= 0, dt_max <= 0 and dt_ratio < 1: a step that is not
-    positive, or that shrinks, may never reach t_end.
+    Rejects t_end <= 0, which would end the run after the ramp alone, and
+    dt0 <= 0, dt_max <= 0 and dt_ratio < 1: a step that is not positive, or
+    that shrinks, may never reach t_end.
     """
+    if not t_end > 0.0:
+        raise ParameterError(f"need t_end > 0, got {t_end}")
     if not (dt0 > 0.0 and dt_max > 0.0 and dt_ratio >= 1.0):
         raise ParameterError("need dt0 > 0, dt_max > 0 and dt_ratio >= 1, got "
                              f"{dt0}, {dt_max}, {dt_ratio}")

@@ -213,7 +213,7 @@ def matrix_batch(C, p: MatrixParams, pbar=None):
     volumetric pressure U'(Jbar) and only the shear part remains pointwise;
     the caller owns the element-level volumetric coupling.
 
-    Returns (psi_mu, U_local, S, CC, J, Cinv).
+    Returns (psi_mu, U_local, S, CC, J).
     """
     C = np.asarray(C, dtype=float)
     Cinv, detC = tn.inv_det3(C)
@@ -239,7 +239,7 @@ def matrix_batch(C, p: MatrixParams, pbar=None):
         pJ = pbar * J
         S = S + pJ[..., None] * cinv
         CC = CC + pJ[..., None, None] * (tn.outer6(cinv, cinv) - 2.0 * cc_inv)
-    return psi_mu, U_local, S, CC, J, Cinv
+    return psi_mu, U_local, S, CC, J
 
 
 def volumetric_energy(J, p: MatrixParams):
@@ -265,10 +265,10 @@ def collagen_psim_batch(C, p: CollagenParams):
 
     Tension-only: everything vanishes for mean fiber stretches below 1.
     Returns (psi_m, g = d psi_m/dC as 6-vector, curv = d/dE of g's scalar
-    factor divided by rho_f, E).
+    factor divided by rho_f).
     """
     C = np.asarray(C, dtype=float)
-    lam_sq, E = tn.fiber_strain(C, p.H)
+    _, E = tn.fiber_strain(C, p.H)
     tension = E > 0.0
     Es = np.where(tension, E, 0.0)
     expo = np.exp(p.k2 * Es**2)
@@ -277,7 +277,7 @@ def collagen_psim_batch(C, p: CollagenParams):
     dphi = p.k1 * Es * expo / p.rho_f
     curv = np.where(tension, p.k1 * (1.0 + 2.0 * p.k2 * Es**2) * expo / p.rho_f, 0.0)
     g = dphi[..., None] * p.h6
-    return psi_m, g, curv, E
+    return psi_m, g, curv
 
 
 def _collagen_stress_tangent(p: CollagenParams, psi_m, g, curv, rho, D, D2):
@@ -352,13 +352,13 @@ def textile_batch(C, p: TextileParams):
 
 def matrix_psi_stress_tangent(C, p: MatrixParams):
     """Matrix energy density (MPa) with stress and tangent at one point."""
-    psi_mu, U, S, CC, _, _ = matrix_batch(np.asarray(C, dtype=float)[None], p)
+    psi_mu, U, S, CC, _ = matrix_batch(np.asarray(C, dtype=float)[None], p)
     return float(psi_mu[0] + U[0]), StressTangent(S[0], CC[0])
 
 
 def collagen_psi_mass(C, p: CollagenParams):
     """Collagen energy per unit mass and its derivative w.r.t. C (6-vector)."""
-    psi_m, g, _, _ = collagen_psim_batch(np.asarray(C, dtype=float)[None], p)
+    psi_m, g, _ = collagen_psim_batch(np.asarray(C, dtype=float)[None], p)
     return float(psi_m[0]), g[0]
 
 
@@ -374,7 +374,7 @@ def collagen_stress(C, p: CollagenParams, rho, drho_dC, drho_dpsim=0.0, d2rho_dp
     """
     if rho < 0.0 or not np.isfinite(rho):
         raise StateError(f"density must be finite and non-negative, got {rho}")
-    psi_m, g, curv, _ = collagen_psim_batch(np.asarray(C, dtype=float)[None], p)
+    psi_m, g, curv = collagen_psim_batch(np.asarray(C, dtype=float)[None], p)
     if drho_dC is not None:
         chain = drho_dpsim * g[0]
         if not np.allclose(drho_dC, chain, rtol=1e-12, atol=1e-12 * np.max(np.abs(chain))):
@@ -404,9 +404,9 @@ def response_batch(C, params: MaterialParams, rho_n, t, dt, pbar=None):
     """
     C = np.asarray(C, dtype=float)
     rho_n = np.asarray(rho_n, dtype=float)
-    psi_mu, U_local, S, CC, J, _ = matrix_batch(C, params.matrix, pbar=pbar)
+    psi_mu, U_local, S, CC, J = matrix_batch(C, params.matrix, pbar=pbar)
     psi_tex, S_tex, CC_tex = textile_batch(C, params.textile)
-    psi_m, g, curv, _ = collagen_psim_batch(C, params.collagen)
+    psi_m, g, curv = collagen_psim_batch(C, params.collagen)
 
     if dt > 0.0:
         flat = psi_m.reshape(-1)

@@ -9,7 +9,7 @@ forward models.
 """
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,44 +115,30 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
     free = [ax for ax, c in enumerate(program.controls) if isinstance(c, str)]
     controlled = [ax for ax in range(3) if ax not in free]
 
-    def targets(k0, k1, w):
-        lams = np.empty(3)
-        for ax in controlled:
-            vals = program.controls[ax]
-            lams[ax] = (1.0 - w) * vals[k0] + w * vals[k1]
-        return lams
-
-    lams = np.ones(3)
+    # the path: the initial knot, then per interval the step times
+    # t0 + w (t1 - t0) and stretches (1 - w) v0 + w v1 at w = s/n, s = 1..n
+    n = program.steps_per_interval
+    w = np.arange(1, n + 1) / n
+    t0, t1 = program.times[:-1, None], program.times[1:, None]
+    path_t = np.concatenate([t0[0], (t0 + w * (t1 - t0)).ravel()])
+    path_lams = np.ones((path_t.size, 3))
     for ax in controlled:
-        lams[ax] = program.controls[ax][0]
+        v0, v1 = program.controls[ax][:-1, None], program.controls[ax][1:, None]
+        path_lams[0, ax] = v0[0, 0]
+        path_lams[1:, ax] = ((1.0 - w) * v0 + w * v1).ravel()
 
-    state = init
-    records = []
-
-    def record(t, F, st, sigma, rho, psi_m):
-        records.append(PointRecord(time=t, F=F.copy(), S=st.S.copy(),
-                                   sigma=sigma.copy(), rho=rho, psi_m=psi_m))
-
-    # initial point: solve free axes at t = 0 with frozen growth
-    lams, F, st, sigma, evaluated = _newton_free_axes(lams, free, params,
-                                                      state, 0.0, 0.0)
-    record(0.0, F, st, sigma, state.rho, evaluated.psi_m)
-
-    t_prev = program.times[0]
-    for k in range(len(program.times) - 1):
-        t0, t1 = program.times[k], program.times[k + 1]
-        for s in range(1, program.steps_per_interval + 1):
-            w = s / program.steps_per_interval
-            t = t0 + w * (t1 - t0)
-            dt = (t - t_prev) if program.grow else 0.0
-            tgt = targets(k, k + 1, w)
-            for ax in controlled:
-                lams[ax] = tgt[ax]
-            lams, F, st, sigma, evaluated = _newton_free_axes(lams, free, params,
-                                                              state, dt, t)
-            state = evaluated if program.grow else state
-            record(t, F, st, sigma, state.rho, evaluated.psi_m)
-            t_prev = t
+    lams, state, records = np.ones(3), init, []     # free axes start at 1
+    t_prev = path_t[0]
+    for t, target in zip(path_t, path_lams):
+        # the initial knot solves at dt = 0, so its density stays frozen
+        dt = (t - t_prev) if program.grow else 0.0
+        lams[controlled] = target[controlled]
+        lams, F, st, sigma, evaluated = _newton_free_axes(lams, free, params,
+                                                          state, dt, t)
+        state = evaluated if program.grow else state
+        records.append(PointRecord(time=t, F=F, S=st.S, sigma=sigma,
+                                   rho=state.rho, psi_m=evaluated.psi_m))
+        t_prev = t
     return records
 
 

@@ -251,7 +251,7 @@ class TestConfig:
 
     def test_march_steps_must_advance(self):
         for key, value in (("dt0", 0.0), ("dt0", -0.002), ("dt_max", 0.0),
-                           ("dt_ratio", 0.8)):
+                           ("dt_ratio", 0.8), ("t_end", 0.0), ("t_end", -1.0)):
             with pytest.raises(ConfigError) as err:
                 parse_config({"simulation": {key: value}})
             assert err.value.path == f"simulation.{key}"
@@ -393,10 +393,11 @@ class TestCli:
 
     @pytest.mark.parametrize("section, key, value", [
         ("simulation", "dt0", 0.0), ("strip", "nx", float("inf")),
-        ("simulation", "t_end", float("nan"))])
+        ("simulation", "t_end", float("nan")), ("simulation", "t_end", 0.0)])
     def test_bad_values_exit_one(self, tmp_path, capsys, section, key, value):
         # dt0 = 0 used to march forever, Infinity and NaN to end in a
-        # traceback; the deadline turns a hang into a failure
+        # traceback, t_end = 0 to exit 0 after the ramp alone; the deadline
+        # turns a hang into a failure
         cfgfile = tmp_path / "cfg.json"
         _write_json(cfgfile, {"strip": {"nx": 2, "ny": 1, "nz": 1},
                               section: {key: value}})

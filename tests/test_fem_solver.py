@@ -11,6 +11,7 @@ from maturesim.fem import (Dirichlet, FemModel, PressureLoad,
                            ramp_pressure, strip_mesh)
 from maturesim.fem import elements as el
 from maturesim.fem.mesh import Mesh
+from maturesim.fem.solver import RESIDUAL_TOL
 from maturesim.materials import (response_batch, volumetric_modulus,
                                  volumetric_pressure)
 from maturesim.matpoint import LoadProgram, solve_mixed_point
@@ -262,7 +263,13 @@ class TestRampAndEnergy:
         assert energy == pytest.approx(work, rel=0.01)
         assert energy > 0.0
 
-    def test_ramp_pressure_reaches_full_load(self):
+    def test_ramp_pressure_reaches_full_load(self, monkeypatch):
+        # the ramp is the continuation alone: plain Newton, which fails on
+        # this strip, is never tried first
+        def no_newton(*args, **kwargs):
+            raise AssertionError("ramp_pressure called solve_step")
+
+        monkeypatch.setattr(FemModel, "solve_step", no_newton)
         params = make_material()
         model = clamped_strip_model(params, nx=6, ny=2, nz=1, length=10.0,
                                     width=3.0, thickness=0.5, pressure=0.001)
@@ -270,6 +277,29 @@ class TestRampAndEnergy:
         direct = model.assemble(u, 0.0, 0.0, load_scale=1.0)[0]
         assert np.abs(direct[model.free_idx]).max() < 1e-7
         assert u.reshape(-1, 3)[:, 2].max() > 0.01   # actually deflects up
+
+    def test_load_free_prescribed_stretch_ramps(self):
+        # no external force: the damping scale comes from the initial
+        # residual of the prescribed displacement
+        params = make_material()
+        stretch = 1.12
+        model = FemModel(strip_mesh(1.0, 1.0, 1.0, 2, 2, 2), params, dirichlet=[
+            Dirichlet("xmin", dofs=(0,)),
+            Dirichlet("xmax", dofs=(0,), value=np.array([stretch - 1.0, 0, 0])),
+            Dirichlet("ymin", dofs=(1,)),
+            Dirichlet("zmin", dofs=(2,)),
+        ])
+        u, aux, its = ramp_pressure(model)
+        R = model.assemble(u, 0.0, 0.0)[0]
+        assert its > 0
+        assert np.abs(R[model.free_idx]).max() < RESIDUAL_TOL
+        rec = solve_mixed_point(LoadProgram(times=[0.0, 1.0],
+                                            controls=([1.0, stretch], "free", "free"),
+                                            grow=False), params)[-1]
+        F = aux["F"].reshape(-1, 3, 3)
+        assert np.allclose(F[:, 0, 0], stretch, atol=1e-12)
+        assert np.allclose(F[:, 1, 1], rec.F[1, 1], atol=1e-6)
+        assert np.allclose(F[:, 2, 2], rec.F[2, 2], atol=1e-6)
 
     def test_dead_load_differs_from_follower(self):
         params = make_material()
@@ -320,13 +350,15 @@ class TestMaturationMarch:
 
     @pytest.mark.parametrize("steps", [
         {"dt0": 0.0}, {"dt0": -0.1}, {"dt0": float("nan")}, {"dt_max": 0.0},
-        {"dt_ratio": 0.9}])
+        {"dt_ratio": 0.9}, {"t_end": 0.0}, {"t_end": -1.0},
+        {"t_end": float("nan")}])
     def test_steps_that_cannot_reach_t_end_rejected(self, steps):
-        # a zero step never advances the time; under a deadline a regression
-        # fails instead of hanging the suite
+        # a zero step never advances the time, and a march to t_end <= 0
+        # would end after the ramp; under a deadline a regression fails
+        # instead of hanging the suite
         model = clamped_strip_model(make_material(), nx=2, ny=1, nz=1)
         with deadline(60), pytest.raises(ParameterError):
-            march_maturation(model, t_end=1.0, **steps)
+            march_maturation(model, **{"t_end": 1.0, **steps})
 
     def test_unloaded_march_matches_point_growth(self):
         # no load: every Gauss point follows the homogeneous growth curve
@@ -338,6 +370,7 @@ class TestMaturationMarch:
                                                   Dirichlet("xmax")])
         history, _, _ = march_maturation(model, t_end=2.0, dt0=0.25,
                                          dt_max=0.25, dt_ratio=1.0)
+        assert history[0].newton_iters == 0     # u = 0 is already the ramp's end
         times, rhos = unloaded_maturation(params.growth, 2.0, 0.25)
         assert history[-1].rho_mean == pytest.approx(rhos[-1], rel=1e-12)
         assert history[-1].deflection == 0.0

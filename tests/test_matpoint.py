@@ -57,6 +57,21 @@ class TestMixedControl:
         assert recs[-1].sigma[0] > 0.0
         assert recs[-1].F[0, 0] == pytest.approx(1.2, rel=1e-14)
 
+    def test_path_follows_the_knot_interpolation(self, material_params):
+        # step s of n in interval k sits at t0 + w (t1 - t0) with stretch
+        # (1 - w) v0 + w v1, w = s/n, evaluated exactly so
+        times, vals, n = [0.0, 0.3, 1.7], [1.0, 1.07, 1.02], 3
+        prog = LoadProgram(times=times, controls=(FREE, vals, FREE),
+                           steps_per_interval=n)
+        recs = solve_mixed_point(prog, material_params)
+        expect = [(times[0], vals[0])]
+        for k in range(len(times) - 1):
+            for s in range(1, n + 1):
+                w = s / n
+                expect.append((times[k] + w * (times[k + 1] - times[k]),
+                               (1.0 - w) * vals[k] + w * vals[k + 1]))
+        assert [(r.time, r.F[1, 1]) for r in recs] == expect
+
     def test_identity_program_is_quiescent(self, material_params):
         ones = np.ones(3)
         prog = LoadProgram(times=[0.0, 5.0],
