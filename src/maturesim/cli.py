@@ -217,16 +217,17 @@ def _cmd_fem(args):
         model, **dataclasses.asdict(cfg.simulation), on_step=on_step)
     path = os.path.join(out, "history.csv")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time,deflection,rho_mean,rho_max,newton_iters\n")
+        fh.write("time,deflection,rho_mean,rho_max,newton_iters,cutbacks\n")
         for rec in history:
             fh.write(f"{rec.time:.17g},{rec.deflection:.17g},"
                      f"{rec.rho_mean:.17g},{rec.rho_max:.17g},"
-                     f"{rec.newton_iters}\n")
+                     f"{rec.newton_iters},{rec.cutbacks}\n")
     _write_state(out, "final", model, u, aux)
     last = history[-1]
     summary = {"t_end": last.time, "deflection": last.deflection,
                "rho_mean": last.rho_mean, "rho_max": last.rho_max,
-               "n_steps": len(history) - 1}
+               "n_steps": len(history) - 1,
+               "cutbacks": sum(rec.cutbacks for rec in history)}
     with open(os.path.join(out, "summary.json"), "w",
               encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

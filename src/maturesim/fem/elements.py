@@ -159,19 +159,21 @@ def _skew(v):
     return S
 
 
-def face_pressure(xf, pressure):
+def face_pressure(xf, pressure, tangent=True):
     """Follower pressure forces and load stiffness on quad faces.
 
     xf holds current face corner coordinates (M, 4, 3); `pressure` acts
     against the outward normal (positive pressure pushes into the element
     behind the face).  Returns nodal forces (M, 4, 3) and the derivative
-    d f_a / d x_b as (M, 4, 3, 4, 3).
+    d f_a / d x_b as (M, 4, 3, 4, 3), which is None with tangent=False.
     """
     xf = np.asarray(xf, dtype=float)
     x_xi = np.einsum("ga,mai->mgi", QUAD_DN[..., 0], xf)
     x_eta = np.einsum("ga,mai->mgi", QUAD_DN[..., 1], xf)
     nvec = np.cross(x_xi, x_eta)                       # outward normal * area
     f = -pressure * np.einsum("ga,mgi->mai", QUAD_N, nvec)
+    if not tangent:
+        return f, None
     # d(x_xi x x_eta) = -skew(x_eta) dx_xi + skew(x_xi) dx_eta
     dn = np.einsum("gb,mgij->mgbij", QUAD_DN[..., 1], _skew(x_xi)) \
         - np.einsum("gb,mgij->mgbij", QUAD_DN[..., 0], _skew(x_eta))

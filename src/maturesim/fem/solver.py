@@ -16,8 +16,15 @@ Dirichlet dofs and the follower-load faces, so `FemModel` builds it once at
 construction, in CSC form, together with a scatter map from every dense
 element and load-block entry to its slot in the CSC `data`.  Each assembly
 then fills `data` with one `bincount` and wraps it; nothing is sorted.
+
+A residual-only assembly (`tangent=False`) skips every tangent term, from
+the constitutive CC blocks to the scatter, and returns the residual and
+state fields bit for bit as the full assembly does.  The Newton solver
+uses it for line-search trials, so it assembles a tangent only where it
+factors one.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +83,8 @@ class StepRecord:
     deflection: float      # max |u_z| over all nodes, mm
     rho_mean: float        # volume-weighted Gauss point mean, ug/mm^3
     rho_max: float
-    newton_iters: int
+    newton_iters: int      # factorizations, one per Newton iteration
+    cutbacks: int = 0      # step halvings before the step was accepted
 
 
 class FemModel:
@@ -164,13 +172,15 @@ class FemModel:
 
     # -- assembly -----------------------------------------------------------
 
-    def assemble(self, u, t, dt, load_scale=1.0):
+    def assemble(self, u, t, dt, load_scale=1.0, tangent=True):
         """Residual, reduced tangent and state fields at displacements u.
 
         Returns (R, K, aux): R is the full residual (internal minus external
         forces, reactions at fixed dofs), K the tangent restricted to free
         dofs, and aux the Gauss-point fields needed to commit or postprocess
-        the state.  Raises if an element inverts or the density update fails.
+        the state.  With tangent=False K is None and none of its terms are
+        computed; R and aux are the same bits either way.  Raises if an
+        element inverts or the density update fails.
         """
         u = np.asarray(u, dtype=float).reshape(-1)
         ue = u.reshape(-1, 3)[self.conn]
@@ -190,39 +200,43 @@ class FemModel:
         pbar = volumetric_pressure(Jbar, mat)
         resp = response_batch(C.reshape(-1, 3, 3), self.params,
                               self.rho.reshape(-1), t, dt,
-                              pbar=np.repeat(pbar, self.wdet.shape[1]))
+                              pbar=np.repeat(pbar, self.wdet.shape[1]),
+                              tangent=tangent)
         shape = self.wdet.shape
         S6 = resp["S"].reshape(shape + (6,))
-        CC = resp["CC"].reshape(shape + (6, 6))
 
         B = el.b_matrices(F, self.dNdX)
         fint = el.internal_forces(B, S6, self.wdet)
-        Ke = el.material_stiffness(B, CC, self.wdet) \
-            + el.geometric_stiffness(S6, self.dNdX, self.wdet)
-        G = el.volume_gradient(Finv, J, self.dNdX, self.wdet)
-        kvol = volumetric_modulus(Jbar, mat) / self.V0
-        Ke += kvol[:, None, None] * G[:, :, None] * G[:, None, :]
-
         R = np.bincount(self.dofmap.ravel(), weights=fint.ravel(),
                         minlength=self.n_dof)
-        blocks = [Ke.ravel()]
 
         fext = np.zeros(self.n_dof)
+        load_blocks = []
         for load, fnodes, fdofs in self.loads:
             xf = self.mesh.nodes[fnodes]
             if load.follower:
                 xf = xf + u.reshape(-1, 3)[fnodes]
-            f, Kl = el.face_pressure(xf, load.pressure * load_scale)
+            f, Kl = el.face_pressure(xf, load.pressure * load_scale,
+                                     tangent=tangent)
             np.add.at(fext, fdofs.ravel(), f.ravel())
-            if load.follower:
+            if load.follower and tangent:
                 # R = fint - fext, so the load stiffness enters negated
-                blocks.append(-Kl.ravel())
+                load_blocks.append(-Kl.ravel())
         R -= fext
 
-        data = np.bincount(self._slot, weights=np.concatenate(blocks),
-                           minlength=self._nnz + 1)[:self._nnz]
-        nf = len(self.free_idx)
-        K = sp.csc_matrix((data, self._indices, self._indptr), shape=(nf, nf))
+        K = None
+        if tangent:
+            CC = resp["CC"].reshape(shape + (6, 6))
+            Ke = el.material_stiffness(B, CC, self.wdet) \
+                + el.geometric_stiffness(S6, self.dNdX, self.wdet)
+            G = el.volume_gradient(Finv, J, self.dNdX, self.wdet)
+            kvol = volumetric_modulus(Jbar, mat) / self.V0
+            Ke += kvol[:, None, None] * G[:, :, None] * G[:, None, :]
+            data = np.bincount(self._slot,
+                               weights=np.concatenate([Ke.ravel()] + load_blocks),
+                               minlength=self._nnz + 1)[:self._nnz]
+            nf = len(self.free_idx)
+            K = sp.csc_matrix((data, self._indices, self._indptr), shape=(nf, nf))
 
         aux = {
             "rho": resp["rho"].reshape(shape),
@@ -240,15 +254,34 @@ class FemModel:
 
     # -- solving ------------------------------------------------------------
 
-    def solve_step(self, u, t, dt, load_scale=1.0, tol=RESIDUAL_TOL):
+    def solve_step(self, u, t, dt, load_scale=1.0, tol=RESIDUAL_TOL,
+                   guess=None):
         """Newton solve of one step; returns (u, aux, iterations).
 
-        The incoming state (previous densities) is left untouched; call
-        `commit(aux)` once the step is accepted.
+        `u` is the last converged displacement.  Newton starts at `guess`
+        when one is given, unless assembling there raises (an element
+        inverts or the density update fails): then it starts at `u`, so a
+        guess outside the feasible range costs one assembly, not a cutback.
+        Every iteration assembles the tangent once, factors it once and
+        solves once; its line-search trials assemble the residual alone,
+        and the tangent is assembled at the accepted trial only when
+        another iteration follows.  The iteration count is the number of
+        factorizations.  The incoming state (previous densities) is left
+        untouched; call `commit(aux)` once the step is accepted.
         """
         u = np.asarray(u, dtype=float).copy()
         u[self.fixed] = self.fixed_values[self.fixed]
-        R, K, aux = self.assemble(u, t, dt, load_scale)
+        start = None
+        if guess is not None:
+            g = np.asarray(guess, dtype=float).copy()
+            g[self.fixed] = self.fixed_values[self.fixed]
+            try:
+                start = g, self.assemble(g, t, dt, load_scale)
+            except (DeformationError, SolverError):
+                pass
+        if start is None:
+            start = u, self.assemble(u, t, dt, load_scale)
+        u, (R, K, aux) = start
         rnorm = np.abs(R[self.free_idx]).max(initial=0.0)
         stalled = 0
         for it in range(NEWTON_MAXIT):
@@ -263,7 +296,8 @@ class FemModel:
                 u_try = u.copy()
                 u_try[self.free_idx] += alpha * du
                 try:
-                    R2, K2, aux2 = self.assemble(u_try, t, dt, load_scale)
+                    R2, _, aux2 = self.assemble(u_try, t, dt, load_scale,
+                                                tangent=False)
                 except (DeformationError, SolverError):
                     alpha *= 0.5
                     continue
@@ -273,7 +307,7 @@ class FemModel:
                     # along a bending-to-membrane transition; give up early
                     # so the caller can cut the increment
                     stalled = stalled + 1 if rn2 > 0.99 * rnorm else 0
-                    u, R, K, aux, rnorm = u_try, R2, K2, aux2, rn2
+                    u, R, aux, rnorm = u_try, R2, aux2, rn2
                     break
                 alpha *= 0.5
             else:
@@ -282,6 +316,8 @@ class FemModel:
             if stalled >= 3:
                 raise SolverError("Newton stagnated", iteration=it,
                                   residual=rnorm)
+            if rnorm >= tol and it + 1 < NEWTON_MAXIT:
+                K = self.assemble(u, t, dt, load_scale)[1]
         if rnorm < tol:
             return u, aux, NEWTON_MAXIT
         raise SolverError("Newton did not converge", residual=rnorm,
@@ -294,13 +330,13 @@ class FemModel:
 
     # -- postprocessing ------------------------------------------------------
 
-    def record(self, time, u, aux, iters):
+    def record(self, time, u, aux, iters, cutbacks=0):
         uz = np.abs(np.asarray(u).reshape(-1, 3)[:, 2])
         w = self.wdet
         return StepRecord(time=float(time), deflection=float(uz.max()),
                           rho_mean=float((w * aux["rho"]).sum() / w.sum()),
                           rho_max=float(aux["rho"].max()),
-                          newton_iters=int(iters))
+                          newton_iters=int(iters), cutbacks=int(cutbacks))
 
     def element_density(self, rho=None):
         """Volume-weighted element means of the Gauss density field."""
@@ -385,14 +421,33 @@ def ramp_pressure(model: FemModel):
                       residual=rnorm)
 
 
+def _extrapolate(past, t):
+    """Value at time t of the Lagrange polynomial through the (time, u)
+    pairs in `past`: constant through one pair, linear through two,
+    quadratic through three."""
+    guess = 0.0
+    for i, (ti, ui) in enumerate(past):
+        w = 1.0
+        for j, (tj, _) in enumerate(past):
+            if j != i:
+                w *= (t - tj) / (ti - tj)
+        guess = guess + w * ui
+    return guess
+
+
 def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
                      dt_ratio=1.25, on_step=None):
     """Ramp the load, then march the growth from 0 to t_end days.
 
     Steps start at dt0 and stretch geometrically by dt_ratio up to dt_max;
-    a failed step is retried with half the size.  Accepted steps commit the
-    Gauss state and append a StepRecord; `on_step(time, u, aux, model)` runs
-    after each accepted step when given.  Returns (history, u, aux).
+    a failed step is retried with half the size.  Each step's Newton solve
+    starts from a predictor, the Lagrange polynomial in time through the
+    last three accepted states (the ramp's end counts as the first; with
+    fewer states the order drops), evaluated at the step's end time and
+    recomputed after a cutback.  Accepted steps commit the Gauss state and
+    append a StepRecord with the number of cutbacks; `on_step(time, u, aux,
+    model)` runs after each accepted step when given.  Returns (history, u,
+    aux).
     Rejects t_end <= 0, which would end the run after the ramp alone, and
     dt0 <= 0, dt_max <= 0 and dt_ratio < 1: a step that is not positive, or
     that shrinks, may never reach t_end.
@@ -408,21 +463,26 @@ def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
     if on_step is not None:
         on_step(0.0, u, aux, model)
 
+    past = deque([(0.0, u)], maxlen=3)
     t, dt = 0.0, float(dt0)
     while t < t_end - 1e-9:
         step = min(dt, t_end - t)
+        cutbacks = 0
         while True:
             try:
-                u_new, aux, its = model.solve_step(u, t=t + step, dt=step)
+                u_new, aux, its = model.solve_step(
+                    u, t=t + step, dt=step, guess=_extrapolate(past, t + step))
                 break
             except SolverError:
                 step *= 0.5
+                cutbacks += 1
                 if step < STEP_MIN:
                     raise SolverError("time step collapsed during maturation",
                                       time=t)
         u, t = u_new, t + step
+        past.append((t, u))
         model.commit(aux)
-        history.append(model.record(t, u, aux, its))
+        history.append(model.record(t, u, aux, its, cutbacks))
         if on_step is not None:
             on_step(t, u, aux, model)
         dt = min(step * dt_ratio, dt_max)

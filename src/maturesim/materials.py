@@ -205,7 +205,7 @@ class StressTangent:
     CC: np.ndarray
 
 
-def matrix_batch(C, p: MatrixParams, pbar=None):
+def matrix_batch(C, p: MatrixParams, pbar=None, tangent=True):
     """Matrix energy, stress and tangent for a batch of C tensors.
 
     With `pbar=None` the volumetric term U(J) = lam/4 (J^2 - 1 - 2 ln J) is
@@ -213,7 +213,7 @@ def matrix_batch(C, p: MatrixParams, pbar=None):
     volumetric pressure U'(Jbar) and only the shear part remains pointwise;
     the caller owns the element-level volumetric coupling.
 
-    Returns (psi_mu, U_local, S, CC, J).
+    Returns (psi_mu, U_local, S, CC, J); CC is None with tangent=False.
     """
     C = np.asarray(C, dtype=float)
     Cinv, detC = tn.inv_det3(C)
@@ -226,18 +226,21 @@ def matrix_batch(C, p: MatrixParams, pbar=None):
     psi_mu = 0.5 * p.mu * (I1 - 3.0) - p.mu * lnJ
     U_local = 0.25 * p.lam * (J**2 - 1.0 - 2.0 * lnJ)
 
-    cc_inv = tn.sym_outer_product(Cinv, Cinv)
     S = p.mu * (_I6 - cinv)
-    CC = 2.0 * p.mu * cc_inv
     if pbar is None:
         pv = 0.5 * p.lam * (J**2 - 1.0)
         S = S + pv[..., None] * cinv
+    else:
+        pJ = np.asarray(pbar, dtype=float) * J
+        S = S + pJ[..., None] * cinv
+    if not tangent:
+        return psi_mu, U_local, S, None, J
+    cc_inv = tn.sym_outer_product(Cinv, Cinv)
+    CC = 2.0 * p.mu * cc_inv
+    if pbar is None:
         CC = CC + (p.lam * J**2)[..., None, None] * tn.outer6(cinv, cinv) \
             - (2.0 * pv)[..., None, None] * cc_inv
     else:
-        pbar = np.asarray(pbar, dtype=float)
-        pJ = pbar * J
-        S = S + pJ[..., None] * cinv
         CC = CC + pJ[..., None, None] * (tn.outer6(cinv, cinv) - 2.0 * cc_inv)
     return psi_mu, U_local, S, CC, J
 
@@ -280,21 +283,25 @@ def collagen_psim_batch(C, p: CollagenParams):
     return psi_m, g, curv
 
 
-def _collagen_stress_tangent(p: CollagenParams, psi_m, g, curv, rho, D, D2):
+def _collagen_stress_tangent(p: CollagenParams, psi_m, g, curv, rho, D, D2,
+                             tangent=True):
     """Collagen stress and growth-consistent tangent for a batch of points.
 
     Takes the outputs of `collagen_psim_batch` with the densities rho and
     their sensitivities D = drho/dpsi_m and D2 = d2rho/dpsi_m2; with the
-    chain drho/dC = D g the stress is S_co = 2 (rho + D psi_m) g.
+    chain drho/dC = D g the stress is S_co = 2 (rho + D psi_m) g.  The
+    tangent is None with tangent=False.
     """
     S_co = 2.0 * (rho + D * psi_m)[..., None] * g
+    if not tangent:
+        return S_co, None
     # rank-one tangent blocks; both live on H (x) H
     CC_co = (4.0 * (D2 * psi_m + 2.0 * D))[..., None, None] * tn.outer6(g, g) \
         + (4.0 * (D * psi_m + rho) * curv)[..., None, None] * tn.outer6(p.h6, p.h6)
     return S_co, CC_co
 
 
-def textile_batch(C, p: TextileParams):
+def textile_batch(C, p: TextileParams, tangent=True):
     """Textile energy, stress and tangent for a batch of C tensors.
 
     The energy is a polynomial in the shifted invariants u (see
@@ -303,7 +310,8 @@ def textile_batch(C, p: TextileParams):
     CC = 4 (A^T P A + dpsi_3 d2I3t/dC2 + dpsi_5 d2I5t/dC2).  All powers of
     u come from one table built by repeated multiplication, and the
     monomials, their scatter into psi, dpsi and P, and the constant
-    curvatures are tables on `p`.
+    curvatures are tables on `p`.  With tangent=False CC is None and the
+    second partials are not summed.
     """
     C = np.asarray(C, dtype=float)
     lead = C.shape[:-2]
@@ -333,10 +341,15 @@ def textile_batch(C, p: TextileParams):
         np.multiply(upow[1:j + 1], upow[k], out=upow[k + 1:k + j + 1])
         k += j
     upow = upow.reshape(-1, n)
-    mono = upow[p.mono_pow[0]]
-    mono *= p.mono_coef[:, None]
-    mono *= upow[p.mono_pow[1]]
     start, row = p.mono_scatter
+    m = len(p.mono_coef)
+    if not tangent:
+        # the second partials (rows 6 on) close the table; leave them out
+        k = np.searchsorted(row, 6)
+        start, row, m = start[:k], row[:k], start[k]
+    mono = upow[p.mono_pow[0, :m]]
+    mono *= p.mono_coef[:m, None]
+    mono *= upow[p.mono_pow[1, :m]]
     d = np.zeros((_TEX_ROWS, n))
     d[row] = np.add.reduceat(mono, start, axis=0)
     d = d.T.copy()
@@ -344,6 +357,8 @@ def textile_batch(C, p: TextileParams):
     hess = d[:, 6:].reshape(n, 5, 5)
 
     S = 2.0 * (dpsi[:, None] @ A)[:, 0]
+    if not tangent:
+        return d[:, 0].reshape(lead), S.reshape(lead + (6,)), None
     CC = A.swapaxes(1, 2) @ (hess @ A)
     CC += np.einsum("nk,kij->nij", dpsi[:, 2::2], p.curv)
     CC *= 4.0
@@ -389,7 +404,8 @@ def textile_psi_stress_tangent(C, p: TextileParams):
     return float(psi[0]), StressTangent(S[0], CC[0])
 
 
-def response_batch(C, params: MaterialParams, rho_n, t, dt, pbar=None):
+def response_batch(C, params: MaterialParams, rho_n, t, dt, pbar=None,
+                   tangent=True):
     """Total stress, tangent and updated densities for a batch of points.
 
     `rho_n` holds the converged densities of the previous time level; with
@@ -400,12 +416,14 @@ def response_batch(C, params: MaterialParams, rho_n, t, dt, pbar=None):
 
     Returns a dict of batch arrays: S, CC, rho, drho_dpsim, psi_m, J,
     psi_point (pointwise energy density: matrix shear + textile + collagen),
-    U_local (pointwise matrix volumetric energy).
+    U_local (pointwise matrix volumetric energy).  With tangent=False no
+    tangent work is done and CC is None; the other arrays are unchanged.
     """
     C = np.asarray(C, dtype=float)
     rho_n = np.asarray(rho_n, dtype=float)
-    psi_mu, U_local, S, CC, J = matrix_batch(C, params.matrix, pbar=pbar)
-    psi_tex, S_tex, CC_tex = textile_batch(C, params.textile)
+    psi_mu, U_local, S, CC, J = matrix_batch(C, params.matrix, pbar=pbar,
+                                             tangent=tangent)
+    psi_tex, S_tex, CC_tex = textile_batch(C, params.textile, tangent=tangent)
     psi_m, g, curv = collagen_psim_batch(C, params.collagen)
 
     if dt > 0.0:
@@ -419,11 +437,12 @@ def response_batch(C, params: MaterialParams, rho_n, t, dt, pbar=None):
         D = np.zeros_like(rho)
         D2 = np.zeros_like(rho)
 
-    S_co, CC_co = _collagen_stress_tangent(params.collagen, psi_m, g, curv, rho, D, D2)
+    S_co, CC_co = _collagen_stress_tangent(params.collagen, psi_m, g, curv,
+                                           rho, D, D2, tangent=tangent)
 
     return {
         "S": S + S_tex + S_co,
-        "CC": CC + CC_tex + CC_co,
+        "CC": CC + CC_tex + CC_co if tangent else None,
         "rho": rho,
         "drho_dpsim": D,
         "psi_m": psi_m,

@@ -381,8 +381,10 @@ class TestCli:
         assert summary["t_end"] == pytest.approx(0.1, rel=1e-9)
         assert summary["deflection"] > 0.0
         lines = (out / "history.csv").read_text().splitlines()
-        assert lines[0] == "time,deflection,rho_mean,rho_max,newton_iters"
+        assert lines[0] == "time,deflection,rho_mean,rho_max,newton_iters,cutbacks"
         assert len(lines) == 2 + summary["n_steps"]
+        assert summary["cutbacks"] == sum(int(row.split(",")[-1])
+                                          for row in lines[1:])
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 """Newton solver, patch test and maturation marching tests."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from maturesim.fem import (Dirichlet, FemModel, PressureLoad,
                            clamped_strip_model, march_maturation,
                            ramp_pressure, strip_mesh)
 from maturesim.fem import elements as el
+from maturesim.fem import solver
 from maturesim.fem.mesh import Mesh
 from maturesim.fem.solver import RESIDUAL_TOL
 from maturesim.materials import (response_batch, volumetric_modulus,
@@ -243,6 +245,33 @@ class TestSparsityPattern:
         self._check(model, seed=44)
 
 
+class TestResidualOnly:
+    @pytest.mark.parametrize("t, dt", [(0.0, 0.0), (0.5, 0.1)])
+    def test_same_bits_as_full_assembly(self, t, dt):
+        # a follower and a dead load, a partial Dirichlet condition, growth
+        # frozen and active: the residual-only assembly skips K and nothing
+        # that R or aux depend on
+        params = make_material(kappa=0.1, psi_crit=2e-5)
+        model = FemModel(strip_mesh(2.0, 1.5, 1.0, 3, 2, 2), params,
+                         dirichlet=[Dirichlet("xmin", dofs=(0, 2)),
+                                    Dirichlet("xmax")],
+                         loads=[PressureLoad("bottom", 0.003),
+                                PressureLoad("top", 0.001, follower=False)])
+        rng = np.random.default_rng(45)
+        model.rho = rng.uniform(0.5, 4.0, size=model.rho.shape)
+        u = np.zeros(model.n_dof)
+        u[model.free_idx] = 0.02 * rng.standard_normal(len(model.free_idx))
+        u[model.fixed] = model.fixed_values[model.fixed]
+        R, K, aux = model.assemble(u, t, dt, load_scale=0.7)
+        R2, K2, aux2 = model.assemble(u, t, dt, load_scale=0.7, tangent=False)
+        assert K is not None and K2 is None
+        assert np.array_equal(R, R2)
+        assert aux.keys() == aux2.keys()
+        for key in aux:
+            assert np.array_equal(aux[key], aux2[key]), key
+        assert np.any(aux["rho"] != model.rho) == (dt > 0.0)
+
+
 class TestRampAndEnergy:
     def test_external_work_matches_stored_energy(self):
         # hyperelastic ramp: follower-load work equals the stored energy;
@@ -315,6 +344,27 @@ class TestRampAndEnergy:
         assert d1 != pytest.approx(d2, rel=1e-6)
 
 
+class TestPredictor:
+    def test_quadratic_in_time_is_reproduced(self):
+        # unequal steps, as a geometric march has; the field is a quadratic
+        # in t per dof, so the extrapolation is exact up to round-off
+        rng = np.random.default_rng(46)
+        a, b, c = rng.standard_normal((3, 12))
+
+        def field(t):
+            return a + b * t + c * t * t
+        times = [0.0, 0.02, 0.045]
+        past = [(t, field(t)) for t in times]
+        for t in (0.07625, 0.1, 0.5):
+            assert rel_err(solver._extrapolate(past, t), field(t)) < 1e-12
+
+    def test_lower_order_with_fewer_states(self):
+        u0, u1 = np.array([1.0, -2.0, 0.5]), np.array([1.5, -1.0, 0.0])
+        assert np.array_equal(solver._extrapolate([(0.0, u0)], 0.3), u0)
+        line = solver._extrapolate([(0.0, u0), (0.2, u1)], 0.5)
+        assert np.allclose(line, u0 + 2.5 * (u1 - u0), rtol=0, atol=1e-15)
+
+
 class TestMaturationMarch:
     def test_history_and_monotone_density(self):
         params = make_material(psi_crit=2e-5)
@@ -335,6 +385,64 @@ class TestMaturationMarch:
         assert np.all(model.rho >= 0.0)
         assert np.all(model.hist_strain >= 0.0)
         assert model.element_density().shape == (model.mesh.n_elems,)
+        assert [r.cutbacks for r in history] == [0] * len(history)
+        copy.deepcopy(model)      # no factorization is left on the model
+
+    def test_guess_that_fails_to_assemble_falls_back(self, monkeypatch):
+        # a predictor that collapses the strip to a point: the first
+        # assembly at every guess raises DeformationError, which the march
+        # does not catch, so each step must restart from the converged u
+        # without a cutback and reach the same step times as a plain march
+        params = make_material(psi_crit=2e-5)
+
+        def march(model):
+            return march_maturation(model, t_end=1.0, dt0=0.02, dt_max=0.5)
+
+        def build():
+            return clamped_strip_model(params, nx=5, ny=2, nz=1, length=10.0,
+                                       width=3.0, thickness=0.4, pressure=0.002)
+
+        plain, _, _ = march(build())
+        model = build()
+        collapsed = -model.mesh.nodes.reshape(-1)
+        monkeypatch.setattr(solver, "_extrapolate", lambda past, t: collapsed)
+        rejected = []
+        assemble = FemModel.assemble
+
+        def counting(self, u, *args, **kwargs):
+            try:
+                return assemble(self, u, *args, **kwargs)
+            except DeformationError:
+                rejected.append(np.array_equal(u[model.free_idx],
+                                               collapsed[model.free_idx]))
+                raise
+
+        monkeypatch.setattr(FemModel, "assemble", counting)
+        forced, _, _ = march(model)
+        assert [r.time for r in forced] == [r.time for r in plain]
+        assert [r.cutbacks for r in forced] == [0] * len(forced)
+        assert rejected == [True] * (len(forced) - 1)
+
+    def test_cutback_is_recorded(self, monkeypatch):
+        # the first attempt at the first growth step fails: it is retried at
+        # half the size, and its record counts the one halving
+        params = make_material(psi_crit=2e-5)
+        model = clamped_strip_model(params, nx=4, ny=2, nz=1, length=8.0,
+                                    width=3.0, thickness=0.4, pressure=0.002)
+        solve_step = FemModel.solve_step
+        calls = []
+
+        def fail_once(self, *args, **kwargs):
+            calls.append(kwargs["dt"])
+            if len(calls) == 1:
+                raise SolverError("forced")
+            return solve_step(self, *args, **kwargs)
+
+        monkeypatch.setattr(FemModel, "solve_step", fail_once)
+        history, _, _ = march_maturation(model, t_end=0.1, dt0=0.02, dt_max=0.05)
+        assert calls[:2] == [0.02, 0.01]
+        assert history[1].time == 0.01
+        assert [r.cutbacks for r in history] == [0, 1] + [0] * (len(history) - 2)
 
     def test_committed_state_feeds_next_step(self):
         params = make_material(psi_crit=2e-5)

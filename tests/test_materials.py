@@ -349,6 +349,24 @@ class TestTotalResponse:
         with pytest.raises(DeformationError):
             total_response(np.diag([-1.0, 1.0, 1.0]), params, GrowthState(), 0.0, 0.0)
 
+    @pytest.mark.parametrize("dt", [0.0, 0.2])
+    @pytest.mark.parametrize("with_pbar", [False, True])
+    def test_residual_only_matches_full(self, dt, with_pbar):
+        # tangent=False skips the CC work and nothing else: every other
+        # array is the same bits, with growth active and frozen
+        params = make_material(kappa=0.1, psi_crit=2e-5)
+        rng = np.random.default_rng(28)
+        C = np.array([random_C(rng, spread=0.2, stretch=0.2) for _ in range(40)])
+        rho_n = rng.uniform(0.0, 8.0, len(C))
+        pbar = rng.uniform(-0.01, 0.01, len(C)) if with_pbar else None
+        full = response_batch(C, params, rho_n, 3.0, dt, pbar=pbar)
+        lean = response_batch(C, params, rho_n, 3.0, dt, pbar=pbar, tangent=False)
+        assert lean["CC"] is None
+        assert np.any(full["psi_m"] > 0.0)
+        assert np.any(full["drho_dpsim"] > 0.0) == (dt > 0.0)
+        for key in ("S", "rho", "drho_dpsim", "psi_m", "J", "psi_point", "U_local"):
+            assert np.array_equal(lean[key], full[key]), key
+
 
 class TestCauchyStress:
     def test_push_forward_diagonal(self):
