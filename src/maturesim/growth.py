@@ -111,8 +111,7 @@ def mech_rate(rho, psi_m, p: GrowthParams):
         raise StateError("density must be non-negative")
     if np.any(psi_m < 0.0):
         raise StateError("collagen energy per unit mass must be non-negative")
-    drive = (psi_m - p.psi_crit) / p.psi_crit
-    rate = p.a2 * p.c_cell * np.exp(-rho / p.rho_th) * rho * drive
+    rate = _mech_partials(rho, (psi_m - p.psi_crit) / p.psi_crit, p)[0]
     out = np.where(psi_m >= p.psi_crit, rate, 0.0)
     return out if out.ndim else float(out)
 

@@ -2,10 +2,10 @@
 
 Drives a point through a diagonal deformation history F = diag(l1, l2, l3)
 where each axis is either stretch-controlled or traction-free.  Free axes
-are solved by Newton iteration so the corresponding Cauchy stress components
-vanish; the growth state marches with the prescribed time axis.  This is
-the workhorse behind uniaxial/biaxial test protocols and the calibration
-forward models.
+are solved by Newton iteration on their stretches so the corresponding
+Cauchy stress components vanish; the growth state marches with the
+prescribed time axis.  This is the workhorse behind uniaxial/biaxial test
+protocols and the calibration forward models.
 """
 
 import io
@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ParameterError, SolverError
 from .growth import GrowthParams, GrowthState, bio_rate
-from .materials import MaterialParams, cauchy_stress, total_response
+from .materials import MaterialParams, total_response
+from .tensors import VOIGT_I, VOIGT_J
 
 #: free-axis convergence tolerance on Cauchy stress, MPa
 STRESS_TOL = 1e-10
@@ -49,8 +50,10 @@ class LoadProgram:
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise ParameterError("program needs at least two knot times")
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
-            raise ParameterError("knot times must start at 0 and increase strictly")
+        if not np.all(np.isfinite(times)) or times[0] != 0.0 \
+                or np.any(np.diff(times) <= 0.0):
+            raise ParameterError("knot times must be finite, start at 0 and "
+                                 "increase strictly")
         object.__setattr__(self, "times", times)
         if self.strain_measure not in ("stretch", "engineering"):
             raise ParameterError(f"unknown strain measure {self.strain_measure!r}")
@@ -71,8 +74,8 @@ class LoadProgram:
                 raise ParameterError(f"axis {ax}: need one value per knot")
             if self.strain_measure == "engineering":
                 vals = vals + 1.0
-            if np.any(vals <= 0.0):
-                raise ParameterError(f"axis {ax}: stretches must be positive")
+            if not np.all((vals > 0.0) & np.isfinite(vals)):
+                raise ParameterError(f"axis {ax}: stretches must be positive and finite")
             parsed.append(vals)
             n_controlled += 1
         if n_controlled == 0:
@@ -90,19 +93,6 @@ class PointRecord:
     sigma: np.ndarray
     rho: float
     psi_m: float
-
-
-def _free_axis_jacobian(lams, st, sigma, free):
-    """d sigma_i / d lambda_j on the free axes for diagonal F.
-
-    sigma_i = lambda_i^2 S_i / J with J = l1 l2 l3 and dS_i/dlambda_j =
-    CC[(ii),(jj)] * lambda_j under the package tangent convention.
-    """
-    J = np.prod(lams)
-    lf = lams[free]
-    jac = (lf[:, None] ** 2 * (st.CC[np.ix_(free, free)] * lf)) / J - sigma[free, None] / lf
-    jac[np.diag_indices(len(free))] += 2.0 * lf * st.S[free] / J
-    return jac
 
 
 def solve_mixed_point(program: LoadProgram, params: MaterialParams,
@@ -145,21 +135,29 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
 def _newton_free_axes(lams, free, params, state, dt, t):
     """Zero the Cauchy stress on the free axes.
 
-    Returns the converged stretches with the evaluation taken there:
-    (lams, F, stress/tangent, sigma, new growth state); the state carries
-    that evaluation's psi_m, which the records report.
+    F = diag(lams), so J = l1 l2 l3 and the push-forward of the PK2 stress
+    is sigma_ij = l_i S_ij l_j / J; each iterate takes J, sigma and the
+    free-axis Jacobian once from its stretches.  Returns the converged
+    stretches with the evaluation taken there: (lams, F, stress/tangent,
+    sigma, new growth state); the state carries that evaluation's psi_m,
+    which the records report.
     """
     lams = lams.copy()
     last = np.inf
     for _ in range(NEWTON_MAXIT):
         F = np.diag(lams)
         st, new_state = total_response(F, params, state, dt, t)
-        sigma = cauchy_stress(F, st.S)
+        J = np.prod(lams)
+        sigma = (lams[VOIGT_I] * st.S) * lams[VOIGT_J] / J
         res = sigma[free]
         last = float(np.max(np.abs(res), initial=0.0))
         if last <= STRESS_TOL:
             return lams, F, st, sigma, new_state
-        jac = _free_axis_jacobian(lams, st, sigma, free)
+        # d sigma_i / d l_j on the free axes, with dS_i/dl_j = CC_ij l_j
+        # under the package tangent convention
+        lf = lams[free]
+        jac = lf[:, None] ** 2 * (st.CC[free][:, free] * lf) / J - sigma[free, None] / lf
+        jac[np.diag_indices(len(free))] += 2.0 * lf * st.S[free] / J
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -181,9 +179,12 @@ def unloaded_maturation(p: GrowthParams, t_end, dt):
     Returns (times, rho) arrays with backward-Euler steps of size dt; with
     psi_m = 0 the update is explicit, a cumulative sum of bio increments.
     """
-    if dt <= 0.0 or t_end <= 0.0:
-        raise ParameterError("t_end and dt must be positive")
-    times = np.arange(1, int(round(t_end / dt)) + 1) * dt
+    if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
+        raise ParameterError("t_end and dt must be positive and finite")
+    n = int(round(t_end / dt))
+    if n < 1:
+        raise ParameterError(f"dt = {dt:g} gives no step up to t_end = {t_end:g}")
+    times = np.arange(1, n + 1) * dt
     return times, np.cumsum(dt * bio_rate(times, p))
 
 

@@ -410,6 +410,17 @@ class TestCli:
             assert code == 1
             assert f"{section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("grow", "--dt", "nan"), ("grow", "--dt", "inf"),
+        ("matpoint", "--stretch", "nan"), ("matpoint", "--ratio", "inf")])
+    def test_non_finite_flags_exit_one(self, tmp_path, capsys, command, flag,
+                                       value):
+        # usage errors, not a traceback or a "solver failure" (2)
+        with deadline(60):
+            code = main(["-q", command, "--out", str(tmp_path / "r"), flag, value])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_solver_failure_exits_two(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):
             raise SolverError("no equilibrium", residual=1.0)

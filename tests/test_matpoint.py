@@ -6,12 +6,13 @@ import pytest
 from maturesim import materials, matpoint
 from maturesim.errors import ParameterError
 from maturesim.growth import GrowthState, bio_rate
-from maturesim.materials import (MaterialParams, MatrixParams, collagen_stress,
-                                 collagen_psi_mass)
+from maturesim.materials import (MaterialParams, MatrixParams, cauchy_stress,
+                                 collagen_stress, collagen_psi_mass)
 from maturesim.matpoint import (CSV_HEADER, FREE, LoadProgram, records_to_csv,
                                 solve_mixed_point, unloaded_maturation)
 
-from conftest import make_collagen, make_growth, make_material, make_textile
+from conftest import (make_collagen, make_growth, make_material, make_matrix,
+                      make_textile)
 
 
 def uniaxial(lmax, knots=2, steps=5, grow=False, t_end=1.0):
@@ -34,13 +35,17 @@ class TestProgramValidation:
             LoadProgram(times=[0.0, 1.0], controls=(FREE, FREE, FREE))
 
     def test_rejects_nonpositive_stretch(self):
-        with pytest.raises(ParameterError):
-            LoadProgram(times=[0.0, 1.0], controls=([1.0, -0.2], FREE, FREE))
+        # NaN fails every comparison, so positivity alone lets it through
+        for vals in ([1.0, -0.2], [1.0, np.nan], [1.0, np.inf], [np.nan, 1.1]):
+            with pytest.raises(ParameterError):
+                LoadProgram(times=[0.0, 1.0], controls=(vals, FREE, FREE))
 
     def test_rejects_decreasing_times(self):
-        with pytest.raises(ParameterError):
-            LoadProgram(times=[0.0, 1.0, 0.5],
-                        controls=([1.0, 1.1, 1.2], FREE, FREE))
+        # NaN fails every comparison, so monotonicity alone lets it through
+        for times in ([0.0, 1.0, 0.5], [0.0, np.nan, 1.0], [0.0, 1.0, np.nan],
+                      [0.0, 1.0, np.inf], [np.nan, 1.0, 2.0]):
+            with pytest.raises(ParameterError):
+                LoadProgram(times=times, controls=([1.0, 1.1, 1.2], FREE, FREE))
 
     def test_engineering_measure_converts(self):
         p = LoadProgram(times=[0.0, 1.0], controls=([0.0, 0.2], FREE, FREE),
@@ -105,6 +110,30 @@ class TestMixedControl:
         for r in recs:
             assert r.F[0, 0] - 1.0 == pytest.approx(3.0 * (r.F[1, 1] - 1.0), abs=1e-14)
             assert abs(r.sigma[2]) <= 1e-10
+
+
+class TestPushForward:
+    @pytest.mark.parametrize("program", [
+        LoadProgram(times=[0.0, 4.0], controls=([1.0, 1.3], FREE, FREE),
+                    steps_per_interval=8, grow=True),
+        LoadProgram(times=[0.0, 1.0], controls=([0.0, 0.3], [0.0, 0.3], FREE),
+                    steps_per_interval=8, strain_measure="engineering",
+                    grow=False)], ids=["growing-uniaxial", "frozen-biaxial"])
+    def test_sigma_is_the_push_forward_of_s(self, program):
+        # off-axis collagen and skewed yarns give S shear entries, so every
+        # component of sigma_ij = l_i S_ij l_j / J is compared with the
+        # general push-forward J^-1 F S F^T
+        params = MaterialParams(
+            matrix=make_matrix(),
+            collagen=make_collagen(kappa=0.05, a=np.array([1.0, 0.6, 0.2])),
+            textile=make_textile(n1=np.array([1.0, 0.3, 0.0]),
+                                 n2=np.array([-0.3, 1.0, 0.1])),
+            growth=make_growth())
+        recs = solve_mixed_point(program, params)
+        assert max(np.max(np.abs(r.S[3:])) for r in recs) > 0.04
+        for r in recs:
+            expect = cauchy_stress(r.F, r.S)
+            assert np.max(np.abs(r.sigma - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
 class TestEvaluationCount:
@@ -223,8 +252,11 @@ class TestUnloadedMaturation:
         assert np.allclose(rho, expected, rtol=1e-12)
 
     def test_domain(self, growth_params):
-        with pytest.raises(ParameterError):
-            unloaded_maturation(growth_params, -1.0, 0.1)
+        # dt = inf, or a dt over twice t_end, gives no step at all
+        for t_end, dt in [(-1.0, 0.1), (1.0, 0.0), (np.nan, 0.1), (np.inf, 0.1),
+                          (1.0, np.nan), (1.0, np.inf), (1.0, 2.5)]:
+            with pytest.raises(ParameterError):
+                unloaded_maturation(growth_params, t_end, dt)
 
 
 class TestCsv:
