@@ -136,8 +136,10 @@ def _cmd_grow(args):
 def _cmd_matpoint(args):
     cfg = _load(args)
     out = _outdir(args)
-    if args.stretch <= 0.0:
-        raise ParameterError("--stretch must be positive")
+    if not 0.0 < args.stretch < np.inf:
+        raise ParameterError("--stretch must be positive and finite")
+    if args.ratio is not None and not np.isfinite(args.ratio):
+        raise ParameterError("--ratio must be finite")
     axis = _AXES[args.axis]
     knots = np.array([1.0, args.stretch])
     controls = ["free", "free", "free"]

@@ -58,14 +58,15 @@ class GrowthParams:
 @dataclass(frozen=True)
 class GrowthState:
     """Per-point internal state: density, and the per-mass collagen energy
-    and density sensitivity of its last update."""
+    and density sensitivity of its last update.  The fields are arrays when
+    the state belongs to a stack of points (see `total_response`)."""
 
     rho: float = 0.0
     drho_dpsim: float = 0.0
     psi_m: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.rho) or self.rho < 0.0:
+        if not np.all(np.isfinite(self.rho)) or np.any(self.rho < 0.0):
             raise StateError(f"density must be finite and non-negative, got {self.rho}")
 
 

@@ -453,19 +453,25 @@ def response_batch(C, params: MaterialParams, rho_n, t, dt, pbar=None,
 
 
 def total_response(F, params: MaterialParams, state: GrowthState, dt, t):
-    """Coupled response at one material point for a deformation gradient F.
+    """Coupled response at a material point for a deformation gradient F.
 
     Runs the density update over the step (t - dt, t] when dt > 0 and
     returns the total stress/tangent pair together with the new growth
     state.  With dt == 0 the density is frozen and the state is passed
-    through unchanged.
+    through unchanged.  F may also be a stack (..., 3, 3) of points that
+    share `state.rho`; the stress, tangent and the fields of the new state
+    are then stacks over F's leading axes.
     """
-    C = tn.right_cauchy_green(np.asarray(F, dtype=float))
-    out = response_batch(C[None], params, np.array([state.rho]), t, dt)
-    new_state = GrowthState(rho=float(out["rho"][0]),
-                            drho_dpsim=float(out["drho_dpsim"][0]),
-                            psi_m=float(out["psi_m"][0]))
-    return StressTangent(out["S"][0], out["CC"][0]), new_state
+    F = np.asarray(F, dtype=float)
+    lead = F.shape[:-2]
+    C = tn.right_cauchy_green(F).reshape(-1, 3, 3)
+    out = response_batch(C, params, np.full(len(C), state.rho), t, dt)
+    fields = {k: out[k].reshape(lead) for k in ("rho", "drho_dpsim", "psi_m")}
+    if not lead:
+        fields = {k: float(v) for k, v in fields.items()}
+    return (StressTangent(out["S"].reshape(lead + (6,)),
+                          out["CC"].reshape(lead + (6, 6))),
+            GrowthState(**fields))
 
 
 def cauchy_stress(F, S):

@@ -21,6 +21,8 @@ from .tensors import VOIGT_I, VOIGT_J
 #: free-axis convergence tolerance on Cauchy stress, MPa
 STRESS_TOL = 1e-10
 NEWTON_MAXIT = 30
+#: most steps `unloaded_maturation` takes (its arrays are allocated whole)
+UNLOADED_MAX_STEPS = 1_000_000
 
 FREE = "free"
 
@@ -100,7 +102,12 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
     """March a material point through a load program.
 
     Returns one `PointRecord` per step, the first being the initial knot.
-    Raises SolverError when a free-axis Newton iteration stalls.
+    With `grow=False` the knots do not depend on one another and the whole
+    path is one lockstep batch, its free stretches starting from the
+    incompressible guess (1 / prod of the controlled stretches)^(1/n_free);
+    a growing program is solved knot by knot in time, each knot starting
+    from the last one's stretches.  Raises SolverError when a free-axis
+    Newton iteration stalls.
     """
     free = [ax for ax, c in enumerate(program.controls) if isinstance(c, str)]
     controlled = [ax for ax in range(3) if ax not in free]
@@ -117,60 +124,89 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
         path_lams[0, ax] = v0[0, 0]
         path_lams[1:, ax] = ((1.0 - w) * v0 + w * v1).ravel()
 
-    lams, state, records = np.ones(3), init, []     # free axes start at 1
+    if not program.grow:
+        if free:
+            vol = np.prod(path_lams[:, controlled], axis=1, keepdims=True)
+            path_lams[:, free] = (1.0 / vol) ** (1.0 / len(free))
+        lams, S, sigma, _, psi_m = _newton_free_axes(path_lams, free, params,
+                                                     init.rho, 0.0, path_t[0])
+        return [PointRecord(time=t, F=np.diag(lams[k]), S=S[k], sigma=sigma[k],
+                            rho=init.rho, psi_m=float(psi_m[k]))
+                for k, t in enumerate(path_t)]
+
+    lams, rho, records = np.ones((1, 3)), init.rho, []   # free axes start at 1
     t_prev = path_t[0]
     for t, target in zip(path_t, path_lams):
         # the initial knot solves at dt = 0, so its density stays frozen
-        dt = (t - t_prev) if program.grow else 0.0
-        lams[controlled] = target[controlled]
-        lams, F, st, sigma, evaluated = _newton_free_axes(lams, free, params,
-                                                          state, dt, t)
-        state = evaluated if program.grow else state
-        records.append(PointRecord(time=t, F=F, S=st.S, sigma=sigma,
-                                   rho=state.rho, psi_m=evaluated.psi_m))
+        lams[0, controlled] = target[controlled]
+        lams, S, sigma, rho_new, psi_m = _newton_free_axes(lams, free, params,
+                                                           rho, t - t_prev, t)
+        rho = float(rho_new[0])
+        records.append(PointRecord(time=t, F=np.diag(lams[0]), S=S[0],
+                                   sigma=sigma[0], rho=rho,
+                                   psi_m=float(psi_m[0])))
         t_prev = t
     return records
 
 
-def _newton_free_axes(lams, free, params, state, dt, t):
-    """Zero the Cauchy stress on the free axes.
+def _newton_free_axes(lams, free, params, rho, dt, t):
+    """Zero the Cauchy stress on the free axes of a stack of points.
 
-    F = diag(lams), so J = l1 l2 l3 and the push-forward of the PK2 stress
-    is sigma_ij = l_i S_ij l_j / J; each iterate takes J, sigma and the
-    free-axis Jacobian once from its stretches.  Returns the converged
-    stretches with the evaluation taken there: (lams, F, stress/tangent,
-    sigma, new growth state); the state carries that evaluation's psi_m,
-    which the records report.
+    `lams` (N, 3) holds the starting stretches of N points that share the
+    free axes, the previous-level density `rho` and the step (dt, t).  The
+    Newton runs in lockstep: each iterate evaluates the points not yet
+    converged in one `total_response` call.  F = diag(lams), so
+    J = l1 l2 l3 and the push-forward of the PK2 stress is
+    sigma_ij = l_i S_ij l_j / J; each iterate takes J, sigma and the
+    free-axis Jacobians from its stretches.  Returns the converged
+    stretches with the evaluation each point converged at, all over the N
+    points: (lams, S, sigma, rho, psi_m), rho being the updated density.
     """
-    lams = lams.copy()
-    last = np.inf
+    lams = np.array(lams, dtype=float)
+    n = len(lams)
+    S, sigma = np.empty((n, 6)), np.empty((n, 6))
+    rho_new, psi_m = np.empty(n), np.empty(n)
+    state = GrowthState(rho=rho)
+    diag = np.diag_indices(len(free))
+    todo = np.arange(n)
     for _ in range(NEWTON_MAXIT):
-        F = np.diag(lams)
-        st, new_state = total_response(F, params, state, dt, t)
-        J = np.prod(lams)
-        sigma = (lams[VOIGT_I] * st.S) * lams[VOIGT_J] / J
-        res = sigma[free]
-        last = float(np.max(np.abs(res), initial=0.0))
-        if last <= STRESS_TOL:
-            return lams, F, st, sigma, new_state
+        lam = lams[todo]
+        st, new_state = total_response(lam[:, :, None] * np.eye(3), params,
+                                       state, dt, t)
+        J = np.prod(lam, axis=1)[:, None]
+        sig = (lam[:, VOIGT_I] * st.S) * lam[:, VOIGT_J] / J
+        res = sig[:, free]
+        err = np.max(np.abs(res), axis=1, initial=0.0)
+        done = err <= STRESS_TOL
+        hit = todo[done]
+        S[hit], sigma[hit] = st.S[done], sig[done]
+        rho_new[hit], psi_m[hit] = new_state.rho[done], new_state.psi_m[done]
+        if done.all():
+            return lams, S, sigma, rho_new, psi_m
+        go = ~done
+        todo, lam, J, res, err = todo[go], lam[go], J[go], res[go], err[go]
         # d sigma_i / d l_j on the free axes, with dS_i/dl_j = CC_ij l_j
         # under the package tangent convention
-        lf = lams[free]
-        jac = lf[:, None] ** 2 * (st.CC[free][:, free] * lf) / J - sigma[free, None] / lf
-        jac[np.diag_indices(len(free))] += 2.0 * lf * st.S[free] / J
+        lf = lam[:, free]
+        CCf = st.CC[go][:, free][:, :, free]
+        jac = (lf[:, :, None] ** 2 * (CCf * lf[:, None, :]) / J[:, :, None]
+               - res[:, :, None] / lf[:, None, :])
+        jac[:, diag[0], diag[1]] += 2.0 * lf * st.S[go][:, free] / J
         try:
-            step = np.linalg.solve(jac, -res)
+            step = np.linalg.solve(jac, -res[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
-            raise SolverError("singular free-axis Jacobian", residual=last) from exc
-        for r, ax in enumerate(free):
-            new = lams[ax] + step[r]
-            # keep iterates physical; halve toward the old value if needed
-            while new <= 0.05:
-                step[r] *= 0.5
-                new = lams[ax] + step[r]
-            lams[ax] = new
+            raise SolverError("singular free-axis Jacobian",
+                              residual=float(np.max(err))) from exc
+        # keep iterates physical; halve toward the old value if needed
+        new = lf + step
+        while np.any(low := new <= 0.05):
+            step[low] *= 0.5
+            new = lf + step
+        lams[todo[:, None], free] = new
+    worst = int(np.argmax(err))
     raise SolverError("free-axis Newton did not converge",
-                      residual=last, tolerance=STRESS_TOL, iterations=NEWTON_MAXIT)
+                      residual=float(err[worst]), tolerance=STRESS_TOL,
+                      iterations=NEWTON_MAXIT, point=int(todo[worst]))
 
 
 def unloaded_maturation(p: GrowthParams, t_end, dt):
@@ -181,6 +217,9 @@ def unloaded_maturation(p: GrowthParams, t_end, dt):
     """
     if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
         raise ParameterError("t_end and dt must be positive and finite")
+    if t_end / dt > UNLOADED_MAX_STEPS:
+        raise ParameterError(f"dt = {dt:g} gives more than {UNLOADED_MAX_STEPS} "
+                             f"steps up to t_end = {t_end:g}")
     n = int(round(t_end / dt))
     if n < 1:
         raise ParameterError(f"dt = {dt:g} gives no step up to t_end = {t_end:g}")

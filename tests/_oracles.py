@@ -1,5 +1,5 @@
 """Shared finite-difference oracles, random-state generators and reference
-kernels (elements, textile energy, 3x3 inverse) for tests.
+kernels (elements, textile energy, 3x3 inverse, point solver) for tests.
 
 The FD rules mirror the symmetric-tensor convention of the package: a
 6-vector direction n perturbs the component pair (i, j) and (j, i) of C
@@ -9,7 +9,12 @@ multiplicity w_n.
 
 import numpy as np
 
+from maturesim import matpoint
 from maturesim import tensors as tn
+from maturesim.errors import SolverError
+from maturesim.growth import GrowthState
+from maturesim.materials import total_response
+from maturesim.matpoint import PointRecord
 from maturesim.tensors import VOIGT_I, VOIGT_J, from_voigt
 
 VOIGT_PAIRS = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
@@ -181,3 +186,60 @@ def ref_textile_batch(C, p):
                                        + tn.sym_outer_product(M, np.eye(3)))
     CC *= 4.0
     return psi, S, CC
+
+
+# -- reference point solver ----------------------------------------------------
+# The sequential form of maturesim.matpoint.solve_mixed_point: every knot,
+# frozen or growing, is its own single-point Newton warm-started from the
+# previous knot's stretches, free axes starting at 1.
+
+def ref_solve_mixed_point(program, params, init=GrowthState()):
+    free = [ax for ax, c in enumerate(program.controls) if isinstance(c, str)]
+    controlled = [ax for ax in range(3) if ax not in free]
+    n = program.steps_per_interval
+    w = np.arange(1, n + 1) / n
+    t0, t1 = program.times[:-1, None], program.times[1:, None]
+    path_t = np.concatenate([t0[0], (t0 + w * (t1 - t0)).ravel()])
+    path_lams = np.ones((path_t.size, 3))
+    for ax in controlled:
+        v0, v1 = program.controls[ax][:-1, None], program.controls[ax][1:, None]
+        path_lams[0, ax] = v0[0, 0]
+        path_lams[1:, ax] = ((1.0 - w) * v0 + w * v1).ravel()
+
+    lams, state, records = np.ones(3), init, []
+    t_prev = path_t[0]
+    for t, target in zip(path_t, path_lams):
+        dt = (t - t_prev) if program.grow else 0.0
+        lams[controlled] = target[controlled]
+        lams, F, st, sigma, evaluated = _ref_newton_free_axes(
+            lams, free, params, state, dt, t)
+        state = evaluated if program.grow else state
+        records.append(PointRecord(time=t, F=F, S=st.S, sigma=sigma,
+                                   rho=state.rho, psi_m=evaluated.psi_m))
+        t_prev = t
+    return records
+
+
+def _ref_newton_free_axes(lams, free, params, state, dt, t):
+    lams = lams.copy()
+    last = np.inf
+    for _ in range(matpoint.NEWTON_MAXIT):
+        F = np.diag(lams)
+        st, new_state = total_response(F, params, state, dt, t)
+        J = np.prod(lams)
+        sigma = (lams[VOIGT_I] * st.S) * lams[VOIGT_J] / J
+        res = sigma[free]
+        last = float(np.max(np.abs(res), initial=0.0))
+        if last <= matpoint.STRESS_TOL:
+            return lams, F, st, sigma, new_state
+        lf = lams[free]
+        jac = lf[:, None] ** 2 * (st.CC[free][:, free] * lf) / J - sigma[free, None] / lf
+        jac[np.diag_indices(len(free))] += 2.0 * lf * st.S[free] / J
+        step = np.linalg.solve(jac, -res)
+        for r, ax in enumerate(free):
+            new = lams[ax] + step[r]
+            while new <= 0.05:
+                step[r] *= 0.5
+                new = lams[ax] + step[r]
+            lams[ax] = new
+    raise SolverError("free-axis Newton did not converge", residual=last)

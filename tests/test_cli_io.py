@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -411,12 +412,15 @@ class TestCli:
             assert f"{section}.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag, value", [
-        ("grow", "--dt", "nan"), ("grow", "--dt", "inf"),
+        ("grow", "--dt", "nan"), ("grow", "--dt", "inf"), ("grow", "--dt", "1e-300"),
         ("matpoint", "--stretch", "nan"), ("matpoint", "--ratio", "inf")])
     def test_non_finite_flags_exit_one(self, tmp_path, capsys, command, flag,
                                        value):
-        # usage errors, not a traceback or a "solver failure" (2)
-        with deadline(60):
+        # usage errors, not a traceback or a "solver failure" (2), and
+        # rejected before any arithmetic on them can warn; --dt 1e-300 asks
+        # for 2.8e301 unloaded steps, past the step bound
+        with deadline(60), warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["-q", command, "--out", str(tmp_path / "r"), flag, value])
         assert code == 1
         assert "error:" in capsys.readouterr().err

@@ -95,8 +95,10 @@ class TestParamsValidation:
                          c_cell=15e3, tau=14.21, h=1.65)
 
     def test_state_rejects_negative_density(self):
-        with pytest.raises(StateError):
-            GrowthState(rho=-0.1)
+        # a stack state is checked at every point
+        for rho in (-0.1, np.nan, np.array([1.0, -0.1]), np.array([np.inf, 1.0])):
+            with pytest.raises(StateError):
+                GrowthState(rho=rho)
 
 
 class TestUpdateDensity:

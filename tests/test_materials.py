@@ -288,6 +288,29 @@ class TestTotalResponse:
         assert new.rho > 5.0
         assert new.drho_dpsim > 0.0
 
+    @pytest.mark.parametrize("dt", [0.0, 0.1])
+    def test_stack_matches_single_points(self, dt):
+        # a (2, 3) stack of F sharing one previous density answers, point by
+        # point, what one F at a time answers; with dt > 0 the densities
+        # update per point
+        params = make_material(kappa=0.1, psi_crit=2e-5)
+        rng = np.random.default_rng(31)
+        F = np.array([[random_F(rng, spread=0.2, stretch=0.2) for _ in range(3)]
+                      for _ in range(2)])
+        state = GrowthState(rho=5.0)
+        st, new = total_response(F, params, state, dt, 2.0)
+        assert st.S.shape == (2, 3, 6) and st.CC.shape == (2, 3, 6, 6)
+        assert new.rho.shape == new.psi_m.shape == new.drho_dpsim.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            one, one_new = total_response(F[idx], params, state, dt, 2.0)
+            assert isinstance(one_new.rho, float) and one.S.shape == (6,)
+            assert rel_err(st.S[idx], one.S) <= 1e-14
+            assert rel_err(st.CC[idx], one.CC) <= 1e-14
+            for name in ("rho", "drho_dpsim", "psi_m"):
+                assert getattr(new, name)[idx] == pytest.approx(
+                    getattr(one_new, name), rel=1e-14, abs=0.0)
+        assert np.all(new.rho > 5.0) if dt > 0.0 else np.all(new.rho == 5.0)
+
     def test_coupled_stress_matches_fd_of_discrete_potential(self):
         # the total PK2 stress must be 2 d/dC of the incremental potential
         # with the density update embedded, including the drho/dC chain

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from maturesim import materials, matpoint
-from maturesim.errors import ParameterError
+from maturesim.errors import ParameterError, SolverError
 from maturesim.growth import GrowthState, bio_rate
 from maturesim.materials import (MaterialParams, MatrixParams, cauchy_stress,
                                  collagen_stress, collagen_psi_mass)
 from maturesim.matpoint import (CSV_HEADER, FREE, LoadProgram, records_to_csv,
                                 solve_mixed_point, unloaded_maturation)
 
+from _oracles import ref_solve_mixed_point
 from conftest import (make_collagen, make_growth, make_material, make_matrix,
                       make_textile)
 
@@ -136,47 +137,138 @@ class TestPushForward:
             assert np.max(np.abs(r.sigma - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
+def count_responses(monkeypatch):
+    """Record the stack shape of every `total_response` call the solver makes."""
+    calls = []
+    response = matpoint.total_response
+
+    def counted(F, *args):
+        calls.append(np.shape(F)[:-2])
+        return response(F, *args)
+
+    monkeypatch.setattr(matpoint, "total_response", counted)
+    return calls
+
+
 class TestEvaluationCount:
     @pytest.mark.parametrize("steps", [1, 5])
     def test_one_response_per_converged_step(self, material_params, monkeypatch,
                                              steps):
-        # the reference state converges at the first evaluation, and that
-        # evaluation is the one recorded: no second call per step
-        calls = []
-        response = matpoint.total_response
-
-        def counted(*args):
-            calls.append(args)
-            return response(*args)
-
-        monkeypatch.setattr(matpoint, "total_response", counted)
+        # the knots of a frozen program are independent: the reference state
+        # converges at the first evaluation of the batch, which covers every
+        # knot once and is the evaluation recorded
+        calls = count_responses(monkeypatch)
         prog = LoadProgram(times=[0, 1], controls=(np.ones(2), FREE, FREE),
                            steps_per_interval=steps, grow=False)
         solve_mixed_point(prog, material_params)
-        assert len(calls) == steps + 1
+        assert calls == [(steps + 1,)]
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_growing_program_is_sequential(self, material_params, monkeypatch,
+                                           steps):
+        # a growing point marches in time: one single-point evaluation per
+        # converged step, none repeated
+        calls = count_responses(monkeypatch)
+        prog = LoadProgram(times=[0, 1], controls=(np.ones(2), FREE, FREE),
+                           steps_per_interval=steps, grow=True)
+        solve_mixed_point(prog, material_params)
+        assert calls == [(1,)] * (steps + 1)
+
+
+def skewed_yarns():
+    # off-axis collagen and skewed yarns: S carries shear entries
+    return MaterialParams(
+        matrix=make_matrix(),
+        collagen=make_collagen(kappa=0.05, a=np.array([1.0, 0.6, 0.2])),
+        textile=make_textile(n1=np.array([1.0, 0.3, 0.0]),
+                             n2=np.array([-0.3, 1.0, 0.1])),
+        growth=make_growth(psi_crit=2e-5))
+
+
+def oracle_programs(grow):
+    # dispersed or off-axis collagen loads the free axes too, so the free
+    # stretches depend on the density; a low psi_crit lets the load grow it
+    e = np.array([0.0, 0.12, 0.2])
+    times = [0.0, 2.0, 5.0]
+    dispersed = make_material(kappa=0.1, psi_crit=2e-5)
+    return {
+        "uniaxial": (dispersed, LoadProgram(
+            times=times, controls=([1.0, 1.12, 1.2], FREE, FREE),
+            steps_per_interval=4, grow=grow)),
+        "biaxial-1": (dispersed, LoadProgram(
+            times=times, controls=(e, e, FREE), steps_per_interval=4,
+            strain_measure="engineering", grow=grow)),
+        "biaxial-3": (dispersed, LoadProgram(
+            times=times, controls=(e, e / 3.0, FREE), steps_per_interval=4,
+            strain_measure="engineering", grow=grow)),
+        "skewed-yarn": (skewed_yarns(), LoadProgram(
+            times=times, controls=([1.0, 1.1, 1.18], FREE, FREE),
+            steps_per_interval=4, grow=grow)),
+    }
+
+
+PROGRAM_NAMES = ["uniaxial", "biaxial-1", "biaxial-3", "skewed-yarn"]
+
+
+class TestBatchAgainstSequential:
+    """The lockstep batch against the sequential per-knot Newton."""
+
+    @pytest.mark.parametrize("rho", [0.0, 5.0, 30.0])
+    @pytest.mark.parametrize("name", PROGRAM_NAMES)
+    def test_frozen_batch_matches(self, name, rho):
+        params, prog = oracle_programs(grow=False)[name]
+        free = [ax for ax, c in enumerate(prog.controls) if isinstance(c, str)]
+        init = GrowthState(rho=rho)
+        recs = solve_mixed_point(prog, params, init=init)
+        ref = ref_solve_mixed_point(prog, params, init=init)
+        assert len(recs) == len(ref)
+        for r, q in zip(recs, ref):
+            assert r.time == q.time and r.rho == q.rho == rho
+            assert np.max(np.abs(r.sigma[free])) <= matpoint.STRESS_TOL
+            assert np.max(np.abs(np.diag(r.F) - np.diag(q.F))) <= 1e-9
+
+    @pytest.mark.parametrize("rho", [0.0, 5.0, 30.0])
+    @pytest.mark.parametrize("name", PROGRAM_NAMES)
+    def test_growing_records_are_identical(self, name, rho):
+        params, prog = oracle_programs(grow=True)[name]
+        init = GrowthState(rho=rho)
+        recs = solve_mixed_point(prog, params, init=init)
+        assert recs[-1].rho > rho
+        assert records_to_csv(recs) == records_to_csv(
+            ref_solve_mixed_point(prog, params, init=init))
+
+    @pytest.mark.parametrize("grow", [False, True])
+    def test_unconverged_knot_raises(self, material_params, monkeypatch, grow):
+        # the initial knot converges at its first evaluation, the loaded one
+        # cannot within one: a typed failure, no record; the frozen batch
+        # names the knot, a growing step is a stack of one
+        monkeypatch.setattr(matpoint, "NEWTON_MAXIT", 1)
+        with pytest.raises(SolverError) as info:
+            solve_mixed_point(uniaxial(1.2, steps=1, grow=grow), material_params)
+        diag = info.value.diagnostics
+        assert diag["iterations"] == 1
+        assert matpoint.STRESS_TOL < diag["residual"] < np.inf
+        assert diag["point"] == (0 if grow else 1)
 
 
 class TestRecordedEnergy:
     def test_records_reuse_the_converged_psi_m(self, material_params, monkeypatch):
         # psi_m comes with the converged evaluation: one collagen energy
         # evaluation per response, none extra per record
-        counts = {"psim": 0, "response": 0}
-        psim, response = materials.collagen_psim_batch, matpoint.total_response
+        psim_calls = []
+        psim = materials.collagen_psim_batch
 
         def counted_psim(*args):
-            counts["psim"] += 1
+            psim_calls.append(args)
             return psim(*args)
 
-        def counted_response(*args):
-            counts["response"] += 1
-            return response(*args)
-
         monkeypatch.setattr(materials, "collagen_psim_batch", counted_psim)
-        monkeypatch.setattr(matpoint, "total_response", counted_response)
+        calls = count_responses(monkeypatch)
         prog = LoadProgram(times=[0, 1], controls=(np.array([1.0, 1.15]), FREE, FREE),
                            steps_per_interval=10, grow=False)
         recs = solve_mixed_point(prog, material_params)
-        assert counts["psim"] == counts["response"] > len(recs)
+        assert len(psim_calls) == len(calls)
+        assert sum(n for n, in calls) > len(recs)
         monkeypatch.undo()
         for r in recs:
             expect, _ = collagen_psi_mass(r.F.T @ r.F, material_params.collagen)
@@ -252,9 +344,12 @@ class TestUnloadedMaturation:
         assert np.allclose(rho, expected, rtol=1e-12)
 
     def test_domain(self, growth_params):
-        # dt = inf, or a dt over twice t_end, gives no step at all
+        # dt = inf, or a dt over twice t_end, gives no step at all; a tiny
+        # dt more steps than the bound (the arrays are allocated whole)
+        over = matpoint.UNLOADED_MAX_STEPS + 1.0
         for t_end, dt in [(-1.0, 0.1), (1.0, 0.0), (np.nan, 0.1), (np.inf, 0.1),
-                          (1.0, np.nan), (1.0, np.inf), (1.0, 2.5)]:
+                          (1.0, np.nan), (1.0, np.inf), (1.0, 2.5),
+                          (28.0, 1e-300), (28.0, 5e-324), (over, 1.0)]:
             with pytest.raises(ParameterError):
                 unloaded_maturation(growth_params, t_end, dt)
 
