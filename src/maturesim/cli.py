@@ -208,10 +208,9 @@ def _cmd_fem(args):
         k = counter["n"]
         counter["n"] = k + 1
         level = logging.INFO if k % 20 == 0 else logging.DEBUG
-        uz = float(np.abs(u.reshape(-1, 3)[:, 2]).max())
-        rho_mean = float((model.wdet * aux["rho"]).sum() / model.wdet.sum())
+        rec = model.record(t, u, aux, 0)
         log.log(level, "t=%7.3f  deflection=%.4f  rho_mean=%.4f",
-                t, uz, rho_mean)
+                t, rec.deflection, rec.rho_mean)
         if args.vtk_every and k % args.vtk_every == 0:
             _write_state(out, f"state_{k:04d}", model, u, aux)
 

@@ -35,7 +35,7 @@ from ..errors import DeformationError, MeshError, ParameterError, SolverError
 from ..materials import (MaterialParams, cauchy_stress, response_batch,
                          volumetric_energy, volumetric_modulus,
                          volumetric_pressure)
-from ..tensors import fiber_strain, inv_det3
+from ..tensors import inv_det3
 from . import elements as el
 from .mesh import Mesh, strip_mesh
 
@@ -180,7 +180,8 @@ class FemModel:
         dofs, and aux the Gauss-point fields needed to commit or postprocess
         the state.  With tangent=False K is None and none of its terms are
         computed; R and aux are the same bits either way.  Raises if an
-        element inverts or the density update fails.
+        element inverts, a fiber strain leaves the range of the collagen law
+        or the density update fails.
         """
         u = np.asarray(u, dtype=float).reshape(-1)
         ue = u.reshape(-1, 3)[self.conn]
@@ -189,11 +190,6 @@ class FemModel:
         if np.any(J <= 0.0):
             raise DeformationError("an element inverted during the solve")
         C = F.swapaxes(-1, -2) @ F
-        _, E_fiber = fiber_strain(C, self.params.collagen.H)
-        if float(E_fiber.max(initial=0.0)) > 10.0:
-            # far outside any physical state; the exponential fiber law would
-            # overflow, so treat it like an inverted element and backtrack
-            raise DeformationError("fiber strain left the supported range")
 
         mat = self.params.matrix
         Jbar = el.mean_dilatation(J, self.wdet, self.V0)
@@ -240,11 +236,9 @@ class FemModel:
 
         aux = {
             "rho": resp["rho"].reshape(shape),
-            "psi_m": resp["psi_m"].reshape(shape),
-            "fiber_strain": E_fiber,
+            "fiber_strain": resp["fiber_strain"].reshape(shape),
             "S": S6,
             "F": F,
-            "J": resp["J"].reshape(shape),
             "Jbar": Jbar,
             "psi_point": resp["psi_point"].reshape(shape),
             "residual": R,

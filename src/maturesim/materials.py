@@ -24,6 +24,7 @@ from .growth import GrowthParams, GrowthState, update_density_batch
 
 _I6 = tn.IDENTITY6
 _EYE3 = np.eye(3)
+FIBER_STRAIN_MAX = 10.0   # far outside any physical state
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,7 @@ class CollagenParams:
     rho_f: float
     H: np.ndarray = field(init=False, repr=False)
     h6: np.ndarray = field(init=False, repr=False)
+    hh: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.k1 <= 0.0 or self.k2 <= 0.0:
@@ -65,6 +67,7 @@ class CollagenParams:
         object.__setattr__(self, "a", tn.unit_vector(self.a))
         object.__setattr__(self, "H", tn.gen_structural_tensor(self.a, self.kappa))
         object.__setattr__(self, "h6", tn.to_voigt(self.H))
+        object.__setattr__(self, "hh", tn.outer6(self.h6, self.h6))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,10 +211,10 @@ class StressTangent:
 def matrix_batch(C, p: MatrixParams, pbar=None, tangent=True):
     """Matrix energy, stress and tangent for a batch of C tensors.
 
-    With `pbar=None` the volumetric term U(J) = lam/4 (J^2 - 1 - 2 ln J) is
-    evaluated pointwise.  Otherwise `pbar` is used as the (element-mean)
-    volumetric pressure U'(Jbar) and only the shear part remains pointwise;
-    the caller owns the element-level volumetric coupling.
+    The volumetric law U(J) is `volumetric_energy`; its stress is
+    p J C^-1.  With `pbar=None` p = U'(J) pointwise and the tangent has the
+    bulk block J^2 U''(J) C^-1 (x) C^-1.  Otherwise p = `pbar`, the
+    (element-mean) U'(Jbar), and the caller owns the element-level coupling.
 
     Returns (psi_mu, U_local, S, CC, J); CC is None with tangent=False.
     """
@@ -222,26 +225,19 @@ def matrix_batch(C, p: MatrixParams, pbar=None, tangent=True):
     J = np.sqrt(detC)
     cinv = tn.to_voigt(Cinv)
     I1 = np.trace(C, axis1=-2, axis2=-1)
-    lnJ = 0.5 * np.log(detC)
-    psi_mu = 0.5 * p.mu * (I1 - 3.0) - p.mu * lnJ
-    U_local = 0.25 * p.lam * (J**2 - 1.0 - 2.0 * lnJ)
+    psi_mu = 0.5 * p.mu * (I1 - 3.0) - 0.5 * p.mu * np.log(detC)
+    U_local = volumetric_energy(J, p)
+    pv = volumetric_pressure(J, p) if pbar is None else np.asarray(pbar, dtype=float)
+    pJ = pv * J
 
-    S = p.mu * (_I6 - cinv)
-    if pbar is None:
-        pv = 0.5 * p.lam * (J**2 - 1.0)
-        S = S + pv[..., None] * cinv
-    else:
-        pJ = np.asarray(pbar, dtype=float) * J
-        S = S + pJ[..., None] * cinv
+    S = p.mu * (_I6 - cinv) + pJ[..., None] * cinv
     if not tangent:
         return psi_mu, U_local, S, None, J
     cc_inv = tn.sym_outer_product(Cinv, Cinv)
-    CC = 2.0 * p.mu * cc_inv
+    cc_vol = tn.outer6(cinv, cinv)
+    CC = 2.0 * p.mu * cc_inv + pJ[..., None, None] * (cc_vol - 2.0 * cc_inv)
     if pbar is None:
-        CC = CC + (p.lam * J**2)[..., None, None] * tn.outer6(cinv, cinv) \
-            - (2.0 * pv)[..., None, None] * cc_inv
-    else:
-        CC = CC + pJ[..., None, None] * (tn.outer6(cinv, cinv) - 2.0 * cc_inv)
+        CC += (J**2 * volumetric_modulus(J, p))[..., None, None] * cc_vol
     return psi_mu, U_local, S, CC, J
 
 
@@ -264,41 +260,41 @@ def volumetric_modulus(J, p: MatrixParams):
 
 
 def collagen_psim_batch(C, p: CollagenParams):
-    """Per-mass collagen energy and its C-derivatives for a batch.
+    """Per-mass collagen energy and its derivatives by the fiber strain E.
 
     Tension-only: everything vanishes for mean fiber stretches below 1.
-    Returns (psi_m, g = d psi_m/dC as 6-vector, curv = d/dE of g's scalar
-    factor divided by rho_f).
+    E past FIBER_STRAIN_MAX, where the exponential would overflow, raises
+    DeformationError.  Returns (psi_m, dpsi_m/dE, d2psi_m/dE2, E).
     """
     C = np.asarray(C, dtype=float)
     _, E = tn.fiber_strain(C, p.H)
+    if float(E.max(initial=0.0)) > FIBER_STRAIN_MAX:
+        raise DeformationError("fiber strain left the supported range")
     tension = E > 0.0
     Es = np.where(tension, E, 0.0)
     expo = np.exp(p.k2 * Es**2)
-    # Es = 0 gives expo = 1, so psi_m and dphi vanish there exactly
+    # Es = 0 gives expo = 1, so psi_m and dpsi vanish there exactly
     psi_m = 0.5 * p.k1 / p.k2 * (expo - 1.0) / p.rho_f
-    dphi = p.k1 * Es * expo / p.rho_f
+    dpsi = p.k1 * Es * expo / p.rho_f
     curv = np.where(tension, p.k1 * (1.0 + 2.0 * p.k2 * Es**2) * expo / p.rho_f, 0.0)
-    g = dphi[..., None] * p.h6
-    return psi_m, g, curv
+    return psi_m, dpsi, curv, E
 
 
-def _collagen_stress_tangent(p: CollagenParams, psi_m, g, curv, rho, D, D2,
+def _collagen_stress_tangent(p: CollagenParams, psi_m, dpsi, curv, rho, D, D2,
                              tangent=True):
     """Collagen stress and growth-consistent tangent for a batch of points.
 
     Takes the outputs of `collagen_psim_batch` with the densities rho and
-    their sensitivities D = drho/dpsi_m and D2 = d2rho/dpsi_m2; with the
-    chain drho/dC = D g the stress is S_co = 2 (rho + D psi_m) g.  The
-    tangent is None with tangent=False.
+    their sensitivities D = drho/dpsi_m and D2 = d2rho/dpsi_m2; with
+    g = dpsi_m/dC = dpsi H and the chain drho/dC = D g the stress is
+    S_co = 2 (rho + D psi_m) g, and the tangent one scalar per point times
+    H (x) H.  The tangent is None with tangent=False.
     """
-    S_co = 2.0 * (rho + D * psi_m)[..., None] * g
+    S_co = 2.0 * (rho + D * psi_m)[..., None] * (dpsi[..., None] * p.h6)
     if not tangent:
         return S_co, None
-    # rank-one tangent blocks; both live on H (x) H
-    CC_co = (4.0 * (D2 * psi_m + 2.0 * D))[..., None, None] * tn.outer6(g, g) \
-        + (4.0 * (D * psi_m + rho) * curv)[..., None, None] * tn.outer6(p.h6, p.h6)
-    return S_co, CC_co
+    coef = 4.0 * ((D2 * psi_m + 2.0 * D) * dpsi**2 + (D * psi_m + rho) * curv)
+    return S_co, coef[..., None, None] * p.hh
 
 
 def textile_batch(C, p: TextileParams, tangent=True):
@@ -373,8 +369,8 @@ def matrix_psi_stress_tangent(C, p: MatrixParams):
 
 def collagen_psi_mass(C, p: CollagenParams):
     """Collagen energy per unit mass and its derivative w.r.t. C (6-vector)."""
-    psi_m, g, _ = collagen_psim_batch(np.asarray(C, dtype=float)[None], p)
-    return float(psi_m[0]), g[0]
+    psi_m, dpsi, _, _ = collagen_psim_batch(np.asarray(C, dtype=float)[None], p)
+    return float(psi_m[0]), dpsi[0] * p.h6
 
 
 def collagen_stress(C, p: CollagenParams, rho, drho_dC, drho_dpsim=0.0, d2rho_dpsim2=0.0):
@@ -389,12 +385,13 @@ def collagen_stress(C, p: CollagenParams, rho, drho_dC, drho_dpsim=0.0, d2rho_dp
     """
     if rho < 0.0 or not np.isfinite(rho):
         raise StateError(f"density must be finite and non-negative, got {rho}")
-    psi_m, g, curv = collagen_psim_batch(np.asarray(C, dtype=float)[None], p)
+    psi_m, dpsi, curv, _ = collagen_psim_batch(np.asarray(C, dtype=float)[None], p)
     if drho_dC is not None:
-        chain = drho_dpsim * g[0]
+        chain = drho_dpsim * (dpsi[0] * p.h6)
         if not np.allclose(drho_dC, chain, rtol=1e-12, atol=1e-12 * np.max(np.abs(chain))):
             raise StateError("drho_dC must equal drho_dpsim * dpsim_dC")
-    S, CC = _collagen_stress_tangent(p, psi_m, g, curv, rho, drho_dpsim, d2rho_dpsim2)
+    S, CC = _collagen_stress_tangent(p, psi_m, dpsi, curv, rho, drho_dpsim,
+                                     d2rho_dpsim2)
     return StressTangent(S[0], CC[0])
 
 
@@ -414,17 +411,18 @@ def response_batch(C, params: MaterialParams, rho_n, t, dt, pbar=None,
     frozen.  `pbar` switches the matrix volumetric term to an externally
     averaged pressure (see `matrix_batch`).
 
-    Returns a dict of batch arrays: S, CC, rho, drho_dpsim, psi_m, J,
-    psi_point (pointwise energy density: matrix shear + textile + collagen),
-    U_local (pointwise matrix volumetric energy).  With tangent=False no
-    tangent work is done and CC is None; the other arrays are unchanged.
+    Returns a dict of batch arrays: S, CC, rho, drho_dpsim, psi_m,
+    fiber_strain, J, psi_point (pointwise energy density: matrix shear +
+    textile + collagen), U_local (pointwise matrix volumetric energy).
+    With tangent=False no tangent work is done and CC is None; the other
+    arrays are unchanged.
     """
     C = np.asarray(C, dtype=float)
     rho_n = np.asarray(rho_n, dtype=float)
+    psi_m, dpsi, curv, E = collagen_psim_batch(C, params.collagen)
     psi_mu, U_local, S, CC, J = matrix_batch(C, params.matrix, pbar=pbar,
                                              tangent=tangent)
     psi_tex, S_tex, CC_tex = textile_batch(C, params.textile, tangent=tangent)
-    psi_m, g, curv = collagen_psim_batch(C, params.collagen)
 
     if dt > 0.0:
         flat = psi_m.reshape(-1)
@@ -437,7 +435,7 @@ def response_batch(C, params: MaterialParams, rho_n, t, dt, pbar=None,
         D = np.zeros_like(rho)
         D2 = np.zeros_like(rho)
 
-    S_co, CC_co = _collagen_stress_tangent(params.collagen, psi_m, g, curv,
+    S_co, CC_co = _collagen_stress_tangent(params.collagen, psi_m, dpsi, curv,
                                            rho, D, D2, tangent=tangent)
 
     return {
@@ -446,6 +444,7 @@ def response_batch(C, params: MaterialParams, rho_n, t, dt, pbar=None,
         "rho": rho,
         "drho_dpsim": D,
         "psi_m": psi_m,
+        "fiber_strain": E,
         "J": J,
         "psi_point": psi_mu + psi_tex + rho * psi_m,
         "U_local": U_local,

@@ -107,7 +107,8 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
     incompressible guess (1 / prod of the controlled stretches)^(1/n_free);
     a growing program is solved knot by knot in time, each knot starting
     from the last one's stretches.  Raises SolverError when a free-axis
-    Newton iteration stalls.
+    Newton iteration stalls, and DeformationError when an iterate takes the
+    fibers past the collagen law's strain limit.
     """
     free = [ax for ax, c in enumerate(program.controls) if isinstance(c, str)]
     controlled = [ax for ax in range(3) if ax not in free]
@@ -197,9 +198,10 @@ def _newton_free_axes(lams, free, params, rho, dt, t):
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular free-axis Jacobian",
                               residual=float(np.max(err))) from exc
-        # keep iterates physical; halve toward the old value if needed
+        # keep iterates physical: halve the step until every stretch stays
+        # above a twentieth of its old value, a bound halving always meets
         new = lf + step
-        while np.any(low := new <= 0.05):
+        while np.any(low := new <= 0.05 * lf):
             step[low] *= 0.5
             new = lf + step
         lams[todo[:, None], free] = new

@@ -425,6 +425,20 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--axis", "y", "--stretch", "5", "--ratio", "1"], ["--stretch", "4"]])
+    def test_extreme_matpoint_fails_typed(self, tmp_path, capsys, flags):
+        # y and z at 5 start the free x axis at 0.04, where the step halving
+        # of the free-axis Newton used to loop forever; x at 4 takes the
+        # fibers past the collagen law's strain limit, where its exponential
+        # used to overflow into NaN iterates
+        with deadline(60), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["-q", "matpoint", "--out", str(tmp_path / "r"),
+                         "--no-grow"] + flags)
+        assert code == 2
+        assert "solver failure" in capsys.readouterr().err
+
     def test_solver_failure_exits_two(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):
             raise SolverError("no equilibrium", residual=1.0)

@@ -204,6 +204,18 @@ class TestInvertedElements:
             with pytest.raises(DeformationError):
                 model.assemble(u, 0.0, 0.0)
 
+    @pytest.mark.parametrize("tangent", [True, False])
+    def test_assemble_rejects_fiber_strain_past_the_limit(self, tangent):
+        # u = 3 X along the fibers gives F = diag(4, 1, 1) and E = 15: the
+        # collagen law raises before its exponential can overflow
+        model = clamped_strip_model(make_material(), nx=2, ny=1, nz=1)
+        u = np.zeros((model.mesh.n_nodes, 3))
+        u[:, 0] = 3.0 * model.mesh.nodes[:, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeformationError, match="fiber strain"):
+                model.assemble(u.reshape(-1), 0.0, 0.0, tangent=tangent)
+
 
 class TestSparsityPattern:
     """The pattern and scatter map built at construction against np.add.at."""

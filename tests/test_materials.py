@@ -288,6 +288,15 @@ class TestTotalResponse:
         assert new.rho > 5.0
         assert new.drho_dpsim > 0.0
 
+    def test_fiber_strain_limit(self):
+        # E = 15 along the fibers: the collagen law refuses it before its
+        # exponential overflows, on the point path as in the FE assembly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeformationError, match="fiber strain"):
+                total_response(np.diag([4.0, 0.5, 0.5]), make_material(),
+                               GrowthState(), 0.0, 0.0)
+
     @pytest.mark.parametrize("dt", [0.0, 0.1])
     def test_stack_matches_single_points(self, dt):
         # a (2, 3) stack of F sharing one previous density answers, point by

@@ -12,8 +12,8 @@ from maturesim.matpoint import (CSV_HEADER, FREE, LoadProgram, records_to_csv,
                                 solve_mixed_point, unloaded_maturation)
 
 from _oracles import ref_solve_mixed_point
-from conftest import (make_collagen, make_growth, make_material, make_matrix,
-                      make_textile)
+from conftest import (deadline, make_collagen, make_growth, make_material,
+                      make_matrix, make_textile)
 
 
 def uniaxial(lmax, knots=2, steps=5, grow=False, t_end=1.0):
@@ -249,6 +249,20 @@ class TestBatchAgainstSequential:
         assert diag["iterations"] == 1
         assert matpoint.STRESS_TOL < diag["residual"] < np.inf
         assert diag["point"] == (0 if grow else 1)
+
+
+class TestFreeStretchFloor:
+    def test_free_stretch_below_the_starting_guess(self, material_params):
+        # z stretched 25-fold with x held starts the free y axis at the
+        # incompressible guess 0.04 and the root lies below it; the step
+        # halving keeps each iterate above a twentieth of the last one
+        # instead of above 0.05, which halving toward 0.04 never reached
+        prog = LoadProgram(times=[0, 1], controls=([1.0, 1.0], FREE, [1.0, 25.0]),
+                           grow=False)
+        with deadline(30):
+            recs = solve_mixed_point(prog, material_params)
+        assert 0.0 < recs[-1].F[1, 1] < 0.04
+        assert abs(recs[-1].sigma[1]) <= matpoint.STRESS_TOL
 
 
 class TestRecordedEnergy:
