@@ -105,11 +105,24 @@ def b_matrices(F, dNdX):
     return B.reshape(e, g, 6, 24)
 
 
-def internal_forces(B, S6, wdet):
-    """Element internal force vectors sum_g w |J| B^T S, shape (E, 24)."""
-    e, g = wdet.shape
-    wS = (S6 * wdet[..., None]).reshape(e, 1, g * 6)
-    return (wS @ B.reshape(e, g * 6, 24)).reshape(e, 24)
+def weighted_gradients(dNdX, wdet):
+    """w |J| dN_a/dX_J with the Gauss points folded into the last axis,
+    shape (E, 8, 3G): the reference-gradient operand of `internal_forces`."""
+    e, g, n = dNdX.shape[:3]
+    wdN = dNdX * wdet[..., None, None]
+    return wdN.transpose(0, 2, 1, 3).reshape(e, n, g * 3)
+
+
+def internal_forces(F, S6, wdN):
+    """Element internal force vectors sum_g w |J| grad0 N (F S)^T, (E, 24).
+
+    The first Piola-Kirchhoff stress P = F S is contracted with the weighted
+    reference gradients `wdN` of `weighted_gradients` in one (E, 8, 3G) @
+    (E, 3G, 3) product; the result equals sum_g w |J| B^T S without B.
+    """
+    e, g = F.shape[:2]
+    Pt = from_voigt(S6) @ F.swapaxes(-1, -2)                  # (F S)^T = S F^T
+    return (wdN @ Pt.reshape(e, g * 3, 3)).reshape(e, -1)
 
 
 def material_stiffness(B, CC, wdet):

@@ -18,10 +18,17 @@ element and load-block entry to its slot in the CSC `data`.  Each assembly
 then fills `data` with one `bincount` and wraps it; nothing is sorted.
 
 A residual-only assembly (`tangent=False`) skips every tangent term, from
-the constitutive CC blocks to the scatter, and returns the residual and
-state fields bit for bit as the full assembly does.  The Newton solver
-uses it for line-search trials, so it assembles a tangent only where it
-factors one.
+the constitutive CC blocks and the strain-displacement matrices B to the
+scatter, and returns the residual and state fields bit for bit as the full
+assembly does: the internal forces come from the first Piola-Kirchhoff
+stress and the weighted reference gradients, never from B.  The Newton
+solver uses it for line-search trials, so it assembles a tangent only
+where it factors one.
+
+Every linear solve, Newton's and the ramp's, goes through one function,
+`_solve_reduced`, which factors the reduced system once for that one solve
+with a fill-reducing minimum-degree ordering and no pivoting, and falls
+back to scipy's default factorization when that fails.
 """
 
 from collections import deque
@@ -44,6 +51,16 @@ NEWTON_MAXIT = 25
 PSEUDO_MAXIT = 600        # damped iterations of the pseudo-transient ramp
 LINESEARCH_CUTS = 8
 STEP_MIN = 1e-8           # day, growth marching gives up below this
+UPHILL_DAMPING = 0.7      # ramp damping factor after an accepted uphill step
+
+# The reduced tangent is structurally symmetric, and symmetric but for the
+# follower-load stiffness: minimum degree on A^T + A orders it with less
+# fill than scipy's default COLAMD (181 296 against 216 590 L+U entries for
+# the first growth step of the 240-element strip), and its diagonal is
+# taken as pivot without a search.  A factorization that fails this way is redone with scipy's
+# defaults (COLAMD, partial pivoting); see `_solve_reduced`.
+LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+              "options": {"SymmetricMode": True}}
 
 
 @dataclass(frozen=True)
@@ -102,6 +119,7 @@ class FemModel:
         self.n_dof = 3 * mesh.n_nodes
 
         self.dNdX, self.wdet, self.V0 = el.reference_gradients(mesh.nodes[self.conn])
+        self.wdNdX = el.weighted_gradients(self.dNdX, self.wdet)
         self.dofmap = (3 * self.conn[:, :, None] + np.arange(3)).reshape(-1, 24)
 
         fixed = np.zeros(self.n_dof, dtype=bool)
@@ -201,8 +219,7 @@ class FemModel:
         shape = self.wdet.shape
         S6 = resp["S"].reshape(shape + (6,))
 
-        B = el.b_matrices(F, self.dNdX)
-        fint = el.internal_forces(B, S6, self.wdet)
+        fint = el.internal_forces(F, S6, self.wdNdX)
         R = np.bincount(self.dofmap.ravel(), weights=fint.ravel(),
                         minlength=self.n_dof)
 
@@ -223,6 +240,7 @@ class FemModel:
         K = None
         if tangent:
             CC = resp["CC"].reshape(shape + (6, 6))
+            B = el.b_matrices(F, self.dNdX)
             Ke = el.material_stiffness(B, CC, self.wdet) \
                 + el.geometric_stiffness(S6, self.dNdX, self.wdet)
             G = el.volume_gradient(Finv, J, self.dNdX, self.wdet)
@@ -256,11 +274,11 @@ class FemModel:
         when one is given, unless assembling there raises (an element
         inverts or the density update fails): then it starts at `u`, so a
         guess outside the feasible range costs one assembly, not a cutback.
-        Every iteration assembles the tangent once, factors it once and
-        solves once; its line-search trials assemble the residual alone,
-        and the tangent is assembled at the accepted trial only when
-        another iteration follows.  The iteration count is the number of
-        factorizations.  The incoming state (previous densities) is left
+        Every iteration assembles the tangent once and solves with it once
+        through `_solve_reduced`; its line-search trials assemble the
+        residual alone, and the tangent is assembled at the accepted trial
+        only when another iteration follows.  The iteration count is the
+        number of linear solves.  The incoming state (previous densities) is left
         untouched; call `commit(aux)` once the step is accepted.
         """
         u = np.asarray(u, dtype=float).copy()
@@ -281,10 +299,8 @@ class FemModel:
         for it in range(NEWTON_MAXIT):
             if rnorm < tol:
                 return u, aux, it
-            du = splu(K).solve(-R[self.free_idx])
-            if not np.all(np.isfinite(du)):
-                raise SolverError("linear solve produced non-finite increment",
-                                  iteration=it, residual=rnorm)
+            du = _solve_reduced(K, -R[self.free_idx], iteration=it,
+                                residual=rnorm)
             alpha = 1.0
             for _ in range(LINESEARCH_CUTS):
                 u_try = u.copy()
@@ -369,9 +385,15 @@ def ramp_pressure(model: FemModel):
     a residual hill before membrane tension takes over, so rejecting every
     uphill step would freeze the flow.  Steps are rejected only when the
     state leaves the feasible range or the residual jumps by more than a
-    factor of five.  The damping starts at twice the largest external
+    factor of five, which quadruples the damping.  An accepted step whose
+    residual fell scales the damping by that ratio (at most tenfold down),
+    and one whose residual rose scales it by UPHILL_DAMPING, after the
+    switched evolution relaxation of Mulder & van Leer (1985), so the
+    damping keeps shrinking while the sheet climbs its residual hill; held
+    there, it would make the ramp crawl.  The damping starts at twice the largest external
     force, or at twice the initial residual when nothing is loaded; a
-    start already in equilibrium returns with 0 iterations.
+    start already in equilibrium returns with 0 iterations.  A linear
+    solve that fails counts as a rejected step.
     """
     u = np.zeros(model.n_dof)
     u[model.fixed] = model.fixed_values[model.fixed]
@@ -386,10 +408,11 @@ def ramp_pressure(model: FemModel):
         if rnorm < RESIDUAL_TOL:
             return u, aux, step
         Kd = K if k == 0.0 else K + k * eye
-        du = splu(Kd).solve(-R[model.free_idx])
-        u_try = u.copy()
-        u_try[model.free_idx] += du
         try:
+            du = _solve_reduced(Kd, -R[model.free_idx], iteration=step,
+                                residual=rnorm)
+            u_try = u.copy()
+            u_try[model.free_idx] += du
             R2, K2, aux2 = model.assemble(u_try, 0.0, 0.0)
             rn2 = np.abs(R2[model.free_idx]).max(initial=0.0)
         except (DeformationError, SolverError):
@@ -402,10 +425,9 @@ def ramp_pressure(model: FemModel):
             continue
         ratio = rn2 / max(rnorm, 1e-300)
         u, R, K, aux, rnorm = u_try, R2, K2, aux2, rn2
-        if ratio < 1.0:
-            k *= max(ratio, 0.1)
-            if k < 1e-8 * k0:
-                k = 0.0
+        k *= max(ratio, 0.1) if ratio < 1.0 else UPHILL_DAMPING
+        if k < 1e-8 * k0:
+            k = 0.0
         if rnorm < best:
             best, best_step = rnorm, step
         elif step - best_step > 200:
@@ -413,6 +435,24 @@ def ramp_pressure(model: FemModel):
                               residual=rnorm)
     raise SolverError("pseudo-transient continuation ran out of steps",
                       residual=rnorm)
+
+
+def _solve_reduced(K, rhs, **diagnostics):
+    """Solve K x = rhs for one reduced tangent; the LU is not kept.
+
+    Factors with LU_OPTIONS first.  If that factorization raises or its
+    solve is not finite, refactors once with scipy's default `splu`; if that
+    fails too, raises SolverError carrying `diagnostics`.
+    """
+    for options in (LU_OPTIONS, {}):
+        try:
+            x = splu(K, **options).solve(rhs)
+        except RuntimeError:
+            continue
+        if np.all(np.isfinite(x)):
+            return x
+    raise SolverError("linear solve produced non-finite increment",
+                      **diagnostics)
 
 
 def _extrapolate(past, t):

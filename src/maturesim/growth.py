@@ -161,10 +161,17 @@ def update_density_batch(rho_n, psi_m, t_np1, dt, p: GrowthParams):
     if not np.any(active):
         return rho, D, D2
 
-    q = (psi_m[active] - p.psi_crit) / p.psi_crit
+    psi_a = psi_m[active]
+    q = (psi_a - p.psi_crit) / p.psi_crit
     base = rho[active]  # bio-only predictor, also the lower bracket
-    # m is bounded by A*q*rho_th/e, giving a guaranteed upper bracket.
-    hi = base + dt * p.a2 * p.c_cell * q * p.rho_th / np.e
+    # Upper bracket: m <= A*q*rho_th/e bounds the root by the first term,
+    # which grows linearly in q.  The second grows like log q: for
+    # x >= 2*base and x >= rho_th*log(2*dt*A*q), x - base >= x/2 >= dt*m(x),
+    # so the residual is non-negative there.
+    dtAq = dt * p.a2 * p.c_cell * q
+    hi = np.minimum(base + dtAq * p.rho_th / np.e,
+                    np.maximum(2.0 * base,
+                               p.rho_th * np.log(np.maximum(2.0 * dtAq, 1.0))))
     lo = base.copy()
     x = base.copy()
     converged = np.zeros(x.shape, dtype=bool)
@@ -182,10 +189,12 @@ def update_density_batch(rho_n, psi_m, t_np1, dt, p: GrowthParams):
         bad = (dr <= 0.0) | (x_newton <= lo) | (x_newton >= hi) | ~np.isfinite(x_newton)
         x = np.where(converged, x, np.where(bad, 0.5 * (lo + hi), x_newton))
     else:
-        worst = float(np.max(np.abs(x - base - dt * _mech_partials(x, q, p)[0])))
+        resid = np.abs(x - base - dt * _mech_partials(x, q, p)[0])
+        worst = int(np.argmax(resid))
         raise SolverError(
             "density update did not converge",
-            residual=worst,
+            residual=float(resid[worst]),
+            psi_m=float(psi_a[worst]),
             tolerance=UPDATE_TOL,
             iterations=UPDATE_MAXIT,
         )

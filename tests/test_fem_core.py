@@ -208,8 +208,8 @@ class TestKinematicsAndForces:
         out = response_batch(C.reshape(-1, 3, 3), params,
                              np.zeros(C.shape[0] * C.shape[1]), 0.0, 0.0)
         S6 = out["S"].reshape(C.shape[:2] + (6,))
-        B = el.b_matrices(F, self.dNdX)
-        fint = el.internal_forces(B, S6, self.wdet)
+        fint = el.internal_forces(F, S6,
+                                  el.weighted_gradients(self.dNdX, self.wdet))
         h = 1e-6
         fd = (energy(self.ue + h * du) - energy(self.ue - h * du)) / (2 * h)
         assert np.dot(fint.ravel(), du.reshape(-1, 24).ravel()) == \
@@ -243,8 +243,11 @@ class TestKernelsMatchReference:
         assert ref.rel_err(self.B, expect) < self.TOL
 
     def test_internal_forces(self):
-        got = el.internal_forces(self.B, self.S6, self.wdet)
-        expect = ref.ref_internal_forces(self.B, self.S6, self.wdet)
+        # the P-form kernel against the B form: sum_g w B^T S
+        wdN = el.weighted_gradients(self.dNdX, self.wdet)
+        got = el.internal_forces(self.F, self.S6, wdN)
+        expect = ref.ref_internal_forces(
+            ref.ref_b_matrices(self.F, self.dNdX), self.S6, self.wdet)
         assert ref.rel_err(got, expect) < self.TOL
 
     def test_material_stiffness(self):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from maturesim import config
 from maturesim.errors import DeformationError, MeshError, ParameterError, SolverError
 from maturesim.fem import (Dirichlet, FemModel, PressureLoad,
                            clamped_strip_model, march_maturation,
@@ -283,6 +284,109 @@ class TestResidualOnly:
             assert np.array_equal(aux[key], aux2[key]), key
         assert np.any(aux["rho"] != model.rho) == (dt > 0.0)
 
+    def test_builds_no_b_matrices(self, monkeypatch):
+        # the residual comes from P = F S and the weighted reference
+        # gradients; B serves the material stiffness alone
+        model = clamped_strip_model(make_material(), nx=3, ny=2, nz=1)
+        rng = np.random.default_rng(46)
+        u = np.zeros(model.n_dof)
+        u[model.free_idx] = 0.01 * rng.standard_normal(len(model.free_idx))
+        R, _, _ = model.assemble(u, 0.0, 0.0)
+
+        def no_b(*args, **kwargs):
+            raise AssertionError("b_matrices called")
+
+        monkeypatch.setattr(el, "b_matrices", no_b)
+        R2, K2, _ = model.assemble(u, 0.0, 0.0, tangent=False)
+        assert K2 is None and np.array_equal(R, R2)
+        with pytest.raises(AssertionError, match="b_matrices called"):
+            model.assemble(u, 0.0, 0.0)
+
+
+class TestLinearSolveSeam:
+    """Every factorization of solve_step and ramp_pressure goes through
+    `_solve_reduced`: minimum-degree ordering without pivoting first, then
+    scipy's default splu when that raises or gives a non-finite solve."""
+
+    @staticmethod
+    def _model():
+        # thick plate at a twentieth of the load: plain Newton converges
+        return clamped_strip_model(make_material(), nx=6, ny=2, nz=1,
+                                   length=8.0, width=3.0, thickness=1.0,
+                                   pressure=0.0005)
+
+    @staticmethod
+    def _patched_splu(monkeypatch, fail_with, fail_default=False):
+        """Make the ordered call (the one with options) fail; the default
+        call (no options) fails too when fail_default.  Returns the list of
+        option sets splu was called with."""
+        real = solver.splu
+        calls = []
+
+        class NanLU:
+            def solve(self, rhs):
+                return np.full_like(rhs, np.nan)
+
+        def splu(K, **options):
+            calls.append(options)
+            if options or fail_default:
+                if fail_with == "raise":
+                    raise RuntimeError("Factor is exactly singular")
+                return NanLU()
+            return real(K)
+
+        monkeypatch.setattr(solver, "splu", splu)
+        return calls
+
+    def _step(self, model):
+        return model.solve_step(np.zeros(model.n_dof), t=0.0, dt=0.0,
+                                load_scale=0.05)
+
+    @pytest.mark.parametrize("fail_with", ["raise", "nan"])
+    def test_falls_back_to_default_splu(self, monkeypatch, fail_with):
+        u_plain, _, its_plain = self._step(self._model())
+        calls = self._patched_splu(monkeypatch, fail_with)
+        model = self._model()
+        u, aux, its = self._step(model)
+        assert its == its_plain > 0
+        # each iteration tries the ordered factorization, then the default
+        assert calls == [solver.LU_OPTIONS, {}] * its
+        assert np.abs(u - u_plain).max() <= 1e-12 * np.abs(u_plain).max()
+        assert np.abs(aux["residual"][model.free_idx]).max() < RESIDUAL_TOL
+
+    @pytest.mark.parametrize("fail_with", ["raise", "nan"])
+    def test_both_factorizations_failing_is_typed(self, monkeypatch, fail_with):
+        self._patched_splu(monkeypatch, fail_with, fail_default=True)
+        with pytest.raises(SolverError, match="non-finite") as info:
+            self._step(self._model())
+        assert info.value.diagnostics["iteration"] == 0
+        assert info.value.diagnostics["residual"] > RESIDUAL_TOL
+
+    def test_ramp_and_newton_factor_only_through_the_seam(self, monkeypatch):
+        real_splu, real_seam = solver.splu, solver._solve_reduced
+        factored, seamed = [], []
+
+        def splu(K, **options):
+            factored.append(options)
+            return real_splu(K, **options)
+
+        def seam(K, rhs, **diagnostics):
+            seamed.append(len(factored))
+            return real_seam(K, rhs, **diagnostics)
+
+        monkeypatch.setattr(solver, "splu", splu)
+        monkeypatch.setattr(solver, "_solve_reduced", seam)
+        model = clamped_strip_model(make_material(psi_crit=2e-5), nx=4, ny=2,
+                                    nz=1, length=8.0, width=3.0,
+                                    thickness=0.4, pressure=0.002)
+        u, aux, ramp_its = ramp_pressure(model)
+        model.commit(aux)
+        _, _, newton_its = model.solve_step(u, t=0.5, dt=0.5)
+        # one ordered factorization per solve, each inside the seam
+        assert seamed == list(range(ramp_its + newton_its))
+        assert factored == [solver.LU_OPTIONS] * (ramp_its + newton_its)
+        assert not any(hasattr(v, "solve") for v in vars(model).values())
+
 
 class TestRampAndEnergy:
     def test_external_work_matches_stored_energy(self):
@@ -341,6 +445,26 @@ class TestRampAndEnergy:
         assert np.allclose(F[:, 0, 0], stretch, atol=1e-12)
         assert np.allclose(F[:, 1, 1], rec.F[1, 1], atol=1e-6)
         assert np.allclose(F[:, 2, 2], rec.F[2, 2], atol=1e-6)
+
+    # the benchmark strip's ramp end deflection (mm) at the nominal pressure
+    # and at its +-0.5 % band edges, as reached without the uphill damping
+    # decay (89 iterations each): the decay must not change the branch
+    @pytest.mark.parametrize("band, deflection", [
+        (-0.005, 5.069636648066085), (0.0, 5.075580499978447),
+        (0.005, 5.081496018855572)])
+    def test_ramp_branch_and_length(self, band, deflection):
+        params = config.parse_config(
+            {"material": {"collagen": {"kappa": 0.15}}}).material
+        nx, ny, nz = 20, 6, 2
+        model = clamped_strip_model(params, nx=nx, ny=ny, nz=nz,
+                                    pressure=0.002 * (1.0 + band))
+        u, _, its = ramp_pressure(model)
+        uz = u.reshape(nx + 1, ny + 1, nz + 1, 3)[..., 2]
+        assert np.abs(uz).max() == pytest.approx(deflection, rel=1e-7)
+        assert its <= 40
+        scale = np.abs(uz).max()
+        assert np.abs(uz - uz[::-1]).max() <= 1e-8 * scale
+        assert np.abs(uz - uz[:, ::-1]).max() <= 1e-8 * scale
 
     def test_dead_load_differs_from_follower(self):
         params = make_material()

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from maturesim.errors import ParameterError, StateError
+from maturesim.errors import ParameterError, SolverError, StateError
 from maturesim.growth import (GrowthParams, GrowthState, bio_rate, mech_rate,
                               update_density, update_density_batch,
                               weibull_alpha, weibull_alpha_rate)
 
-from conftest import make_growth
+from conftest import deadline, make_growth
 
 
 class TestWeibull:
@@ -207,6 +207,31 @@ class TestUpdateDensity:
         s = update_density(GrowthState(rho=1.0), 60.0, 50.0, 2e-3, p)
         r = s.rho - 1.0 - 50.0 * (bio_rate(60.0, p) + mech_rate(s.rho, 2e-3, p))
         assert abs(r) <= 1e-12
+
+    @pytest.mark.parametrize("psi, converges", [
+        (2.4e4, True), (1e8, True), (1e11, True), (1.1e13, True),
+        (1e14, True), (1e16, False)])
+    def test_large_energy_converges_or_names_it(self, psi, converges):
+        # fiber strains 2 to past 3 under the default growth law; the upper
+        # bracket must not grow linearly in psi_m, or bisection cannot close
+        # it.  Up to 1e14 the update converges to the root; beyond, where
+        # round-off in the residual reaches UPDATE_TOL, it may end in a
+        # typed error that names psi_m, never in NaN or a hang.
+        p = make_growth(psi_crit=2e-5)
+        t, dt, rho_n = 10.0, 0.28, np.array([1.0])
+        with deadline(30):
+            try:
+                rho, D, D2 = update_density_batch(rho_n, np.array([psi]), t,
+                                                  dt, p)
+            except SolverError as err:
+                if converges:
+                    raise
+                assert err.diagnostics["psi_m"] == psi
+                return
+        r = rho[0] - rho_n[0] - dt * (bio_rate(t, p) + mech_rate(rho[0], psi, p))
+        assert abs(r) <= 1e-12
+        assert rho[0] > rho_n[0]
+        assert np.all(np.isfinite([D[0], D2[0]]))
 
     def test_doubling_a2_never_decreases_density(self):
         base = make_growth(psi_crit=2e-5)
