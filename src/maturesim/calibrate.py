@@ -158,6 +158,8 @@ class FitProblem:
 
     `model(x, series)` returns the predicted ordinates of one series for
     trial parameters x; exceptions inside are treated as infinite residuals.
+    A model with a `predict(x, series_list)` method, one prediction per
+    series, is evaluated through it, once per trial x (see `PointModel`).
     """
 
     param_names: list
@@ -218,14 +220,21 @@ def fit_weibull(times, values, weights=None, x0=None) -> FitResult:
 
 def fit_material(problem: FitProblem) -> FitResult:
     """Weighted least squares over all series of a FitProblem."""
+    predict = getattr(problem.model, "predict", None)
+
+    def predictions(x):
+        if predict is not None:
+            return predict(x, problem.series)
+        return [problem.model(x, s) for s in problem.series]
 
     def objective(x):
+        try:
+            preds = predictions(x)
+        except Exception:
+            return np.inf
         total = 0.0
-        for s in problem.series:
-            try:
-                pred = np.asarray(problem.model(x, s), dtype=float)
-            except Exception:
-                return np.inf
+        for s, pred in zip(problem.series, preds):
+            pred = np.asarray(pred, dtype=float)
             if pred.shape != s.y.shape or not np.all(np.isfinite(pred)):
                 return np.inf
             total += float(np.sum(s.weights * (pred - s.y) ** 2))
@@ -234,8 +243,8 @@ def fit_material(problem: FitProblem) -> FitResult:
     nm = nelder_mead(objective, problem.x0, bounds=problem.bounds,
                      max_evals=problem.max_evals, xtol=1e-8, ftol=1e-12)
     rms = {}
-    for s in problem.series:
-        pred = np.asarray(problem.model(nm.x, s), dtype=float)
+    for s, pred in zip(problem.series, predictions(nm.x)):
+        pred = np.asarray(pred, dtype=float)
         wsum = float(np.sum(s.weights))
         rms[s.name] = float(np.sqrt(np.sum(s.weights * (pred - s.y) ** 2) / wsum)) \
             if wsum > 0 else 0.0
@@ -264,12 +273,7 @@ def substitute(base: MaterialParams, names, values) -> MaterialParams:
 
 def uniaxial_eng_stress(params: MaterialParams, stretches, rho):
     """P11 over a quasi-static uniaxial protocol at frozen density rho."""
-    stretches = np.asarray(stretches, dtype=float)
-    knots = np.concatenate([[1.0], stretches])
-    times = np.arange(knots.size, dtype=float)
-    prog = LoadProgram(times=times, controls=(knots, FREE, FREE), grow=False)
-    recs = solve_mixed_point(prog, params, init=GrowthState(rho=float(rho)))
-    return np.array([r.F[0, 0] * r.S[0] for r in recs[1:]])
+    return _axis0_stress(params, "uniaxial", [stretches], [rho])[0]
 
 
 def biaxial_eng_stress(params: MaterialParams, strains, ratio, rho):
@@ -278,13 +282,59 @@ def biaxial_eng_stress(params: MaterialParams, strains, ratio, rho):
     Only axis 0 is reported, so constants acting mainly along axis 1 (the
     second yarn, e.g. `k1_2`) are weakly identified by these series.
     """
-    strains = np.asarray(strains, dtype=float)
-    e1 = np.concatenate([[0.0], strains])
-    prog = LoadProgram(times=np.arange(e1.size, dtype=float),
-                       controls=(e1, e1 / ratio, FREE),
-                       strain_measure="engineering", grow=False)
-    recs = solve_mixed_point(prog, params, init=GrowthState(rho=float(rho)))
-    return np.array([r.F[0, 0] * r.S[0] for r in recs[1:]])
+    return _axis0_stress(params, "biaxial", [strains], [rho], [ratio])[0]
+
+
+def _axis0_stress(params, kind, xs, rhos, ratios=None):
+    """P11 of several frozen-density protocols, solved as one program.
+
+    `xs` holds one abscissa array per protocol with its density in `rhos`:
+    uniaxial stretches of axis 0 with the other axes free, or biaxial
+    engineering strains e1 of axis 0 with e2 = e1 / ratio and the thickness
+    free.  The knots of a frozen program are independent, so all of them,
+    after one reference knot at the unit stretch, form one lockstep batch
+    with one density per knot.  Returns one P11 array per protocol.
+    """
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    sizes = [x.size for x in xs]
+    rho = np.concatenate([[0.0]] + [np.full(n, float(r)) for n, r in zip(sizes, rhos)])
+    if kind == "uniaxial":
+        controls = (np.concatenate([[1.0]] + xs), FREE, FREE)
+        measure = "stretch"
+    else:
+        e2 = [x / r for x, r in zip(xs, ratios)]
+        controls = (np.concatenate([[0.0]] + xs), np.concatenate([[0.0]] + e2), FREE)
+        measure = "engineering"
+    prog = LoadProgram(times=np.arange(rho.size, dtype=float), controls=controls,
+                       strain_measure=measure, grow=False)
+    recs = solve_mixed_point(prog, params, init=GrowthState(rho=rho))
+    P = np.array([r.F[0, 0] * r.S[0] for r in recs[1:]])
+    return np.split(P, np.cumsum(sizes)[:-1])
+
+
+class PointModel:
+    """Forward model of a material fit on frozen-density point protocols.
+
+    `predict(x, series_list)` builds the parameter bundle for x once and
+    solves every series as one lockstep program; `model(x, series)` is its
+    one-series view.  See `make_point_model`.
+    """
+
+    def __init__(self, base, param_names, kind, rho_by_series, ratio_by_series):
+        self.base = base
+        self.param_names = param_names
+        self.kind = kind
+        self.rho_by_series = rho_by_series or {}
+        self.ratio_by_series = ratio_by_series or {}
+
+    def predict(self, x, series_list):
+        p = substitute(self.base, self.param_names, x)
+        rhos = [self.rho_by_series.get(s.name, 0.0) for s in series_list]
+        ratios = [self.ratio_by_series.get(s.name, 1.0) for s in series_list]
+        return _axis0_stress(p, self.kind, [s.x for s in series_list], rhos, ratios)
+
+    def __call__(self, x, series):
+        return self.predict(x, [series])[0]
 
 
 def make_point_model(base: MaterialParams, param_names, kind="uniaxial",
@@ -295,18 +345,11 @@ def make_point_model(base: MaterialParams, param_names, kind="uniaxial",
     frozen density `rho_by_series[name]`.  kind "biaxial": series.x are
     engineering strains of axis 1 with strain ratio `ratio_by_series[name]`;
     predictions are P along axis 0 only, so second-yarn constants such as
-    `textile.k1_2` are weakly identified by biaxial series.
+    `textile.k1_2` are weakly identified by biaxial series.  The model is
+    a `PointModel`: `model(x, series)` predicts one series, and
+    `model.predict(x, series_list)` all of them from one bundle and one
+    lockstep program.
     """
     if kind not in ("uniaxial", "biaxial"):
         raise FitError(f"unknown model kind {kind!r}")
-
-    def model(x, series):
-        p = substitute(base, param_names, x)
-        if kind == "uniaxial":
-            rho = (rho_by_series or {}).get(series.name, 0.0)
-            return uniaxial_eng_stress(p, series.x, rho)
-        ratio = (ratio_by_series or {}).get(series.name, 1.0)
-        rho = (rho_by_series or {}).get(series.name, 0.0)
-        return biaxial_eng_stress(p, series.x, ratio, rho)
-
-    return model
+    return PointModel(base, param_names, kind, rho_by_series, ratio_by_series)

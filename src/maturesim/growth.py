@@ -146,8 +146,9 @@ def update_density_batch(rho_n, psi_m, t_np1, dt, p: GrowthParams):
         raise ParameterError("rho_n and psi_m must have matching shapes")
     if np.any(rho_n < 0.0) or np.any(~np.isfinite(rho_n)):
         raise StateError("densities must be finite and non-negative")
-    if np.any(psi_m < 0.0):
-        raise StateError("collagen energy per unit mass must be non-negative")
+    if not np.all((psi_m >= 0.0) & (psi_m < np.inf)):
+        raise StateError("collagen energy per unit mass must be finite and "
+                         "non-negative")
     if dt < 0.0:
         raise ParameterError(f"dt must be non-negative, got {dt}")
 
@@ -162,8 +163,28 @@ def update_density_batch(rho_n, psi_m, t_np1, dt, p: GrowthParams):
         return rho, D, D2
 
     psi_a = psi_m[active]
+    # an excess so large that the rates overflow leaves no root to find in
+    # floating point: the same failure as a residual above UPDATE_TOL
+    try:
+        with np.errstate(over="raise"):
+            x, Da, D2a = _update_active(rho[active], psi_a, dt, p)
+    except FloatingPointError:
+        raise SolverError("density update did not converge", residual=np.inf,
+                          psi_m=float(np.max(psi_a)),
+                          tolerance=UPDATE_TOL) from None
+    rho[active] = x
+    D[active] = Da
+    D2[active] = D2a
+    return rho, D, D2
+
+
+def _update_active(base, psi_a, dt, p: GrowthParams):
+    """Density update of the points whose psi_m reaches psi_crit.
+
+    `base` is their bio-only predictor.  Returns (rho, drho_dpsim,
+    d2rho_dpsim2) of those points.
+    """
     q = (psi_a - p.psi_crit) / p.psi_crit
-    base = rho[active]  # bio-only predictor, also the lower bracket
     # Upper bracket: m <= A*q*rho_th/e bounds the root by the first term,
     # which grows linearly in q.  The second grows like log q: for
     # x >= 2*base and x >= rho_th*log(2*dt*A*q), x - base >= x/2 >= dt*m(x),
@@ -172,7 +193,7 @@ def update_density_batch(rho_n, psi_m, t_np1, dt, p: GrowthParams):
     hi = np.minimum(base + dtAq * p.rho_th / np.e,
                     np.maximum(2.0 * base,
                                p.rho_th * np.log(np.maximum(2.0 * dtAq, 1.0))))
-    lo = base.copy()
+    lo = base.copy()  # the bio-only predictor is the lower bracket
     x = base.copy()
     converged = np.zeros(x.shape, dtype=bool)
     for _ in range(UPDATE_MAXIT):
@@ -184,7 +205,7 @@ def update_density_batch(rho_n, psi_m, t_np1, dt, p: GrowthParams):
         lo = np.where((r < 0.0) & ~converged, x, lo)
         hi = np.where((r > 0.0) & ~converged, x, hi)
         dr = 1.0 - dt * m_r
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x_newton = x - r / dr
         bad = (dr <= 0.0) | (x_newton <= lo) | (x_newton >= hi) | ~np.isfinite(x_newton)
         x = np.where(converged, x, np.where(bad, 0.5 * (lo + hi), x_newton))
@@ -203,10 +224,7 @@ def update_density_batch(rho_n, psi_m, t_np1, dt, p: GrowthParams):
     dr = 1.0 - dt * m_r
     Da = dt * m_p / dr
     D2a = dt * (m_rr * Da**2 + 2.0 * m_rp * Da) / dr
-    rho[active] = x
-    D[active] = Da
-    D2[active] = D2a
-    return rho, D, D2
+    return x, Da, D2a
 
 
 def update_density(state: GrowthState, t_np1, dt, psi_m, p: GrowthParams) -> GrowthState:

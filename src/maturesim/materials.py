@@ -457,14 +457,16 @@ def total_response(F, params: MaterialParams, state: GrowthState, dt, t):
     Runs the density update over the step (t - dt, t] when dt > 0 and
     returns the total stress/tangent pair together with the new growth
     state.  With dt == 0 the density is frozen and the state is passed
-    through unchanged.  F may also be a stack (..., 3, 3) of points that
-    share `state.rho`; the stress, tangent and the fields of the new state
-    are then stacks over F's leading axes.
+    through unchanged.  F may also be a stack (..., 3, 3) of points;
+    `state.rho` is then one density for all of them or an array over F's
+    leading axes, one per point, and the stress, tangent and the fields of
+    the new state are stacks over those axes.
     """
     F = np.asarray(F, dtype=float)
     lead = F.shape[:-2]
     C = tn.right_cauchy_green(F).reshape(-1, 3, 3)
-    out = response_batch(C, params, np.full(len(C), state.rho), t, dt)
+    rho_n = np.broadcast_to(np.asarray(state.rho, dtype=float), lead).reshape(-1)
+    out = response_batch(C, params, rho_n, t, dt)
     fields = {k: out[k].reshape(lead) for k in ("rho", "drho_dpsim", "psi_m")}
     if not lead:
         fields = {k: float(v) for k, v in fields.items()}

@@ -15,11 +15,15 @@ import numpy as np
 
 from .errors import ParameterError, SolverError
 from .growth import GrowthParams, GrowthState, bio_rate
-from .materials import MaterialParams, total_response
+from .materials import FIBER_STRAIN_MAX, MaterialParams, total_response
 from .tensors import VOIGT_I, VOIGT_J
 
 #: free-axis convergence tolerance on Cauchy stress, MPa
 STRESS_TOL = 1e-10
+#: a point whose full Newton step moves its free stretches by less than
+#: this share is at its root as closely as floating point resolves it, also
+#: where the stresses are so large that STRESS_TOL lies below their round-off
+STEP_RTOL = 1e-15
 NEWTON_MAXIT = 30
 #: most steps `unloaded_maturation` takes (its arrays are allocated whole)
 UNLOADED_MAX_STEPS = 1_000_000
@@ -105,10 +109,11 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
     With `grow=False` the knots do not depend on one another and the whole
     path is one lockstep batch, its free stretches starting from the
     incompressible guess (1 / prod of the controlled stretches)^(1/n_free);
-    a growing program is solved knot by knot in time, each knot starting
-    from the last one's stretches.  Raises SolverError when a free-axis
-    Newton iteration stalls, and DeformationError when an iterate takes the
-    fibers past the collagen law's strain limit.
+    `init.rho` may then hold one frozen density per path point.  A growing
+    program is solved knot by knot in time, each knot starting from the
+    last one's stretches, from one scalar `init.rho`.  Raises SolverError
+    when a free-axis Newton iteration stalls, and DeformationError when a
+    knot takes the fibers past the collagen law's strain limit.
     """
     free = [ax for ax, c in enumerate(program.controls) if isinstance(c, str)]
     controlled = [ax for ax in range(3) if ax not in free]
@@ -125,20 +130,45 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
         path_lams[0, ax] = v0[0, 0]
         path_lams[1:, ax] = ((1.0 - w) * v0 + w * v1).ravel()
 
-    if not program.grow:
-        if free:
-            vol = np.prod(path_lams[:, controlled], axis=1, keepdims=True)
-            path_lams[:, free] = (1.0 / vol) ** (1.0 / len(free))
-        lams, S, sigma, _, psi_m = _newton_free_axes(path_lams, free, params,
-                                                     init.rho, 0.0, path_t[0])
-        return [PointRecord(time=t, F=np.diag(lams[k]), S=S[k], sigma=sigma[k],
-                            rho=init.rho, psi_m=float(psi_m[k]))
-                for k, t in enumerate(path_t)]
+    if np.ndim(init.rho) and (program.grow or np.shape(init.rho) != path_t.shape):
+        raise ParameterError("init.rho must be a scalar, or one density per "
+                             f"path point ({path_t.size}) of a frozen program")
+    if program.grow:
+        return _solve_in_turn(path_t, path_lams, free, params, init.rho, True)
+    guess = path_lams.copy()
+    if free:
+        vol = np.prod(path_lams[:, controlled], axis=1, keepdims=True)
+        guess[:, free] = (1.0 / vol) ** (1.0 / len(free))
+    try:
+        lams, S, sigma, rho, psi_m = _newton_free_axes(guess, free, params,
+                                                       init.rho, 0.0, path_t[0])
+    except SolverError as exc:
+        # a knot the guess does not lead to its root: follow the path from
+        # the unit stretch instead, and if that fails too, report the batch
+        try:
+            return _solve_in_turn(path_t, path_lams, free, params, init.rho, False)
+        except SolverError:
+            raise exc from None
+    return [PointRecord(time=t, F=np.diag(lams[k]), S=S[k], sigma=sigma[k],
+                        rho=float(rho[k]), psi_m=float(psi_m[k]))
+            for k, t in enumerate(path_t)]
 
-    lams, rho, records = np.ones((1, 3)), init.rho, []   # free axes start at 1
+
+def _solve_in_turn(path_t, path_lams, free, params, rho, grow):
+    """Solve the path knot by knot, each from the last one's stretches.
+
+    The free axes start at 1.  A growing path carries its density from
+    knot to knot; a frozen one keeps `rho`, one for all knots or one per
+    knot, and solves every knot at dt = 0.
+    """
+    controlled = [ax for ax in range(3) if ax not in free]
+    frozen = None if grow else np.broadcast_to(rho, path_t.shape)
+    lams, records = np.ones((1, 3)), []
     t_prev = path_t[0]
-    for t, target in zip(path_t, path_lams):
+    for k, (t, target) in enumerate(zip(path_t, path_lams)):
         # the initial knot solves at dt = 0, so its density stays frozen
+        if frozen is not None:
+            rho, t_prev = frozen[k], t
         lams[0, controlled] = target[controlled]
         lams, S, sigma, rho_new, psi_m = _newton_free_axes(lams, free, params,
                                                            rho, t - t_prev, t)
@@ -154,31 +184,35 @@ def _newton_free_axes(lams, free, params, rho, dt, t):
     """Zero the Cauchy stress on the free axes of a stack of points.
 
     `lams` (N, 3) holds the starting stretches of N points that share the
-    free axes, the previous-level density `rho` and the step (dt, t).  The
-    Newton runs in lockstep: each iterate evaluates the points not yet
-    converged in one `total_response` call.  F = diag(lams), so
-    J = l1 l2 l3 and the push-forward of the PK2 stress is
-    sigma_ij = l_i S_ij l_j / J; each iterate takes J, sigma and the
-    free-axis Jacobians from its stretches.  Returns the converged
-    stretches with the evaluation each point converged at, all over the N
-    points: (lams, S, sigma, rho, psi_m), rho being the updated density.
+    free axes, `rho` the previous-level density, one for all points or one
+    per point, and (dt, t) the step.  The Newton runs in lockstep: each
+    iterate evaluates the points not yet converged, with their own
+    densities, in one `total_response` call.  F = diag(lams), so
+    J = l1 l2 l3, the push-forward of the PK2 stress is
+    sigma_ij = l_i S_ij l_j / J and the fiber strain is
+    sum_i l_i^2 H_ii - 1; each iterate takes J, sigma and the free-axis
+    Jacobians from its stretches.  Returns the converged stretches with the
+    evaluation each point converged at, all over the N points:
+    (lams, S, sigma, rho, psi_m), rho being the updated density.
     """
     lams = np.array(lams, dtype=float)
     n = len(lams)
     S, sigma = np.empty((n, 6)), np.empty((n, 6))
     rho_new, psi_m = np.empty(n), np.empty(n)
-    state = GrowthState(rho=rho)
+    rho = np.broadcast_to(GrowthState(rho=rho).rho, n)
+    h_diag = np.diag(params.collagen.H)
     diag = np.diag_indices(len(free))
     todo = np.arange(n)
+    at_root = np.zeros(n, dtype=bool)
     for _ in range(NEWTON_MAXIT):
         lam = lams[todo]
         st, new_state = total_response(lam[:, :, None] * np.eye(3), params,
-                                       state, dt, t)
+                                       GrowthState(rho=rho[todo]), dt, t)
         J = np.prod(lam, axis=1)[:, None]
         sig = (lam[:, VOIGT_I] * st.S) * lam[:, VOIGT_J] / J
         res = sig[:, free]
         err = np.max(np.abs(res), axis=1, initial=0.0)
-        done = err <= STRESS_TOL
+        done = (err <= STRESS_TOL) | at_root
         hit = todo[done]
         S[hit], sigma[hit] = st.S[done], sig[done]
         rho_new[hit], psi_m[hit] = new_state.rho[done], new_state.psi_m[done]
@@ -198,13 +232,23 @@ def _newton_free_axes(lams, free, params, rho, dt, t):
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular free-axis Jacobian",
                               residual=float(np.max(err))) from exc
-        # keep iterates physical: halve the step until every stretch stays
-        # above a twentieth of its old value, a bound halving always meets
-        new = lf + step
-        while np.any(low := new <= 0.05 * lf):
+        # a full step within STEP_RTOL of the stretches: the point's next
+        # evaluation is its last
+        at_root = np.all(np.abs(step) <= STEP_RTOL * lf, axis=1)
+        # keep iterates physical: halve a free stretch's step until it stays
+        # above a twentieth of its old value, and a point's whole step until
+        # its fiber strain stays within the collagen law's limit; the old
+        # iterate meets both bounds, so halving always ends
+        trial = lam.copy()
+        while True:
+            trial[:, free] = lf + step
+            low = trial[:, free] <= 0.05 * lf
+            over = trial**2 @ h_diag - 1.0 > FIBER_STRAIN_MAX
+            if not (low.any() or over.any()):
+                break
             step[low] *= 0.5
-            new = lf + step
-        lams[todo[:, None], free] = new
+            step[over] *= 0.5
+        lams[todo[:, None], free] = trial[:, free]
     worst = int(np.argmax(err))
     raise SolverError("free-axis Newton did not converge",
                       residual=float(err[worst]), tolerance=STRESS_TOL,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from maturesim import calibrate
 from maturesim.calibrate import (DataSeries, FitProblem, biaxial_eng_stress,
                                  fit_material, fit_weibull, make_point_model,
                                  nelder_mead, substitute, uniaxial_eng_stress)
@@ -13,6 +14,23 @@ from conftest import make_material
 # relative collagen content measured over four weeks of static culture
 MATURATION_POINTS = [(0.0, 0.0), (7.0, 0.28486), (14.0, 0.6060),
                      (21.0, 0.8357), (28.0, 1.0)]
+
+
+def collagen_problem(max_evals=600):
+    base = make_material()
+    stretches = np.linspace(1.01, 1.12, 8)
+    names = ["collagen.k1", "collagen.k2"]
+    rhos = {"rel100": base.collagen.rho_f,
+            "rel84": 0.8357 * base.collagen.rho_f,
+            "rel61": 0.6060 * base.collagen.rho_f}
+    series = [DataSeries(name=k, x=stretches,
+                         y=uniaxial_eng_stress(base, stretches, rho))
+              for k, rho in rhos.items()]
+    model = make_point_model(base, names, kind="uniaxial", rho_by_series=rhos)
+    return base, rhos, FitProblem(param_names=names, x0=np.array([0.5, 6.0]),
+                                  bounds=[(0.05, 5.0), (0.5, 20.0)],
+                                  series=series, model=model,
+                                  max_evals=max_evals)
 
 
 class TestNelderMead:
@@ -107,19 +125,7 @@ class TestSubstitute:
 
 class TestFitMaterial:
     def test_collagen_round_trip(self):
-        base = make_material()
-        stretches = np.linspace(1.01, 1.12, 8)
-        names = ["collagen.k1", "collagen.k2"]
-        rhos = {"rel100": base.collagen.rho_f,
-                "rel84": 0.8357 * base.collagen.rho_f,
-                "rel61": 0.6060 * base.collagen.rho_f}
-        series = [DataSeries(name=k, x=stretches,
-                             y=uniaxial_eng_stress(base, stretches, rho))
-                  for k, rho in rhos.items()]
-        model = make_point_model(base, names, kind="uniaxial", rho_by_series=rhos)
-        prob = FitProblem(param_names=names, x0=np.array([0.5, 6.0]),
-                          bounds=[(0.05, 5.0), (0.5, 20.0)], series=series,
-                          model=model, max_evals=600)
+        _, _, prob = collagen_problem()
         res = fit_material(prob)
         assert res.params["collagen.k1"] == pytest.approx(0.825, rel=0.02)
         assert res.params["collagen.k2"] == pytest.approx(4.0, rel=0.02)
@@ -165,3 +171,52 @@ class TestFitMaterial:
                           series=[DataSeries("s", stretches, y)])
         res = fit_material(prob)
         assert res.params["collagen.k1"] == pytest.approx(0.825, rel=0.05)
+
+
+class TestPointModelBatch:
+    def test_uniaxial_batch_matches_each_series(self):
+        # three densities and unequal lengths in one lockstep program, each
+        # series bit for bit what its own protocol gives
+        base, rhos, prob = collagen_problem()
+        series = [DataSeries(k, np.linspace(1.01, 1.02 + 0.03 * i, 3 + 2 * i),
+                             np.zeros(3 + 2 * i))
+                  for i, k in enumerate(rhos)]
+        x = np.array([0.9, 3.5])
+        p = substitute(base, prob.param_names, x)
+        preds = prob.model.predict(x, series)
+        assert len(preds) == len(series)
+        for s, pred in zip(series, preds):
+            alone = uniaxial_eng_stress(p, s.x, rhos[s.name])
+            assert np.array_equal(pred, alone)
+            assert np.array_equal(prob.model(x, s), alone)
+
+    def test_biaxial_batch_matches_each_series(self):
+        base = make_material()
+        names = ["textile.k1_1", "textile.k1_2"]
+        ratios = {"equi": 1.0, "onethird": 3.0}
+        model = make_point_model(base, names, kind="biaxial",
+                                 ratio_by_series=ratios)
+        strains = np.linspace(0.02, 0.2, 6)
+        series = [DataSeries(k, strains, np.zeros(6)) for k in ratios]
+        x = np.array([0.04, 0.2])
+        p = substitute(base, names, x)
+        for s, pred in zip(series, model.predict(x, series)):
+            assert np.array_equal(pred, biaxial_eng_stress(p, s.x, ratios[s.name], 0.0))
+
+    def test_one_bundle_and_one_program_per_evaluation(self, monkeypatch):
+        # every objective evaluation of a three-series fit, and the final
+        # per-series report, builds one bundle and solves one program
+        _, _, prob = collagen_problem(max_evals=20)
+        calls = {"substitute": 0, "solve_mixed_point": 0}
+        for name in calls:
+            fn = getattr(calibrate, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(calibrate, name, counted)
+        res = fit_material(prob)
+        assert res.nm.n_evals >= 20
+        assert calls == {"substitute": res.nm.n_evals + 1,
+                         "solve_mixed_point": res.nm.n_evals + 1}

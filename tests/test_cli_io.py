@@ -425,17 +425,34 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [
-        ["--axis", "y", "--stretch", "5", "--ratio", "1"], ["--stretch", "4"]])
-    def test_extreme_matpoint_fails_typed(self, tmp_path, capsys, flags):
+    @pytest.mark.parametrize("stretch", [3.0, 5.0])
+    def test_extreme_matpoint_converges(self, tmp_path, stretch):
         # y and z at 5 start the free x axis at 0.04, where the step halving
-        # of the free-axis Newton used to loop forever; x at 4 takes the
-        # fibers past the collagen law's strain limit, where its exponential
-        # used to overflow into NaN iterates
+        # of the free-axis Newton used to loop forever, and then one
+        # iterate's overshoot took the fibers along x past the collagen
+        # law's strain limit; the guess leads these knots to no root, so the
+        # frozen program follows its path from the unit stretch instead
         with deadline(60), warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["-q", "matpoint", "--out", str(tmp_path / "r"),
-                         "--no-grow"] + flags)
+                         "--no-grow", "--axis", "y", "--stretch", str(stretch),
+                         "--ratio", "1"])
+        assert code == 0
+        lines = (tmp_path / "r" / "matpoint.csv").read_text().splitlines()
+        assert len(lines) == 102  # header + initial point + 100 steps
+        last = [float(v) for v in lines[-1].split(",")]
+        assert last[2] == last[3] == stretch  # F22, F33
+        assert 0.0 < last[1] < 1.0  # F11 contracts
+        # sigma11 vanishes to the round-off of stresses of order 1e7 MPa
+        assert abs(last[7]) <= 1e-14 * max(abs(last[8]), 1e4)
+
+    def test_extreme_matpoint_fails_typed(self, tmp_path, capsys):
+        # x at 4 takes the fibers past the collagen law's strain limit,
+        # where its exponential used to overflow into NaN iterates
+        with deadline(60), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["-q", "matpoint", "--out", str(tmp_path / "r"),
+                         "--no-grow", "--stretch", "4"])
         assert code == 2
         assert "solver failure" in capsys.readouterr().err
 

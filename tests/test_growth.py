@@ -233,6 +233,24 @@ class TestUpdateDensity:
         assert rho[0] > rho_n[0]
         assert np.all(np.isfinite([D[0], D2[0]]))
 
+    @pytest.mark.parametrize("psi", [np.nan, np.inf, -np.inf])
+    def test_non_finite_energy_is_a_state_error(self, psi):
+        # NaN used to pass both the sign check and the activation mask and
+        # return the bio-only density; inf warned in the bracket arithmetic
+        p = make_growth(psi_crit=2e-5)
+        with pytest.raises(StateError):
+            update_density_batch(np.array([1.0]), np.array([psi]), 10.0, 0.28, p)
+
+    @pytest.mark.parametrize("psi", [1e305, 1.7e308])
+    def test_overflowing_excess_names_psi_m(self, psi):
+        # the excess (psi_m - psi_crit) / psi_crit overflows: the typed
+        # failure of psi_m = 1e16, with no RuntimeWarning on the way
+        p = make_growth(psi_crit=2e-5)
+        with pytest.raises(SolverError, match="did not converge") as info:
+            update_density_batch(np.array([1.0, 1.0]), np.array([0.0, psi]),
+                                 10.0, 0.28, p)
+        assert info.value.diagnostics["psi_m"] == psi
+
     def test_doubling_a2_never_decreases_density(self):
         base = make_growth(psi_crit=2e-5)
         double = make_growth(psi_crit=2e-5, a2=1e-6)

@@ -320,6 +320,26 @@ class TestTotalResponse:
                     getattr(one_new, name), rel=1e-14, abs=0.0)
         assert np.all(new.rho > 5.0) if dt > 0.0 else np.all(new.rho == 5.0)
 
+    @pytest.mark.parametrize("dt", [0.0, 0.1])
+    def test_density_per_point_matches_scalar_calls(self, dt):
+        # a stack with one previous density per point answers at each
+        # point, bit for bit, what the stack answers with that point's
+        # density as the one scalar density
+        params = make_material(kappa=0.1, psi_crit=2e-5)
+        rng = np.random.default_rng(32)
+        F = np.array([[random_F(rng, spread=0.2, stretch=0.2) for _ in range(3)]
+                      for _ in range(2)])
+        rho = rng.uniform(0.0, 40.0, (2, 3))
+        st, new = total_response(F, params, GrowthState(rho=rho), dt, 2.0)
+        for idx in np.ndindex(2, 3):
+            one, one_new = total_response(F, params,
+                                          GrowthState(rho=float(rho[idx])), dt, 2.0)
+            assert np.array_equal(st.S[idx], one.S[idx])
+            assert np.array_equal(st.CC[idx], one.CC[idx])
+            for name in ("rho", "drho_dpsim", "psi_m"):
+                assert getattr(new, name)[idx] == getattr(one_new, name)[idx]
+        assert np.all(new.rho > rho) if dt > 0.0 else np.array_equal(new.rho, rho)
+
     def test_coupled_stress_matches_fd_of_discrete_potential(self):
         # the total PK2 stress must be 2 d/dC of the incremental potential
         # with the density update embedded, including the drho/dC chain

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maturesim import materials, matpoint
+from maturesim import config, materials, matpoint
 from maturesim.errors import ParameterError, SolverError
 from maturesim.growth import GrowthState, bio_rate
 from maturesim.materials import (MaterialParams, MatrixParams, cauchy_stress,
@@ -263,6 +263,63 @@ class TestFreeStretchFloor:
             recs = solve_mixed_point(prog, material_params)
         assert 0.0 < recs[-1].F[1, 1] < 0.04
         assert abs(recs[-1].sigma[1]) <= matpoint.STRESS_TOL
+
+
+def equibiaxial_yz(stretch, steps=100):
+    # y and z stretched alike, x free: the default config's collagen lies
+    # along x and its yarns along x and y
+    return LoadProgram(times=[0.0, 28.0],
+                       controls=(FREE, [1.0, stretch], [1.0, stretch]),
+                       steps_per_interval=steps, grow=False)
+
+
+class TestFiberStrainGuard:
+    @pytest.mark.parametrize("stretch", [3.0, 5.0])
+    def test_iterates_stay_within_the_fiber_limit(self, monkeypatch, stretch):
+        # a full Newton step from the incompressible guess took x past the
+        # fiber limit (E = 13.6 at y = z = 5) and sank the whole batch; the
+        # step is halved before the batch is evaluated, and the knots the
+        # guess leads to no root are solved along the path instead
+        params = config.parse_config({}).material
+        strains = []
+        response = matpoint.total_response
+
+        def recorded(F, *args):
+            C = np.einsum("...ki,...kj->...ij", F, F)
+            E = np.einsum("...ij,ij->...", C, params.collagen.H) - 1.0
+            strains.append(np.max(E))
+            return response(F, *args)
+
+        monkeypatch.setattr(matpoint, "total_response", recorded)
+        with deadline(60):
+            recs = solve_mixed_point(equibiaxial_yz(stretch), params)
+        assert max(strains) <= materials.FIBER_STRAIN_MAX
+        assert recs[-1].F[1, 1] == recs[-1].F[2, 2] == stretch
+        for r in recs:
+            # zero to the round-off of Cauchy stresses up to 4e7 MPa
+            assert abs(r.sigma[0]) <= max(matpoint.STRESS_TOL,
+                                          1e-14 * np.max(np.abs(r.sigma)))
+
+
+class TestPerPointDensity:
+    def test_records_match_scalar_density_solves(self, material_params):
+        # one frozen batch with a density per knot answers, knot by knot,
+        # what one scalar-density program per density answers, bit for bit
+        prog = uniaxial(1.15, steps=6)
+        rhos = np.linspace(0.0, 38.71, 7)
+        recs = solve_mixed_point(prog, material_params, init=GrowthState(rho=rhos))
+        for k, rho in enumerate(rhos):
+            alone = solve_mixed_point(prog, material_params,
+                                      init=GrowthState(rho=rho))
+            assert recs[k].rho == rho
+            assert records_to_csv([recs[k]]) == records_to_csv([alone[k]])
+
+    @pytest.mark.parametrize("grow, size", [(True, 7), (False, 6), (False, 8)])
+    def test_density_array_needs_a_frozen_program_of_its_length(
+            self, material_params, grow, size):
+        with pytest.raises(ParameterError):
+            solve_mixed_point(uniaxial(1.1, steps=6, grow=grow), material_params,
+                              init=GrowthState(rho=np.full(size, 5.0)))
 
 
 class TestRecordedEnergy:
