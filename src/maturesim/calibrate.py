@@ -343,7 +343,8 @@ def make_point_model(base: MaterialParams, param_names, kind="uniaxial",
 
     kind "uniaxial": series.x are stretches, predictions are P11 at the
     frozen density `rho_by_series[name]`.  kind "biaxial": series.x are
-    engineering strains of axis 1 with strain ratio `ratio_by_series[name]`;
+    engineering strains e1 of axis 0, and axis 1 takes e2 = e1 / r with
+    r = `ratio_by_series[name]` (e1 = r * e2, as in `biaxial_eng_stress`);
     predictions are P along axis 0 only, so second-yarn constants such as
     `textile.k1_2` are weakly identified by biaxial series.  The model is
     a `PointModel`: `model(x, series)` predicts one series, and

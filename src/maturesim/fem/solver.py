@@ -42,7 +42,7 @@ from ..errors import DeformationError, MeshError, ParameterError, SolverError
 from ..materials import (MaterialParams, cauchy_stress, response_batch,
                          volumetric_energy, volumetric_modulus,
                          volumetric_pressure)
-from ..tensors import inv_det3
+from ..tensors import deformation_inv_det
 from . import elements as el
 from .mesh import Mesh, strip_mesh
 
@@ -190,7 +190,7 @@ class FemModel:
 
     # -- assembly -----------------------------------------------------------
 
-    def assemble(self, u, t, dt, load_scale=1.0, tangent=True):
+    def assemble(self, u, t, dt, tangent=True):
         """Residual, reduced tangent and state fields at displacements u.
 
         Returns (R, K, aux): R is the full residual (internal minus external
@@ -204,9 +204,7 @@ class FemModel:
         u = np.asarray(u, dtype=float).reshape(-1)
         ue = u.reshape(-1, 3)[self.conn]
         F = el.deformation_gradients(ue, self.dNdX)
-        Finv, J = inv_det3(F)
-        if np.any(J <= 0.0):
-            raise DeformationError("an element inverted during the solve")
+        Finv, J = deformation_inv_det(F)
         C = F.swapaxes(-1, -2) @ F
 
         mat = self.params.matrix
@@ -229,8 +227,7 @@ class FemModel:
             xf = self.mesh.nodes[fnodes]
             if load.follower:
                 xf = xf + u.reshape(-1, 3)[fnodes]
-            f, Kl = el.face_pressure(xf, load.pressure * load_scale,
-                                     tangent=tangent)
+            f, Kl = el.face_pressure(xf, load.pressure, tangent=tangent)
             np.add.at(fext, fdofs.ravel(), f.ravel())
             if load.follower and tangent:
                 # R = fint - fext, so the load stiffness enters negated
@@ -266,35 +263,46 @@ class FemModel:
 
     # -- solving ------------------------------------------------------------
 
-    def solve_step(self, u, t, dt, load_scale=1.0, tol=RESIDUAL_TOL,
-                   guess=None):
+    def _try_assemble(self, u, t, dt, tangent=True):
+        """Assemble at u and measure its residual: the one test of whether
+        an iterate is feasible.
+
+        Returns (rnorm, (R, K, aux)), rnorm the infinity norm of R over the
+        free dofs, or (inf, err) when assembling raises the DeformationError
+        or SolverError err: an element inverts, a fiber strain leaves the
+        collagen law's range or the density update fails.  Every caller that
+        treats such an iterate as a rejected trial goes through here.
+        """
+        try:
+            R, K, aux = self.assemble(u, t, dt, tangent=tangent)
+        except (DeformationError, SolverError) as err:
+            return np.inf, err
+        return np.abs(R[self.free_idx]).max(initial=0.0), (R, K, aux)
+
+    def solve_step(self, u, t, dt, tol=RESIDUAL_TOL, guess=None):
         """Newton solve of one step; returns (u, aux, iterations).
 
         `u` is the last converged displacement.  Newton starts at `guess`
-        when one is given, unless assembling there raises (an element
-        inverts or the density update fails): then it starts at `u`, so a
-        guess outside the feasible range costs one assembly, not a cutback.
-        Every iteration assembles the tangent once and solves with it once
-        through `_solve_reduced`; its line-search trials assemble the
-        residual alone, and the tangent is assembled at the accepted trial
-        only when another iteration follows.  The iteration count is the
-        number of linear solves.  The incoming state (previous densities) is left
-        untouched; call `commit(aux)` once the step is accepted.
+        when one is given, unless it is infeasible (see `_try_assemble`):
+        then it starts at `u`, so a guess outside the feasible range costs
+        one assembly, not a cutback; where `u` is infeasible too, its error
+        is raised.  Every iteration assembles the tangent once and solves
+        with it once through `_solve_reduced`; its line-search trials
+        assemble the residual alone, and the tangent is assembled at the
+        accepted trial only when another iteration follows.  The iteration
+        count is the number of linear solves.  The incoming state (previous
+        densities) is left untouched; call `commit(aux)` once the step is
+        accepted.
         """
-        u = np.asarray(u, dtype=float).copy()
-        u[self.fixed] = self.fixed_values[self.fixed]
-        start = None
-        if guess is not None:
-            g = np.asarray(guess, dtype=float).copy()
-            g[self.fixed] = self.fixed_values[self.fixed]
-            try:
-                start = g, self.assemble(g, t, dt, load_scale)
-            except (DeformationError, SolverError):
-                pass
-        if start is None:
-            start = u, self.assemble(u, t, dt, load_scale)
-        u, (R, K, aux) = start
-        rnorm = np.abs(R[self.free_idx]).max(initial=0.0)
+        for start in ([u] if guess is None else [guess, u]):
+            start = np.asarray(start, dtype=float).copy()
+            start[self.fixed] = self.fixed_values[self.fixed]
+            rnorm, out = self._try_assemble(start, t, dt)
+            if not isinstance(out, Exception):
+                break
+        else:
+            raise out
+        u, (R, K, aux) = start, out
         stalled = 0
         for it in range(NEWTON_MAXIT):
             if rnorm < tol:
@@ -305,19 +313,15 @@ class FemModel:
             for _ in range(LINESEARCH_CUTS):
                 u_try = u.copy()
                 u_try[self.free_idx] += alpha * du
-                try:
-                    R2, _, aux2 = self.assemble(u_try, t, dt, load_scale,
-                                                tangent=False)
-                except (DeformationError, SolverError):
-                    alpha *= 0.5
-                    continue
-                rn2 = np.abs(R2[self.free_idx]).max(initial=0.0)
+                # an infeasible trial has rn2 = inf and is cut like one
+                # that fails to reduce the residual
+                rn2, out = self._try_assemble(u_try, t, dt, tangent=False)
                 if rn2 < rnorm or rn2 < tol:
                     # without a decent reduction rate Newton is only creeping
                     # along a bending-to-membrane transition; give up early
                     # so the caller can cut the increment
                     stalled = stalled + 1 if rn2 > 0.99 * rnorm else 0
-                    u, R, aux, rnorm = u_try, R2, aux2, rn2
+                    u, (R, _, aux), rnorm = u_try, out, rn2
                     break
                 alpha *= 0.5
             else:
@@ -327,7 +331,7 @@ class FemModel:
                 raise SolverError("Newton stagnated", iteration=it,
                                   residual=rnorm)
             if rnorm >= tol and it + 1 < NEWTON_MAXIT:
-                K = self.assemble(u, t, dt, load_scale)[1]
+                K = self.assemble(u, t, dt)[1]
         if rnorm < tol:
             return u, aux, NEWTON_MAXIT
         raise SolverError("Newton did not converge", residual=rnorm,
@@ -397,8 +401,10 @@ def ramp_pressure(model: FemModel):
     """
     u = np.zeros(model.n_dof)
     u[model.fixed] = model.fixed_values[model.fixed]
-    R, K, aux = model.assemble(u, 0.0, 0.0)
-    rnorm = np.abs(R[model.free_idx]).max(initial=0.0)
+    rnorm, out = model._try_assemble(u, 0.0, 0.0)
+    if isinstance(out, Exception):
+        raise out
+    R, K, aux = out
     fmax = np.abs(aux["fext"]).max(initial=0.0)
     k0 = 2.0 * (fmax or rnorm)
     k = k0
@@ -411,12 +417,12 @@ def ramp_pressure(model: FemModel):
         try:
             du = _solve_reduced(Kd, -R[model.free_idx], iteration=step,
                                 residual=rnorm)
+        except SolverError:
+            rn2 = np.inf
+        else:
             u_try = u.copy()
             u_try[model.free_idx] += du
-            R2, K2, aux2 = model.assemble(u_try, 0.0, 0.0)
-            rn2 = np.abs(R2[model.free_idx]).max(initial=0.0)
-        except (DeformationError, SolverError):
-            rn2 = np.inf
+            rn2, out = model._try_assemble(u_try, 0.0, 0.0)
         if not np.isfinite(rn2) or rn2 > 5.0 * rnorm:
             k = max(4.0 * k, 1e-6 * k0)
             if k > 1e9 * k0:
@@ -424,7 +430,7 @@ def ramp_pressure(model: FemModel):
                                   residual=rnorm)
             continue
         ratio = rn2 / max(rnorm, 1e-300)
-        u, R, K, aux, rnorm = u_try, R2, K2, aux2, rn2
+        u, (R, K, aux), rnorm = u_try, out, rn2
         k *= max(ratio, 0.1) if ratio < 1.0 else UPHILL_DAMPING
         if k < 1e-8 * k0:
             k = 0.0

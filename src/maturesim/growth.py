@@ -59,35 +59,49 @@ class GrowthParams:
 class GrowthState:
     """Per-point internal state: density, and the per-mass collagen energy
     and density sensitivity of its last update.  The fields are arrays when
-    the state belongs to a stack of points (see `total_response`)."""
+    the state belongs to a stack of points (see `total_response`).
+
+    Construction is the package's one admissibility check of a density and
+    of psi_m: each must be finite and non-negative at every point, NaN
+    failing too, or StateError is raised.  Functions that take a density or
+    psi_m from their caller check it by building a state from it.
+    """
 
     rho: float = 0.0
     drho_dpsim: float = 0.0
     psi_m: float = 0.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.rho)) or np.any(self.rho < 0.0):
-            raise StateError(f"density must be finite and non-negative, got {self.rho}")
+        for name, what in (("rho", "density"),
+                           ("psi_m", "collagen energy per unit mass")):
+            value = np.asarray(getattr(self, name), dtype=float)
+            # NaN fails both comparisons
+            if not np.all((value >= 0.0) & (value < np.inf)):
+                raise StateError(f"{what} must be finite and non-negative, "
+                                 f"got {getattr(self, name)}")
+
+
+def _weibull_time(t, tau, h):
+    """t as an array, once tau and h are positive and finite and every t
+    finite and non-negative (NaN fails each test); ParameterError if not."""
+    if not (0.0 < tau < np.inf and 0.0 < h < np.inf):
+        raise ParameterError(f"tau and h must be positive and finite, got {tau}, {h}")
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t < np.inf)):
+        raise ParameterError("time must be finite and non-negative")
+    return t
 
 
 def weibull_alpha(t, tau, h):
     """Weibull CDF alpha(t) = 1 - exp(-(t/tau)^h), the bio time course."""
-    if tau <= 0.0 or h <= 0.0:
-        raise ParameterError("tau and h must be positive")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ParameterError("time must be non-negative")
+    t = _weibull_time(t, tau, h)
     out = 1.0 - np.exp(-((t / tau) ** h))
     return out if out.ndim else float(out)
 
 
 def weibull_alpha_rate(t, tau, h):
     """d alpha / d t.  Defined as 0 at t = 0 for shapes h > 1."""
-    if tau <= 0.0 or h <= 0.0:
-        raise ParameterError("tau and h must be positive")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ParameterError("time must be non-negative")
+    t = _weibull_time(t, tau, h)
     if h <= 1.0 and np.any(t == 0.0):
         raise ParameterError("rate at t = 0 is undefined for h <= 1")
     x = t / tau
@@ -106,12 +120,9 @@ def mech_rate(rho, psi_m, p: GrowthParams):
 
     rho_dot_mech = a2 * c_cell * exp(-rho/rho_th) * rho * (psi_m - psi_crit)/psi_crit
     """
+    GrowthState(rho=rho, psi_m=psi_m)
     rho = np.asarray(rho, dtype=float)
     psi_m = np.asarray(psi_m, dtype=float)
-    if np.any(rho < 0.0):
-        raise StateError("density must be non-negative")
-    if np.any(psi_m < 0.0):
-        raise StateError("collagen energy per unit mass must be non-negative")
     rate = _mech_partials(rho, (psi_m - p.psi_crit) / p.psi_crit, p)[0]
     out = np.where(psi_m >= p.psi_crit, rate, 0.0)
     return out if out.ndim else float(out)
@@ -144,13 +155,9 @@ def update_density_batch(rho_n, psi_m, t_np1, dt, p: GrowthParams):
     psi_m = np.atleast_1d(np.asarray(psi_m, dtype=float))
     if rho_n.shape != psi_m.shape:
         raise ParameterError("rho_n and psi_m must have matching shapes")
-    if np.any(rho_n < 0.0) or np.any(~np.isfinite(rho_n)):
-        raise StateError("densities must be finite and non-negative")
-    if not np.all((psi_m >= 0.0) & (psi_m < np.inf)):
-        raise StateError("collagen energy per unit mass must be finite and "
-                         "non-negative")
-    if dt < 0.0:
-        raise ParameterError(f"dt must be non-negative, got {dt}")
+    GrowthState(rho=rho_n, psi_m=psi_m)
+    if not 0.0 <= dt < np.inf:
+        raise ParameterError(f"dt must be finite and non-negative, got {dt}")
 
     D = np.zeros_like(rho_n)
     D2 = np.zeros_like(rho_n)
@@ -199,7 +206,10 @@ def _update_active(base, psi_a, dt, p: GrowthParams):
     for _ in range(UPDATE_MAXIT):
         m, m_r, _, _, _ = _mech_partials(x, q, p)
         r = x - base - dt * m
-        converged = np.abs(r) <= UPDATE_TOL
+        # a residual within a few ulps of the density is converged too:
+        # above rho ~ 560 that exceeds UPDATE_TOL, which round-off in r
+        # would otherwise keep out of reach
+        converged = np.abs(r) <= np.maximum(UPDATE_TOL, 8.0 * np.finfo(float).eps * x)
         if np.all(converged):
             break
         lo = np.where((r < 0.0) & ~converged, x, lo)

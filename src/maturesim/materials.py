@@ -219,9 +219,7 @@ def matrix_batch(C, p: MatrixParams, pbar=None, tangent=True):
     Returns (psi_mu, U_local, S, CC, J); CC is None with tangent=False.
     """
     C = np.asarray(C, dtype=float)
-    Cinv, detC = tn.inv_det3(C)
-    if (detC <= 0.0).any():
-        raise DeformationError(f"det C must be positive, got min {np.min(detC):g}")
+    Cinv, detC = tn.deformation_inv_det(C)
     J = np.sqrt(detC)
     cinv = tn.to_voigt(Cinv)
     I1 = np.trace(C, axis1=-2, axis2=-1)
@@ -268,7 +266,7 @@ def collagen_psim_batch(C, p: CollagenParams):
     """
     C = np.asarray(C, dtype=float)
     _, E = tn.fiber_strain(C, p.H)
-    if float(E.max(initial=0.0)) > FIBER_STRAIN_MAX:
+    if not float(E.max(initial=0.0)) <= FIBER_STRAIN_MAX:   # NaN fails too
         raise DeformationError("fiber strain left the supported range")
     tension = E > 0.0
     Es = np.where(tension, E, 0.0)
@@ -293,7 +291,10 @@ def _collagen_stress_tangent(p: CollagenParams, psi_m, dpsi, curv, rho, D, D2,
     S_co = 2.0 * (rho + D * psi_m)[..., None] * (dpsi[..., None] * p.h6)
     if not tangent:
         return S_co, None
-    coef = 4.0 * ((D2 * psi_m + 2.0 * D) * dpsi**2 + (D * psi_m + rho) * curv)
+    # a dpsi dpsi, not a dpsi**2: dpsi**2 overflows for fiber strains above
+    # about 9.45 (k2 = 4), and a = 0 at frozen density
+    a = D2 * psi_m + 2.0 * D
+    coef = 4.0 * ((a * dpsi) * dpsi + (D * psi_m + rho) * curv)
     return S_co, coef[..., None, None] * p.hh
 
 
@@ -383,8 +384,7 @@ def collagen_stress(C, p: CollagenParams, rho, drho_dC, drho_dpsim=0.0, d2rho_dp
     d2rho_dpsim2 are supplied; with the defaults it is the frozen-density
     tangent.
     """
-    if rho < 0.0 or not np.isfinite(rho):
-        raise StateError(f"density must be finite and non-negative, got {rho}")
+    GrowthState(rho=rho)
     psi_m, dpsi, curv, _ = collagen_psim_batch(np.asarray(C, dtype=float)[None], p)
     if drho_dC is not None:
         chain = drho_dpsim * (dpsi[0] * p.h6)
@@ -406,10 +406,11 @@ def response_batch(C, params: MaterialParams, rho_n, t, dt, pbar=None,
     """Total stress, tangent and updated densities for a batch of points.
 
     `rho_n` holds the converged densities of the previous time level; with
-    dt > 0 the growth update runs inside (bio rate at time t) and the
-    returned tangent is consistent with it, with dt == 0 densities stay
-    frozen.  `pbar` switches the matrix volumetric term to an externally
-    averaged pressure (see `matrix_batch`).
+    dt == 0 densities stay frozen, otherwise the growth update runs inside
+    (bio rate at time t; it refuses a negative or non-finite dt) and the
+    returned tangent is consistent with it.  `pbar` switches the matrix
+    volumetric term to an externally averaged pressure (see
+    `matrix_batch`).
 
     Returns a dict of batch arrays: S, CC, rho, drho_dpsim, psi_m,
     fiber_strain, J, psi_point (pointwise energy density: matrix shear +
@@ -424,7 +425,7 @@ def response_batch(C, params: MaterialParams, rho_n, t, dt, pbar=None,
                                              tangent=tangent)
     psi_tex, S_tex, CC_tex = textile_batch(C, params.textile, tangent=tangent)
 
-    if dt > 0.0:
+    if dt != 0.0:
         flat = psi_m.reshape(-1)
         rho, D, D2 = update_density_batch(rho_n.reshape(-1), flat, t, dt, params.growth)
         rho = rho.reshape(psi_m.shape)
@@ -478,9 +479,7 @@ def total_response(F, params: MaterialParams, state: GrowthState, dt, t):
 def cauchy_stress(F, S):
     """Push-forward sigma = J^-1 F S F^T of a PK2 stress 6-vector."""
     F = np.asarray(F, dtype=float)
-    J = np.linalg.det(F)
-    if np.any(J <= 0.0):
-        raise DeformationError(f"det F must be positive, got min {np.min(J):g}")
+    J = tn.deformation_inv_det(F)[1]
     Smat = tn.from_voigt(S)
     sig = np.einsum("...ik,...kl,...jl->...ij", F, Smat, F) / J[..., None, None]
     return tn.to_voigt(sig)

@@ -185,7 +185,8 @@ def _newton_free_axes(lams, free, params, rho, dt, t):
 
     `lams` (N, 3) holds the starting stretches of N points that share the
     free axes, `rho` the previous-level density, one for all points or one
-    per point, and (dt, t) the step.  The Newton runs in lockstep: each
+    per point (the caller has checked it, as a `GrowthState`'s), and
+    (dt, t) the step.  The Newton runs in lockstep: each
     iterate evaluates the points not yet converged, with their own
     densities, in one `total_response` call.  F = diag(lams), so
     J = l1 l2 l3, the push-forward of the PK2 stress is
@@ -199,7 +200,7 @@ def _newton_free_axes(lams, free, params, rho, dt, t):
     n = len(lams)
     S, sigma = np.empty((n, 6)), np.empty((n, 6))
     rho_new, psi_m = np.empty(n), np.empty(n)
-    rho = np.broadcast_to(GrowthState(rho=rho).rho, n)
+    rho = np.broadcast_to(rho, n)
     h_diag = np.diag(params.collagen.H)
     diag = np.diag_indices(len(free))
     todo = np.arange(n)

@@ -118,12 +118,28 @@ def unit_vector(v):
     return v / n
 
 
+def deformation_inv_det(A):
+    """Inverse and determinant of a stack of deformation tensors, F or C,
+    from `inv_det3`.
+
+    The one admissibility check of a deformation: raises DeformationError
+    unless every A is finite and has det A > 0, so a NaN or infinite entry
+    is rejected before anything is computed from it.
+    """
+    A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise DeformationError("deformation tensor must be finite")
+    inv, det = inv_det3(A)
+    if not (det > 0.0).all():
+        raise DeformationError("deformation tensor must have a positive "
+                               f"determinant, got min {np.min(det):g}")
+    return inv, det
+
+
 def right_cauchy_green(F):
-    """C = F^T F.  Rejects deformation gradients with det F <= 0."""
+    """C = F^T F.  Rejects what `deformation_inv_det` rejects."""
     F = np.asarray(F, dtype=float)
-    J = np.linalg.det(F)
-    if np.any(J <= 0.0):
-        raise DeformationError(f"det F must be positive, got min {np.min(J):g}")
+    deformation_inv_det(F)
     return np.einsum("...ki,...kj->...ij", F, F)
 
 

@@ -446,6 +446,25 @@ class TestCli:
         # sigma11 vanishes to the round-off of stresses of order 1e7 MPa
         assert abs(last[7]) <= 1e-14 * max(abs(last[8]), 1e4)
 
+    @pytest.mark.parametrize("flags, final_rho", [
+        (["--stretch", "3.3", "--no-grow"], 0.0),
+        (["--axis", "x", "--stretch", "3", "--ratio", "1"], 2000.0)])
+    def test_matpoint_near_the_limits_converges(self, tmp_path, flags,
+                                                final_rho):
+        # fiber strain 9.89, where the collagen tangent squared an
+        # overflowing dpsi/dE; and a growing equibiaxial program whose
+        # density passes 2000, where the density update stalled on
+        # round-off above its absolute tolerance
+        with deadline(60), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["-q", "matpoint", "--out", str(tmp_path / "r")]
+                        + flags)
+        assert code == 0
+        last = (tmp_path / "r" / "matpoint.csv").read_text().splitlines()[-1]
+        time, *_, rho, _ = (float(v) for v in last.split(","))
+        assert time == 28.0
+        assert rho >= final_rho
+
     def test_extreme_matpoint_fails_typed(self, tmp_path, capsys):
         # x at 4 takes the fibers past the collagen law's strain limit,
         # where its exponential used to overflow into NaN iterates

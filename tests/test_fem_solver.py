@@ -268,15 +268,15 @@ class TestResidualOnly:
         model = FemModel(strip_mesh(2.0, 1.5, 1.0, 3, 2, 2), params,
                          dirichlet=[Dirichlet("xmin", dofs=(0, 2)),
                                     Dirichlet("xmax")],
-                         loads=[PressureLoad("bottom", 0.003),
-                                PressureLoad("top", 0.001, follower=False)])
+                         loads=[PressureLoad("bottom", 0.003 * 0.7),
+                                PressureLoad("top", 0.001 * 0.7, follower=False)])
         rng = np.random.default_rng(45)
         model.rho = rng.uniform(0.5, 4.0, size=model.rho.shape)
         u = np.zeros(model.n_dof)
         u[model.free_idx] = 0.02 * rng.standard_normal(len(model.free_idx))
         u[model.fixed] = model.fixed_values[model.fixed]
-        R, K, aux = model.assemble(u, t, dt, load_scale=0.7)
-        R2, K2, aux2 = model.assemble(u, t, dt, load_scale=0.7, tangent=False)
+        R, K, aux = model.assemble(u, t, dt)
+        R2, K2, aux2 = model.assemble(u, t, dt, tangent=False)
         assert K is not None and K2 is None
         assert np.array_equal(R, R2)
         assert aux.keys() == aux2.keys()
@@ -313,7 +313,7 @@ class TestLinearSolveSeam:
         # thick plate at a twentieth of the load: plain Newton converges
         return clamped_strip_model(make_material(), nx=6, ny=2, nz=1,
                                    length=8.0, width=3.0, thickness=1.0,
-                                   pressure=0.0005)
+                                   pressure=0.0005 * 0.05)
 
     @staticmethod
     def _patched_splu(monkeypatch, fail_with, fail_default=False):
@@ -339,8 +339,7 @@ class TestLinearSolveSeam:
         return calls
 
     def _step(self, model):
-        return model.solve_step(np.zeros(model.n_dof), t=0.0, dt=0.0,
-                                load_scale=0.05)
+        return model.solve_step(np.zeros(model.n_dof), t=0.0, dt=0.0)
 
     @pytest.mark.parametrize("fail_with", ["raise", "nan"])
     def test_falls_back_to_default_splu(self, monkeypatch, fail_with):
@@ -393,15 +392,18 @@ class TestRampAndEnergy:
         # hyperelastic ramp: follower-load work equals the stored energy;
         # the plate is thick enough for plain equal-increment stepping
         params = make_material()
-        model = clamped_strip_model(params, nx=6, ny=2, nz=1, length=8.0,
-                                    width=3.0, thickness=1.0, pressure=0.0005)
         n_inc = 20
-        u = np.zeros(model.n_dof)
-        fext_prev = np.zeros(model.n_dof)
+        # one model per load increment, loaded with its fraction of the
+        # pressure
+        models = [clamped_strip_model(params, nx=6, ny=2, nz=1, length=8.0,
+                                      width=3.0, thickness=1.0,
+                                      pressure=0.0005 * (k / n_inc))
+                  for k in range(1, n_inc + 1)]
+        u = np.zeros(models[0].n_dof)
+        fext_prev = np.zeros(models[0].n_dof)
         work = 0.0
-        for k in range(1, n_inc + 1):
-            u_new, aux, _ = model.solve_step(u, t=0.0, dt=0.0,
-                                             load_scale=k / n_inc)
+        for model in models:
+            u_new, aux, _ = model.solve_step(u, t=0.0, dt=0.0)
             work += 0.5 * np.dot(aux["fext"] + fext_prev, u_new - u)
             u, fext_prev = u_new, aux["fext"]
         energy = model.total_energy(aux)
@@ -419,7 +421,7 @@ class TestRampAndEnergy:
         model = clamped_strip_model(params, nx=6, ny=2, nz=1, length=10.0,
                                     width=3.0, thickness=0.5, pressure=0.001)
         u, aux, _ = ramp_pressure(model)
-        direct = model.assemble(u, 0.0, 0.0, load_scale=1.0)[0]
+        direct = model.assemble(u, 0.0, 0.0)[0]
         assert np.abs(direct[model.free_idx]).max() < 1e-7
         assert u.reshape(-1, 3)[:, 2].max() > 0.01   # actually deflects up
 

@@ -233,6 +233,21 @@ class TestUpdateDensity:
         assert rho[0] > rho_n[0]
         assert np.all(np.isfinite([D[0], D2[0]]))
 
+    def test_large_density_converges_to_round_off(self):
+        # a step of the growing equibiaxial point program x = y = 3 (day
+        # 26.04): the residual's round-off, a few ulps of a density near
+        # 2000, stayed above the absolute UPDATE_TOL
+        p = make_growth(psi_crit=2e-5)
+        rho_n, psi = 2018.7549895014113, 9.359531572790699e+86
+        t, dt = 26.040000000000003, 0.28000000000000114
+        with deadline(30):
+            rho, D, D2 = update_density_batch(np.array([rho_n]),
+                                              np.array([psi]), t, dt, p)
+        r = rho[0] - rho_n - dt * (bio_rate(t, p) + mech_rate(rho[0], psi, p))
+        assert abs(r) <= 8.0 * np.finfo(float).eps * rho[0]
+        assert rho[0] > rho_n
+        assert np.all(np.isfinite([D[0], D2[0]]))
+
     @pytest.mark.parametrize("psi", [np.nan, np.inf, -np.inf])
     def test_non_finite_energy_is_a_state_error(self, psi):
         # NaN used to pass both the sign check and the activation mask and

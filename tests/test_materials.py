@@ -19,8 +19,8 @@ from maturesim.materials import (CollagenParams, MatrixParams, TextileParams,
 
 from _oracles import (fd_stress, fd_tangent, random_C, random_F, random_rotation,
                       ref_textile_batch, rel_err)
-from conftest import (EX, EY, make_collagen, make_growth, make_material,
-                      make_matrix, make_textile)
+from conftest import (EX, EY, deadline, make_collagen, make_growth,
+                      make_material, make_matrix, make_textile)
 
 
 class TestMatrix:
@@ -296,6 +296,19 @@ class TestTotalResponse:
             with pytest.raises(DeformationError, match="fiber strain"):
                 total_response(np.diag([4.0, 0.5, 0.5]), make_material(),
                                GrowthState(), 0.0, 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(E=st.floats(9.5, 9.99))
+    def test_frozen_tangent_finite_near_the_fiber_limit(self, E):
+        # (dpsi/dE)^2 leaves the float range above E ~ 9.45 for k2 = 4, short
+        # of the law's limit; the tangent's growth term, zero at frozen
+        # density, used to square it anyway
+        with deadline(10), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resp, _ = total_response(np.diag([np.sqrt(1.0 + E), 1.0, 1.0]),
+                                     make_material(), GrowthState(rho=5.0),
+                                     0.0, 0.0)
+        assert np.all(np.isfinite(resp.S)) and np.all(np.isfinite(resp.CC))
 
     @pytest.mark.parametrize("dt", [0.0, 0.1])
     def test_stack_matches_single_points(self, dt):
