@@ -128,7 +128,8 @@ def internal_forces(F, S6, wdN):
 def material_stiffness(B, CC, wdet):
     """sum_g w |J| B^T CC B as (E, 24, 24)."""
     e, g = wdet.shape
-    CB = (CC @ B) * wdet[..., None, None]
+    CB = CC @ B
+    CB *= wdet[..., None, None]     # in place: one (E, G, 6, 24) array, not two
     return B.reshape(e, g * 6, 24).swapaxes(1, 2) @ CB.reshape(e, g * 6, 24)
 
 

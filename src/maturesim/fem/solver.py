@@ -26,11 +26,18 @@ solver uses it for line-search trials, so it assembles a tangent only
 where it factors one.
 
 Every linear solve, Newton's and the ramp's, goes through one function,
-`_solve_reduced`, which factors the reduced system once for that one solve
-with a fill-reducing minimum-degree ordering and no pivoting, and falls
-back to scipy's default factorization when that fails.
+`_solve_reduced`, and no other code factors a matrix.  Given an LU factor
+of a nearby matrix it first refines with it; otherwise, or when that
+fails, it factors the reduced system with a fill-reducing minimum-degree
+ordering and no pivoting, and falls back to scipy's default factorization
+when that fails.  The ramp factors every solve afresh.  A maturation march
+keeps one factor across its growth steps (`_KeptFactor`): consecutive
+growth tangents differ little, so a factor made at one step's start
+serves the next steps' Newton solves until refinement slows, and it is
+refreshed only between steps.
 """
 
+import ctypes
 from collections import deque
 from dataclasses import dataclass
 
@@ -61,6 +68,31 @@ UPHILL_DAMPING = 0.7      # ramp damping factor after an accepted uphill step
 # defaults (COLAMD, partial pivoting); see `_solve_reduced`.
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
               "options": {"SymmetricMode": True}}
+
+# Iterative refinement with a kept factor (see `_solve_reduced`): a solve
+# is done once its residual is this far below Newton's tolerance, and
+# gives up on the factor after REFINE_SWEEPS sweeps or one that fails to
+# halve the residual.  A growth step any of whose solves needed
+# REFRESH_SWEEPS sweeps or gave up has the factor refreshed after it.
+REFINE_TOL = 1e-2 * RESIDUAL_TOL
+REFINE_SWEEPS = 8
+REFRESH_SWEEPS = 4
+
+# glibc's malloc_trim, which hands the free pages of the C heap back to
+# the OS; None where the C library has none.  SuperLU reserves about 44 MB
+# of address space per factor of the 240-element strip's tangent and
+# touches 2 MB of it.  A factor that outlives the allocations around it
+# leaves its touched pages inside the heap when it is freed, where glibc
+# does not trim them, so with each refresh of the kept factor other
+# allocations dirtied more of the heap: the first-round peak RSS of the
+# benchmark's strip march spread over 81-92 MB, against 83-86 MB with a
+# fresh factor per solve.  Trimming once the old factor is freed keeps it
+# at 81-85 MB (2-core VM, glibc 2.36).
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 @dataclass(frozen=True)
@@ -100,7 +132,7 @@ class StepRecord:
     deflection: float      # max |u_z| over all nodes, mm
     rho_mean: float        # volume-weighted Gauss point mean, ug/mm^3
     rho_max: float
-    newton_iters: int      # factorizations, one per Newton iteration
+    newton_iters: int      # linear solves, one per Newton iteration
     cutbacks: int = 0      # step halvings before the step was accepted
 
 
@@ -279,7 +311,7 @@ class FemModel:
             return np.inf, err
         return np.abs(R[self.free_idx]).max(initial=0.0), (R, K, aux)
 
-    def solve_step(self, u, t, dt, tol=RESIDUAL_TOL, guess=None):
+    def solve_step(self, u, t, dt, tol=RESIDUAL_TOL, guess=None, kept=None):
         """Newton solve of one step; returns (u, aux, iterations).
 
         `u` is the last converged displacement.  Newton starts at `guess`
@@ -290,7 +322,9 @@ class FemModel:
         with it once through `_solve_reduced`; its line-search trials
         assemble the residual alone, and the tangent is assembled at the
         accepted trial only when another iteration follows.  The iteration
-        count is the number of linear solves.  The incoming state (previous
+        count is the number of linear solves.  `kept` is the `_KeptFactor`
+        of a march, whose factor the solves refine with; without one each
+        solve factors its tangent afresh.  The incoming state (previous
         densities) is left untouched; call `commit(aux)` once the step is
         accepted.
         """
@@ -303,12 +337,13 @@ class FemModel:
         else:
             raise out
         u, (R, K, aux) = start, out
+        kept = _KeptFactor() if kept is None else kept
+        kept.start_step()
         stalled = 0
         for it in range(NEWTON_MAXIT):
             if rnorm < tol:
                 return u, aux, it
-            du = _solve_reduced(K, -R[self.free_idx], iteration=it,
-                                residual=rnorm)
+            du = kept.solve(K, -R[self.free_idx], iteration=it, residual=rnorm)
             alpha = 1.0
             for _ in range(LINESEARCH_CUTS):
                 u_try = u.copy()
@@ -416,7 +451,7 @@ def ramp_pressure(model: FemModel):
         Kd = K if k == 0.0 else K + k * eye
         try:
             du = _solve_reduced(Kd, -R[model.free_idx], iteration=step,
-                                residual=rnorm)
+                                residual=rnorm)[0]
         except SolverError:
             rn2 = np.inf
         else:
@@ -443,22 +478,83 @@ def ramp_pressure(model: FemModel):
                       residual=rnorm)
 
 
-def _solve_reduced(K, rhs, **diagnostics):
-    """Solve K x = rhs for one reduced tangent; the LU is not kept.
+def _solve_reduced(K, rhs, lu=None, **diagnostics):
+    """Solve K x = rhs for one reduced tangent; returns (x, lu, sweeps).
 
-    Factors with LU_OPTIONS first.  If that factorization raises or its
-    solve is not finite, refactors once with scipy's default `splu`; if that
-    fails too, raises SolverError carrying `diagnostics`.
+    Given `lu`, a factor of a nearby matrix, solves with it and refines:
+    x <- x + lu^-1 (rhs - K x) with this K, until ||rhs - K x||_inf <=
+    REFINE_TOL; then `lu` is returned with the number of refinement sweeps.
+    It gives up after REFINE_SWEEPS sweeps, or when the first solve or a
+    sweep fails to halve the residual.  Without `lu`, or once refinement
+    gives up, factors K with LU_OPTIONS; if that factorization raises or
+    its solve is not finite, refactors once with scipy's default `splu`,
+    and returns the factor that solved with sweeps None.  If that fails
+    too, raises SolverError carrying `diagnostics`.
     """
+    if lu is not None:
+        x = np.zeros_like(rhs)
+        r, rnorm = rhs, np.abs(rhs).max(initial=0.0)
+        for sweeps in range(REFINE_SWEEPS + 1):
+            x = x + lu.solve(r)
+            r = rhs - K @ x
+            last, rnorm = rnorm, np.abs(r).max(initial=0.0)
+            if not rnorm <= 0.5 * last:     # NaN gives up too
+                break
+            if rnorm <= REFINE_TOL:
+                return x, lu, sweeps
     for options in (LU_OPTIONS, {}):
         try:
-            x = splu(K, **options).solve(rhs)
+            lu = splu(K, **options)
+            x = lu.solve(rhs)
         except RuntimeError:
             continue
         if np.all(np.isfinite(x)):
-            return x
+            return x, lu, None
     raise SolverError("linear solve produced non-finite increment",
                       **diagnostics)
+
+
+class _KeptFactor:
+    """The one LU factor a maturation march keeps across its growth steps.
+
+    `solve` refines each Newton solve of a step with `lu` (see
+    `_solve_reduced`) and notes the step's first system, the tangent
+    assembled at its start, and whether any of its solves needed
+    REFRESH_SWEEPS sweeps or more or factored afresh.  `refresh`, called
+    between steps once the step is committed, then replaces `lu` by a
+    factor of that first tangent.  It frees the old factor and trims the C
+    heap (see `_malloc_trim`) before it makes the new one.  Made at a
+    step's end, not mid-Newton, the factor does not fragment the heap
+    while a step's temporaries are alive.  `FemModel` never holds one:
+    models get deep-copied, and a SuperLU factor cannot be.
+    """
+
+    def __init__(self):
+        self.lu = None
+        self.start_step()
+
+    def start_step(self):
+        self.first = None     # (K, rhs) of the step's first solve
+        self.stale = False
+
+    def solve(self, K, rhs, **diagnostics):
+        if self.first is None:
+            self.first = (K, rhs)
+        x, _, sweeps = _solve_reduced(K, rhs, lu=self.lu, **diagnostics)
+        self.stale |= sweeps is None or sweeps >= REFRESH_SWEEPS
+        return x
+
+    def refresh(self):
+        if self.stale:
+            K, rhs = self.first
+            self.lu = None
+            if _malloc_trim is not None:
+                _malloc_trim(0)
+            try:
+                self.lu = _solve_reduced(K, rhs)[1]
+            except SolverError:
+                pass      # the next step factors afresh and tries again
+        self.start_step()
 
 
 def _extrapolate(past, t):
@@ -484,10 +580,11 @@ def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
     starts from a predictor, the Lagrange polynomial in time through the
     last three accepted states (the ramp's end counts as the first; with
     fewer states the order drops), evaluated at the step's end time and
-    recomputed after a cutback.  Accepted steps commit the Gauss state and
-    append a StepRecord with the number of cutbacks; `on_step(time, u, aux,
-    model)` runs after each accepted step when given.  Returns (history, u,
-    aux).
+    recomputed after a cutback.  The Newton solves refine with one kept LU
+    factor, refreshed after a step that found it wanting (`_KeptFactor`).
+    Accepted steps commit the Gauss state and append a StepRecord with the
+    number of cutbacks; `on_step(time, u, aux, model)` runs after each
+    accepted step when given.  Returns (history, u, aux).
     Rejects t_end <= 0, which would end the run after the ramp alone, and
     dt0 <= 0, dt_max <= 0 and dt_ratio < 1: a step that is not positive, or
     that shrinks, may never reach t_end.
@@ -504,6 +601,7 @@ def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
         on_step(0.0, u, aux, model)
 
     past = deque([(0.0, u)], maxlen=3)
+    kept = _KeptFactor()
     t, dt = 0.0, float(dt0)
     while t < t_end - 1e-9:
         step = min(dt, t_end - t)
@@ -511,7 +609,8 @@ def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
         while True:
             try:
                 u_new, aux, its = model.solve_step(
-                    u, t=t + step, dt=step, guess=_extrapolate(past, t + step))
+                    u, t=t + step, dt=step, guess=_extrapolate(past, t + step),
+                    kept=kept)
                 break
             except SolverError:
                 step *= 0.5
@@ -522,6 +621,7 @@ def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
         u, t = u_new, t + step
         past.append((t, u))
         model.commit(aux)
+        kept.refresh()
         history.append(model.record(t, u, aux, its, cutbacks))
         if on_step is not None:
             on_step(t, u, aux, model)

@@ -169,28 +169,53 @@ def update_density_batch(rho_n, psi_m, t_np1, dt, p: GrowthParams):
     if not np.any(active):
         return rho, D, D2
 
-    psi_a = psi_m[active]
-    # an excess so large that the rates overflow leaves no root to find in
-    # floating point: the same failure as a residual above UPDATE_TOL
-    try:
-        with np.errstate(over="raise"):
-            x, Da, D2a = _update_active(rho[active], psi_a, dt, p)
-    except FloatingPointError:
-        raise SolverError("density update did not converge", residual=np.inf,
-                          psi_m=float(np.max(psi_a)),
-                          tolerance=UPDATE_TOL) from None
+    x, Da, D2a = _update_active(rho[active], psi_m[active], dt, p)
     rho[active] = x
     D[active] = Da
     D2[active] = D2a
     return rho, D, D2
 
 
+def _update_tolerance(x, dr):
+    """Residual accepted as converged at densities x, where dr = 1 - dt*m_rho
+    is the residual's slope.
+
+    UPDATE_TOL, unless round-off puts it out of reach: a residual within a
+    few ulps of the density (above rho ~ 560), or one whose Newton
+    correction r/dr is at most eps*|x|/4.  Doubles at x are at least
+    eps*|x|/2 apart, so such a correction rounds back to x and no update
+    can reduce the residual further; where rho lands far above rho_th in
+    one step, |dr| ~ rho/rho_th is large and this allowance exceeds
+    UPDATE_TOL.
+    """
+    eps = np.finfo(float).eps
+    return np.maximum(UPDATE_TOL, eps * np.abs(x) * np.maximum(8.0, 0.25 * np.abs(dr)))
+
+
 def _update_active(base, psi_a, dt, p: GrowthParams):
     """Density update of the points whose psi_m reaches psi_crit.
 
     `base` is their bio-only predictor.  Returns (rho, drho_dpsim,
-    d2rho_dpsim2) of those points.
+    d2rho_dpsim2) of those points.  A point whose residual stays above its
+    `_update_tolerance`, or whose rates overflow, raises SolverError naming
+    its psi_m, its residual and the tolerance applied to it.
     """
+    tol = np.full(base.shape, UPDATE_TOL)
+    try:
+        # an excess so large that the rates overflow leaves no root to find
+        # in floating point: the same failure as a residual above tolerance
+        with np.errstate(over="raise"):
+            return _solve_active(base, psi_a, dt, p, tol)
+    except FloatingPointError:
+        worst = int(np.argmax(psi_a))
+        raise SolverError("density update did not converge", residual=np.inf,
+                          psi_m=float(psi_a[worst]),
+                          tolerance=float(tol[worst])) from None
+
+
+def _solve_active(base, psi_a, dt, p: GrowthParams, tol):
+    """Bracketed Newton iteration of `_update_active`; keeps the tolerance
+    of its latest iterate in `tol`."""
     q = (psi_a - p.psi_crit) / p.psi_crit
     # Upper bracket: m <= A*q*rho_th/e bounds the root by the first term,
     # which grows linearly in q.  The second grows like log q: for
@@ -202,36 +227,29 @@ def _update_active(base, psi_a, dt, p: GrowthParams):
                                p.rho_th * np.log(np.maximum(2.0 * dtAq, 1.0))))
     lo = base.copy()  # the bio-only predictor is the lower bracket
     x = base.copy()
-    converged = np.zeros(x.shape, dtype=bool)
-    for _ in range(UPDATE_MAXIT):
-        m, m_r, _, _, _ = _mech_partials(x, q, p)
+    # UPDATE_MAXIT updates, each after a convergence test, and a last test
+    for it in range(UPDATE_MAXIT + 1):
+        m, m_r, m_p, m_rr, m_rp = _mech_partials(x, q, p)
         r = x - base - dt * m
-        # a residual within a few ulps of the density is converged too:
-        # above rho ~ 560 that exceeds UPDATE_TOL, which round-off in r
-        # would otherwise keep out of reach
-        converged = np.abs(r) <= np.maximum(UPDATE_TOL, 8.0 * np.finfo(float).eps * x)
+        dr = 1.0 - dt * m_r
+        tol[:] = _update_tolerance(x, dr)
+        converged = np.abs(r) <= tol
         if np.all(converged):
             break
+        if it == UPDATE_MAXIT:
+            worst = int(np.argmax(np.abs(r) / tol))
+            raise SolverError("density update did not converge",
+                              residual=float(abs(r[worst])),
+                              psi_m=float(psi_a[worst]),
+                              tolerance=float(tol[worst]),
+                              iterations=UPDATE_MAXIT)
         lo = np.where((r < 0.0) & ~converged, x, lo)
         hi = np.where((r > 0.0) & ~converged, x, hi)
-        dr = 1.0 - dt * m_r
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x_newton = x - r / dr
         bad = (dr <= 0.0) | (x_newton <= lo) | (x_newton >= hi) | ~np.isfinite(x_newton)
         x = np.where(converged, x, np.where(bad, 0.5 * (lo + hi), x_newton))
-    else:
-        resid = np.abs(x - base - dt * _mech_partials(x, q, p)[0])
-        worst = int(np.argmax(resid))
-        raise SolverError(
-            "density update did not converge",
-            residual=float(resid[worst]),
-            psi_m=float(psi_a[worst]),
-            tolerance=UPDATE_TOL,
-            iterations=UPDATE_MAXIT,
-        )
 
-    m, m_r, m_p, m_rr, m_rp = _mech_partials(x, q, p)
-    dr = 1.0 - dt * m_r
     Da = dt * m_p / dr
     D2a = dt * (m_rr * Da**2 + 2.0 * m_rp * Da) / dr
     return x, Da, D2a

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from maturesim import config
 from maturesim.errors import DeformationError, MeshError, ParameterError, SolverError
@@ -363,28 +364,97 @@ class TestLinearSolveSeam:
 
     def test_ramp_and_newton_factor_only_through_the_seam(self, monkeypatch):
         real_splu, real_seam = solver.splu, solver._solve_reduced
-        factored, seamed = [], []
+        factored, seamed, depth = [], [], [0]
 
         def splu(K, **options):
-            factored.append(options)
+            factored.append((options, depth[0]))
             return real_splu(K, **options)
 
-        def seam(K, rhs, **diagnostics):
-            seamed.append(len(factored))
-            return real_seam(K, rhs, **diagnostics)
+        def seam(K, rhs, **kwargs):
+            seamed.append((len(factored), kwargs))
+            depth[0] += 1
+            try:
+                return real_seam(K, rhs, **kwargs)
+            finally:
+                depth[0] -= 1
 
         monkeypatch.setattr(solver, "splu", splu)
         monkeypatch.setattr(solver, "_solve_reduced", seam)
-        model = clamped_strip_model(make_material(psi_crit=2e-5), nx=4, ny=2,
-                                    nz=1, length=8.0, width=3.0,
-                                    thickness=0.4, pressure=0.002)
+
+        def build():
+            return clamped_strip_model(make_material(psi_crit=2e-5), nx=4,
+                                       ny=2, nz=1, length=8.0, width=3.0,
+                                       thickness=0.4, pressure=0.002)
+
+        model = build()
         u, aux, ramp_its = ramp_pressure(model)
         model.commit(aux)
         _, _, newton_its = model.solve_step(u, t=0.5, dt=0.5)
-        # one ordered factorization per solve, each inside the seam
-        assert seamed == list(range(ramp_its + newton_its))
-        assert factored == [solver.LU_OPTIONS] * (ramp_its + newton_its)
+        # without a kept factor: one ordered factorization per solve, each
+        # inside the seam
+        assert [n for n, _ in seamed] == list(range(ramp_its + newton_its))
+        assert factored == [(solver.LU_OPTIONS, 1)] * (ramp_its + newton_its)
         assert not any(hasattr(v, "solve") for v in vars(model).values())
+
+        # a march refines with a kept factor, refreshed between steps: the
+        # refreshes are seam calls without diagnostics, and they factor
+        # inside the seam as well, each after freeing the old factor and
+        # trimming the heap
+        factored.clear()
+        seamed.clear()
+        trims = []
+        monkeypatch.setattr(solver, "_malloc_trim",
+                            lambda pad: trims.append(len(factored)))
+        march_maturation(build(), t_end=1.0, dt0=0.02, dt_max=0.5)
+        refreshes = [n for n, kwargs in seamed if not kwargs]
+        assert refreshes and len(refreshes) < len(seamed)
+        assert trims == refreshes
+        assert factored and all(d == 1 for _, d in factored)
+
+    @staticmethod
+    def _nearby_systems():
+        """The tangents at the starts of two growth steps in a row, and the
+        right-hand side of the second step's first Newton solve."""
+        model = clamped_strip_model(make_material(psi_crit=2e-5), nx=4, ny=2,
+                                    nz=1, length=8.0, width=3.0,
+                                    thickness=0.4, pressure=0.002)
+        u, aux, _ = ramp_pressure(model)
+        model.commit(aux)
+        K0 = model.assemble(u, 0.1, 0.1)[1]
+        u1, aux1, _ = model.solve_step(u, t=0.1, dt=0.1)
+        model.commit(aux1)
+        R, K1, _ = model.assemble(u1, 0.2, 0.1)
+        return K0, K1, -R[model.free_idx]
+
+    def test_nearby_factor_refines_without_factoring(self, monkeypatch):
+        K0, K1, rhs = self._nearby_systems()
+        fresh = solver.splu(K1, **solver.LU_OPTIONS).solve(rhs)
+        lu = solver.splu(K0, **solver.LU_OPTIONS)
+        calls = self._patched_splu(monkeypatch, "raise")
+        x, used, sweeps = solver._solve_reduced(K1, rhs, lu=lu)
+        assert calls == [] and used is lu
+        assert 0 < sweeps <= solver.REFINE_SWEEPS
+        assert np.abs(K1 @ x - rhs).max() <= solver.REFINE_TOL
+        # within 1e-10 mm of a fresh solve's increment
+        assert np.abs(x - fresh).max() <= 1e-10
+
+    def test_useless_factor_falls_back_to_one_factorization(self, monkeypatch):
+        # a factor of K + 10 max|K| I barely reduces the residual
+        K0, K1, rhs = self._nearby_systems()
+        shift = 10.0 * np.abs(K1).max()
+        useless = solver.splu((K1 + shift * sp.identity(K1.shape[0])).tocsc())
+        fresh = solver.splu(K1, **solver.LU_OPTIONS).solve(rhs)
+        real, calls = solver.splu, []
+
+        def splu(K, **options):
+            calls.append(options)
+            return real(K, **options)
+
+        monkeypatch.setattr(solver, "splu", splu)
+        x, used, sweeps = solver._solve_reduced(K1, rhs, lu=useless)
+        assert calls == [solver.LU_OPTIONS]
+        assert used is not useless and sweeps is None
+        assert np.array_equal(x, fresh)
 
 
 class TestRampAndEnergy:
@@ -525,6 +595,60 @@ class TestMaturationMarch:
         assert model.element_density().shape == (model.mesh.n_elems,)
         assert [r.cutbacks for r in history] == [0] * len(history)
         copy.deepcopy(model)      # no factorization is left on the model
+
+    def test_kept_factor_saves_factorizations_not_accuracy(self, monkeypatch):
+        params = make_material(psi_crit=2e-5)
+
+        def march():
+            model = clamped_strip_model(params, nx=5, ny=2, nz=1, length=10.0,
+                                        width=3.0, thickness=0.4, pressure=0.002)
+            return model, march_maturation(model, t_end=1.0, dt0=0.02, dt_max=0.5)
+
+        real, calls = solver.splu, []
+
+        def splu(K, **options):
+            calls.append(options)
+            return real(K, **options)
+
+        monkeypatch.setattr(solver, "splu", splu)
+        model, (history, u, _) = march()
+        solves = sum(r.newton_iters for r in history)    # ramp and Newton
+        assert 0 < len(calls) < solves
+        copy.deepcopy(model)      # the kept factor stayed off the model
+
+        # a march that never keeps a factor solves every system afresh
+        monkeypatch.setattr(solver._KeptFactor, "refresh",
+                            solver._KeptFactor.start_step)
+        calls.clear()
+        _, (plain, u_plain, _) = march()
+        assert len(calls) == solves
+        assert [r.time for r in history] == [r.time for r in plain]
+        assert [r.newton_iters for r in history] == [r.newton_iters for r in plain]
+        for r, q in zip(history, plain):
+            for field in ("deflection", "rho_mean", "rho_max"):
+                assert getattr(r, field) == pytest.approx(getattr(q, field),
+                                                          rel=1e-9, abs=1e-300)
+        assert np.abs(u - u_plain).max() <= 1e-9 * np.abs(u_plain).max()
+
+    def test_failed_refresh_leaves_no_factor(self, monkeypatch):
+        # a refresh whose factorization fails costs the march nothing but
+        # the kept factor: the next step factors afresh, as without one
+        params = make_material(psi_crit=2e-5)
+        real = solver._solve_reduced
+        kept = []
+
+        def seam(K, rhs, lu=None, **diagnostics):
+            if not diagnostics:
+                raise SolverError("forced")
+            kept.append(lu)
+            return real(K, rhs, lu=lu, **diagnostics)
+
+        monkeypatch.setattr(solver, "_solve_reduced", seam)
+        model = clamped_strip_model(params, nx=4, ny=2, nz=1, length=8.0,
+                                    width=3.0, thickness=0.4, pressure=0.002)
+        history, _, _ = march_maturation(model, t_end=0.1, dt0=0.02, dt_max=0.05)
+        assert history[-1].time == pytest.approx(0.1, abs=1e-9)
+        assert kept and all(lu is None for lu in kept)
 
     def test_guess_that_fails_to_assemble_falls_back(self, monkeypatch):
         # a predictor that collapses the strip to a point: the first

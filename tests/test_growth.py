@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from maturesim import growth
 from maturesim.errors import ParameterError, SolverError, StateError
 from maturesim.growth import (GrowthParams, GrowthState, bio_rate, mech_rate,
                               update_density, update_density_batch,
@@ -247,6 +248,31 @@ class TestUpdateDensity:
         assert abs(r) <= 8.0 * np.finfo(float).eps * rho[0]
         assert rho[0] > rho_n
         assert np.all(np.isfinite([D[0], D2[0]]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("psi, rho_root", [(1e30, 658.0183), (1e41, 911.2812)])
+    def test_density_far_above_rho_th_converges_to_round_off(self, psi, rho_root):
+        # rho lands ~66-91 rho_th above rho_n in one step, so the residual's
+        # slope 1 - dt*m_rho scales the round-off of rho past 8 eps rho
+        p = make_growth()
+        rho_n, t, dt = 5.0, 10.0, 0.1
+        with deadline(30):
+            rho, D, D2 = update_density_batch(np.array([rho_n]),
+                                              np.array([psi]), t, dt, p)
+        assert rho[0] == pytest.approx(rho_root, rel=1e-6)
+        r = rho[0] - rho_n - dt * (bio_rate(t, p) + mech_rate(rho[0], psi, p))
+        assert abs(r) <= 4e-12
+        assert np.all(np.isfinite([D[0], D2[0]]))
+
+    @pytest.mark.parametrize("psi", [1e16, 1e305])
+    def test_failure_reports_the_tolerance_applied(self, psi):
+        # 1e16 stalls a few ulps above its tolerance; 1e305 overflows
+        p = make_growth(psi_crit=2e-5)
+        with pytest.raises(SolverError, match="did not converge") as info:
+            update_density_batch(np.array([1.0]), np.array([psi]), 10.0, 0.28, p)
+        diag = info.value.diagnostics
+        assert diag["tolerance"] >= growth.UPDATE_TOL
+        assert diag["residual"] > diag["tolerance"]
 
     @pytest.mark.parametrize("psi", [np.nan, np.inf, -np.inf])
     def test_non_finite_energy_is_a_state_error(self, psi):
