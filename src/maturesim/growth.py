@@ -6,8 +6,9 @@ collagen energy per unit mass exceeds a critical threshold,
 
     rho_dot = rho_dot_bio(t) + rho_dot_mech(rho, psi_m).
 
-Time integration is backward Euler; the scalar update is solved with a
-bracketed Newton iteration.  The update also returns the sensitivity
+Time integration is backward Euler; the scalar update is solved by Newton's
+method on the log form of its residual, finished by Newton steps on the
+residual itself.  The update also returns the sensitivity
 d rho / d psi_m obtained from the implicit function theorem, which the
 constitutive layer needs for consistent tangents.
 
@@ -196,59 +197,62 @@ def _update_active(base, psi_a, dt, p: GrowthParams):
     """Density update of the points whose psi_m reaches psi_crit.
 
     `base` is their bio-only predictor.  Returns (rho, drho_dpsim,
-    d2rho_dpsim2) of those points.  A point whose residual stays above its
-    `_update_tolerance`, or whose rates overflow, raises SolverError naming
-    its psi_m, its residual and the tolerance applied to it.
+    d2rho_dpsim2) of those points.
+
+    The root of r(rho) = rho - base - dt*m(rho), m = A*q*rho*exp(-rho/rho_th)
+    with A = a2*c_cell, lies at or above `base`, where it is also the root of
+    the log form g = s - ln(rho) - L + rho/rho_th, s = ln(rho - base) and
+    L = ln(dt*A*q).  Newton steps in s keep every iterate above `base` and
+    reach a root far above rho_th in a few steps; once such a step moves rho
+    by less than 1e-8*rho, Newton steps on r finish, since g's root can lie
+    a few ulps off r's.  Convergence is judged on r with `_update_tolerance`.
+    A point whose excess q overflows, whose iterate returns to its previous
+    value unconverged, or which is still unconverged after UPDATE_MAXIT
+    updates, raises SolverError naming its psi_m, its residual and the
+    tolerance applied to it.
     """
-    tol = np.full(base.shape, UPDATE_TOL)
-    try:
-        # an excess so large that the rates overflow leaves no root to find
-        # in floating point: the same failure as a residual above tolerance
-        with np.errstate(over="raise"):
-            return _solve_active(base, psi_a, dt, p, tol)
-    except FloatingPointError:
+    with np.errstate(over="ignore"):
+        q = (psi_a - p.psi_crit) / p.psi_crit
+    if not np.all(np.isfinite(q)):
+        # an excess that overflows leaves no root to find in floating point
         worst = int(np.argmax(psi_a))
         raise SolverError("density update did not converge", residual=np.inf,
-                          psi_m=float(psi_a[worst]),
-                          tolerance=float(tol[worst])) from None
-
-
-def _solve_active(base, psi_a, dt, p: GrowthParams, tol):
-    """Bracketed Newton iteration of `_update_active`; keeps the tolerance
-    of its latest iterate in `tol`."""
-    q = (psi_a - p.psi_crit) / p.psi_crit
-    # Upper bracket: m <= A*q*rho_th/e bounds the root by the first term,
-    # which grows linearly in q.  The second grows like log q: for
-    # x >= 2*base and x >= rho_th*log(2*dt*A*q), x - base >= x/2 >= dt*m(x),
-    # so the residual is non-negative there.
-    dtAq = dt * p.a2 * p.c_cell * q
-    hi = np.minimum(base + dtAq * p.rho_th / np.e,
-                    np.maximum(2.0 * base,
-                               p.rho_th * np.log(np.maximum(2.0 * dtAq, 1.0))))
-    lo = base.copy()  # the bio-only predictor is the lower bracket
-    x = base.copy()
-    # UPDATE_MAXIT updates, each after a convergence test, and a last test
+                          psi_m=float(psi_a[worst]), tolerance=UPDATE_TOL)
+    with np.errstate(divide="ignore"):  # q = 0 at psi_m = psi_crit
+        L = np.log(dt) + np.log(p.a2 * p.c_cell) + np.log(q)
+    # start at base + dt*m(base) where that lift is at most base; a larger
+    # lift puts the root above max(2*base, rho_th*L), a start from which the
+    # first step in s is bounded (the capped exponent cannot overflow)
+    lift = base * np.exp(np.minimum(L - base / p.rho_th, 1.0))
+    x = np.where(lift > base, np.maximum(2.0 * base, p.rho_th * L), base + lift)
+    prev = x
     for it in range(UPDATE_MAXIT + 1):
         m, m_r, m_p, m_rr, m_rp = _mech_partials(x, q, p)
         r = x - base - dt * m
         dr = 1.0 - dt * m_r
-        tol[:] = _update_tolerance(x, dr)
+        tol = _update_tolerance(x, dr)
         converged = np.abs(r) <= tol
         if np.all(converged):
             break
-        if it == UPDATE_MAXIT:
-            worst = int(np.argmax(np.abs(r) / tol))
+        d = x - base
+        # d = 0 only at points converged at base; their step is discarded
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.log(d) - np.log(x) - L + x / p.rho_th
+            x_log = base + d * np.exp(-g / (base / x + d / p.rho_th))
+        # a step on r that rounds back to x moves one ulp instead, so a point
+        # that cannot converge shows as a return to its previous iterate
+        x_r = x - r / dr
+        x_r = np.where(x_r == x, np.nextafter(x, np.where(r > 0.0, -np.inf, np.inf)), x_r)
+        x_new = np.where(converged, x,
+                         np.where(np.abs(x_log - x) < 1e-8 * x, x_r, x_log))
+        failed = ~converged & ((x_new == prev) | (it == UPDATE_MAXIT))
+        if np.any(failed):
+            worst = int(np.argmax(np.where(failed, np.abs(r) / tol, 0.0)))
             raise SolverError("density update did not converge",
                               residual=float(abs(r[worst])),
                               psi_m=float(psi_a[worst]),
-                              tolerance=float(tol[worst]),
-                              iterations=UPDATE_MAXIT)
-        lo = np.where((r < 0.0) & ~converged, x, lo)
-        hi = np.where((r > 0.0) & ~converged, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x_newton = x - r / dr
-        bad = (dr <= 0.0) | (x_newton <= lo) | (x_newton >= hi) | ~np.isfinite(x_newton)
-        x = np.where(converged, x, np.where(bad, 0.5 * (lo + hi), x_newton))
+                              tolerance=float(tol[worst]), iterations=it)
+        prev, x = x, x_new
 
     Da = dt * m_p / dr
     D2a = dt * (m_rr * Da**2 + 2.0 * m_rp * Da) / dr

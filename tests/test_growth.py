@@ -213,9 +213,8 @@ class TestUpdateDensity:
         (2.4e4, True), (1e8, True), (1e11, True), (1.1e13, True),
         (1e14, True), (1e16, False)])
     def test_large_energy_converges_or_names_it(self, psi, converges):
-        # fiber strains 2 to past 3 under the default growth law; the upper
-        # bracket must not grow linearly in psi_m, or bisection cannot close
-        # it.  Up to 1e14 the update converges to the root; beyond, where
+        # fiber strains 2 to past 3 under the default growth law.  Up to
+        # 1e14 the update converges to the root; beyond, where
         # round-off in the residual reaches UPDATE_TOL, it may end in a
         # typed error that names psi_m, never in NaN or a hang.
         p = make_growth(psi_crit=2e-5)
@@ -263,6 +262,66 @@ class TestUpdateDensity:
         r = rho[0] - rho_n - dt * (bio_rate(t, p) + mech_rate(rho[0], psi, p))
         assert abs(r) <= 4e-12
         assert np.all(np.isfinite([D[0], D2[0]]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("psi_crit, rho_n, dt, psi", [
+        *((0.02, 5.0, 0.1, psi) for psi in (1e30, 1e41, 1e43, 1e45, 1e100, 1e200)),
+        *((2e-5, 1.0, 0.28, psi)
+          for psi in (2.4e4, 1e8, 1e11, 1e13, 1.1e13, 1e14, 1e16, 1e20))])
+    def test_far_above_rho_th_ends_within_ten_evaluations(self, monkeypatch,
+                                                          psi_crit, rho_n,
+                                                          dt, psi):
+        # rho lands 15 to 450 rho_th above rho_n in one step; the update
+        # converges, or names a point that cannot, within ten evaluations
+        # of the rates, never after running out of updates
+        p = make_growth(psi_crit=psi_crit)
+        t = 10.0
+        partials = growth._mech_partials
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return partials(*args)
+
+        monkeypatch.setattr(growth, "_mech_partials", counted)
+        with deadline(30):
+            try:
+                rho, D, D2 = update_density_batch(np.array([rho_n]),
+                                                  np.array([psi]), t, dt, p)
+            except SolverError as err:
+                diag = err.diagnostics
+                assert diag["psi_m"] == psi
+                assert diag["residual"] > diag["tolerance"] >= growth.UPDATE_TOL
+            else:
+                q = (psi - psi_crit) / psi_crit
+                m, m_r = partials(rho, q, p)[:2]
+                r = rho - rho_n - dt * (bio_rate(t, p) + m)
+                assert abs(r[0]) <= growth._update_tolerance(rho, 1.0 - dt * m_r)[0]
+                assert np.all(np.isfinite([D[0], D2[0]]))
+        assert len(calls) <= 10
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rho_n, t, dt, psi", [
+        (1.0, 10.0, 0.28, 2e-5),                     # q = 0, so ln q = -inf
+        (1.0, 10.0, 0.28, np.nextafter(2e-5, 1.0)),  # q one rounding above 0
+        (0.0, 0.0, 0.28, 6e-4),                      # bio-only predictor 0
+        (0.0, 0.0, 0.28, 1e30),
+        (0.0, 1e-9, 1e-9, 6e-4),                     # predictor ~2e-16
+        (0.0, 1e-9, 1e-9, 1e3)])
+    def test_edges_of_the_active_branch(self, rho_n, t, dt, psi):
+        p = make_growth(psi_crit=2e-5)
+        base = rho_n + dt * bio_rate(t, p)
+        rho, D, D2 = update_density_batch(np.array([rho_n]), np.array([psi]),
+                                          t, dt, p)
+        r = rho[0] - rho_n - dt * (bio_rate(t, p) + mech_rate(rho[0], psi, p))
+        assert abs(r) <= growth.UPDATE_TOL
+        assert rho[0] >= base
+        assert np.all(np.isfinite([D[0], D2[0]]))
+        if psi == p.psi_crit:
+            assert rho[0] == base
+        if base == 0.0:
+            # no collagen, no mechanical growth: rho = 0 is the exact root
+            assert (rho[0], D[0], D2[0]) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("psi", [1e16, 1e305])
     def test_failure_reports_the_tolerance_applied(self, psi):
