@@ -4,10 +4,17 @@ A direct-search Nelder-Mead simplex (reflection 1, expansion 2, contraction
 0.5, shrink 0.5) minimizes weighted squared residuals between model curves
 and measured series.  Box bounds are enforced by clipping trial points.
 Everything is deterministic: repeated fits of the same problem reproduce the
-same iterates bit for bit.
+same iterates bit for bit.  A fit of a `PointModel` warm-starts the
+free-axis solve of each evaluation from the stretches that the fit's last
+successful evaluation converged to.  That history belongs to the one
+`fit_material` call, so it repeats with the fit; a prediction within a fit
+meets the same free-axis stress tolerance as a cold `predict`, and equals
+it bit for bit where the fitted constants leave the free stretches in
+place.
 """
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,8 +226,15 @@ def fit_weibull(times, values, weights=None, x0=None) -> FitResult:
 
 
 def fit_material(problem: FitProblem) -> FitResult:
-    """Weighted least squares over all series of a FitProblem."""
+    """Weighted least squares over all series of a FitProblem.
+
+    A `PointModel` is evaluated with a warm-start store that this call
+    owns, so each evaluation's free-axis solve starts where the last
+    successful one converged (see `PointModel.predict`).
+    """
     predict = getattr(problem.model, "predict", None)
+    if isinstance(problem.model, PointModel):
+        predict = functools.partial(predict, warm={})
 
     def predictions(x):
         if predict is not None:
@@ -285,7 +299,7 @@ def biaxial_eng_stress(params: MaterialParams, strains, ratio, rho):
     return _axis0_stress(params, "biaxial", [strains], [rho], [ratio])[0]
 
 
-def _axis0_stress(params, kind, xs, rhos, ratios=None):
+def _axis0_stress(params, kind, xs, rhos, ratios=None, warm=None):
     """P11 of several frozen-density protocols, solved as one program.
 
     `xs` holds one abscissa array per protocol with its density in `rhos`:
@@ -294,21 +308,29 @@ def _axis0_stress(params, kind, xs, rhos, ratios=None):
     free.  The knots of a frozen program are independent, so all of them,
     after one reference knot at the unit stretch, form one lockstep batch
     with one density per knot.  Returns one P11 array per protocol.
+
+    `warm`, a dict, keys each program by all of its inputs and holds the
+    free-axis stretches its last solve converged to: the solve starts from
+    them, and a solve whose P11 are all finite replaces them.
     """
     xs = [np.asarray(x, dtype=float) for x in xs]
+    key = (kind, tuple(x.tobytes() for x in xs), tuple(rhos), tuple(ratios or ()))
     sizes = [x.size for x in xs]
     rho = np.concatenate([[0.0]] + [np.full(n, float(r)) for n, r in zip(sizes, rhos)])
     if kind == "uniaxial":
         controls = (np.concatenate([[1.0]] + xs), FREE, FREE)
-        measure = "stretch"
+        measure, free = "stretch", [1, 2]
     else:
         e2 = [x / r for x, r in zip(xs, ratios)]
         controls = (np.concatenate([[0.0]] + xs), np.concatenate([[0.0]] + e2), FREE)
-        measure = "engineering"
+        measure, free = "engineering", [2]
     prog = LoadProgram(times=np.arange(rho.size, dtype=float), controls=controls,
                        strain_measure=measure, grow=False)
-    recs = solve_mixed_point(prog, params, init=GrowthState(rho=rho))
+    start = None if warm is None else warm.get(key)
+    recs = solve_mixed_point(prog, params, init=GrowthState(rho=rho), start=start)
     P = np.array([r.F[0, 0] * r.S[0] for r in recs[1:]])
+    if warm is not None and np.all(np.isfinite(P)):
+        warm[key] = np.array([r.F.diagonal()[free] for r in recs])
     return np.split(P, np.cumsum(sizes)[:-1])
 
 
@@ -317,7 +339,9 @@ class PointModel:
 
     `predict(x, series_list)` builds the parameter bundle for x once and
     solves every series as one lockstep program; `model(x, series)` is its
-    one-series view.  See `make_point_model`.
+    one-series view.  See `make_point_model`.  `predict` is cold and
+    history-free unless given a `warm` store (see `_axis0_stress`), as
+    `fit_material` does, one store per fit.
     """
 
     def __init__(self, base, param_names, kind, rho_by_series, ratio_by_series):
@@ -327,11 +351,12 @@ class PointModel:
         self.rho_by_series = rho_by_series or {}
         self.ratio_by_series = ratio_by_series or {}
 
-    def predict(self, x, series_list):
+    def predict(self, x, series_list, warm=None):
         p = substitute(self.base, self.param_names, x)
         rhos = [self.rho_by_series.get(s.name, 0.0) for s in series_list]
         ratios = [self.ratio_by_series.get(s.name, 1.0) for s in series_list]
-        return _axis0_stress(p, self.kind, [s.x for s in series_list], rhos, ratios)
+        return _axis0_stress(p, self.kind, [s.x for s in series_list], rhos,
+                             ratios, warm)
 
     def __call__(self, x, series):
         return self.predict(x, [series])[0]

@@ -209,7 +209,9 @@ def _update_active(base, psi_a, dt, p: GrowthParams):
     A point whose excess q overflows, whose iterate returns to its previous
     value unconverged, or which is still unconverged after UPDATE_MAXIT
     updates, raises SolverError naming its psi_m, its residual and the
-    tolerance applied to it.
+    tolerance applied to it; one whose slope dr/drho = 1 - dt*m_rho is 0 at
+    an iterate, where D = dt*m_psi/(dr/drho) would divide by 0, raises it
+    naming its psi_m and the slope.
     """
     with np.errstate(over="ignore"):
         q = (psi_a - p.psi_crit) / p.psi_crit
@@ -230,6 +232,14 @@ def _update_active(base, psi_a, dt, p: GrowthParams):
         m, m_r, m_p, m_rr, m_rp = _mech_partials(x, q, p)
         r = x - base - dt * m
         dr = 1.0 - dt * m_r
+        if np.any(dr == 0.0):
+            # the bifurcation of the roots rho = 0 and rho = rho_th*L (base
+            # = 0, L = 0): neither a Newton step on r nor D exists there
+            worst = int(np.argmax(dr == 0.0))
+            raise SolverError("density update has a zero slope",
+                              residual=float(abs(r[worst])),
+                              psi_m=float(psi_a[worst]), slope=0.0,
+                              iterations=it)
         tol = _update_tolerance(x, dr)
         converged = np.abs(r) <= tol
         if np.all(converged):

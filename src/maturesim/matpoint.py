@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SolverError
+from .errors import DeformationError, ParameterError, SolverError
 from .growth import GrowthParams, GrowthState, bio_rate
 from .materials import FIBER_STRAIN_MAX, MaterialParams, total_response
 from .tensors import VOIGT_I, VOIGT_J
@@ -102,14 +102,21 @@ class PointRecord:
 
 
 def solve_mixed_point(program: LoadProgram, params: MaterialParams,
-                      init: GrowthState = GrowthState()) -> list:
+                      init: GrowthState = GrowthState(), start=None) -> list:
     """March a material point through a load program.
 
     Returns one `PointRecord` per step, the first being the initial knot.
     With `grow=False` the knots do not depend on one another and the whole
     path is one lockstep batch, its free stretches starting from the
     incompressible guess (1 / prod of the controlled stretches)^(1/n_free);
-    `init.rho` may then hold one frozen density per path point.  A growing
+    `init.rho` may then hold one frozen density per path point.  A frozen
+    program may also take a `start`: the free-axis stretches to begin from,
+    one row per path point and one column per free axis in axis order (the
+    controlled axes always come from the program), such as an earlier
+    solve's converged stretches.  A start that does not lead every knot to
+    its root is dropped for the incompressible guess, and a guess that
+    does not for the knot-by-knot solve below, so a start never changes
+    which programs converge or which error a failure raises.  A growing
     program is solved knot by knot in time, each knot starting from the
     last one's stretches, from one scalar `init.rho`.  Raises SolverError
     when a free-axis Newton iteration stalls, and DeformationError when a
@@ -133,15 +140,28 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
     if np.ndim(init.rho) and (program.grow or np.shape(init.rho) != path_t.shape):
         raise ParameterError("init.rho must be a scalar, or one density per "
                              f"path point ({path_t.size}) of a frozen program")
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if program.grow or start.shape != (path_t.size, len(free)) \
+                or not np.all((start > 0.0) & (start < np.inf)):
+            raise ParameterError("start must hold positive finite free-axis "
+                                 f"stretches, {path_t.size} x {len(free)}, "
+                                 "of a frozen program")
     if program.grow:
         return _solve_in_turn(path_t, path_lams, free, params, init.rho, True)
     guess = path_lams.copy()
+    if start is not None and free:
+        guess[:, free] = start
+        try:
+            return _records(path_t, *_newton_free_axes(guess, free, params,
+                                                       init.rho, 0.0, path_t[0]))
+        except (SolverError, DeformationError):
+            pass
     if free:
         vol = np.prod(path_lams[:, controlled], axis=1, keepdims=True)
         guess[:, free] = (1.0 / vol) ** (1.0 / len(free))
     try:
-        lams, S, sigma, rho, psi_m = _newton_free_axes(guess, free, params,
-                                                       init.rho, 0.0, path_t[0])
+        solved = _newton_free_axes(guess, free, params, init.rho, 0.0, path_t[0])
     except SolverError as exc:
         # a knot the guess does not lead to its root: follow the path from
         # the unit stretch instead, and if that fails too, report the batch
@@ -149,6 +169,11 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
             return _solve_in_turn(path_t, path_lams, free, params, init.rho, False)
         except SolverError:
             raise exc from None
+    return _records(path_t, *solved)
+
+
+def _records(path_t, lams, S, sigma, rho, psi_m):
+    """One `PointRecord` per path point of a solved lockstep batch."""
     return [PointRecord(time=t, F=np.diag(lams[k]), S=S[k], sigma=sigma[k],
                         rho=float(rho[k]), psi_m=float(psi_m[k]))
             for k, t in enumerate(path_t)]

@@ -7,7 +7,7 @@ from maturesim import calibrate
 from maturesim.calibrate import (DataSeries, FitProblem, biaxial_eng_stress,
                                  fit_material, fit_weibull, make_point_model,
                                  nelder_mead, substitute, uniaxial_eng_stress)
-from maturesim.errors import FitError
+from maturesim.errors import FitError, SolverError
 
 from conftest import make_material
 
@@ -16,8 +16,8 @@ MATURATION_POINTS = [(0.0, 0.0), (7.0, 0.28486), (14.0, 0.6060),
                      (21.0, 0.8357), (28.0, 1.0)]
 
 
-def collagen_problem(max_evals=600):
-    base = make_material()
+def collagen_problem(max_evals=600, kappa=0.0):
+    base = make_material(kappa=kappa)
     stretches = np.linspace(1.01, 1.12, 8)
     names = ["collagen.k1", "collagen.k2"]
     rhos = {"rel100": base.collagen.rho_f,
@@ -220,3 +220,116 @@ class TestPointModelBatch:
         assert res.nm.n_evals >= 20
         assert calls == {"substitute": res.nm.n_evals + 1,
                          "solve_mixed_point": res.nm.n_evals + 1}
+
+
+def textile_model():
+    base = make_material()
+    names = ["textile.k1_1", "textile.k1_2"]
+    ratios = {"equi": 1.0, "onethird": 3.0}
+    strains = np.linspace(0.02, 0.2, 6)
+    series = [DataSeries(k, strains, biaxial_eng_stress(base, strains, r, 0.0))
+              for k, r in ratios.items()]
+    return make_point_model(base, names, kind="biaxial",
+                            ratio_by_series=ratios), series
+
+
+class TestWarmStart:
+    # kappa = 0.15 disperses the fibers onto the lateral axes, so the fitted
+    # collagen constants move the free-axis equilibrium and a warm start
+    # from the last evaluation is off the new root
+    def test_repeated_fits_are_identical(self):
+        _, _, prob = collagen_problem(max_evals=120, kappa=0.15)
+        first, second = fit_material(prob), fit_material(prob)
+        assert np.array_equal(first.x, second.x)
+        assert first.nm.n_evals == second.nm.n_evals
+        assert first.nm.trace == second.nm.trace
+        assert first.objective == second.objective
+
+    def test_warm_predictions_meet_the_cold_ones(self):
+        # warm and cold solves both end once the lateral stresses are within
+        # STRESS_TOL = 1e-10 MPa, so they agree to that tolerance, against
+        # P11 of 0.005 to 0.2 MPa
+        _, _, prob = collagen_problem(kappa=0.15)
+        warm = {}
+        prob.model.predict(np.array([0.5, 6.0]), prob.series, warm=warm)
+        for x in ([0.55, 6.6], [0.9, 3.5], [0.3, 9.0]):
+            hot = prob.model.predict(np.array(x), prob.series, warm=warm)
+            cold = prob.model.predict(np.array(x), prob.series)
+            for h, c in zip(hot, cold):
+                assert np.all(np.abs(h - c) <= 1e-8 * np.abs(c))
+
+    @pytest.mark.parametrize("fit", ["collagen", "textile"])
+    def test_warm_predictions_are_exact_where_the_lateral_root_stays(self, fit):
+        # with fibers along x (collagen) and yarns in the plane (textile),
+        # the fitted constants leave the free stretches where they were: the
+        # warm solve converges at its start and answers the cold one bit for bit
+        if fit == "collagen":
+            _, _, prob = collagen_problem()
+            model, series, xs = prob.model, prob.series, ([0.5, 6.0], [0.9, 3.5])
+        else:
+            (model, series), xs = textile_model(), ([0.03, 0.25], [0.05, 0.1])
+        warm = {}
+        for x in xs:
+            hot = model.predict(np.array(x), series, warm=warm)
+            cold = model.predict(np.array(x), series)
+            assert all(np.array_equal(h, c) for h, c in zip(hot, cold))
+
+    def test_equal_shape_programs_never_share_a_start(self):
+        # "equi" and "onethird" have the same abscissae and differ in the
+        # controlled axis 1: each keeps its own start, so the second program
+        # solved with the store answers its cold solve bit for bit
+        model, (equi, onethird) = textile_model()
+        x = np.array([0.04, 0.2])
+        warm = {}
+        model.predict(x, [equi], warm=warm)
+        hot = model.predict(x, [onethird], warm=warm)[0]
+        assert len(warm) == 2
+        assert np.array_equal(hot, model.predict(x, [onethird])[0])
+
+    def test_failed_trial_leaves_the_store(self, monkeypatch):
+        _, _, prob = collagen_problem(kappa=0.15)
+        warm = {}
+        prob.model.predict(np.array([0.5, 6.0]), prob.series, warm=warm)
+        kept = {k: v.copy() for k, v in warm.items()}
+        solve = calibrate.solve_mixed_point
+
+        def stalled(*args, **kwargs):
+            raise SolverError("free-axis Newton did not converge")
+
+        def non_finite(*args, **kwargs):
+            records = solve(*args, **kwargs)
+            records[-1].S = np.full(6, np.inf)
+            return records
+
+        for fake in (stalled, non_finite):
+            monkeypatch.setattr(calibrate, "solve_mixed_point", fake)
+            try:
+                preds = prob.model.predict(np.array([0.9, 3.5]), prob.series,
+                                           warm=warm)
+            except SolverError:
+                pass
+            else:
+                assert not np.all(np.isfinite(preds[-1]))
+            assert warm.keys() == kept.keys()
+            assert all(np.array_equal(warm[k], kept[k]) for k in kept)
+
+    def test_fit_owns_its_store(self, monkeypatch):
+        # one store per fit: its first evaluation is cold, each later one
+        # starts from the last, and predict outside a fit stays cold
+        _, _, prob = collagen_problem(max_evals=20, kappa=0.15)
+        starts = []
+        solve = calibrate.solve_mixed_point
+
+        def recorded(*args, start=None, **kwargs):
+            starts.append(start)
+            return solve(*args, start=start, **kwargs)
+
+        monkeypatch.setattr(calibrate, "solve_mixed_point", recorded)
+        for _ in range(2):
+            fit_material(prob)
+            assert starts[0] is None
+            assert all(s is not None for s in starts[1:])
+            starts.clear()
+        prob.model.predict(prob.x0, prob.series)
+        prob.model(prob.x0, prob.series[0])
+        assert starts == [None, None]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maturesim import growth
 from maturesim.errors import ParameterError, SolverError, StateError
@@ -323,6 +325,20 @@ class TestUpdateDensity:
             # no collagen, no mechanical growth: rho = 0 is the exact root
             assert (rho[0], D[0], D2[0]) == (0.0, 0.0, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rho_n", [0.0, 1e-16])
+    def test_zero_slope_is_a_typed_failure(self, rho_n):
+        # dt*a2*c_cell*q = 1 with base = 0 is the bifurcation of the roots
+        # rho = 0 and rho = rho_th*L: the slope 1 - dt*m_rho is 0 there, so
+        # D = dt*m_psi/slope would be 0/0 (base 0) or x/0 (base 1e-16)
+        p = make_growth()
+        dt = 1e-3
+        psi = 0.02 * (1.0 + 1.0 / (dt * 7.5e-3))
+        with pytest.raises(SolverError, match="zero slope") as info:
+            update_density_batch(np.array([rho_n]), np.array([psi]), 0.0, dt, p)
+        assert info.value.diagnostics["psi_m"] == psi
+        assert info.value.diagnostics["slope"] == 0.0
+
     @pytest.mark.parametrize("psi", [1e16, 1e305])
     def test_failure_reports_the_tolerance_applied(self, psi):
         # 1e16 stalls a few ulps above its tolerance; 1e305 overflows
@@ -372,3 +388,42 @@ class TestUpdateDensity:
         with pytest.raises(StateError):
             update_density_batch(np.array([-1.0]), np.array([0.0]), 1.0, 0.1,
                                  growth_params)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _update_cases(draw):
+    psi_crit = draw(st.sampled_from([0.02, 2e-5]))
+    dt = draw(st.one_of(st.sampled_from([1e-9, 5.0]), _log_uniform(1e-9, 5.0)))
+    rho_n = draw(st.one_of(st.sampled_from([0.0, 2000.0]), st.floats(0.0, 2000.0),
+                           _log_uniform(1e-300, 2000.0)))
+    psi = draw(st.one_of(st.sampled_from([psi_crit, np.nextafter(psi_crit, 1.0), 1e300]),
+                         _log_uniform(psi_crit, 1e300)))
+    t = draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0)))
+    return psi_crit, dt, rho_n, psi, t
+
+
+class TestUpdateDensityProperties:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(case=_update_cases())
+    def test_converges_or_raises_typed(self, case):
+        # dt from 1e-9 to 5, psi_m from psi_crit to 1e300 and rho_n from 0
+        # to 2000: the update meets its tolerance with finite sensitivities,
+        # or raises a typed error; never a NaN, a warning or a hang
+        psi_crit, dt, rho_n, psi, t = case
+        p = make_growth(psi_crit=psi_crit)
+        with deadline(30):
+            try:
+                rho, D, D2 = update_density_batch(np.array([rho_n]),
+                                                  np.array([psi]), t, dt, p)
+            except (SolverError, StateError):
+                return
+        q = (psi - psi_crit) / psi_crit
+        m, m_r = growth._mech_partials(rho, q, p)[:2]
+        r = rho - rho_n - dt * (bio_rate(t, p) + m)
+        assert abs(r[0]) <= growth._update_tolerance(rho, 1.0 - dt * m_r)[0]
+        assert np.all(np.isfinite([rho[0], D[0], D2[0]]))

@@ -322,6 +322,66 @@ class TestPerPointDensity:
                               init=GrowthState(rho=np.full(size, 5.0)))
 
 
+class TestStart:
+    # dispersed fibers load the lateral axes, so the free stretches depend on
+    # the collagen constants and a start from other constants is off the root
+    @staticmethod
+    def free_stretches(records):
+        return np.array([np.diag(r.F)[1:] for r in records])
+
+    def test_start_at_the_root_converges_at_once(self, monkeypatch):
+        params = make_material(kappa=0.15)
+        prog = uniaxial(1.15, steps=6)
+        cold = solve_mixed_point(prog, params, init=GrowthState(rho=38.71))
+        calls = count_responses(monkeypatch)
+        warm = solve_mixed_point(prog, params, init=GrowthState(rho=38.71),
+                                 start=self.free_stretches(cold))
+        assert calls == [(7,)]
+        assert records_to_csv(warm) == records_to_csv(cold)
+
+    def test_start_off_the_root_meets_the_tolerance(self):
+        params = make_material(kappa=0.15)
+        other = make_material(kappa=0.05)
+        prog = uniaxial(1.15, steps=6)
+        start = self.free_stretches(solve_mixed_point(prog, other))
+        for r in solve_mixed_point(prog, params, start=start):
+            assert np.max(np.abs(r.sigma[1:3])) <= matpoint.STRESS_TOL
+
+    @pytest.mark.parametrize("value", [1e-3, 10.0])
+    def test_unconverged_start_falls_back_to_the_cold_solve(
+            self, material_params, monkeypatch, value):
+        # the start's batch stalls; the incompressible guess then gives the
+        # cold solve's records, bit for bit
+        prog = uniaxial(1.15, steps=6)
+        cold = solve_mixed_point(prog, material_params)
+        calls = count_responses(monkeypatch)
+        warm = solve_mixed_point(prog, material_params,
+                                 start=np.full((7, 2), value))
+        assert len(calls) > matpoint.NEWTON_MAXIT
+        assert records_to_csv(warm) == records_to_csv(cold)
+
+    def test_unconverged_start_keeps_the_cold_failure(self, material_params,
+                                                       monkeypatch):
+        # where the cold solve fails, a start changes nothing about the error
+        monkeypatch.setattr(matpoint, "NEWTON_MAXIT", 1)
+        prog = uniaxial(1.15, steps=6)
+        with pytest.raises(SolverError) as cold:
+            solve_mixed_point(prog, material_params)
+        with pytest.raises(SolverError) as warm:
+            solve_mixed_point(prog, material_params, start=np.full((7, 2), 10.0))
+        assert str(warm.value) == str(cold.value)
+        assert warm.value.diagnostics == cold.value.diagnostics
+
+    @pytest.mark.parametrize("grow, start", [
+        (True, np.ones((7, 2))), (False, np.ones((7, 3))), (False, np.ones((6, 2))),
+        (False, np.full((7, 2), np.nan)), (False, np.zeros((7, 2)))])
+    def test_start_needs_free_stretches_of_a_frozen_program(
+            self, material_params, grow, start):
+        with pytest.raises(ParameterError):
+            solve_mixed_point(uniaxial(1.1, steps=6, grow=grow), material_params,
+                              start=start)
+
+
 class TestRecordedEnergy:
     def test_records_reuse_the_converged_psi_m(self, material_params, monkeypatch):
         # psi_m comes with the converged evaluation: one collagen energy
