@@ -4,13 +4,16 @@ A direct-search Nelder-Mead simplex (reflection 1, expansion 2, contraction
 0.5, shrink 0.5) minimizes weighted squared residuals between model curves
 and measured series.  Box bounds are enforced by clipping trial points.
 Everything is deterministic: repeated fits of the same problem reproduce the
-same iterates bit for bit.  A fit of a `PointModel` warm-starts the
-free-axis solve of each evaluation from the stretches that the fit's last
-successful evaluation converged to.  That history belongs to the one
-`fit_material` call, so it repeats with the fit; a prediction within a fit
-meets the same free-axis stress tolerance as a cold `predict`, and equals
-it bit for bit where the fitted constants leave the free stretches in
-place.
+same iterates bit for bit.  A fit of a `PointModel` prepares each of its
+frozen-density programs once (load program, path stretches, densities) and
+warm-starts the free-axis solve of each evaluation from the stretches that
+the fit's last successful evaluation converged to; a start its program's
+last solve converged at is checked by its stress alone, with no tangent.
+That history belongs to the one `fit_material` call, so it repeats with
+the fit; a prediction within a fit meets the same free-axis stress
+tolerance as a cold `predict`, and equals it bit for bit where the fitted
+constants leave the free stretches in place.  `substitute` keeps the
+textile tables that a trial's constants leave unchanged.
 """
 
 import dataclasses
@@ -22,7 +25,7 @@ import numpy as np
 from .errors import FitError
 from .growth import GrowthState, weibull_alpha
 from .materials import MaterialParams
-from .matpoint import FREE, LoadProgram, solve_mixed_point
+from .matpoint import FREE, LoadProgram, _newton_from_start, solve_mixed_point
 
 
 @dataclass(eq=False)
@@ -229,8 +232,9 @@ def fit_material(problem: FitProblem) -> FitResult:
     """Weighted least squares over all series of a FitProblem.
 
     A `PointModel` is evaluated with a warm-start store that this call
-    owns, so each evaluation's free-axis solve starts where the last
-    successful one converged (see `PointModel.predict`).
+    owns: it holds each program prepared once, and each evaluation's
+    free-axis solve starts where the last successful one converged (see
+    `PointModel.predict`).
     """
     predict = getattr(problem.model, "predict", None)
     if isinstance(problem.model, PointModel):
@@ -271,7 +275,9 @@ def substitute(base: MaterialParams, names, values) -> MaterialParams:
     """Rebuild a parameter bundle with dotted fields replaced.
 
     Names take the form "collagen.k1", "textile.k_coup_ani", "matrix.mu" or
-    "growth.a2"; replacement re-validates the affected block.
+    "growth.a2"; replacement re-validates the affected block.  A textile
+    block whose stiffness factors alone change keeps its direction and
+    exponent tables (`TextileParams.replace`).
     """
     groups = {}
     for name, v in zip(names, values):
@@ -281,7 +287,11 @@ def substitute(base: MaterialParams, names, values) -> MaterialParams:
         groups.setdefault(block, {})[fld] = float(v)
     kw = {}
     for block, fields in groups.items():
-        kw[block] = dataclasses.replace(getattr(base, block), **fields)
+        old = getattr(base, block)
+        if block == "textile":
+            kw[block] = old.replace(**fields)
+        else:
+            kw[block] = dataclasses.replace(old, **fields)
     return dataclasses.replace(base, **kw)
 
 
@@ -309,29 +319,82 @@ def _axis0_stress(params, kind, xs, rhos, ratios=None, warm=None):
     after one reference knot at the unit stretch, form one lockstep batch
     with one density per knot.  Returns one P11 array per protocol.
 
-    `warm`, a dict, keys each program by all of its inputs and holds the
-    free-axis stretches its last solve converged to: the solve starts from
-    them, and a solve whose P11 are all finite replaces them.
+    `warm`, a dict, keys each program by all of its inputs and holds it
+    prepared (see `_Program`) with the free-axis stretches its last solve
+    converged to: the solve starts from them, and a solve whose P11 are all
+    finite replaces them.
     """
     xs = [np.asarray(x, dtype=float) for x in xs]
     key = (kind, tuple(x.tobytes() for x in xs), tuple(rhos), tuple(ratios or ()))
-    sizes = [x.size for x in xs]
-    rho = np.concatenate([[0.0]] + [np.full(n, float(r)) for n, r in zip(sizes, rhos)])
-    if kind == "uniaxial":
-        controls = (np.concatenate([[1.0]] + xs), FREE, FREE)
-        measure, free = "stretch", [1, 2]
-    else:
-        e2 = [x / r for x, r in zip(xs, ratios)]
-        controls = (np.concatenate([[0.0]] + xs), np.concatenate([[0.0]] + e2), FREE)
-        measure, free = "engineering", [2]
-    prog = LoadProgram(times=np.arange(rho.size, dtype=float), controls=controls,
-                       strain_measure=measure, grow=False)
-    start = None if warm is None else warm.get(key)
-    recs = solve_mixed_point(prog, params, init=GrowthState(rho=rho), start=start)
-    P = np.array([r.F[0, 0] * r.S[0] for r in recs[1:]])
+    prog = None if warm is None else warm.get(key)
+    if prog is None:
+        prog = _Program(kind, xs, rhos, ratios)
+    lams, S = _solve_program(prog, params)
+    P = lams[1:, 0] * S[1:, 0]
     if warm is not None and np.all(np.isfinite(P)):
-        warm[key] = np.array([r.F.diagonal()[free] for r in recs])
-    return np.split(P, np.cumsum(sizes)[:-1])
+        stretches = lams[:, prog.free]
+        prog.at_start = (prog.start is not None
+                         and np.array_equal(stretches, prog.start))
+        prog.start = stretches
+        warm[key] = prog
+    return np.split(P, prog.splits)
+
+
+class _Program:
+    """One frozen-density program of `_axis0_stress`, prepared once.
+
+    Holds the validated `LoadProgram`, the path stretches with the
+    controlled axes set (`lams`, one row per knot), the free axes and the
+    knot densities, and, once a solve of it succeeded within a fit, the
+    free stretches that solve converged to (`start`) and whether it
+    converged at its own start (`at_start`).
+    """
+
+    def __init__(self, kind, xs, rhos, ratios):
+        sizes = [x.size for x in xs]
+        rho = np.concatenate([[0.0]] + [np.full(n, float(r))
+                                        for n, r in zip(sizes, rhos)])
+        if kind == "uniaxial":
+            controls = (np.concatenate([[1.0]] + xs), FREE, FREE)
+            measure = "stretch"
+        else:
+            e2 = [x / r for x, r in zip(xs, ratios)]
+            controls = (np.concatenate([[0.0]] + xs),
+                        np.concatenate([[0.0]] + e2), FREE)
+            measure = "engineering"
+        self.program = LoadProgram(times=np.arange(rho.size, dtype=float),
+                                   controls=controls, strain_measure=measure,
+                                   grow=False)
+        # one interval per knot: the path points are the knots
+        self.lams = np.ones((rho.size, 3))
+        self.free = []
+        for ax, c in enumerate(self.program.controls):
+            if isinstance(c, str):
+                self.free.append(ax)
+            else:
+                self.lams[:, ax] = c
+        self.state = GrowthState(rho=rho)
+        self.splits = np.cumsum(sizes)[:-1]
+        self.start = None
+        self.at_start = False
+
+
+def _solve_program(prog, params):
+    """Free-axis solve of a prepared program: (stretches, S), one row per knot.
+
+    With a `start` the lockstep Newton runs on the program's arrays from
+    it, checking a start that its last solve converged at by its stress
+    alone; a start that does not lead every knot to its root is dropped,
+    and `solve_mixed_point` answers as for a cold solve.
+    """
+    if prog.start is not None:
+        solved = _newton_from_start(prog.lams, prog.free, params, prog.state.rho,
+                                    prog.start, probe=prog.at_start)
+        if solved is not None:
+            return solved[0], solved[1]
+    recs = solve_mixed_point(prog.program, params, init=prog.state)
+    return (np.array([r.F.diagonal() for r in recs]),
+            np.array([r.S for r in recs]))
 
 
 class PointModel:
@@ -341,7 +404,9 @@ class PointModel:
     solves every series as one lockstep program; `model(x, series)` is its
     one-series view.  See `make_point_model`.  `predict` is cold and
     history-free unless given a `warm` store (see `_axis0_stress`), as
-    `fit_material` does, one store per fit.
+    `fit_material` does, one store per fit: a warm evaluation runs the
+    lockstep free-axis Newton on its prepared program's arrays and builds
+    no load program and no records.
     """
 
     def __init__(self, base, param_names, kind, rho_by_series, ratio_by_series):

@@ -14,6 +14,8 @@ d rho / d psi_m.  Stresses in MPa, densities in ug/mm^3, psi_m in
 MPa mm^3/ug.
 """
 
+import copy
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +27,9 @@ from .growth import GrowthParams, GrowthState, update_density_batch
 _I6 = tn.IDENTITY6
 _EYE3 = np.eye(3)
 FIBER_STRAIN_MAX = 10.0   # far outside any physical state
+#: the textile stiffness factors, in the order of `_textile_monomials`
+TEXTILE_STIFFNESS = ("k1_1", "k2_1", "k1_2", "k2_2", "k_coup1", "k_coup2",
+                     "k_coup_ani")
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,8 @@ class TextileParams:
     builds the constants `textile_batch` evaluates with: the monomial tables
     of the energy and its partials (`mono_*`, see `_textile_monomials`),
     the linear part of the invariant gradients and their constant
-    curvatures.
+    curvatures.  Only the coefficients `mono_coef` depend on the stiffness
+    factors; `replace` keeps every other table when it changes nothing else.
     """
 
     k1_1: float
@@ -104,20 +110,15 @@ class TextileParams:
     m1_6: np.ndarray = field(init=False, repr=False)
     m2_6: np.ndarray = field(init=False, repr=False)
     mono_coef: np.ndarray = field(init=False, repr=False)
+    mono_factor: np.ndarray = field(init=False, repr=False)
+    mono_term: np.ndarray = field(init=False, repr=False)
     mono_pow: np.ndarray = field(init=False, repr=False)
     mono_scatter: np.ndarray = field(init=False, repr=False)
     grad_lin: np.ndarray = field(init=False, repr=False)
     curv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("k1_1", "k2_1", "k1_2", "k2_2", "k_coup1", "k_coup2", "k_coup_ani"):
-            if getattr(self, name) < 0.0:
-                raise ParameterError(f"{name} must be non-negative")
-        for name in ("beta1", "beta2", "gamma1", "gamma2", "delta1", "delta2", "xi"):
-            e = getattr(self, name)
-            if int(e) != e or e < 2:
-                raise ParameterError(f"exponent {name} must be an integer >= 2, got {e}")
-            object.__setattr__(self, name, int(e))
+        self._validate()
         object.__setattr__(self, "n1", tn.unit_vector(self.n1))
         object.__setattr__(self, "n2", tn.unit_vector(self.n2))
         object.__setattr__(self, "M1", np.outer(self.n1, self.n1))
@@ -133,11 +134,43 @@ class TextileParams:
         object.__setattr__(self, "curv", np.stack([
             tn.sym_outer_product(_EYE3, M) + tn.sym_outer_product(M, _EYE3)
             for M in (self.M1, self.M2)]))
-        coef, powers, rows = _textile_monomials(self)
+        factor, term, powers, rows = _textile_monomials(self)
         start = np.flatnonzero(np.diff(rows, prepend=-1))
-        object.__setattr__(self, "mono_coef", coef)
+        object.__setattr__(self, "mono_factor", factor)
+        object.__setattr__(self, "mono_term", term)
         object.__setattr__(self, "mono_pow", powers)
         object.__setattr__(self, "mono_scatter", np.stack([start, rows[start]]))
+        self._set_coef()
+
+    def _validate(self):
+        for name in TEXTILE_STIFFNESS:
+            if getattr(self, name) < 0.0:
+                raise ParameterError(f"{name} must be non-negative")
+        for name in ("beta1", "beta2", "gamma1", "gamma2", "delta1", "delta2", "xi"):
+            e = getattr(self, name)
+            if int(e) != e or e < 2:
+                raise ParameterError(f"exponent {name} must be an integer >= 2, got {e}")
+            object.__setattr__(self, name, int(e))
+
+    def _set_coef(self):
+        k = np.array([getattr(self, name) for name in TEXTILE_STIFFNESS], dtype=float)
+        object.__setattr__(self, "mono_coef", self.mono_factor * k[self.mono_term])
+
+    def replace(self, **changes):
+        """`dataclasses.replace(self, **changes)`, validated alike.
+
+        Where `changes` holds stiffness factors only, the copy keeps this
+        instance's direction and exponent tables and recomputes `mono_coef`
+        alone; any other change rebuilds every table.
+        """
+        if not set(changes) <= set(TEXTILE_STIFFNESS):
+            return dataclasses.replace(self, **changes)
+        new = copy.copy(self)
+        for name, value in changes.items():
+            object.__setattr__(new, name, value)
+        new._validate()
+        new._set_coef()
+        return new
 
 
 # Output rows of the textile monomial sums: psi, its five first partials
@@ -155,20 +188,21 @@ def _textile_monomials(p):
     I5t - 1) the energy is a sum of seven monomials f k u_a^ea u_b^eb, with
     eb = 0 for a term in one invariant.  Differentiating by u_a lowers ea by
     one and multiplies f by it, so the partials are monomials of the same
-    form.  Returns the coefficients f k, the rows 5 ea + a and 5 eb + b of
-    the two factors in the power table u^e_v (2, M), and each monomial's
-    output row (psi 0, dpsi/du_v 1 + v, d2psi/du_v du_w
-    6 + 5 v + w), sorted by row; within a row the seven terms keep their
-    order.
+    form.  Returns the factors f, the index k of each monomial's stiffness
+    factor in `TEXTILE_STIFFNESS` (its coefficient is f times that factor),
+    the rows 5 ea + a and 5 eb + b of the two factors in the power table
+    u^e_v (2, M), and each monomial's output row (psi 0, dpsi/du_v 1 + v,
+    d2psi/du_v du_w 6 + 5 v + w), sorted by row; within a row the seven
+    terms keep their order.  Only the exponents enter the table.
     """
-    terms = [  # (k, a, ea, b, eb)
-        (p.k1_1, 1, p.beta1, 0, 0),
-        (p.k2_1, 2, p.beta2, 0, 0),
-        (p.k1_2, 3, p.gamma1, 0, 0),
-        (p.k2_2, 4, p.gamma2, 0, 0),
-        (p.k_coup1, 0, p.delta1, 1, p.delta1),
-        (p.k_coup2, 0, p.delta2, 3, p.delta2),
-        (p.k_coup_ani, 1, p.xi, 3, p.xi),
+    terms = [  # (k, a, ea, b, eb), k indexing TEXTILE_STIFFNESS
+        (0, 1, p.beta1, 0, 0),
+        (1, 2, p.beta2, 0, 0),
+        (2, 3, p.gamma1, 0, 0),
+        (3, 4, p.gamma2, 0, 0),
+        (4, 0, p.delta1, 1, p.delta1),
+        (5, 0, p.delta2, 3, p.delta2),
+        (6, 1, p.xi, 3, p.xi),
     ]
     level = [(1, k, a, ea, b, eb, 0) for k, a, ea, b, eb in terms]
     table = list(level)
@@ -184,10 +218,11 @@ def _textile_monomials(p):
                 nxt.append((f * eb, k, a, ea, b, eb - 1, base + 5 * (r - prev) + b))
         level = sorted(nxt, key=lambda m: m[-1])
         table += level
-    coef = np.array([f * k for f, k, *_ in table])
+    factor = np.array([m[0] for m in table], dtype=float)
+    term = np.array([m[1] for m in table])
     powers = np.array([(5 * ea + a, 5 * eb + b) for _, _, a, ea, b, eb, _ in table]).T
     rows = np.array([m[6] for m in table])
-    return coef, powers, rows
+    return factor, term, powers, rows
 
 
 @dataclass(frozen=True)
@@ -452,7 +487,8 @@ def response_batch(C, params: MaterialParams, rho_n, t, dt, pbar=None,
     }
 
 
-def total_response(F, params: MaterialParams, state: GrowthState, dt, t):
+def total_response(F, params: MaterialParams, state: GrowthState, dt, t,
+                   tangent=True):
     """Coupled response at a material point for a deformation gradient F.
 
     Runs the density update over the step (t - dt, t] when dt > 0 and
@@ -461,19 +497,26 @@ def total_response(F, params: MaterialParams, state: GrowthState, dt, t):
     through unchanged.  F may also be a stack (..., 3, 3) of points;
     `state.rho` is then one density for all of them or an array over F's
     leading axes, one per point, and the stress, tangent and the fields of
-    the new state are stacks over those axes.
+    the new state are stacks over those axes.  With tangent=False the
+    tangent CC is None and no tangent work is done; the stress and the state
+    are those of the full evaluation bit for bit.  A deformation whose
+    response overflows the float range raises DeformationError.
     """
     F = np.asarray(F, dtype=float)
     lead = F.shape[:-2]
     C = tn.right_cauchy_green(F).reshape(-1, 3, 3)
     rho_n = np.broadcast_to(np.asarray(state.rho, dtype=float), lead).reshape(-1)
-    out = response_batch(C, params, rho_n, t, dt)
+    try:
+        with np.errstate(over="raise"):
+            out = response_batch(C, params, rho_n, t, dt, tangent=tangent)
+    except FloatingPointError as exc:
+        raise DeformationError("material response overflows at this "
+                               "deformation") from exc
     fields = {k: out[k].reshape(lead) for k in ("rho", "drho_dpsim", "psi_m")}
     if not lead:
         fields = {k: float(v) for k, v in fields.items()}
-    return (StressTangent(out["S"].reshape(lead + (6,)),
-                          out["CC"].reshape(lead + (6, 6))),
-            GrowthState(**fields))
+    CC = out["CC"].reshape(lead + (6, 6)) if tangent else None
+    return StressTangent(out["S"].reshape(lead + (6,)), CC), GrowthState(**fields)
 
 
 def cauchy_stress(F, S):

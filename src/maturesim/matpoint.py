@@ -120,7 +120,8 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
     program is solved knot by knot in time, each knot starting from the
     last one's stretches, from one scalar `init.rho`.  Raises SolverError
     when a free-axis Newton iteration stalls, and DeformationError when a
-    knot takes the fibers past the collagen law's strain limit.
+    knot takes the fibers past the collagen law's strain limit or its
+    response past the float range.
     """
     free = [ax for ax, c in enumerate(program.controls) if isinstance(c, str)]
     controlled = [ax for ax in range(3) if ax not in free]
@@ -149,14 +150,11 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
                                  "of a frozen program")
     if program.grow:
         return _solve_in_turn(path_t, path_lams, free, params, init.rho, True)
-    guess = path_lams.copy()
     if start is not None and free:
-        guess[:, free] = start
-        try:
-            return _records(path_t, *_newton_free_axes(guess, free, params,
-                                                       init.rho, 0.0, path_t[0]))
-        except (SolverError, DeformationError):
-            pass
+        solved = _newton_from_start(path_lams, free, params, init.rho, start)
+        if solved is not None:
+            return _records(path_t, *solved)
+    guess = path_lams.copy()
     if free:
         vol = np.prod(path_lams[:, controlled], axis=1, keepdims=True)
         guess[:, free] = (1.0 / vol) ** (1.0 / len(free))
@@ -170,6 +168,19 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
         except SolverError:
             raise exc from None
     return _records(path_t, *solved)
+
+
+def _newton_from_start(path_lams, free, params, rho, start, probe=False):
+    """The lockstep Newton of a frozen path from `start`, its free-axis
+    stretches (see `_newton_free_axes`), or None where the start does not
+    lead every knot to its root: its batch stalls or leaves the range the
+    material laws evaluate."""
+    guess = path_lams.copy()
+    guess[:, free] = start
+    try:
+        return _newton_free_axes(guess, free, params, rho, 0.0, 0.0, probe)
+    except (SolverError, DeformationError):
+        return None
 
 
 def _records(path_t, lams, S, sigma, rho, psi_m):
@@ -205,7 +216,7 @@ def _solve_in_turn(path_t, path_lams, free, params, rho, grow):
     return records
 
 
-def _newton_free_axes(lams, free, params, rho, dt, t):
+def _newton_free_axes(lams, free, params, rho, dt, t, probe=False):
     """Zero the Cauchy stress on the free axes of a stack of points.
 
     `lams` (N, 3) holds the starting stretches of N points that share the
@@ -217,8 +228,12 @@ def _newton_free_axes(lams, free, params, rho, dt, t):
     J = l1 l2 l3, the push-forward of the PK2 stress is
     sigma_ij = l_i S_ij l_j / J and the fiber strain is
     sum_i l_i^2 H_ii - 1; each iterate takes J, sigma and the free-axis
-    Jacobians from its stretches.  Returns the converged stretches with the
-    evaluation each point converged at, all over the N points:
+    Jacobians from its stretches.  With `probe`, for starts expected at
+    their root, the first iterate evaluates the stress alone and only the
+    points it leaves off their root take a tangent evaluation, at the same
+    stretches; the stress is that of a full evaluation bit for bit, so the
+    iterates are those without `probe`.  Returns the converged stretches
+    with the evaluation each point converged at, all over the N points:
     (lams, S, sigma, rho, psi_m), rho being the updated density.
     """
     lams = np.array(lams, dtype=float)
@@ -233,7 +248,8 @@ def _newton_free_axes(lams, free, params, rho, dt, t):
     for _ in range(NEWTON_MAXIT):
         lam = lams[todo]
         st, new_state = total_response(lam[:, :, None] * np.eye(3), params,
-                                       GrowthState(rho=rho[todo]), dt, t)
+                                       GrowthState(rho=rho[todo]), dt, t,
+                                       tangent=not probe)
         J = np.prod(lam, axis=1)[:, None]
         sig = (lam[:, VOIGT_I] * st.S) * lam[:, VOIGT_J] / J
         res = sig[:, free]
@@ -246,13 +262,20 @@ def _newton_free_axes(lams, free, params, rho, dt, t):
             return lams, S, sigma, rho_new, psi_m
         go = ~done
         todo, lam, J, res, err = todo[go], lam[go], J[go], res[go], err[go]
+        if probe:
+            # the points off their root, at the same stretches
+            st, _ = total_response(lam[:, :, None] * np.eye(3), params,
+                                   GrowthState(rho=rho[todo]), dt, t)
+            S_go, CC_go, probe = st.S, st.CC, False
+        else:
+            S_go, CC_go = st.S[go], st.CC[go]
         # d sigma_i / d l_j on the free axes, with dS_i/dl_j = CC_ij l_j
         # under the package tangent convention
         lf = lam[:, free]
-        CCf = st.CC[go][:, free][:, :, free]
+        CCf = CC_go[:, free][:, :, free]
         jac = (lf[:, :, None] ** 2 * (CCf * lf[:, None, :]) / J[:, :, None]
                - res[:, :, None] / lf[:, None, :])
-        jac[:, diag[0], diag[1]] += 2.0 * lf * st.S[go][:, free] / J
+        jac[:, diag[0], diag[1]] += 2.0 * lf * S_go[:, free] / J
         try:
             step = np.linalg.solve(jac, -res[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:

@@ -1,15 +1,19 @@
 """Nelder-Mead and calibration workflow tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from maturesim import calibrate
+from maturesim import calibrate, config, matpoint
 from maturesim.calibrate import (DataSeries, FitProblem, biaxial_eng_stress,
                                  fit_material, fit_weibull, make_point_model,
                                  nelder_mead, substitute, uniaxial_eng_stress)
 from maturesim.errors import FitError, SolverError
+from maturesim.growth import GrowthState
+from maturesim.matpoint import FREE, LoadProgram, solve_mixed_point
 
-from conftest import make_material
+from conftest import deadline, make_material
 
 # relative collagen content measured over four weeks of static culture
 MATURATION_POINTS = [(0.0, 0.0), (7.0, 0.28486), (14.0, 0.6060),
@@ -207,7 +211,7 @@ class TestPointModelBatch:
         # every objective evaluation of a three-series fit, and the final
         # per-series report, builds one bundle and solves one program
         _, _, prob = collagen_problem(max_evals=20)
-        calls = {"substitute": 0, "solve_mixed_point": 0}
+        calls = {"substitute": 0, "_solve_program": 0}
         for name in calls:
             fn = getattr(calibrate, name)
 
@@ -219,7 +223,7 @@ class TestPointModelBatch:
         res = fit_material(prob)
         assert res.nm.n_evals >= 20
         assert calls == {"substitute": res.nm.n_evals + 1,
-                         "solve_mixed_point": res.nm.n_evals + 1}
+                         "_solve_program": res.nm.n_evals + 1}
 
 
 def textile_model():
@@ -290,19 +294,19 @@ class TestWarmStart:
         _, _, prob = collagen_problem(kappa=0.15)
         warm = {}
         prob.model.predict(np.array([0.5, 6.0]), prob.series, warm=warm)
-        kept = {k: v.copy() for k, v in warm.items()}
-        solve = calibrate.solve_mixed_point
+        kept = {k: v.start.copy() for k, v in warm.items()}
+        solve = calibrate._solve_program
 
         def stalled(*args, **kwargs):
             raise SolverError("free-axis Newton did not converge")
 
         def non_finite(*args, **kwargs):
-            records = solve(*args, **kwargs)
-            records[-1].S = np.full(6, np.inf)
-            return records
+            lams, S = solve(*args, **kwargs)
+            S[-1] = np.inf
+            return lams, S
 
         for fake in (stalled, non_finite):
-            monkeypatch.setattr(calibrate, "solve_mixed_point", fake)
+            monkeypatch.setattr(calibrate, "_solve_program", fake)
             try:
                 preds = prob.model.predict(np.array([0.9, 3.5]), prob.series,
                                            warm=warm)
@@ -311,20 +315,20 @@ class TestWarmStart:
             else:
                 assert not np.all(np.isfinite(preds[-1]))
             assert warm.keys() == kept.keys()
-            assert all(np.array_equal(warm[k], kept[k]) for k in kept)
+            assert all(np.array_equal(warm[k].start, kept[k]) for k in kept)
 
     def test_fit_owns_its_store(self, monkeypatch):
         # one store per fit: its first evaluation is cold, each later one
         # starts from the last, and predict outside a fit stays cold
         _, _, prob = collagen_problem(max_evals=20, kappa=0.15)
         starts = []
-        solve = calibrate.solve_mixed_point
+        solve = calibrate._solve_program
 
-        def recorded(*args, start=None, **kwargs):
-            starts.append(start)
-            return solve(*args, start=start, **kwargs)
+        def recorded(prog, params):
+            starts.append(prog.start)
+            return solve(prog, params)
 
-        monkeypatch.setattr(calibrate, "solve_mixed_point", recorded)
+        monkeypatch.setattr(calibrate, "_solve_program", recorded)
         for _ in range(2):
             fit_material(prob)
             assert starts[0] is None
@@ -333,3 +337,141 @@ class TestWarmStart:
         prob.model.predict(prob.x0, prob.series)
         prob.model(prob.x0, prob.series[0])
         assert starts == [None, None]
+
+
+def benchmark_fits():
+    # the collagen and textile fits of the point_calibration benchmark, from
+    # their nominal starts
+    base = config.parse_config({}).material
+    rho_f = base.collagen.rho_f
+    rhos = {"rel100": rho_f, "rel84": 0.8357 * rho_f, "rel61": 0.6060 * rho_f}
+    stretches = np.linspace(1.02, 1.12, 6)
+    collagen = ["collagen.k1", "collagen.k2"]
+    ratios = {"equi": 1.0, "onethird": 3.0}
+    strains = np.linspace(0.02, 0.2, 6)
+    textile = ["textile.k1_1", "textile.k1_2"]
+    return {
+        "collagen": FitProblem(
+            param_names=collagen, x0=np.array([0.5, 6.0]),
+            bounds=[(0.05, 5.0), (0.5, 20.0)], max_evals=600,
+            series=[DataSeries(k, stretches, uniaxial_eng_stress(base, stretches, r))
+                    for k, r in rhos.items()],
+            model=make_point_model(base, collagen, kind="uniaxial",
+                                   rho_by_series=rhos)),
+        "textile": FitProblem(
+            param_names=textile, x0=np.array([0.03, 0.25]),
+            bounds=[(1e-4, 1.0), (1e-4, 2.0)], max_evals=400,
+            series=[DataSeries(k, strains, biaxial_eng_stress(base, strains, r, 0.0))
+                    for k, r in ratios.items()],
+            model=make_point_model(base, textile, kind="biaxial",
+                                   ratio_by_series=ratios)),
+    }
+
+
+class ReferenceWarmModel:
+    """A uniaxial `PointModel`'s warm evaluation written with the public
+    point solver: per evaluation one `LoadProgram` and one record per knot,
+    solved by `solve_mixed_point` from the free stretches of the last
+    evaluation whose predictions were finite."""
+
+    def __init__(self, model):
+        self.model = model
+        self.starts = {}
+
+    def predict(self, x, series_list):
+        m = self.model
+        p = substitute(m.base, m.param_names, x)
+        rho = np.concatenate([[0.0]] + [np.full(s.x.size, m.rho_by_series[s.name])
+                                        for s in series_list])
+        knots = np.concatenate([[1.0]] + [s.x for s in series_list])
+        prog = LoadProgram(times=np.arange(rho.size, dtype=float),
+                           controls=(knots, FREE, FREE), grow=False)
+        key = tuple(s.name for s in series_list)
+        recs = solve_mixed_point(prog, p, init=GrowthState(rho=rho),
+                                 start=self.starts.get(key))
+        P = np.array([r.F[0, 0] * r.S[0] for r in recs[1:]])
+        if np.all(np.isfinite(P)):
+            self.starts[key] = np.array([np.diag(r.F)[1:] for r in recs])
+        return np.split(P, np.cumsum([s.x.size for s in series_list])[:-1])
+
+
+def record_tangent_flags(monkeypatch):
+    """The `tangent` flag of every point response the free-axis Newton asks for."""
+    flags = []
+    response = matpoint.total_response
+
+    def recorded(*args, tangent=True, **kwargs):
+        flags.append(tangent)
+        return response(*args, tangent=tangent, **kwargs)
+
+    monkeypatch.setattr(matpoint, "total_response", recorded)
+    return flags
+
+
+class TestPreparedProgram:
+    @pytest.mark.parametrize("fit", ["collagen", "textile"])
+    def test_fit_equals_the_cold_callable(self, fit):
+        # where the fitted constants leave the free stretches in place, the
+        # prepared, warm-started program answers each evaluation as a cold
+        # solve per series does, so the whole fit repeats bit for bit
+        prob = benchmark_fits()[fit]
+        model = prob.model
+        warm = fit_material(prob)
+        cold = fit_material(dataclasses.replace(prob, model=lambda x, s: model(x, s)))
+        assert np.array_equal(warm.x, cold.x)
+        assert warm.nm.n_evals == cold.nm.n_evals
+        assert warm.nm.trace == cold.nm.trace
+        assert warm.per_series_rms == cold.per_series_rms
+
+    def test_off_root_fit_follows_the_point_solver(self, monkeypatch):
+        # kappa = 0.15: each evaluation's start is off its root.  The fit
+        # repeats, bit for bit, the one whose evaluations go through
+        # solve_mixed_point from the same starts, with no more tangents
+        _, _, prob = collagen_problem(kappa=0.15)
+        flags = record_tangent_flags(monkeypatch)
+        fast = fit_material(prob)
+        fast_flags = list(flags)
+        flags.clear()
+        ref = fit_material(dataclasses.replace(
+            prob, model=ReferenceWarmModel(prob.model)))
+        assert np.array_equal(fast.x, ref.x)
+        assert fast.nm.n_evals == ref.nm.n_evals
+        assert fast.nm.trace == ref.nm.trace
+        assert fast.objective == ref.objective
+        assert fast_flags.count(True) <= flags.count(True)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [10.0, 1e10])
+    def test_a_failing_start_falls_back_to_the_cold_solve(self, value):
+        # a stored start that stalls (10) or overflows the textile law
+        # (1e10) is dropped, and the evaluation answers the cold solve
+        _, _, prob = collagen_problem()
+        x = np.array([0.9, 3.5])
+        warm = {}
+        prob.model.predict(x, prob.series, warm=warm)
+        for prog in warm.values():
+            prog.start = np.full_like(prog.start, value)
+        with deadline(30):
+            hot = prob.model.predict(x, prob.series, warm=warm)
+        cold = prob.model.predict(x, prob.series)
+        assert all(np.array_equal(h, c) for h, c in zip(hot, cold))
+
+    def test_a_start_at_its_root_is_checked_by_its_stress_alone(self, monkeypatch):
+        # the second solve at one x converges at its start, so the third is
+        # one stress-only evaluation; the fourth, at a new x and off its
+        # root, adds the tangents the point solver takes from that start
+        _, _, prob = collagen_problem(kappa=0.15)
+        ref = ReferenceWarmModel(prob.model)
+        flags = record_tangent_flags(monkeypatch)
+        warm, seen, ref_seen = {}, [], []
+        for x in ([0.5, 6.0], [0.5, 6.0], [0.5, 6.0], [0.9, 3.5]):
+            hot = prob.model.predict(np.array(x), prob.series, warm=warm)
+            seen.append(list(flags))
+            flags.clear()
+            want = ref.predict(np.array(x), prob.series)
+            ref_seen.append(list(flags))
+            flags.clear()
+            assert all(np.array_equal(h, w) for h, w in zip(hot, want))
+        assert seen[:2] == ref_seen[:2]
+        assert seen[2] == [False]
+        assert seen[3] == [False] + ref_seen[3]

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maturesim import tensors as tn
@@ -255,6 +255,37 @@ class TestTextileKernel:
             seen.append(got[0])
             del p, got
 
+    @settings(max_examples=100, deadline=None)
+    @given(stiff=st.dictionaries(st.sampled_from(_STIFFNESSES),
+                                 st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
+                                 max_size=3),
+           exps=st.dictionaries(st.sampled_from(_EXPONENTS), st.integers(2, 12),
+                                max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_substitute_matches_a_fresh_construction(self, stiff, exps, seed):
+        # a substitute of stiffness factors alone keeps the direction and
+        # exponent tables and recomputes the coefficients; one that changes
+        # an exponent rebuilds every table.  Either answers, bit for bit, a
+        # freshly constructed TextileParams with the same constants
+        assume(stiff or exps)
+        changes = {**stiff, **exps}
+        base = make_material()
+        fields = {k: getattr(base.textile, k) for k in _STIFFNESSES + _EXPONENTS}
+        fresh = TextileParams(**{**fields, **changes}, n1=EX, n2=EY)
+        p = substitute(base, [f"textile.{k}" for k in changes],
+                       list(changes.values())).textile
+        if set(changes) <= set(_STIFFNESSES):
+            assert p.mono_pow is base.textile.mono_pow
+            assert p.curv is base.textile.curv
+        rng = np.random.default_rng(seed)
+        C = np.array([random_C(rng, spread=0.2, stretch=0.1) for _ in range(4)])
+        for got, want in zip(textile_batch(C, p), textile_batch(C, fresh)):
+            assert np.array_equal(got, want)
+
+    def test_substitute_validates_stiffness_factors(self):
+        with pytest.raises(ParameterError):
+            substitute(make_material(), ["textile.k1_2"], [-1e-3])
+
     def test_batch_shape_follows_input(self, textile_params):
         rng = np.random.default_rng(43)
         C = np.array([random_C(rng) for _ in range(6)]).reshape(2, 3, 3, 3)
@@ -309,6 +340,29 @@ class TestTotalResponse:
                                      make_material(), GrowthState(rho=5.0),
                                      0.0, 0.0)
         assert np.all(np.isfinite(resp.S)) and np.all(np.isfinite(resp.CC))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_response_is_a_deformation_error(self):
+        # lateral stretches of 1e10 take the textile invariants' powers past
+        # the float range: a typed failure, no overflow warning
+        with deadline(10), pytest.raises(DeformationError, match="overflow"):
+            total_response(np.diag([1.2, 1e10, 1e10]), make_material(),
+                           GrowthState(), 0.0, 0.0)
+
+    @pytest.mark.parametrize("dt", [0.0, 0.1])
+    def test_stress_alone_is_the_full_stress(self, dt):
+        # tangent=False drops the tangent work and nothing else: stress and
+        # new state are the full evaluation's bit for bit
+        params = make_material(kappa=0.1, psi_crit=2e-5)
+        rng = np.random.default_rng(37)
+        F = np.array([random_F(rng, spread=0.2, stretch=0.2) for _ in range(5)])
+        state = GrowthState(rho=np.linspace(0.0, 30.0, 5))
+        full, full_new = total_response(F, params, state, dt, 2.0)
+        alone, alone_new = total_response(F, params, state, dt, 2.0, tangent=False)
+        assert alone.CC is None
+        assert np.array_equal(alone.S, full.S)
+        for name in ("rho", "drho_dpsim", "psi_m"):
+            assert np.array_equal(getattr(alone_new, name), getattr(full_new, name))
 
     @pytest.mark.parametrize("dt", [0.0, 0.1])
     def test_stack_matches_single_points(self, dt):

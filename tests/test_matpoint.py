@@ -142,9 +142,9 @@ def count_responses(monkeypatch):
     calls = []
     response = matpoint.total_response
 
-    def counted(F, *args):
+    def counted(F, *args, **kwargs):
         calls.append(np.shape(F)[:-2])
-        return response(F, *args)
+        return response(F, *args, **kwargs)
 
     monkeypatch.setattr(matpoint, "total_response", counted)
     return calls
@@ -284,11 +284,11 @@ class TestFiberStrainGuard:
         strains = []
         response = matpoint.total_response
 
-        def recorded(F, *args):
+        def recorded(F, *args, **kwargs):
             C = np.einsum("...ki,...kj->...ij", F, F)
             E = np.einsum("...ij,ij->...", C, params.collagen.H) - 1.0
             strains.append(np.max(E))
-            return response(F, *args)
+            return response(F, *args, **kwargs)
 
         monkeypatch.setattr(matpoint, "total_response", recorded)
         with deadline(60):
@@ -371,6 +371,40 @@ class TestStart:
             solve_mixed_point(prog, material_params, start=np.full((7, 2), 10.0))
         assert str(warm.value) == str(cold.value)
         assert warm.value.diagnostics == cold.value.diagnostics
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_start_falls_back_to_the_cold_solve(self, material_params):
+        # free stretches of 1e10 overflow the textile law: the start's batch
+        # fails with a typed error, not a warning, and the cold solve answers
+        prog = uniaxial(1.2, steps=3)
+        with deadline(30):
+            cold = solve_mixed_point(prog, material_params)
+            warm = solve_mixed_point(prog, material_params,
+                                     start=np.full((4, 2), 1e10))
+        assert records_to_csv(warm) == records_to_csv(cold)
+
+    def test_probe_changes_no_iterate(self, monkeypatch):
+        # a start off its root, checked by its stress alone first: the points
+        # it leaves off the root take their tangent at the same stretches and
+        # the Newton goes on as without the check, with as many tangents
+        params = make_material(kappa=0.15)
+        other = solve_mixed_point(uniaxial(1.15, steps=6), make_material(kappa=0.05))
+        lams = np.array([np.diag(r.F) for r in other])
+        response = matpoint.total_response
+        runs = {}
+        for probe in (False, True):
+            calls = runs[probe] = []
+
+            def counted(F, *args, tangent=True, **kwargs):
+                calls.append(tangent)
+                return response(F, *args, tangent=tangent, **kwargs)
+
+            monkeypatch.setattr(matpoint, "total_response", counted)
+            runs[probe, "out"] = matpoint._newton_free_axes(
+                lams, [1, 2], params, 38.71, 0.0, 0.0, probe=probe)
+        for plain, probed in zip(runs[False, "out"], runs[True, "out"]):
+            assert np.array_equal(plain, probed)
+        assert runs[True] == [False] + runs[False]
 
     @pytest.mark.parametrize("grow, start", [
         (True, np.ones((7, 2))), (False, np.ones((7, 3))), (False, np.ones((6, 2))),
