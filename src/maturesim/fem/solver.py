@@ -16,6 +16,10 @@ Dirichlet dofs and the follower-load faces, so `FemModel` builds it once at
 construction, in CSC form, together with a scatter map from every dense
 element and load-block entry to its slot in the CSC `data`.  Each assembly
 then fills `data` with one `bincount` and wraps it; nothing is sorted.
+The model also builds the strain operator of `el.b_matrices` once, so a
+tangent assembly forms B with one batched product.  Its element block is
+summed in place: the material block, then the geometric blocks added into
+it by `el.geometric_stiffness`, then the mean-dilatation rank-one block.
 
 A residual-only assembly (`tangent=False`) skips every tangent term, from
 the constitutive CC blocks and the strain-displacement matrices B to the
@@ -139,8 +143,8 @@ class StepRecord:
 class FemModel:
     """Mesh, material, boundary conditions and Gauss-point growth state.
 
-    The tangent's CSC pattern and scatter map are fixed at construction;
-    `assemble` only computes the values.
+    The tangent's CSC pattern, its scatter map and the strain operator of
+    B are fixed at construction; `assemble` only computes the values.
     """
 
     def __init__(self, mesh: Mesh, params: MaterialParams,
@@ -152,6 +156,7 @@ class FemModel:
 
         self.dNdX, self.wdet, self.V0 = el.reference_gradients(mesh.nodes[self.conn])
         self.wdNdX = el.weighted_gradients(self.dNdX, self.wdet)
+        self.strain_op = el.strain_operator(self.dNdX)
         self.dofmap = (3 * self.conn[:, :, None] + np.arange(3)).reshape(-1, 24)
 
         fixed = np.zeros(self.n_dof, dtype=bool)
@@ -237,7 +242,10 @@ class FemModel:
         ue = u.reshape(-1, 3)[self.conn]
         F = el.deformation_gradients(ue, self.dNdX)
         Finv, J = deformation_inv_det(F)
-        C = F.swapaxes(-1, -2) @ F
+        # C = F^T F as the sum of the outer products of F's rows
+        C = F[..., 0, :, None] * F[..., 0, None, :]
+        C += F[..., 1, :, None] * F[..., 1, None, :]
+        C += F[..., 2, :, None] * F[..., 2, None, :]
 
         mat = self.params.matrix
         Jbar = el.mean_dilatation(J, self.wdet, self.V0)
@@ -269,9 +277,9 @@ class FemModel:
         K = None
         if tangent:
             CC = resp["CC"].reshape(shape + (6, 6))
-            B = el.b_matrices(F, self.dNdX)
-            Ke = el.material_stiffness(B, CC, self.wdet) \
-                + el.geometric_stiffness(S6, self.dNdX, self.wdet)
+            B = el.b_matrices(F, self.strain_op)
+            Ke = el.material_stiffness(B, CC, self.wdet)
+            el.geometric_stiffness(S6, self.dNdX, self.wdet, Ke)
             G = el.volume_gradient(Finv, J, self.dNdX, self.wdet)
             kvol = volumetric_modulus(Jbar, mat) / self.V0
             Ke += kvol[:, None, None] * G[:, :, None] * G[:, None, :]

@@ -266,11 +266,12 @@ def matrix_batch(C, p: MatrixParams, pbar=None, tangent=True):
     S = p.mu * (_I6 - cinv) + pJ[..., None] * cinv
     if not tangent:
         return psi_mu, U_local, S, None, J
-    cc_inv = tn.sym_outer_product(Cinv, Cinv)
-    cc_vol = tn.outer6(cinv, cinv)
-    CC = 2.0 * p.mu * cc_inv + pJ[..., None, None] * (cc_vol - 2.0 * cc_inv)
-    if pbar is None:
-        CC += (J**2 * volumetric_modulus(J, p))[..., None, None] * cc_vol
+    # CC = 2 (mu - p J) C^-1 (.) C^-1 + w C^-1 (x) C^-1, formed in place;
+    # w = p J, plus the bulk term J^2 U''(J) where p is pointwise
+    CC = tn.sym_outer_product(Cinv, Cinv)
+    CC *= 2.0 * (p.mu - pJ)[..., None, None]
+    w = pJ if pbar is not None else pJ + J**2 * volumetric_modulus(J, p)
+    CC += tn.outer6(w[..., None] * cinv, cinv)
     return psi_mu, U_local, S, CC, J
 
 

@@ -167,7 +167,7 @@ class TestKinematicsAndForces:
     def test_b_matrix_is_strain_derivative(self):
         rng = np.random.default_rng(12)
         F = el.deformation_gradients(self.ue, self.dNdX)
-        B = el.b_matrices(F, self.dNdX)
+        B = el.b_matrices(F, el.strain_operator(self.dNdX))
         du = rng.standard_normal(self.ue.shape)
         h = 1e-7
 
@@ -228,7 +228,7 @@ class TestKernelsMatchReference:
         self.dNdX, self.wdet, _ = el.reference_gradients(nodes[m.hex8])
         self.ue = (0.05 * rng.standard_normal(m.nodes.shape))[m.hex8]
         self.F = el.deformation_gradients(self.ue, self.dNdX)
-        self.B = el.b_matrices(self.F, self.dNdX)
+        self.B = el.b_matrices(self.F, el.strain_operator(self.dNdX))
         grid = self.wdet.shape
         self.S6 = rng.standard_normal(grid + (6,))
         A = rng.standard_normal(grid + (6, 6))
@@ -239,7 +239,9 @@ class TestKernelsMatchReference:
         assert ref.rel_err(self.F, expect) < self.TOL
 
     def test_b_matrices(self):
+        # B = L @ F^T with the strain operator of the distorted elements
         expect = ref.ref_b_matrices(self.F, self.dNdX)
+        assert self.B.shape == expect.shape
         assert ref.rel_err(self.B, expect) < self.TOL
 
     def test_internal_forces(self):
@@ -256,9 +258,20 @@ class TestKernelsMatchReference:
         assert ref.rel_err(got, expect) < self.TOL
 
     def test_geometric_stiffness(self):
-        got = el.geometric_stiffness(self.S6, self.dNdX, self.wdet)
+        zero = np.zeros(self.wdet.shape[:1] + (24, 24))
+        got = el.geometric_stiffness(self.S6, self.dNdX, self.wdet, zero)
         expect = ref.ref_geometric_stiffness(self.S6, self.dNdX, self.wdet)
         assert ref.rel_err(got, expect) < self.TOL
+
+    def test_geometric_stiffness_added_in_place(self):
+        # added into the material block, the geometric blocks give the two
+        # standalone blocks' sum, in the array passed in
+        Km = el.material_stiffness(self.B, self.CC, self.wdet)
+        zero = np.zeros_like(Km)
+        expect = Km + el.geometric_stiffness(self.S6, self.dNdX, self.wdet, zero)
+        got = el.geometric_stiffness(self.S6, self.dNdX, self.wdet, Km)
+        assert got is Km
+        assert np.array_equal(got, expect)
 
     def test_volume_gradient(self):
         J = np.linalg.det(self.F)

@@ -304,6 +304,46 @@ class TestResidualOnly:
             model.assemble(u, 0.0, 0.0)
 
 
+class TestStrainOperator:
+    """The strain operator of `b_matrices` belongs to the model."""
+
+    @staticmethod
+    def _state(model, seed):
+        rng = np.random.default_rng(seed)
+        model.rho = rng.uniform(0.5, 4.0, size=model.rho.shape)
+        u = np.zeros(model.n_dof)
+        u[model.free_idx] = 0.01 * rng.standard_normal(len(model.free_idx))
+        return u
+
+    def test_built_once_per_model(self, monkeypatch):
+        calls = []
+        build = el.strain_operator
+
+        def counted(dNdX):
+            calls.append(dNdX.shape)
+            return build(dNdX)
+
+        monkeypatch.setattr(el, "strain_operator", counted)
+        model = clamped_strip_model(make_material(psi_crit=2e-5), nx=3, ny=2, nz=1)
+        assert len(calls) == 1
+        u = self._state(model, 47)
+        model.assemble(u, 0.5, 0.1)
+        model.assemble(u, 0.5, 0.1, tangent=False)
+        model.assemble(u, 0.5, 0.1)
+        assert len(calls) == 1
+
+    def test_deep_copy_assembles_the_same_bits(self):
+        model = clamped_strip_model(make_material(psi_crit=2e-5), nx=3, ny=2, nz=1)
+        u = self._state(model, 48)
+        twin = copy.deepcopy(model)
+        R, K, _ = model.assemble(u, 0.5, 0.1)
+        R2, K2, _ = twin.assemble(u, 0.5, 0.1)
+        assert np.array_equal(R, R2)
+        assert np.array_equal(K.indptr, K2.indptr)
+        assert np.array_equal(K.indices, K2.indices)
+        assert np.array_equal(K.data, K2.data)
+
+
 class TestLinearSolveSeam:
     """Every factorization of solve_step and ramp_pressure goes through
     `_solve_reduced`: minimum-degree ordering without pivoting first, then

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maturesim import growth
@@ -410,10 +410,15 @@ class TestUpdateDensityProperties:
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=300, deadline=None)
     @given(case=_update_cases())
+    # rho = 573.2: r = rho - rho_n - dt*(bio + m) rounds to 1.8190e-12
+    # against a tolerance of 1.8185e-12, the update's r to 1.7053e-12
+    @example(case=(2e-5, 5.0, 1.0, 4.1767339341107723e21, 21.620836810762405))
     def test_converges_or_raises_typed(self, case):
         # dt from 1e-9 to 5, psi_m from psi_crit to 1e300 and rho_n from 0
         # to 2000: the update meets its tolerance with finite sensitivities,
-        # or raises a typed error; never a NaN, a warning or a hang
+        # or raises a typed error; never a NaN, a warning or a hang.  The
+        # residual is the update's own, r = rho - base - dt*m with the
+        # bio-only predictor base = rho_n + dt*bio, associated as it is
         psi_crit, dt, rho_n, psi, t = case
         p = make_growth(psi_crit=psi_crit)
         with deadline(30):
@@ -424,6 +429,7 @@ class TestUpdateDensityProperties:
                 return
         q = (psi - psi_crit) / psi_crit
         m, m_r = growth._mech_partials(rho, q, p)[:2]
-        r = rho - rho_n - dt * (bio_rate(t, p) + m)
+        base = rho_n + dt * bio_rate(t, p)
+        r = rho - base - dt * m
         assert abs(r[0]) <= growth._update_tolerance(rho, 1.0 - dt * m_r)[0]
         assert np.all(np.isfinite([rho[0], D[0], D2[0]]))
