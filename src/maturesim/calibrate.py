@@ -5,10 +5,12 @@ A direct-search Nelder-Mead simplex (reflection 1, expansion 2, contraction
 and measured series.  Box bounds are enforced by clipping trial points.
 Everything is deterministic: repeated fits of the same problem reproduce the
 same iterates bit for bit.  A fit of a `PointModel` prepares each of its
-frozen-density programs once (load program, path stretches, densities) and
+frozen-density programs once (path stretches, free axes, densities) and
 warm-starts the free-axis solve of each evaluation from the stretches that
 the fit's last successful evaluation converged to; a start its program's
 last solve converged at is checked by its stress alone, with no tangent.
+Each solve is one `matpoint.solve_frozen_path` call, which also drops a
+start that fails for the cold solve's guess.
 That history belongs to the one `fit_material` call, so it repeats with
 the fit; a prediction within a fit meets the same free-axis stress
 tolerance as a cold `predict`, and equals it bit for bit where the fitted
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError
-from .growth import GrowthState, weibull_alpha
+from .growth import weibull_alpha
 from .materials import MaterialParams
-from .matpoint import FREE, LoadProgram, _newton_from_start, solve_mixed_point
+from .matpoint import FREE, LoadProgram, program_path, solve_frozen_path
 
 
 @dataclass(eq=False)
@@ -343,17 +345,18 @@ def _axis0_stress(params, kind, xs, rhos, ratios=None, warm=None):
 class _Program:
     """One frozen-density program of `_axis0_stress`, prepared once.
 
-    Holds the validated `LoadProgram`, the path stretches with the
-    controlled axes set (`lams`, one row per knot), the free axes and the
-    knot densities, and, once a solve of it succeeded within a fit, the
-    free stretches that solve converged to (`start`) and whether it
-    converged at its own start (`at_start`).
+    Holds the path stretches with the controlled axes set (`lams`, one row
+    per knot), the free axes and the knot densities (`rho`), laid out by
+    `program_path` from a `LoadProgram` that validates the abscissae, and,
+    once a solve of it succeeded within a fit, the free stretches that
+    solve converged to (`start`) and whether it converged at its own start
+    (`at_start`).
     """
 
     def __init__(self, kind, xs, rhos, ratios):
         sizes = [x.size for x in xs]
-        rho = np.concatenate([[0.0]] + [np.full(n, float(r))
-                                        for n, r in zip(sizes, rhos)])
+        self.rho = np.concatenate([[0.0]] + [np.full(n, float(r))
+                                             for n, r in zip(sizes, rhos)])
         if kind == "uniaxial":
             controls = (np.concatenate([[1.0]] + xs), FREE, FREE)
             measure = "stretch"
@@ -362,39 +365,22 @@ class _Program:
             controls = (np.concatenate([[0.0]] + xs),
                         np.concatenate([[0.0]] + e2), FREE)
             measure = "engineering"
-        self.program = LoadProgram(times=np.arange(rho.size, dtype=float),
-                                   controls=controls, strain_measure=measure,
-                                   grow=False)
         # one interval per knot: the path points are the knots
-        self.lams = np.ones((rho.size, 3))
-        self.free = []
-        for ax, c in enumerate(self.program.controls):
-            if isinstance(c, str):
-                self.free.append(ax)
-            else:
-                self.lams[:, ax] = c
-        self.state = GrowthState(rho=rho)
+        _, self.lams, self.free = program_path(LoadProgram(
+            times=np.arange(self.rho.size, dtype=float), controls=controls,
+            strain_measure=measure, grow=False))
         self.splits = np.cumsum(sizes)[:-1]
         self.start = None
         self.at_start = False
 
 
 def _solve_program(prog, params):
-    """Free-axis solve of a prepared program: (stretches, S), one row per knot.
-
-    With a `start` the lockstep Newton runs on the program's arrays from
-    it, checking a start that its last solve converged at by its stress
-    alone; a start that does not lead every knot to its root is dropped,
-    and `solve_mixed_point` answers as for a cold solve.
-    """
-    if prog.start is not None:
-        solved = _newton_from_start(prog.lams, prog.free, params, prog.state.rho,
+    """Free-axis solve of a prepared program: (stretches, S), one row per
+    knot, by `solve_frozen_path` from the program's `start`, checked by its
+    stress alone where its last solve converged at it."""
+    lams, S, *_ = solve_frozen_path(prog.lams, prog.free, params, prog.rho,
                                     prog.start, probe=prog.at_start)
-        if solved is not None:
-            return solved[0], solved[1]
-    recs = solve_mixed_point(prog.program, params, init=prog.state)
-    return (np.array([r.F.diagonal() for r in recs]),
-            np.array([r.S for r in recs]))
+    return lams, S
 
 
 class PointModel:

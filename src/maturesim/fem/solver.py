@@ -41,6 +41,7 @@ serves the next steps' Newton solves until refinement slows, and it is
 refreshed only between steps.
 """
 
+import copy
 import ctypes
 from collections import deque
 from dataclasses import dataclass
@@ -145,7 +146,14 @@ class FemModel:
 
     The tangent's CSC pattern, its scatter map and the strain operator of
     B are fixed at construction; `assemble` only computes the values.
+    Those arrays and the other mesh-only ones named in `FIXED` are
+    read-only, and a deep copy shares them; it copies everything else, the
+    densities and strain maxima among it.
     """
+
+    #: arrays fixed at construction, read-only and shared by deep copies
+    FIXED = ("dNdX", "wdet", "V0", "wdNdX", "strain_op", "dofmap",
+             "_slot", "_indptr", "_indices")
 
     def __init__(self, mesh: Mesh, params: MaterialParams,
                  dirichlet=(), loads=()):
@@ -198,6 +206,20 @@ class FemModel:
         egrid = (len(self.conn), self.wdet.shape[1])
         self.rho = np.zeros(egrid)
         self.hist_strain = np.zeros(egrid)    # running max fiber strain
+        # every K shares the CSC pattern too; it is canonical (sorted, no
+        # duplicates), so scipy has no reason to write to it
+        for name in self.FIXED:
+            getattr(self, name).flags.writeable = False
+
+    def __deepcopy__(self, memo):
+        """A copy that shares the `FIXED` arrays and owns all the rest."""
+        for name in self.FIXED:
+            fixed = getattr(self, name)
+            memo[id(fixed)] = fixed
+        twin = object.__new__(type(self))
+        memo[id(self)] = twin
+        twin.__dict__.update(copy.deepcopy(self.__dict__, memo))
+        return twin
 
     def _build_pattern(self, blocks):
         """CSC pattern of the reduced tangent and the slot of every entry.
@@ -220,10 +242,6 @@ class FemModel:
         self._indptr = np.searchsorted(uniq, nf * np.arange(nf + 1)).astype(np.int32)
         self._nnz = int(self._indptr[-1])
         self._indices = (uniq[:self._nnz] % nf).astype(np.int32)
-        # every K shares these two arrays; the pattern is canonical (sorted,
-        # no duplicates), so scipy has no reason to write to them
-        self._indptr.flags.writeable = False
-        self._indices.flags.writeable = False
 
     # -- assembly -----------------------------------------------------------
 

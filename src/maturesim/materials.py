@@ -441,12 +441,12 @@ def response_batch(C, params: MaterialParams, rho_n, t, dt, pbar=None,
                    tangent=True):
     """Total stress, tangent and updated densities for a batch of points.
 
-    `rho_n` holds the converged densities of the previous time level; with
-    dt == 0 densities stay frozen, otherwise the growth update runs inside
-    (bio rate at time t; it refuses a negative or non-finite dt) and the
-    returned tangent is consistent with it.  `pbar` switches the matrix
-    volumetric term to an externally averaged pressure (see
-    `matrix_batch`).
+    `rho_n` holds the converged densities of the previous time level, one
+    per point.  The growth update runs inside (`update_density_batch`, bio
+    rate at time t; it refuses a negative or non-finite dt and keeps the
+    densities frozen at dt == 0) and the returned tangent is consistent
+    with it.  `pbar` switches the matrix volumetric term to an externally
+    averaged pressure (see `matrix_batch`).
 
     Returns a dict of batch arrays: S, CC, rho, drho_dpsim, psi_m,
     fiber_strain, J, psi_point (pointwise energy density: matrix shear +
@@ -455,23 +455,12 @@ def response_batch(C, params: MaterialParams, rho_n, t, dt, pbar=None,
     arrays are unchanged.
     """
     C = np.asarray(C, dtype=float)
-    rho_n = np.asarray(rho_n, dtype=float)
     psi_m, dpsi, curv, E = collagen_psim_batch(C, params.collagen)
     psi_mu, U_local, S, CC, J = matrix_batch(C, params.matrix, pbar=pbar,
                                              tangent=tangent)
     psi_tex, S_tex, CC_tex = textile_batch(C, params.textile, tangent=tangent)
 
-    if dt != 0.0:
-        flat = psi_m.reshape(-1)
-        rho, D, D2 = update_density_batch(rho_n.reshape(-1), flat, t, dt, params.growth)
-        rho = rho.reshape(psi_m.shape)
-        D = D.reshape(psi_m.shape)
-        D2 = D2.reshape(psi_m.shape)
-    else:
-        rho = rho_n.copy()
-        D = np.zeros_like(rho)
-        D2 = np.zeros_like(rho)
-
+    rho, D, D2 = update_density_batch(rho_n, psi_m, t, dt, params.growth)
     S_co, CC_co = _collagen_stress_tangent(params.collagen, psi_m, dpsi, curv,
                                            rho, D, D2, tangent=tangent)
 

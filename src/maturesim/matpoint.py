@@ -5,7 +5,11 @@ where each axis is either stretch-controlled or traction-free.  Free axes
 are solved by Newton iteration on their stretches so the corresponding
 Cauchy stress components vanish; the growth state marches with the
 prescribed time axis.  This is the workhorse behind uniaxial/biaxial test
-protocols and the calibration forward models.
+protocols and the calibration forward models.  `program_path` lays out a
+load program's path; `solve_frozen_path` solves a frozen-density one and
+is the one place that orders its starts (a given start, the
+incompressible guess, then knot by knot), for `solve_mixed_point` and
+`calibrate` alike.
 """
 
 import io
@@ -105,39 +109,19 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
                       init: GrowthState = GrowthState(), start=None) -> list:
     """March a material point through a load program.
 
-    Returns one `PointRecord` per step, the first being the initial knot.
-    With `grow=False` the knots do not depend on one another and the whole
-    path is one lockstep batch, its free stretches starting from the
-    incompressible guess (1 / prod of the controlled stretches)^(1/n_free);
-    `init.rho` may then hold one frozen density per path point.  A frozen
-    program may also take a `start`: the free-axis stretches to begin from,
-    one row per path point and one column per free axis in axis order (the
-    controlled axes always come from the program), such as an earlier
-    solve's converged stretches.  A start that does not lead every knot to
-    its root is dropped for the incompressible guess, and a guess that
-    does not for the knot-by-knot solve below, so a start never changes
-    which programs converge or which error a failure raises.  A growing
-    program is solved knot by knot in time, each knot starting from the
-    last one's stretches, from one scalar `init.rho`.  Raises SolverError
-    when a free-axis Newton iteration stalls, and DeformationError when a
-    knot takes the fibers past the collagen law's strain limit or its
-    response past the float range.
+    Returns one `PointRecord` per step of `program_path(program)`, the
+    first being the initial knot.  A frozen program (`grow=False`) is
+    `solve_frozen_path`'s: `init.rho` may then hold one frozen density per
+    path point, and `start` the free-axis stretches to begin from, one row
+    per path point and one column per free axis in axis order, such as an
+    earlier solve's converged stretches.  A growing program is solved knot
+    by knot in time, each knot starting from the last one's stretches,
+    from one scalar `init.rho`.  Raises SolverError when a free-axis Newton
+    iteration stalls, and DeformationError when a knot takes the fibers
+    past the collagen law's strain limit or its response past the float
+    range.
     """
-    free = [ax for ax, c in enumerate(program.controls) if isinstance(c, str)]
-    controlled = [ax for ax in range(3) if ax not in free]
-
-    # the path: the initial knot, then per interval the step times
-    # t0 + w (t1 - t0) and stretches (1 - w) v0 + w v1 at w = s/n, s = 1..n
-    n = program.steps_per_interval
-    w = np.arange(1, n + 1) / n
-    t0, t1 = program.times[:-1, None], program.times[1:, None]
-    path_t = np.concatenate([t0[0], (t0 + w * (t1 - t0)).ravel()])
-    path_lams = np.ones((path_t.size, 3))
-    for ax in controlled:
-        v0, v1 = program.controls[ax][:-1, None], program.controls[ax][1:, None]
-        path_lams[0, ax] = v0[0, 0]
-        path_lams[1:, ax] = ((1.0 - w) * v0 + w * v1).ravel()
-
+    path_t, path_lams, free = program_path(program)
     if np.ndim(init.rho) and (program.grow or np.shape(init.rho) != path_t.shape):
         raise ParameterError("init.rho must be a scalar, or one density per "
                              f"path point ({path_t.size}) of a frozen program")
@@ -149,71 +133,108 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
                                  f"stretches, {path_t.size} x {len(free)}, "
                                  "of a frozen program")
     if program.grow:
-        return _solve_in_turn(path_t, path_lams, free, params, init.rho, True)
-    if start is not None and free:
-        solved = _newton_from_start(path_lams, free, params, init.rho, start)
-        if solved is not None:
-            return _records(path_t, *solved)
-    guess = path_lams.copy()
-    if free:
-        vol = np.prod(path_lams[:, controlled], axis=1, keepdims=True)
-        guess[:, free] = (1.0 / vol) ** (1.0 / len(free))
-    try:
-        solved = _newton_free_axes(guess, free, params, init.rho, 0.0, path_t[0])
-    except SolverError as exc:
-        # a knot the guess does not lead to its root: follow the path from
-        # the unit stretch instead, and if that fails too, report the batch
-        try:
-            return _solve_in_turn(path_t, path_lams, free, params, init.rho, False)
-        except SolverError:
-            raise exc from None
+        solved = _solve_in_turn(path_lams, free, params, init.rho, path_t)
+    else:
+        solved = solve_frozen_path(path_lams, free, params, init.rho, start)
     return _records(path_t, *solved)
 
 
-def _newton_from_start(path_lams, free, params, rho, start, probe=False):
-    """The lockstep Newton of a frozen path from `start`, its free-axis
-    stretches (see `_newton_free_axes`), or None where the start does not
-    lead every knot to its root: its batch stalls or leaves the range the
-    material laws evaluate."""
+def program_path(program: LoadProgram):
+    """The path of a load program: (times, stretches, free axes).
+
+    The path is the initial knot, then per interval the step times
+    t0 + w (t1 - t0) and stretches (1 - w) v0 + w v1 at w = s/n, s = 1..n.
+    The stretches, one row per path point, hold the controlled axes' values
+    and 1 on the free axes, which are listed in axis order.
+    """
+    n = program.steps_per_interval
+    w = np.arange(1, n + 1) / n
+    t0, t1 = program.times[:-1, None], program.times[1:, None]
+    path_t = np.concatenate([t0[0], (t0 + w * (t1 - t0)).ravel()])
+    path_lams = np.ones((path_t.size, 3))
+    free = []
+    for ax, c in enumerate(program.controls):
+        if isinstance(c, str):
+            free.append(ax)
+            continue
+        v0, v1 = c[:-1, None], c[1:, None]
+        path_lams[0, ax] = v0[0, 0]
+        path_lams[1:, ax] = ((1.0 - w) * v0 + w * v1).ravel()
+    return path_t, path_lams, free
+
+
+def solve_frozen_path(path_lams, free, params, rho, start=None, probe=False):
+    """Free-axis solve of a frozen-density path, every knot at dt = 0.
+
+    `path_lams` (N, 3) holds the path's stretches with the controlled axes
+    set, `free` the free axes in axis order and `rho` the densities, one for
+    all knots or one per knot; `start`, if given, the free-axis stretches
+    to begin from, (N, len(free)), positive and finite (`solve_mixed_point`
+    checks its shape and values).  The knots do not depend on one another,
+    so the path is one lockstep batch, tried from
+    1. `start`, checked by its stress alone first with `probe` (see
+       `_newton_free_axes`), and dropped where it does not lead every knot
+       to its root: its batch stalls (SolverError) or leaves the range the
+       material laws evaluate (DeformationError);
+    2. the incompressible guess, free stretches (1 / prod of the controlled
+       stretches)^(1/n_free);
+    3. where the guess's batch stalls, knot by knot from the unit stretch,
+       raising the guess's SolverError if that fails too.
+    A start thus never changes which paths converge or which error a
+    failure raises.  Returns the arrays of `_newton_free_axes` over the
+    path: (lams, S, sigma, rho, psi_m).
+    """
+    if start is not None:
+        guess = path_lams.copy()
+        guess[:, free] = start
+        try:
+            return _newton_free_axes(guess, free, params, rho, 0.0, 0.0, probe)
+        except (SolverError, DeformationError):
+            pass
     guess = path_lams.copy()
-    guess[:, free] = start
+    if free:
+        controlled = [ax for ax in range(3) if ax not in free]
+        vol = np.prod(path_lams[:, controlled], axis=1, keepdims=True)
+        guess[:, free] = (1.0 / vol) ** (1.0 / len(free))
     try:
-        return _newton_free_axes(guess, free, params, rho, 0.0, 0.0, probe)
-    except (SolverError, DeformationError):
-        return None
+        return _newton_free_axes(guess, free, params, rho, 0.0, 0.0)
+    except SolverError as exc:
+        try:
+            return _solve_in_turn(path_lams, free, params, rho)
+        except SolverError:
+            raise exc from None
 
 
 def _records(path_t, lams, S, sigma, rho, psi_m):
-    """One `PointRecord` per path point of a solved lockstep batch."""
+    """One `PointRecord` per path point of a solved path."""
     return [PointRecord(time=t, F=np.diag(lams[k]), S=S[k], sigma=sigma[k],
                         rho=float(rho[k]), psi_m=float(psi_m[k]))
             for k, t in enumerate(path_t)]
 
 
-def _solve_in_turn(path_t, path_lams, free, params, rho, grow):
-    """Solve the path knot by knot, each from the last one's stretches.
+def _solve_in_turn(path_lams, free, params, rho, path_t=None):
+    """Solve a path knot by knot, each from the last one's stretches.
 
-    The free axes start at 1.  A growing path carries its density from
-    knot to knot; a frozen one keeps `rho`, one for all knots or one per
-    knot, and solves every knot at dt = 0.
+    The free axes start at 1.  Given the knot times `path_t`, the density
+    grows from knot to knot, starting at the scalar `rho`; without them
+    each knot keeps its frozen density, `rho` being one for all knots or
+    one per knot, and solves at dt = 0.  Returns the arrays of
+    `_newton_free_axes` over the path.
     """
     controlled = [ax for ax in range(3) if ax not in free]
-    frozen = None if grow else np.broadcast_to(rho, path_t.shape)
-    lams, records = np.ones((1, 3)), []
-    t_prev = path_t[0]
-    for k, (t, target) in enumerate(zip(path_t, path_lams)):
+    frozen = path_t is None
+    times = np.zeros(len(path_lams)) if frozen else path_t
+    rhos = np.broadcast_to(rho, times.shape)
+    knots, lams, t_prev = [], np.ones((1, 3)), times[0]
+    for k, t in enumerate(times):
         # the initial knot solves at dt = 0, so its density stays frozen
-        if frozen is not None:
-            rho, t_prev = frozen[k], t
-        lams[0, controlled] = target[controlled]
-        lams, S, sigma, rho_new, psi_m = _newton_free_axes(lams, free, params,
-                                                           rho, t - t_prev, t)
-        rho = float(rho_new[0])
-        records.append(PointRecord(time=t, F=np.diag(lams[0]), S=S[0],
-                                   sigma=sigma[0], rho=rho,
-                                   psi_m=float(psi_m[0])))
-        t_prev = t
-    return records
+        if frozen:
+            rho = rhos[k]
+        lams[0, controlled] = path_lams[k, controlled]
+        knots.append(_newton_free_axes(lams, free, params, rho, t - t_prev, t))
+        # a copy: the next knot writes its controlled axes into `lams`
+        lams, rho, t_prev = knots[-1][0].copy(), knots[-1][3][0], t
+    return tuple(np.concatenate(field) for field in zip(*knots))
 
 
 def _newton_free_axes(lams, free, params, rho, dt, t, probe=False):

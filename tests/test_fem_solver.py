@@ -343,6 +343,25 @@ class TestStrainOperator:
         assert np.array_equal(K.indices, K2.indices)
         assert np.array_equal(K.data, K2.data)
 
+    def test_deep_copy_shares_the_fixed_arrays_and_owns_its_state(self):
+        model = clamped_strip_model(make_material(psi_crit=2e-5), nx=3, ny=2, nz=1)
+        u = self._state(model, 49)
+        rho, hist = model.rho.copy(), model.hist_strain.copy()
+        twin = copy.deepcopy(model)
+        for name in FemModel.FIXED:
+            assert np.shares_memory(getattr(twin, name), getattr(model, name))
+            assert not getattr(model, name).flags.writeable
+        assert np.shares_memory(twin.strain_op, model.strain_op)
+        assert not np.shares_memory(twin.rho, model.rho)
+        assert not np.shares_memory(twin.hist_strain, model.hist_strain)
+        _, _, aux = twin.assemble(u, 0.5, 0.1)
+        twin.commit(aux)
+        assert not np.array_equal(twin.rho, rho)
+        assert np.array_equal(model.rho, rho)
+        assert np.array_equal(model.hist_strain, hist)
+        twin.hist_strain[...] = 1.0
+        assert np.array_equal(model.hist_strain, hist)
+
 
 class TestLinearSolveSeam:
     """Every factorization of solve_step and ramp_pressure goes through

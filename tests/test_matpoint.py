@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maturesim import config, materials, matpoint
+from maturesim import calibrate, config, materials, matpoint
 from maturesim.errors import ParameterError, SolverError
 from maturesim.growth import GrowthState, bio_rate
 from maturesim.materials import (MaterialParams, MatrixParams, cauchy_stress,
@@ -322,6 +322,29 @@ class TestPerPointDensity:
                               init=GrowthState(rho=np.full(size, 5.0)))
 
 
+def solved_records(prog, params, start=None):
+    """`solve_mixed_point` of a frozen program, as its CSV."""
+    return records_to_csv(solve_mixed_point(prog, params, start=start))
+
+
+def solved_prepared(prog, params, start=None):
+    """The same path solved as a prepared calibration program: its axis-0
+    stretches after the unit reference knot, density 0, one interval per
+    knot; the solved stretches and PK2 stresses, as bytes."""
+    _, lams, _ = matpoint.program_path(prog)
+    prepared = calibrate._Program("uniaxial", [lams[1:, 0]], [0.0], None)
+    assert np.array_equal(prepared.lams, lams)
+    prepared.start = start
+    stretches, S = calibrate._solve_program(prepared, params)
+    return stretches.tobytes() + S.tobytes()
+
+
+# the two entry points of a frozen path's solve from a start
+START_ENTRIES = pytest.mark.parametrize(
+    "solve", [solved_records, solved_prepared],
+    ids=["solve_mixed_point", "calibrate_solve_program"])
+
+
 class TestStart:
     # dispersed fibers load the lateral axes, so the free stretches depend on
     # the collagen constants and a start from other constants is off the root
@@ -347,41 +370,43 @@ class TestStart:
         for r in solve_mixed_point(prog, params, start=start):
             assert np.max(np.abs(r.sigma[1:3])) <= matpoint.STRESS_TOL
 
+    @START_ENTRIES
     @pytest.mark.parametrize("value", [1e-3, 10.0])
     def test_unconverged_start_falls_back_to_the_cold_solve(
-            self, material_params, monkeypatch, value):
+            self, material_params, monkeypatch, value, solve):
         # the start's batch stalls; the incompressible guess then gives the
         # cold solve's records, bit for bit
         prog = uniaxial(1.15, steps=6)
-        cold = solve_mixed_point(prog, material_params)
+        cold = solve(prog, material_params)
         calls = count_responses(monkeypatch)
-        warm = solve_mixed_point(prog, material_params,
-                                 start=np.full((7, 2), value))
+        warm = solve(prog, material_params, start=np.full((7, 2), value))
         assert len(calls) > matpoint.NEWTON_MAXIT
-        assert records_to_csv(warm) == records_to_csv(cold)
+        assert warm == cold
 
+    @START_ENTRIES
     def test_unconverged_start_keeps_the_cold_failure(self, material_params,
-                                                       monkeypatch):
+                                                       monkeypatch, solve):
         # where the cold solve fails, a start changes nothing about the error
         monkeypatch.setattr(matpoint, "NEWTON_MAXIT", 1)
         prog = uniaxial(1.15, steps=6)
         with pytest.raises(SolverError) as cold:
-            solve_mixed_point(prog, material_params)
+            solve(prog, material_params)
         with pytest.raises(SolverError) as warm:
-            solve_mixed_point(prog, material_params, start=np.full((7, 2), 10.0))
+            solve(prog, material_params, start=np.full((7, 2), 10.0))
         assert str(warm.value) == str(cold.value)
         assert warm.value.diagnostics == cold.value.diagnostics
 
+    @START_ENTRIES
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_start_falls_back_to_the_cold_solve(self, material_params):
+    def test_overflowing_start_falls_back_to_the_cold_solve(self, material_params,
+                                                            solve):
         # free stretches of 1e10 overflow the textile law: the start's batch
         # fails with a typed error, not a warning, and the cold solve answers
         prog = uniaxial(1.2, steps=3)
         with deadline(30):
-            cold = solve_mixed_point(prog, material_params)
-            warm = solve_mixed_point(prog, material_params,
-                                     start=np.full((4, 2), 1e10))
-        assert records_to_csv(warm) == records_to_csv(cold)
+            cold = solve(prog, material_params)
+            warm = solve(prog, material_params, start=np.full((4, 2), 1e10))
+        assert warm == cold
 
     def test_probe_changes_no_iterate(self, monkeypatch):
         # a start off its root, checked by its stress alone first: the points
