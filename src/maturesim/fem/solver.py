@@ -253,27 +253,19 @@ class FemModel:
         dofs, and aux the Gauss-point fields needed to commit or postprocess
         the state.  With tangent=False K is None and none of its terms are
         computed; R and aux are the same bits either way.  Raises if an
-        element inverts, a fiber strain leaves the range of the collagen law
-        or the density update fails.
+        element inverts, a fiber strain leaves the range of the collagen law,
+        the material response overflows or the density update fails.
         """
         u = np.asarray(u, dtype=float).reshape(-1)
         ue = u.reshape(-1, 3)[self.conn]
         F = el.deformation_gradients(ue, self.dNdX)
         Finv, J = deformation_inv_det(F)
-        # C = F^T F as the sum of the outer products of F's rows
-        C = F[..., 0, :, None] * F[..., 0, None, :]
-        C += F[..., 1, :, None] * F[..., 1, None, :]
-        C += F[..., 2, :, None] * F[..., 2, None, :]
-
         mat = self.params.matrix
         Jbar = el.mean_dilatation(J, self.wdet, self.V0)
         pbar = volumetric_pressure(Jbar, mat)
-        resp = response_batch(C.reshape(-1, 3, 3), self.params,
-                              self.rho.reshape(-1), t, dt,
-                              pbar=np.repeat(pbar, self.wdet.shape[1]),
-                              tangent=tangent)
-        shape = self.wdet.shape
-        S6 = resp["S"].reshape(shape + (6,))
+        resp = response_batch(F, Finv, J, self.params, self.rho, t, dt,
+                              pbar=pbar[:, None], tangent=tangent)
+        S6 = resp["S"]
 
         fint = el.internal_forces(F, S6, self.wdNdX)
         R = np.bincount(self.dofmap.ravel(), weights=fint.ravel(),
@@ -294,9 +286,8 @@ class FemModel:
 
         K = None
         if tangent:
-            CC = resp["CC"].reshape(shape + (6, 6))
             B = el.b_matrices(F, self.strain_op)
-            Ke = el.material_stiffness(B, CC, self.wdet)
+            Ke = el.material_stiffness(B, resp["CC"], self.wdet)
             el.geometric_stiffness(S6, self.dNdX, self.wdet, Ke)
             G = el.volume_gradient(Finv, J, self.dNdX, self.wdet)
             kvol = volumetric_modulus(Jbar, mat) / self.V0
@@ -308,12 +299,12 @@ class FemModel:
             K = sp.csc_matrix((data, self._indices, self._indptr), shape=(nf, nf))
 
         aux = {
-            "rho": resp["rho"].reshape(shape),
-            "fiber_strain": resp["fiber_strain"].reshape(shape),
+            "rho": resp["rho"],
+            "fiber_strain": resp["fiber_strain"],
             "S": S6,
             "F": F,
             "Jbar": Jbar,
-            "psi_point": resp["psi_point"].reshape(shape),
+            "psi_point": resp["psi_point"],
             "residual": R,
             "fext": fext,
         }

@@ -243,36 +243,35 @@ class StressTangent:
     CC: np.ndarray
 
 
-def matrix_batch(C, p: MatrixParams, pbar=None, tangent=True):
+def matrix_batch(C, Cinv, J, p: MatrixParams, pbar=None, tangent=True):
     """Matrix energy, stress and tangent for a batch of C tensors.
 
-    The volumetric law U(J) is `volumetric_energy`; its stress is
-    p J C^-1.  With `pbar=None` p = U'(J) pointwise and the tangent has the
-    bulk block J^2 U''(J) C^-1 (x) C^-1.  Otherwise p = `pbar`, the
-    (element-mean) U'(Jbar), and the caller owns the element-level coupling.
+    Takes C with its inverse and J = sqrt(det C) from a caller that has
+    checked the deformation; nothing is inverted or checked here.  The
+    volumetric law U(J) is `volumetric_energy`; its stress is p J C^-1.
+    With `pbar=None` p = U'(J) pointwise and the tangent has the bulk block
+    J^2 U''(J) C^-1 (x) C^-1.  Otherwise p = `pbar`, the (element-mean)
+    U'(Jbar), and the caller owns the element-level coupling.
 
-    Returns (psi_mu, U_local, S, CC, J); CC is None with tangent=False.
+    Returns (psi_mu, U_local, S, CC); CC is None with tangent=False.
     """
-    C = np.asarray(C, dtype=float)
-    Cinv, detC = tn.deformation_inv_det(C)
-    J = np.sqrt(detC)
     cinv = tn.to_voigt(Cinv)
     I1 = np.trace(C, axis1=-2, axis2=-1)
-    psi_mu = 0.5 * p.mu * (I1 - 3.0) - 0.5 * p.mu * np.log(detC)
+    psi_mu = 0.5 * p.mu * (I1 - 3.0) - p.mu * np.log(J)
     U_local = volumetric_energy(J, p)
     pv = volumetric_pressure(J, p) if pbar is None else np.asarray(pbar, dtype=float)
     pJ = pv * J
 
     S = p.mu * (_I6 - cinv) + pJ[..., None] * cinv
     if not tangent:
-        return psi_mu, U_local, S, None, J
+        return psi_mu, U_local, S, None
     # CC = 2 (mu - p J) C^-1 (.) C^-1 + w C^-1 (x) C^-1, formed in place;
     # w = p J, plus the bulk term J^2 U''(J) where p is pointwise
     CC = tn.sym_outer_product(Cinv, Cinv)
     CC *= 2.0 * (p.mu - pJ)[..., None, None]
     w = pJ if pbar is not None else pJ + J**2 * volumetric_modulus(J, p)
     CC += tn.outer6(w[..., None] * cinv, cinv)
-    return psi_mu, U_local, S, CC, J
+    return psi_mu, U_local, S, CC
 
 
 def volumetric_energy(J, p: MatrixParams):
@@ -399,8 +398,13 @@ def textile_batch(C, p: TextileParams, tangent=True):
 
 
 def matrix_psi_stress_tangent(C, p: MatrixParams):
-    """Matrix energy density (MPa) with stress and tangent at one point."""
-    psi_mu, U, S, CC, _ = matrix_batch(np.asarray(C, dtype=float)[None], p)
+    """Matrix energy density (MPa) with stress and tangent at one point.
+
+    Rejects what `tensors.deformation_inv_det` rejects.
+    """
+    C = np.asarray(C, dtype=float)[None]
+    Cinv, detC = tn.deformation_inv_det(C)
+    psi_mu, U, S, CC = matrix_batch(C, Cinv, np.sqrt(detC), p)
     return float(psi_mu[0] + U[0]), StressTangent(S[0], CC[0])
 
 
@@ -437,44 +441,59 @@ def textile_psi_stress_tangent(C, p: TextileParams):
     return float(psi[0]), StressTangent(S[0], CC[0])
 
 
-def response_batch(C, params: MaterialParams, rho_n, t, dt, pbar=None,
-                   tangent=True):
+def response_batch(F, Finv, J, params: MaterialParams, rho_n, t, dt,
+                   pbar=None, tangent=True):
     """Total stress, tangent and updated densities for a batch of points.
 
-    `rho_n` holds the converged densities of the previous time level, one
-    per point.  The growth update runs inside (`update_density_batch`, bio
-    rate at time t; it refuses a negative or non-finite dt and keeps the
+    F is a stack (..., 3, 3) of deformation gradients, and Finv and J = det F
+    come from the caller's one `tensors.deformation_inv_det(F)`; nothing
+    here inverts or checks a deformation again.  C = F^T F and
+    C^-1 = F^-1 F^-T are formed from them.  `rho_n` holds the converged
+    densities of the previous time level, one per point over F's leading
+    axes.  The growth update runs inside (`update_density_batch`, bio rate
+    at time t; it refuses a negative or non-finite dt and keeps the
     densities frozen at dt == 0) and the returned tangent is consistent
     with it.  `pbar` switches the matrix volumetric term to an externally
-    averaged pressure (see `matrix_batch`).
+    averaged pressure that broadcasts against J (see `matrix_batch`).  A
+    deformation whose response overflows the float range raises
+    DeformationError.
 
-    Returns a dict of batch arrays: S, CC, rho, drho_dpsim, psi_m,
-    fiber_strain, J, psi_point (pointwise energy density: matrix shear +
-    textile + collagen), U_local (pointwise matrix volumetric energy).
-    With tangent=False no tangent work is done and CC is None; the other
-    arrays are unchanged.
+    Returns a dict of arrays over F's leading axes: S, CC, rho,
+    drho_dpsim, psi_m, fiber_strain, J, psi_point (pointwise energy
+    density: matrix shear + textile + collagen), U_local (pointwise matrix
+    volumetric energy).  With tangent=False no tangent work is done and CC
+    is None; the other arrays are unchanged.
     """
-    C = np.asarray(C, dtype=float)
-    psi_m, dpsi, curv, E = collagen_psim_batch(C, params.collagen)
-    psi_mu, U_local, S, CC, J = matrix_batch(C, params.matrix, pbar=pbar,
-                                             tangent=tangent)
-    psi_tex, S_tex, CC_tex = textile_batch(C, params.textile, tangent=tangent)
-
-    rho, D, D2 = update_density_batch(rho_n, psi_m, t, dt, params.growth)
-    S_co, CC_co = _collagen_stress_tangent(params.collagen, psi_m, dpsi, curv,
-                                           rho, D, D2, tangent=tangent)
-
-    return {
-        "S": S + S_tex + S_co,
-        "CC": CC + CC_tex + CC_co if tangent else None,
-        "rho": rho,
-        "drho_dpsim": D,
-        "psi_m": psi_m,
-        "fiber_strain": E,
-        "J": J,
-        "psi_point": psi_mu + psi_tex + rho * psi_m,
-        "U_local": U_local,
-    }
+    try:
+        with np.errstate(over="raise"):
+            # C = F^T F as the sum of the outer products of F's rows
+            C = F[..., 0, :, None] * F[..., 0, None, :]
+            C += F[..., 1, :, None] * F[..., 1, None, :]
+            C += F[..., 2, :, None] * F[..., 2, None, :]
+            Cinv = np.einsum("...ik,...jk->...ij", Finv, Finv)
+            psi_m, dpsi, curv, E = collagen_psim_batch(C, params.collagen)
+            psi_mu, U_local, S, CC = matrix_batch(C, Cinv, J, params.matrix,
+                                                  pbar=pbar, tangent=tangent)
+            psi_tex, S_tex, CC_tex = textile_batch(C, params.textile,
+                                                   tangent=tangent)
+            rho, D, D2 = update_density_batch(rho_n, psi_m, t, dt, params.growth)
+            S_co, CC_co = _collagen_stress_tangent(params.collagen, psi_m, dpsi,
+                                                   curv, rho, D, D2,
+                                                   tangent=tangent)
+            return {
+                "S": S + S_tex + S_co,
+                "CC": CC + CC_tex + CC_co if tangent else None,
+                "rho": rho,
+                "drho_dpsim": D,
+                "psi_m": psi_m,
+                "fiber_strain": E,
+                "J": J,
+                "psi_point": psi_mu + psi_tex + rho * psi_m,
+                "U_local": U_local,
+            }
+    except FloatingPointError as exc:
+        raise DeformationError("material response overflows at this "
+                               "deformation") from exc
 
 
 def total_response(F, params: MaterialParams, state: GrowthState, dt, t,
@@ -489,19 +508,16 @@ def total_response(F, params: MaterialParams, state: GrowthState, dt, t,
     leading axes, one per point, and the stress, tangent and the fields of
     the new state are stacks over those axes.  With tangent=False the
     tangent CC is None and no tangent work is done; the stress and the state
-    are those of the full evaluation bit for bit.  A deformation whose
-    response overflows the float range raises DeformationError.
+    are those of the full evaluation bit for bit.  F is checked once, by
+    `tensors.deformation_inv_det`, and a deformation whose response
+    overflows the float range raises DeformationError (`response_batch`).
     """
     F = np.asarray(F, dtype=float)
     lead = F.shape[:-2]
-    C = tn.right_cauchy_green(F).reshape(-1, 3, 3)
+    F = F.reshape(-1, 3, 3)
+    Finv, J = tn.deformation_inv_det(F)
     rho_n = np.broadcast_to(np.asarray(state.rho, dtype=float), lead).reshape(-1)
-    try:
-        with np.errstate(over="raise"):
-            out = response_batch(C, params, rho_n, t, dt, tangent=tangent)
-    except FloatingPointError as exc:
-        raise DeformationError("material response overflows at this "
-                               "deformation") from exc
+    out = response_batch(F, Finv, J, params, rho_n, t, dt, tangent=tangent)
     fields = {k: out[k].reshape(lead) for k in ("rho", "drho_dpsim", "psi_m")}
     if not lead:
         fields = {k: float(v) for k, v in fields.items()}

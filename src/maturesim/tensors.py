@@ -124,7 +124,11 @@ def deformation_inv_det(A):
 
     The one admissibility check of a deformation: raises DeformationError
     unless every A is finite and has det A > 0, so a NaN or infinite entry
-    is rejected before anything is computed from it.
+    is rejected before anything is computed from it.  Each public entry
+    point runs it once per evaluation (`FemModel.assemble`,
+    `total_response` and `cauchy_stress` on F, `matrix_psi_stress_tangent`
+    on C), and the kernels behind it take the inverse and determinant it
+    returned.
     """
     A = np.asarray(A, dtype=float)
     if not np.isfinite(A).all():

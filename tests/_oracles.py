@@ -13,7 +13,7 @@ from maturesim import matpoint
 from maturesim import tensors as tn
 from maturesim.errors import SolverError
 from maturesim.growth import GrowthState
-from maturesim.materials import total_response
+from maturesim.materials import response_batch, total_response
 from maturesim.matpoint import PointRecord
 from maturesim.tensors import VOIGT_I, VOIGT_J, from_voigt
 
@@ -69,6 +69,14 @@ def random_C(rng, spread=0.15, stretch=0.0):
     """Random SPD right Cauchy-Green tensor built from a random F."""
     F = random_F(rng, spread, stretch)
     return F.T @ F
+
+
+def response_on_C(C, params, *args, **kwargs):
+    """`response_batch` at right Cauchy-Green tensors C (..., 3, 3): F = L^T
+    from the Cholesky factor C = L L^T, so that F^T F = C."""
+    F = np.linalg.cholesky(C).swapaxes(-1, -2)
+    Finv, J = tn.deformation_inv_det(F)
+    return response_batch(F, Finv, J, params, *args, **kwargs)
 
 
 def random_rotation(rng):

@@ -17,7 +17,7 @@ from maturesim.growth import GrowthState, update_density, weibull_alpha
 from maturesim.matpoint import (LoadProgram, solve_mixed_point,
                                 unloaded_maturation)
 from maturesim.materials import (collagen_psi_mass, collagen_stress,
-                                 matrix_psi_stress_tangent, response_batch,
+                                 matrix_psi_stress_tangent,
                                  textile_psi_stress_tangent)
 from maturesim.tensors import (gen_structural_tensor, right_cauchy_green,
                                to_voigt)
@@ -26,7 +26,7 @@ from conftest import (make_collagen, make_growth, make_material, make_matrix,
                       make_textile)
 
 from _oracles import (W, fd_tangent, random_C, random_F, random_rotation,
-                      rel_err)
+                      rel_err, response_on_C)
 
 MATURATION_POINTS = [(0.0, 0.0), (7.0, 0.28486), (14.0, 0.6060),
                      (21.0, 0.8357), (28.0, 1.0)]
@@ -90,7 +90,7 @@ def test_criterion_4_collagen_density_linearity():
     batch = C[None]
 
     def total(rho):
-        return response_batch(batch, params, np.array([rho]), 0.0, 0.0)["S"][0]
+        return response_on_C(batch, params, np.array([rho]), 0.0, 0.0)["S"][0]
 
     s0 = total(0.0)
     ref = total(cp.rho_f) - s0
@@ -128,7 +128,7 @@ def test_criterion_5_tangent_consistency():
     rho_n, t, dt = np.array([2.0]), 5.0, 0.1
 
     def coupled(C):
-        return response_batch(C[None], params, rho_n, t, dt)
+        return response_on_C(C[None], params, rho_n, t, dt)
 
     e_cpl = worst_tangent(lambda C: coupled(C)["S"][0],
                           lambda C: coupled(C)["CC"][0],
@@ -169,8 +169,8 @@ def test_criterion_6_property_suite():
         Q = random_rotation(rng)
         psis = []
         for G in (F, Q @ F):
-            out = response_batch(right_cauchy_green(G)[None], params,
-                                 np.array([3.0]), 0.0, 0.0)
+            out = response_on_C(right_cauchy_green(G)[None], params,
+                                np.array([3.0]), 0.0, 0.0)
             psis.append(float(out["psi_point"][0] + out["U_local"][0]))
         e_frame = max(e_frame, abs(psis[1] - psis[0]) / abs(psis[0]))
     ok = e_frame < 1e-10
@@ -239,8 +239,8 @@ def test_criterion_6_property_suite():
     Es = 0.5 * (Cs - np.eye(3))
     Ev = to_voigt(Es)
     mid = 0.5 * (Cs[:-1] + Cs[1:])
-    S = response_batch(mid, params, np.full(mid.shape[0], 3.0),
-                       0.0, 0.0)["S"]
+    S = response_on_C(mid, params, np.full(mid.shape[0], 3.0),
+                      0.0, 0.0)["S"]
     dE = Ev[1:] - Ev[:-1]
     inc = np.einsum("nk,k,nk->n", S, W, dE)
     loop = abs(inc.sum()) / np.abs(inc).sum()

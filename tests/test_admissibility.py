@@ -1,8 +1,9 @@
 """Inadmissible inputs end in the typed error of the rule they break, with
 no numpy warning on the way: a density or psi_m that is NaN, infinite or
 negative (`GrowthState`, StateError), a deformation that is not finite or
-has det F <= 0 (`tensors.deformation_inv_det`, DeformationError), and a
-Weibull time, scale, shape or step that is not finite and positive
+has det F <= 0 (`tensors.deformation_inv_det`, DeformationError) or whose
+material response overflows (`materials.response_batch`, DeformationError),
+and a Weibull time, scale, shape or step that is not finite and positive
 (ParameterError)."""
 
 import warnings
@@ -163,11 +164,13 @@ class TestDeformation:
                      make_matrix())
 
     @SETTINGS
-    @given(bad=NON_FINITE, dof=st.integers(0, 2**16))
+    @given(bad=NON_FINITE | st.sampled_from([1e160, -1e160, 1e300, -1e300]),
+           dof=st.integers(0, 2**16))
     def test_fe_assembly(self, bad, dof):
-        # a non-finite displacement reaches no kernel: assembling there
-        # raises, and the solver's feasibility seam reports an infinite
-        # residual with that error
+        # a non-finite displacement reaches no kernel, and a finite one whose
+        # C = F^T F overflows is caught by the response's overflow guard:
+        # assembling there raises, and the solver's feasibility seam reports
+        # an infinite residual with that error
         model = FemModel(strip_mesh(2.0, 1.0, 1.0, 2, 1, 1), make_material(),
                          dirichlet=[Dirichlet("xmin")])
         u = np.zeros(model.n_dof)

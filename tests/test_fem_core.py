@@ -187,28 +187,25 @@ class TestKinematicsAndForces:
     def test_internal_force_is_energy_gradient(self):
         # hyperelastic check with the matrix material only
         from conftest import make_material
+        from maturesim.materials import response_batch
+        from maturesim.tensors import deformation_inv_det
 
         params = make_material()
         rng = np.random.default_rng(13)
         du = rng.standard_normal(self.ue.shape)
 
-        def energy(ue):
+        def response(ue):
             F = el.deformation_gradients(ue, self.dNdX)
-            C = np.einsum("egki,egkj->egij", F, F)
-            from maturesim.materials import response_batch
-            out = response_batch(C.reshape(-1, 3, 3), params,
-                                 np.zeros(C.shape[0] * C.shape[1]), 0.0, 0.0)
-            psi = (out["psi_point"] + out["U_local"]).reshape(C.shape[:2])
-            return float((self.wdet * psi).sum())
+            Finv, J = deformation_inv_det(F)
+            return F, response_batch(F, Finv, J, params,
+                                     np.zeros(self.wdet.shape), 0.0, 0.0)
 
-        F = el.deformation_gradients(self.ue, self.dNdX)
-        C = np.einsum("egki,egkj->egij", F, F)
-        from maturesim.materials import response_batch
+        def energy(ue):
+            out = response(ue)[1]
+            return float((self.wdet * (out["psi_point"] + out["U_local"])).sum())
 
-        out = response_batch(C.reshape(-1, 3, 3), params,
-                             np.zeros(C.shape[0] * C.shape[1]), 0.0, 0.0)
-        S6 = out["S"].reshape(C.shape[:2] + (6,))
-        fint = el.internal_forces(F, S6,
+        F, out = response(self.ue)
+        fint = el.internal_forces(F, out["S"],
                                   el.weighted_gradients(self.dNdX, self.wdet))
         h = 1e-6
         fd = (energy(self.ue + h * du) - energy(self.ue - h * du)) / (2 * h)

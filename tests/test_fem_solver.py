@@ -165,15 +165,12 @@ def _dense_tangent(model, u, t, dt):
     ue = u.reshape(-1, 3)[model.conn]
     F = ref.ref_deformation_gradients(ue, model.dNdX)
     J = np.linalg.det(F)
-    C = np.swapaxes(F, -1, -2) @ F
     Jbar = el.mean_dilatation(J, model.wdet, model.V0)
     mat = model.params.matrix
-    ng = model.wdet.shape[1]
-    resp = response_batch(C.reshape(-1, 3, 3), model.params,
-                          model.rho.reshape(-1), t, dt,
-                          pbar=np.repeat(volumetric_pressure(Jbar, mat), ng))
-    S6 = resp["S"].reshape(model.wdet.shape + (6,))
-    CC = resp["CC"].reshape(model.wdet.shape + (6, 6))
+    resp = response_batch(F, np.linalg.inv(F), J, model.params, model.rho, t, dt,
+                          pbar=volumetric_pressure(Jbar, mat)[:, None])
+    S6 = resp["S"]
+    CC = resp["CC"]
     B = ref.ref_b_matrices(F, model.dNdX)
     G = ref.ref_volume_gradient(F, J, model.dNdX, model.wdet)
     Ke = ref.ref_material_stiffness(B, CC, model.wdet) \
