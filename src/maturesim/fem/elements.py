@@ -35,12 +35,6 @@ QUAD_CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 QUAD_GAUSS = QUAD_CORNERS / np.sqrt(3.0)
 
 
-def shape_functions(xi):
-    """Trilinear shape values N_a(xi) for points xi of shape (..., 3)."""
-    xi = np.asarray(xi, dtype=float)
-    return 0.125 * np.prod(1.0 + xi[..., None, :] * CORNERS, axis=-1)
-
-
 def shape_gradients(xi):
     """dN_a/dxi_i at points xi of shape (..., 3); result (..., 8, 3)."""
     xi = np.asarray(xi, dtype=float)

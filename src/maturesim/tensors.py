@@ -50,11 +50,6 @@ def from_voigt(v):
     return A
 
 
-def sym_dot(a6, b6):
-    """Full contraction A:B of two symmetric tensors in 6-vector form."""
-    return np.einsum("...i,...i->...", a6, VOIGT_WEIGHTS * b6)
-
-
 def outer6(a6, b6):
     """Dyadic product A (x) B as a 6x6 tangent block."""
     return a6[..., :, None] * b6[..., None, :]
@@ -168,12 +163,6 @@ def fiber_strain(C, H):
     """
     lam_sq = np.einsum("...ij,...ij->...", np.asarray(C, dtype=float), H)
     return lam_sq, lam_sq - 1.0
-
-
-def structural_dyad(n):
-    """Rank-one structural tensor M = n (x) n for a textile yarn direction."""
-    n = unit_vector(n)
-    return np.outer(n, n)
 
 
 def textile_invariants(C, M1, M2):

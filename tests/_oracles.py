@@ -1,5 +1,7 @@
 """Shared finite-difference oracles, random-state generators and reference
-kernels (elements, textile energy, 3x3 inverse, point solver) for tests.
+kernels (elements, textile energy, 3x3 inverse, point solver) for tests,
+with the small helpers only tests use and wrappers that call the
+component-major material kernels in the (..., 6) layout of C.
 
 The FD rules mirror the symmetric-tensor convention of the package: a
 6-vector direction n perturbs the component pair (i, j) and (j, i) of C
@@ -12,8 +14,9 @@ import numpy as np
 from maturesim import matpoint
 from maturesim import tensors as tn
 from maturesim.errors import SolverError
+from maturesim.fem.elements import CORNERS
 from maturesim.growth import GrowthState
-from maturesim.materials import response_batch, total_response
+from maturesim.materials import response_batch, textile_batch, total_response
 from maturesim.matpoint import PointRecord
 from maturesim.tensors import VOIGT_I, VOIGT_J, from_voigt
 
@@ -77,6 +80,33 @@ def response_on_C(C, params, *args, **kwargs):
     F = np.linalg.cholesky(C).swapaxes(-1, -2)
     Finv, J = tn.deformation_inv_det(F)
     return response_batch(F, Finv, J, params, *args, **kwargs)
+
+
+def textile_on_C(C, p):
+    """`textile_batch` at right Cauchy-Green tensors C (..., 3, 3), with
+    psi, S and CC returned over C's leading axes: (...), (..., 6) and
+    (..., 6, 6)."""
+    C = np.asarray(C, dtype=float)
+    lead = C.shape[:-2]
+    psi, S, CC = textile_batch(tn.to_voigt(C).reshape(-1, 6).T, p)
+    return psi.reshape(lead), S.T.reshape(lead + (6,)), CC.T.reshape(lead + (6, 6))
+
+
+def sym_dot(a6, b6):
+    """Full contraction A:B of two symmetric tensors in 6-vector form."""
+    return np.einsum("...i,...i->...", a6, W * b6)
+
+
+def structural_dyad(n):
+    """Rank-one structural tensor M = n (x) n for a textile yarn direction."""
+    n = tn.unit_vector(n)
+    return np.outer(n, n)
+
+
+def shape_functions(xi):
+    """Trilinear shape values N_a(xi) for points xi of shape (..., 3)."""
+    xi = np.asarray(xi, dtype=float)
+    return 0.125 * np.prod(1.0 + xi[..., None, :] * CORNERS, axis=-1)
 
 
 def random_rotation(rng):

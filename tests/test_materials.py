@@ -14,11 +14,11 @@ from maturesim.growth import GrowthState
 from maturesim.materials import (CollagenParams, MatrixParams, TextileParams,
                                  cauchy_stress, collagen_psi_mass,
                                  collagen_stress, matrix_psi_stress_tangent,
-                                 textile_batch, textile_psi_stress_tangent,
+                                 response_batch, textile_psi_stress_tangent,
                                  total_response)
 
 from _oracles import (fd_stress, fd_tangent, random_C, random_F, random_rotation,
-                      ref_textile_batch, rel_err, response_on_C)
+                      ref_textile_batch, rel_err, response_on_C, textile_on_C)
 from conftest import (EX, EY, deadline, make_collagen, make_growth,
                       make_material, make_matrix, make_textile)
 
@@ -233,7 +233,7 @@ class TestTextileKernel:
                           for _ in range(6)])
         p = TextileParams(**dict(zip(_STIFFNESSES, stiff)),
                           **dict(zip(_EXPONENTS, exps)), n1=n1, n2=n2)
-        got = textile_batch(C, p)
+        got = textile_on_C(C, p)
         self._agree(got, ref_textile_batch(C, p))
         if state == "identity":
             assert np.all(got[0] == 0.0) and np.all(got[1] == 0.0)
@@ -245,11 +245,11 @@ class TestTextileKernel:
         base = make_material()
         rng = np.random.default_rng(41)
         C = np.array([random_C(rng, spread=0.2, stretch=0.1) for _ in range(5)])
-        seen = [textile_batch(C, base.textile)[0]]
+        seen = [textile_on_C(C, base.textile)[0]]
         for k1_1, k_ani in ((0.031, 0.2), (0.5, 0.9), (0.2, 0.05), (2.0, 0.0)):
             p = substitute(base, ["textile.k1_1", "textile.k_coup_ani"],
                            [k1_1, k_ani]).textile
-            got = textile_batch(C, p)
+            got = textile_on_C(C, p)
             self._agree(got, ref_textile_batch(C, p))
             assert not any(np.allclose(got[0], psi) for psi in seen)
             seen.append(got[0])
@@ -279,7 +279,7 @@ class TestTextileKernel:
             assert p.curv is base.textile.curv
         rng = np.random.default_rng(seed)
         C = np.array([random_C(rng, spread=0.2, stretch=0.1) for _ in range(4)])
-        for got, want in zip(textile_batch(C, p), textile_batch(C, fresh)):
+        for got, want in zip(textile_on_C(C, p), textile_on_C(C, fresh)):
             assert np.array_equal(got, want)
 
     def test_substitute_validates_stiffness_factors(self):
@@ -289,7 +289,7 @@ class TestTextileKernel:
     def test_batch_shape_follows_input(self, textile_params):
         rng = np.random.default_rng(43)
         C = np.array([random_C(rng) for _ in range(6)]).reshape(2, 3, 3, 3)
-        psi, S, CC = textile_batch(C, textile_params)
+        psi, S, CC = textile_on_C(C, textile_params)
         assert psi.shape == (2, 3) and S.shape == (2, 3, 6) and CC.shape == (2, 3, 6, 6)
         self._agree((psi, S, CC), ref_textile_batch(C, textile_params))
 
@@ -483,8 +483,42 @@ class TestTotalResponse:
         assert lean["CC"] is None
         assert np.any(full["psi_m"] > 0.0)
         assert np.any(full["drho_dpsim"] > 0.0) == (dt > 0.0)
-        for key in ("S", "rho", "drho_dpsim", "psi_m", "J", "psi_point", "U_local"):
+        for key in ("S", "rho", "drho_dpsim", "psi_m", "psi_point", "U_local"):
             assert np.array_equal(lean[key], full[key]), key
+
+
+    @pytest.mark.parametrize("tangent", [True, False])
+    @pytest.mark.parametrize("dt", [0.0, 0.25])
+    @pytest.mark.parametrize("with_pbar", [False, True])
+    def test_answer_at_a_point_is_batch_invariant(self, tangent, dt, with_pbar):
+        # a point alone, or a 17-point slice, answers the same bits as in the
+        # (240, 8) Gauss-point batch of the strip: no path depends on the
+        # batch size and no product sums a point's components in a loop that
+        # depends on it
+        params = make_material(kappa=0.15, psi_crit=2e-5)
+        rng = np.random.default_rng(44)
+        F = np.eye(3) + 0.2 * (rng.random((240, 8, 3, 3)) - 0.5)
+        F[..., 0, 0] += 0.2
+        Finv, J = tn.deformation_inv_det(F)
+        rho_n = rng.uniform(0.0, 20.0, (240, 8))
+        pbar = (np.broadcast_to(rng.uniform(-0.01, 0.01, (240, 1)), (240, 8))
+                if with_pbar else None)
+        full = response_batch(F, Finv, J, params, rho_n, 3.0, dt, pbar=pbar,
+                              tangent=tangent)
+        assert np.any(full["psi_m"] > 0.0)
+        assert np.any(full["drho_dpsim"] > 0.0) == (dt > 0.0)
+        for sl in (np.s_[0, 0], np.s_[117, 5], np.s_[239:240, 7:8],
+                   np.s_[40:57, 3]):
+            part = response_batch(F[sl], Finv[sl], J[sl], params, rho_n[sl],
+                                  3.0, dt, pbar=None if pbar is None else pbar[sl],
+                                  tangent=tangent)
+            assert part.keys() == full.keys()
+            for key, value in part.items():
+                want = full[key]
+                if want is None:
+                    assert value is None
+                else:
+                    assert np.array_equal(value, want[sl]), (sl, key)
 
 
 class TestCauchyStress:
