@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError
-from .growth import weibull_alpha
+from .growth import GrowthState, weibull_alpha
 from .materials import MaterialParams
 from .matpoint import FREE, LoadProgram, program_path, solve_frozen_path
 
@@ -200,15 +200,12 @@ class FitResult:
 
 def fit_weibull(times, values, weights=None, x0=None) -> FitResult:
     """Least-squares Weibull CDF fit of (t, alpha) data; returns tau and h."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.shape != values.shape or times.ndim != 1 or times.size < 3:
+    series = DataSeries("alpha", times, values, weights)
+    times, values, w = series.x, series.y, series.weights
+    if times.size < 3:
         raise FitError("need at least three (t, value) points")
     if np.any(times < 0.0):
         raise FitError("times must be non-negative")
-    w = np.ones_like(times) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != times.shape or np.any(w < 0.0):
-        raise FitError("bad weights")
 
     if x0 is None:
         level = 1.0 - np.exp(-1.0)
@@ -223,11 +220,8 @@ def fit_weibull(times, values, weights=None, x0=None) -> FitResult:
 
     nm = nelder_mead(objective, x0, bounds=[(1e-3, 1e4), (0.05, 50.0)],
                      max_evals=4000, xtol=1e-10, ftol=1e-16)
-    tau, h = nm.x
-    resid = weibull_alpha(times, tau, h) - values
-    rms = float(np.sqrt(np.sum(w * resid**2) / np.sum(w))) if np.sum(w) > 0 else 0.0
-    return FitResult(params={"tau": float(tau), "h": float(h)}, x=nm.x,
-                     objective=nm.f, per_series_rms={"alpha": rms}, nm=nm)
+    return _fit_result(["tau", "h"], nm, [series],
+                       [weibull_alpha(times, *nm.x)])
 
 
 def fit_material(problem: FitProblem) -> FitResult:
@@ -262,13 +256,20 @@ def fit_material(problem: FitProblem) -> FitResult:
 
     nm = nelder_mead(objective, problem.x0, bounds=problem.bounds,
                      max_evals=problem.max_evals, xtol=1e-8, ftol=1e-12)
+    return _fit_result(problem.param_names, nm, problem.series,
+                       predictions(nm.x))
+
+
+def _fit_result(param_names, nm, series, preds):
+    """The `FitResult` of a Nelder-Mead run: its parameters by name and the
+    weighted RMS residual of each series' predictions at the optimum."""
     rms = {}
-    for s, pred in zip(problem.series, predictions(nm.x)):
+    for s, pred in zip(series, preds):
         pred = np.asarray(pred, dtype=float)
         wsum = float(np.sum(s.weights))
         rms[s.name] = float(np.sqrt(np.sum(s.weights * (pred - s.y) ** 2) / wsum)) \
             if wsum > 0 else 0.0
-    params = {k: float(v) for k, v in zip(problem.param_names, nm.x)}
+    params = {k: float(v) for k, v in zip(param_names, nm.x)}
     return FitResult(params=params, x=nm.x, objective=nm.f,
                      per_series_rms=rms, nm=nm)
 
@@ -308,6 +309,7 @@ def biaxial_eng_stress(params: MaterialParams, strains, ratio, rho):
     Only axis 0 is reported, so constants acting mainly along axis 1 (the
     second yarn, e.g. `k1_2`) are weakly identified by these series.
     """
+    _check_ratios([ratio])
     return _axis0_stress(params, "biaxial", [strains], [rho], [ratio])[0]
 
 
@@ -340,6 +342,14 @@ def _axis0_stress(params, kind, xs, rhos, ratios=None, warm=None):
         prog.start = stretches
         warm[key] = prog
     return np.split(P, prog.splits)
+
+
+def _check_ratios(ratios):
+    """FitError unless every biaxial ratio e1 / e2 is nonzero and not NaN;
+    an infinite ratio holds axis 1 at e2 = 0."""
+    r = np.array(list(ratios), dtype=float)
+    if np.any((r == 0.0) | np.isnan(r)):
+        raise FitError(f"biaxial ratios must be nonzero and not NaN, got {r}")
 
 
 class _Program:
@@ -401,6 +411,8 @@ class PointModel:
         self.kind = kind
         self.rho_by_series = rho_by_series or {}
         self.ratio_by_series = ratio_by_series or {}
+        GrowthState(rho=np.array(list(self.rho_by_series.values()), dtype=float))
+        _check_ratios(self.ratio_by_series.values())
 
     def predict(self, x, series_list, warm=None):
         p = substitute(self.base, self.param_names, x)
@@ -425,7 +437,8 @@ def make_point_model(base: MaterialParams, param_names, kind="uniaxial",
     `textile.k1_2` are weakly identified by biaxial series.  The model is
     a `PointModel`: `model(x, series)` predicts one series, and
     `model.predict(x, series_list)` all of them from one bundle and one
-    lockstep program.
+    lockstep program.  A density that is negative or not finite raises
+    StateError, and a ratio of 0 or NaN FitError, here and not within a fit.
     """
     if kind not in ("uniaxial", "biaxial"):
         raise FitError(f"unknown model kind {kind!r}")

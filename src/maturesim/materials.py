@@ -657,8 +657,9 @@ def total_response(F, params: MaterialParams, state: GrowthState, dt, t,
 
     Runs the density update over the step (t - dt, t] when dt > 0 and
     returns the total stress/tangent pair together with the new growth
-    state.  With dt == 0 the density is frozen and the state is passed
-    through unchanged.  F may also be a stack (..., 3, 3) of points;
+    state.  With dt == 0 the density is frozen: the new state keeps
+    `state.rho` but carries this deformation's psi_m and drho_dpsim = 0,
+    not the input state's.  F may also be a stack (..., 3, 3) of points;
     `state.rho` is then one density for all of them or an array over F's
     leading axes, one per point, and the stress, tangent and the fields of
     the new state are stacks over those axes.  With tangent=False the

@@ -106,36 +106,25 @@ class PointRecord:
 
 
 def solve_mixed_point(program: LoadProgram, params: MaterialParams,
-                      init: GrowthState = GrowthState(), start=None) -> list:
-    """March a material point through a load program.
+                      init: GrowthState = GrowthState()) -> list:
+    """March a material point through a load program from one density.
 
     Returns one `PointRecord` per step of `program_path(program)`, the
-    first being the initial knot.  A frozen program (`grow=False`) is
-    `solve_frozen_path`'s: `init.rho` may then hold one frozen density per
-    path point, and `start` the free-axis stretches to begin from, one row
-    per path point and one column per free axis in axis order, such as an
-    earlier solve's converged stretches.  A growing program is solved knot
-    by knot in time, each knot starting from the last one's stretches,
-    from one scalar `init.rho`.  Raises SolverError when a free-axis Newton
-    iteration stalls, and DeformationError when a knot takes the fibers
-    past the collagen law's strain limit or its response past the float
-    range.
+    first being the initial knot.  A frozen program (`grow=False`) keeps
+    the density `init.rho` and is `solve_frozen_path`'s; a growing one is
+    solved knot by knot in time, each knot starting from the last one's
+    stretches.  Raises ParameterError when `init.rho` is not a scalar,
+    SolverError when a free-axis Newton iteration stalls, and
+    DeformationError when a knot takes the fibers past the collagen law's
+    strain limit or its response past the float range.
     """
+    if np.ndim(init.rho):
+        raise ParameterError("init.rho must be one density, not an array")
     path_t, path_lams, free = program_path(program)
-    if np.ndim(init.rho) and (program.grow or np.shape(init.rho) != path_t.shape):
-        raise ParameterError("init.rho must be a scalar, or one density per "
-                             f"path point ({path_t.size}) of a frozen program")
-    if start is not None:
-        start = np.asarray(start, dtype=float)
-        if program.grow or start.shape != (path_t.size, len(free)) \
-                or not np.all((start > 0.0) & (start < np.inf)):
-            raise ParameterError("start must hold positive finite free-axis "
-                                 f"stretches, {path_t.size} x {len(free)}, "
-                                 "of a frozen program")
     if program.grow:
         solved = _solve_in_turn(path_lams, free, params, init.rho, path_t)
     else:
-        solved = solve_frozen_path(path_lams, free, params, init.rho, start)
+        solved = solve_frozen_path(path_lams, free, params, init.rho)
     return _records(path_t, *solved)
 
 
@@ -169,8 +158,8 @@ def solve_frozen_path(path_lams, free, params, rho, start=None, probe=False):
     `path_lams` (N, 3) holds the path's stretches with the controlled axes
     set, `free` the free axes in axis order and `rho` the densities, one for
     all knots or one per knot; `start`, if given, the free-axis stretches
-    to begin from, (N, len(free)), positive and finite (`solve_mixed_point`
-    checks its shape and values).  The knots do not depend on one another,
+    to begin from, (N, len(free)), positive and finite, such as an earlier
+    solve's converged stretches.  The knots do not depend on one another,
     so the path is one lockstep batch, tried from
     1. `start`, checked by its stress alone first with `probe` (see
        `_newton_free_axes`), and dropped where it does not lead every knot

@@ -3,8 +3,9 @@ no numpy warning on the way: a density or psi_m that is NaN, infinite or
 negative (`GrowthState`, StateError), a deformation that is not finite or
 has det F <= 0 (`tensors.deformation_inv_det`, DeformationError) or whose
 material response overflows (`materials.response_batch`, DeformationError),
-and a Weibull time, scale, shape or step that is not finite and positive
-(ParameterError)."""
+a Weibull time, scale, shape or step that is not finite and positive
+(ParameterError), and a calibration density (StateError) or biaxial ratio
+(FitError) that no solve could use, raised before any solve."""
 
 import warnings
 
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maturesim import growth, materials, tensors
-from maturesim.errors import DeformationError, ParameterError, StateError
+from maturesim import calibrate, growth, materials, tensors
+from maturesim.errors import (DeformationError, FitError, ParameterError,
+                              StateError)
 from maturesim.fem import Dirichlet, FemModel, strip_mesh
 from maturesim.growth import GrowthState
 
@@ -178,3 +180,32 @@ class TestDeformation:
         raises_typed(DeformationError, model.assemble, u, 0.0, 0.0)
         rnorm, err = model._try_assemble(u, 0.0, 0.0)
         assert rnorm == np.inf and isinstance(err, DeformationError)
+
+
+class TestCalibrationInputs:
+    # a fit's objective counts every failed evaluation as an infinite
+    # residual, so a bad input has to fail when the model is built
+    @SETTINGS
+    @given(bad=BAD)
+    def test_series_density(self, bad):
+        raises_typed(StateError, calibrate.make_point_model, make_material(),
+                     ["collagen.k1"], rho_by_series={"a": 5.0, "b": bad})
+
+    @pytest.mark.parametrize("ratio", [0.0, -0.0, np.nan])
+    def test_biaxial_ratio(self, ratio):
+        raises_typed(FitError, calibrate.make_point_model, make_material(),
+                     ["textile.k1_1"], kind="biaxial",
+                     ratio_by_series={"a": 1.0, "b": ratio})
+        raises_typed(FitError, calibrate.biaxial_eng_stress, make_material(),
+                     [0.05], ratio, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_biaxial_ratio_holds_axis_1(self):
+        # e1 = inf * e2 is e2 = 0: axis 1 held at its unit stretch
+        base = make_material()
+        P = calibrate.biaxial_eng_stress(base, [0.05, 0.1], np.inf, 0.0)
+        assert np.all(np.isfinite(P))
+        model = calibrate.make_point_model(base, ["textile.k1_1"], kind="biaxial",
+                                           ratio_by_series={"a": np.inf})
+        series = calibrate.DataSeries("a", [0.05, 0.1], P)
+        assert np.array_equal(model([base.textile.k1_1], series), P)

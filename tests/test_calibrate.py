@@ -10,8 +10,7 @@ from maturesim.calibrate import (DataSeries, FitProblem, biaxial_eng_stress,
                                  fit_material, fit_weibull, make_point_model,
                                  nelder_mead, substitute, uniaxial_eng_stress)
 from maturesim.errors import FitError, SolverError
-from maturesim.growth import GrowthState
-from maturesim.matpoint import FREE, LoadProgram, solve_mixed_point
+from maturesim.matpoint import FREE, LoadProgram, program_path, solve_frozen_path
 
 from conftest import deadline, make_material
 
@@ -370,8 +369,8 @@ def benchmark_fits():
 
 class ReferenceWarmModel:
     """A uniaxial `PointModel`'s warm evaluation written with the public
-    point solver: per evaluation one `LoadProgram` and one record per knot,
-    solved by `solve_mixed_point` from the free stretches of the last
+    point solver: per evaluation one `LoadProgram`, whose path
+    `solve_frozen_path` solves from the free stretches of the last
     evaluation whose predictions were finite."""
 
     def __init__(self, model):
@@ -387,11 +386,12 @@ class ReferenceWarmModel:
         prog = LoadProgram(times=np.arange(rho.size, dtype=float),
                            controls=(knots, FREE, FREE), grow=False)
         key = tuple(s.name for s in series_list)
-        recs = solve_mixed_point(prog, p, init=GrowthState(rho=rho),
-                                 start=self.starts.get(key))
-        P = np.array([r.F[0, 0] * r.S[0] for r in recs[1:]])
+        _, path_lams, free = program_path(prog)
+        lams, S, *_ = solve_frozen_path(path_lams, free, p, rho,
+                                        self.starts.get(key))
+        P = lams[1:, 0] * S[1:, 0]
         if np.all(np.isfinite(P)):
-            self.starts[key] = np.array([np.diag(r.F)[1:] for r in recs])
+            self.starts[key] = lams[:, free]
         return np.split(P, np.cumsum([s.x.size for s in series_list])[:-1])
 
 
@@ -426,7 +426,7 @@ class TestPreparedProgram:
     def test_off_root_fit_follows_the_point_solver(self, monkeypatch):
         # kappa = 0.15: each evaluation's start is off its root.  The fit
         # repeats, bit for bit, the one whose evaluations go through
-        # solve_mixed_point from the same starts, with no more tangents
+        # solve_frozen_path from the same starts, with no more tangents
         _, _, prob = collagen_problem(kappa=0.15)
         flags = record_tangent_flags(monkeypatch)
         fast = fit_material(prob)

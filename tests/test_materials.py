@@ -342,11 +342,14 @@ class TestTotalResponse:
         assert np.all(np.isfinite(resp.S)) and np.all(np.isfinite(resp.CC))
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_response_is_a_deformation_error(self):
+    @pytest.mark.parametrize("lateral", [1e10, 1e14])
+    def test_overflowing_response_is_a_deformation_error(self, lateral):
         # lateral stretches of 1e10 take the textile invariants' powers past
-        # the float range: a typed failure, no overflow warning
+        # the float range: a typed failure, no overflow warning.  At 1e10 the
+        # overflow is in u(I5t)^12, a power no energy term uses; at 1e14 it
+        # is also in u(I4t)^12, which the k_coup_ani term uses
         with deadline(10), pytest.raises(DeformationError, match="overflow"):
-            total_response(np.diag([1.2, 1e10, 1e10]), make_material(),
+            total_response(np.diag([1.2, lateral, lateral]), make_material(),
                            GrowthState(), 0.0, 0.0)
 
     @pytest.mark.parametrize("dt", [0.0, 0.1])

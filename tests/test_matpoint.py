@@ -302,29 +302,35 @@ class TestFiberStrainGuard:
 
 
 class TestPerPointDensity:
-    def test_records_match_scalar_density_solves(self, material_params):
-        # one frozen batch with a density per knot answers, knot by knot,
+    def test_path_matches_scalar_density_solves(self, material_params):
+        # one frozen path with a density per knot answers, knot by knot,
         # what one scalar-density program per density answers, bit for bit
         prog = uniaxial(1.15, steps=6)
         rhos = np.linspace(0.0, 38.71, 7)
-        recs = solve_mixed_point(prog, material_params, init=GrowthState(rho=rhos))
+        path_t, lams, free = matpoint.program_path(prog)
+        path = matpoint.solve_frozen_path(lams, free, material_params, rhos)
+        assert np.array_equal(path[3], rhos)
         for k, rho in enumerate(rhos):
             alone = solve_mixed_point(prog, material_params,
-                                      init=GrowthState(rho=rho))
-            assert recs[k].rho == rho
-            assert records_to_csv([recs[k]]) == records_to_csv([alone[k]])
+                                      init=GrowthState(rho=rho))[k]
+            assert alone.time == path_t[k]
+            for knot, field in zip((np.diag(alone.F), alone.S, alone.sigma,
+                                    alone.rho, alone.psi_m), path):
+                assert np.array_equal(knot, field[k])
 
-    @pytest.mark.parametrize("grow, size", [(True, 7), (False, 6), (False, 8)])
-    def test_density_array_needs_a_frozen_program_of_its_length(
-            self, material_params, grow, size):
+    @pytest.mark.parametrize("grow", [False, True])
+    def test_point_solver_takes_one_density(self, material_params, grow):
         with pytest.raises(ParameterError):
             solve_mixed_point(uniaxial(1.1, steps=6, grow=grow), material_params,
-                              init=GrowthState(rho=np.full(size, 5.0)))
+                              init=GrowthState(rho=np.full(7, 5.0)))
 
 
-def solved_records(prog, params, start=None):
-    """`solve_mixed_point` of a frozen program, as its CSV."""
-    return records_to_csv(solve_mixed_point(prog, params, start=start))
+def solved_path(prog, params, start=None, rho=0.0):
+    """`solve_frozen_path` over a frozen program's path: every array it
+    returns, as bytes."""
+    _, lams, free = matpoint.program_path(prog)
+    solved = matpoint.solve_frozen_path(lams, free, params, rho, start)
+    return b"".join(field.tobytes() for field in solved)
 
 
 def solved_prepared(prog, params, start=None):
@@ -341,8 +347,8 @@ def solved_prepared(prog, params, start=None):
 
 # the two entry points of a frozen path's solve from a start
 START_ENTRIES = pytest.mark.parametrize(
-    "solve", [solved_records, solved_prepared],
-    ids=["solve_mixed_point", "calibrate_solve_program"])
+    "solve", [solved_path, solved_prepared],
+    ids=["solve_frozen_path", "calibrate_solve_program"])
 
 
 class TestStart:
@@ -357,18 +363,19 @@ class TestStart:
         prog = uniaxial(1.15, steps=6)
         cold = solve_mixed_point(prog, params, init=GrowthState(rho=38.71))
         calls = count_responses(monkeypatch)
-        warm = solve_mixed_point(prog, params, init=GrowthState(rho=38.71),
-                                 start=self.free_stretches(cold))
+        warm = solved_path(prog, params, start=self.free_stretches(cold),
+                           rho=38.71)
         assert calls == [(7,)]
-        assert records_to_csv(warm) == records_to_csv(cold)
+        assert warm == solved_path(prog, params, rho=38.71)
 
     def test_start_off_the_root_meets_the_tolerance(self):
         params = make_material(kappa=0.15)
         other = make_material(kappa=0.05)
         prog = uniaxial(1.15, steps=6)
         start = self.free_stretches(solve_mixed_point(prog, other))
-        for r in solve_mixed_point(prog, params, start=start):
-            assert np.max(np.abs(r.sigma[1:3])) <= matpoint.STRESS_TOL
+        _, lams, free = matpoint.program_path(prog)
+        sigma = matpoint.solve_frozen_path(lams, free, params, 0.0, start)[2]
+        assert np.max(np.abs(sigma[:, 1:3])) <= matpoint.STRESS_TOL
 
     @START_ENTRIES
     @pytest.mark.parametrize("value", [1e-3, 10.0])
@@ -430,15 +437,6 @@ class TestStart:
         for plain, probed in zip(runs[False, "out"], runs[True, "out"]):
             assert np.array_equal(plain, probed)
         assert runs[True] == [False] + runs[False]
-
-    @pytest.mark.parametrize("grow, start", [
-        (True, np.ones((7, 2))), (False, np.ones((7, 3))), (False, np.ones((6, 2))),
-        (False, np.full((7, 2), np.nan)), (False, np.zeros((7, 2)))])
-    def test_start_needs_free_stretches_of_a_frozen_program(
-            self, material_params, grow, start):
-        with pytest.raises(ParameterError):
-            solve_mixed_point(uniaxial(1.1, steps=6, grow=grow), material_params,
-                              start=start)
 
 
 class TestRecordedEnergy:
