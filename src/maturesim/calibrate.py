@@ -144,7 +144,12 @@ def nelder_mead(fn, x0, bounds=None, max_evals=2000, xtol=1e-8, ftol=1e-12):
 
 @dataclass(eq=False)
 class DataSeries:
-    """One measured curve: abscissa, ordinate and optional weights."""
+    """One measured curve: abscissa, ordinate and optional weights.
+
+    Every x and y must be finite and every weight finite and >= 0; a
+    series that breaks this raises FitError naming the series and the
+    first bad point, before any fit evaluates it.
+    """
 
     name: str
     x: np.ndarray
@@ -160,8 +165,19 @@ class DataSeries:
             self.weights = np.ones_like(self.x)
         else:
             self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != self.x.shape or np.any(self.weights < 0.0):
-                raise FitError(f"series {self.name}: bad weights")
+            if self.weights.shape != self.x.shape:
+                raise FitError(f"series {self.name}: one weight per point "
+                               "required")
+        w = self.weights
+        for field, ok, need in (
+                ("x", np.isfinite(self.x), "finite"),
+                ("y", np.isfinite(self.y), "finite"),
+                ("weights", np.isfinite(w) & (w >= 0.0), "finite and >= 0")):
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                i = bad[0]
+                raise FitError(f"series {self.name}: {field}[{i}] = "
+                               f"{getattr(self, field)[i]} is not {need}")
 
 
 @dataclass(eq=False)

@@ -31,13 +31,14 @@ where it factors one.
 
 Every linear solve, Newton's and the ramp's, goes through one function,
 `_solve_reduced`, and no other code factors a matrix.  Given an LU factor
-of a nearby matrix it first refines with it; otherwise, or when that
-fails, it factors the reduced system with a fill-reducing minimum-degree
-ordering and no pivoting, and falls back to scipy's default factorization
-when that fails.  The ramp factors every solve afresh.  A maturation march
-keeps one factor across its growth steps (`_KeptFactor`): consecutive
-growth tangents differ little, so a factor made at one step's start
-serves the next steps' Newton solves until refinement slows, and it is
+of a nearby matrix it first solves by GMRES preconditioned with that
+factor (`_krylov_solve`); otherwise, or when GMRES gives up, it factors
+the reduced system with a fill-reducing minimum-degree ordering and no
+pivoting, and falls back to scipy's default factorization when that
+fails.  The ramp factors every solve afresh.  A maturation march keeps
+one factor across its growth steps (`_KeptFactor`): consecutive growth
+tangents differ little, so a factor made at one step's start serves the
+next steps' Newton solves until GMRES needs many steps with it, and it is
 refreshed only between steps.
 """
 
@@ -74,14 +75,14 @@ UPHILL_DAMPING = 0.7      # ramp damping factor after an accepted uphill step
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
               "options": {"SymmetricMode": True}}
 
-# Iterative refinement with a kept factor (see `_solve_reduced`): a solve
-# is done once its residual is this far below Newton's tolerance, and
-# gives up on the factor after REFINE_SWEEPS sweeps or one that fails to
-# halve the residual.  A growth step any of whose solves needed
-# REFRESH_SWEEPS sweeps or gave up has the factor refreshed after it.
+# GMRES with a kept factor (see `_krylov_solve`): a solve is done once its
+# true residual is this far below Newton's tolerance, and gives up on the
+# factor after REFINE_SWEEPS Krylov steps, each of which solves with the
+# factor once.  A growth step any of whose solves needed REFRESH_SWEEPS
+# steps or gave up has the factor refreshed after it.
 REFINE_TOL = 1e-2 * RESIDUAL_TOL
 REFINE_SWEEPS = 8
-REFRESH_SWEEPS = 4
+REFRESH_SWEEPS = 6
 
 # glibc's malloc_trim, which hands the free pages of the C heap back to
 # the OS; None where the C library has none.  SuperLU reserves about 44 MB
@@ -340,10 +341,10 @@ class FemModel:
         assemble the residual alone, and the tangent is assembled at the
         accepted trial only when another iteration follows.  The iteration
         count is the number of linear solves.  `kept` is the `_KeptFactor`
-        of a march, whose factor the solves refine with; without one each
-        solve factors its tangent afresh.  The incoming state (previous
-        densities) is left untouched; call `commit(aux)` once the step is
-        accepted.
+        of a march, whose factor preconditions the solves; without one
+        each solve factors its tangent afresh.  The incoming state
+        (previous densities) is left untouched; call `commit(aux)` once
+        the step is accepted.
         """
         for start in ([u] if guess is None else [guess, u]):
             start = np.asarray(start, dtype=float).copy()
@@ -496,29 +497,20 @@ def ramp_pressure(model: FemModel):
 
 
 def _solve_reduced(K, rhs, lu=None, **diagnostics):
-    """Solve K x = rhs for one reduced tangent; returns (x, lu, sweeps).
+    """Solve K x = rhs for one reduced tangent; returns (x, lu, steps).
 
-    Given `lu`, a factor of a nearby matrix, solves with it and refines:
-    x <- x + lu^-1 (rhs - K x) with this K, until ||rhs - K x||_inf <=
-    REFINE_TOL; then `lu` is returned with the number of refinement sweeps.
-    It gives up after REFINE_SWEEPS sweeps, or when the first solve or a
-    sweep fails to halve the residual.  Without `lu`, or once refinement
-    gives up, factors K with LU_OPTIONS; if that factorization raises or
-    its solve is not finite, refactors once with scipy's default `splu`,
-    and returns the factor that solved with sweeps None.  If that fails
-    too, raises SolverError carrying `diagnostics`.
+    Given `lu`, a factor of a nearby matrix, solves by GMRES preconditioned
+    with it (`_krylov_solve`) and returns `lu` with the number of Krylov
+    steps taken.  Without `lu`, or once GMRES gives up, factors K with
+    LU_OPTIONS; if that factorization raises or its solve is not finite,
+    refactors once with scipy's default `splu`, and returns the factor that
+    solved with steps None.  If that fails too, raises SolverError carrying
+    `diagnostics`.
     """
     if lu is not None:
-        x = np.zeros_like(rhs)
-        r, rnorm = rhs, np.abs(rhs).max(initial=0.0)
-        for sweeps in range(REFINE_SWEEPS + 1):
-            x = x + lu.solve(r)
-            r = rhs - K @ x
-            last, rnorm = rnorm, np.abs(r).max(initial=0.0)
-            if not rnorm <= 0.5 * last:     # NaN gives up too
-                break
-            if rnorm <= REFINE_TOL:
-                return x, lu, sweeps
+        solved = _krylov_solve(K, rhs, lu)
+        if solved is not None:
+            return solved[0], lu, solved[1]
     for options in (LU_OPTIONS, {}):
         try:
             lu = splu(K, **options)
@@ -531,19 +523,71 @@ def _solve_reduced(K, rhs, lu=None, **diagnostics):
                       **diagnostics)
 
 
+def _krylov_solve(K, rhs, lu):
+    """GMRES on K x = rhs, right-preconditioned by the factor `lu` of a
+    nearby matrix (Saad & Schultz 1986); returns (x, steps), or None when
+    it gives up.
+
+    It starts from x0 = lu^-1 rhs and gives up at once unless x0 halves
+    ||rhs||_inf; x0 is accepted, as step 0, when ||rhs - K x0||_inf <=
+    REFINE_TOL.  Step j solves with `lu` once, extends the Arnoldi basis by
+    K lu^-1 v_j, and finds the x in x0 + lu^-1 span(v_0..v_j) whose
+    residual has the least 2-norm.  Once that least 2-norm, which bounds
+    the residual's infinity norm, is at most REFINE_TOL, x is formed and
+    accepted if its true residual ||rhs - K x||_inf is at most REFINE_TOL
+    too.  GMRES gives up after REFINE_SWEEPS steps, on a breakdown and on a
+    non-finite iterate.  There are no restarts.
+    """
+    x0 = lu.solve(rhs)
+    r = rhs - K @ x0
+    rnorm = np.abs(r).max(initial=0.0)
+    if not rnorm <= 0.5 * np.abs(rhs).max(initial=0.0):    # NaN gives up too
+        return None
+    if rnorm <= REFINE_TOL:
+        return x0, 0
+    beta = np.linalg.norm(r)
+    V, Z = [r / beta], []
+    H = np.zeros((REFINE_SWEEPS + 1, REFINE_SWEEPS))
+    g = np.zeros(REFINE_SWEEPS + 1)
+    g[0] = beta
+    for j in range(REFINE_SWEEPS):
+        Z.append(lu.solve(V[j]))
+        w = K @ Z[j]
+        for i, v in enumerate(V):        # modified Gram-Schmidt
+            H[i, j] = v @ w
+            w -= H[i, j] * v
+        H[j + 1, j] = h = np.linalg.norm(w)
+        if not np.isfinite(h):
+            return None
+        y = np.linalg.lstsq(H[:j + 2, :j + 1], g[:j + 2], rcond=None)[0]
+        if np.linalg.norm(g[:j + 2] - H[:j + 2, :j + 1] @ y) <= REFINE_TOL:
+            # one basis vector at a time: a BLAS product over the whole
+            # basis may run threaded
+            x = x0.copy()
+            for yi, z in zip(y, Z):
+                x += yi * z
+            if np.abs(rhs - K @ x).max() <= REFINE_TOL:
+                return x, j + 1
+        if not h > 0.0:         # breakdown: no new direction to search
+            return None
+        V.append(w / h)
+    return None
+
+
 class _KeptFactor:
     """The one LU factor a maturation march keeps across its growth steps.
 
-    `solve` refines each Newton solve of a step with `lu` (see
-    `_solve_reduced`) and notes the step's first system, the tangent
-    assembled at its start, and whether any of its solves needed
-    REFRESH_SWEEPS sweeps or more or factored afresh.  `refresh`, called
-    between steps once the step is committed, then replaces `lu` by a
-    factor of that first tangent.  It frees the old factor and trims the C
-    heap (see `_malloc_trim`) before it makes the new one.  Made at a
-    step's end, not mid-Newton, the factor does not fragment the heap
-    while a step's temporaries are alive.  `FemModel` never holds one:
-    models get deep-copied, and a SuperLU factor cannot be.
+    `solve` solves each Newton system of a step by GMRES preconditioned
+    with `lu` (see `_solve_reduced`) and notes the step's first system,
+    the tangent assembled at its start, and whether any of its solves
+    needed REFRESH_SWEEPS Krylov steps or more or factored afresh.
+    `refresh`, called between steps once the step is committed, then
+    replaces `lu` by a factor of that first tangent.  It frees the old
+    factor and trims the C heap (see `_malloc_trim`) before it makes the
+    new one.  Made at a step's end, not mid-Newton, the factor does not
+    fragment the heap while a step's temporaries are alive.  `FemModel`
+    never holds one: models get deep-copied, and a SuperLU factor cannot
+    be.
     """
 
     def __init__(self):
@@ -557,8 +601,8 @@ class _KeptFactor:
     def solve(self, K, rhs, **diagnostics):
         if self.first is None:
             self.first = (K, rhs)
-        x, _, sweeps = _solve_reduced(K, rhs, lu=self.lu, **diagnostics)
-        self.stale |= sweeps is None or sweeps >= REFRESH_SWEEPS
+        x, _, steps = _solve_reduced(K, rhs, lu=self.lu, **diagnostics)
+        self.stale |= steps is None or steps >= REFRESH_SWEEPS
         return x
 
     def refresh(self):
@@ -597,11 +641,11 @@ def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
     starts from a predictor, the Lagrange polynomial in time through the
     last three accepted states (the ramp's end counts as the first; with
     fewer states the order drops), evaluated at the step's end time and
-    recomputed after a cutback.  The Newton solves refine with one kept LU
-    factor, refreshed after a step that found it wanting (`_KeptFactor`).
-    Accepted steps commit the Gauss state and append a StepRecord with the
-    number of cutbacks; `on_step(time, u, aux, model)` runs after each
-    accepted step when given.  Returns (history, u, aux).
+    recomputed after a cutback.  The Newton solves are preconditioned with
+    one kept LU factor, refreshed after a step that found it wanting
+    (`_KeptFactor`).  Accepted steps commit the Gauss state and append a
+    StepRecord with the number of cutbacks; `on_step(time, u, aux, model)`
+    runs after each accepted step when given.  Returns (history, u, aux).
     Rejects t_end <= 0, which would end the run after the ramp alone, and
     dt0 <= 0, dt_max <= 0 and dt_ratio < 1: a step that is not positive, or
     that shrinks, may never reach t_end.

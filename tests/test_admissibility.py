@@ -4,14 +4,16 @@ negative (`GrowthState`, StateError), a deformation that is not finite or
 has det F <= 0 (`tensors.deformation_inv_det`, DeformationError) or whose
 material response overflows (`materials.response_batch`, DeformationError),
 a Weibull time, scale, shape or step that is not finite and positive
-(ParameterError), and a calibration density (StateError) or biaxial ratio
-(FitError) that no solve could use, raised before any solve."""
+(ParameterError), a calibration density (StateError) or biaxial ratio
+(FitError) that no solve could use, raised before any solve, and a data
+point that is not finite or a weight that is not finite and >= 0
+(`calibrate.DataSeries`, FitError), raised before any fit."""
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maturesim import calibrate, growth, materials, tensors
@@ -28,11 +30,12 @@ NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 SETTINGS = settings(max_examples=40, deadline=None)
 
 
-def raises_typed(error, fn, *args, **kwargs):
-    """fn(*args, **kwargs) raises `error`, warns nothing and ends in time."""
+def raises_typed(error, fn, *args, match=None, **kwargs):
+    """fn(*args, **kwargs) raises `error` (whose message matches `match`
+    when given), warns nothing and ends in time."""
     with deadline(10), warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             fn(*args, **kwargs)
 
 
@@ -190,6 +193,28 @@ class TestCalibrationInputs:
     def test_series_density(self, bad):
         raises_typed(StateError, calibrate.make_point_model, make_material(),
                      ["collagen.k1"], rho_by_series={"a": 5.0, "b": bad})
+
+    @SETTINGS
+    @given(bad=NON_FINITE, field=st.sampled_from(["x", "y"]),
+           index=st.integers(0, 3))
+    @example(bad=np.nan, field="y", index=1)
+    def test_series_points(self, bad, field, index):
+        # fails when the series is built, not as a non-finite objective at
+        # the fit's starting point
+        data = {"x": np.arange(4.0), "y": np.array([0.0, 0.2, 0.5, 0.7])}
+        data[field][index] = bad
+        raises_typed(FitError, calibrate.fit_weibull, data["x"], data["y"],
+                     match=rf"series alpha: {field}\[{index}\]")
+
+    @SETTINGS
+    @given(bad=BAD, index=st.integers(0, 3))
+    @example(bad=np.nan, index=2)
+    def test_series_weights(self, bad, index):
+        # a NaN weight compares false with 0, so a test for negative
+        # weights alone lets it through
+        raises_typed(FitError, calibrate.DataSeries, "s", np.arange(4.0),
+                     np.arange(4.0), with_bad(bad, 4, index),
+                     match=rf"series s: weights\[{index}\]")
 
     @pytest.mark.parametrize("ratio", [0.0, -0.0, np.nan])
     def test_biaxial_ratio(self, ratio):

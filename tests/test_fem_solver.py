@@ -468,18 +468,20 @@ class TestLinearSolveSeam:
         assert factored and all(d == 1 for _, d in factored)
 
     @staticmethod
-    def _nearby_systems():
-        """The tangents at the starts of two growth steps in a row, and the
-        right-hand side of the second step's first Newton solve."""
+    def _nearby_systems(apart=1, dt=0.1):
+        """The tangents at the starts of the first growth step and of the
+        step `apart` steps of `dt` days later, and the right-hand side of
+        that later step's first Newton solve."""
         model = clamped_strip_model(make_material(psi_crit=2e-5), nx=4, ny=2,
                                     nz=1, length=8.0, width=3.0,
                                     thickness=0.4, pressure=0.002)
         u, aux, _ = ramp_pressure(model)
         model.commit(aux)
-        K0 = model.assemble(u, 0.1, 0.1)[1]
-        u1, aux1, _ = model.solve_step(u, t=0.1, dt=0.1)
-        model.commit(aux1)
-        R, K1, _ = model.assemble(u1, 0.2, 0.1)
+        K0 = model.assemble(u, dt, dt)[1]
+        for step in range(1, apart + 1):
+            u, aux, _ = model.solve_step(u, t=step * dt, dt=dt)
+            model.commit(aux)
+        R, K1, _ = model.assemble(u, (apart + 1) * dt, dt)
         return K0, K1, -R[model.free_idx]
 
     def test_nearby_factor_refines_without_factoring(self, monkeypatch):
@@ -493,6 +495,50 @@ class TestLinearSolveSeam:
         assert np.abs(K1 @ x - rhs).max() <= solver.REFINE_TOL
         # within 1e-10 mm of a fresh solve's increment
         assert np.abs(x - fresh).max() <= 1e-10
+
+    def test_factor_three_steps_old_serves_without_factoring(self, monkeypatch):
+        # GMRES preconditioned with the factor searches a space that holds
+        # every stationary refinement iterate, so an older factor serves
+        K0, K1, rhs = self._nearby_systems(apart=3, dt=0.05)
+        fresh = solver.splu(K1, **solver.LU_OPTIONS).solve(rhs)
+        lu = solver.splu(K0, **solver.LU_OPTIONS)
+        calls = self._patched_splu(monkeypatch, "raise")
+        x, used, steps = solver._solve_reduced(K1, rhs, lu=lu)
+        assert calls == [] and used is lu
+        assert 0 < steps <= solver.REFINE_SWEEPS
+        assert np.abs(K1 @ x - rhs).max() <= solver.REFINE_TOL
+        assert np.abs(x - fresh).max() <= 1e-10
+
+    @pytest.mark.parametrize("first_nan", [0, 1])
+    def test_factor_solving_nan_falls_back_to_one_factorization(
+            self, monkeypatch, first_nan):
+        # a factor whose first solve (x0) or first Krylov solve returns NaN
+        K0, K1, rhs = self._nearby_systems()
+        fresh = solver.splu(K1, **solver.LU_OPTIONS).solve(rhs)
+        real_lu = solver.splu(K0, **solver.LU_OPTIONS)
+
+        class NanAfter:
+            solves = 0
+
+            def solve(self, b):
+                self.solves += 1
+                if self.solves > first_nan:
+                    return np.full_like(b, np.nan)
+                return real_lu.solve(b)
+
+        nan_lu = NanAfter()
+        real, calls = solver.splu, []
+
+        def splu(K, **options):
+            calls.append(options)
+            return real(K, **options)
+
+        monkeypatch.setattr(solver, "splu", splu)
+        x, used, steps = solver._solve_reduced(K1, rhs, lu=nan_lu)
+        assert nan_lu.solves == first_nan + 1
+        assert calls == [solver.LU_OPTIONS]
+        assert used is not nan_lu and steps is None
+        assert np.array_equal(x, fresh)
 
     def test_useless_factor_falls_back_to_one_factorization(self, monkeypatch):
         # a factor of K + 10 max|K| I barely reduces the residual
