@@ -4,18 +4,19 @@ A direct-search Nelder-Mead simplex (reflection 1, expansion 2, contraction
 0.5, shrink 0.5) minimizes weighted squared residuals between model curves
 and measured series.  Box bounds are enforced by clipping trial points.
 Everything is deterministic: repeated fits of the same problem reproduce the
-same iterates bit for bit.  A fit of a `PointModel` prepares each of its
-frozen-density programs once (path stretches, free axes, densities) and
+same iterates bit for bit.  A fit of a `PointModel` prepares its one
+frozen-density program once (path stretches, free axes, densities) and
 warm-starts the free-axis solve of each evaluation from the stretches that
 the fit's last successful evaluation converged to; a start its program's
 last solve converged at is checked by its stress alone, with no tangent.
 Each solve is one `matpoint.solve_frozen_path` call, which also drops a
 start that fails for the cold solve's guess.
-That history belongs to the one `fit_material` call, so it repeats with
-the fit; a prediction within a fit meets the same free-axis stress
-tolerance as a cold `predict`, and equals it bit for bit where the fitted
-constants leave the free stretches in place.  `substitute` keeps the
-textile tables that a trial's constants leave unchanged.
+That program belongs to the one `fit_material` call, so its history
+repeats with the fit; a prediction within a fit meets the same free-axis
+stress tolerance as a cold call of the model, and equals it bit for bit
+where the fitted constants leave the free stretches in place.
+`substitute` keeps the textile tables that a trial's constants leave
+unchanged.
 """
 
 import dataclasses
@@ -32,6 +33,16 @@ from .matpoint import FREE, LoadProgram, program_path, solve_frozen_path
 
 @dataclass(eq=False)
 class NelderMeadResult:
+    """The outcome of `nelder_mead`.
+
+    `x` is the best vertex and `f` its objective; `n_evals` counts every
+    objective evaluation and `n_iters` the simplex iterations; `converged`
+    is true when the simplex met `xtol` or `ftol` (`reason` says which, or
+    "max_evals"); `trace` holds one (evaluation count, best objective) pair
+    per iteration.  The command line reports `n_evals` and `converged`,
+    and the benchmark reads `n_evals`.
+    """
+
     x: np.ndarray
     f: float
     n_evals: int
@@ -184,10 +195,11 @@ class DataSeries:
 class FitProblem:
     """Named parameters, start, bounds, data series and a forward model.
 
-    `model(x, series)` returns the predicted ordinates of one series for
-    trial parameters x; exceptions inside are treated as infinite residuals.
-    A model with a `predict(x, series_list)` method, one prediction per
-    series, is evaluated through it, once per trial x (see `PointModel`).
+    `model(x, series_list)` returns the predicted ordinates of every
+    series, one array per series, for trial parameters x; an exception
+    inside, or a prediction of the wrong shape or not finite, counts as an
+    infinite residual.  `fit_material` gives a `PointModel` the one program
+    it prepares for the fit (see `PointModel`).
     """
 
     param_names: list
@@ -207,6 +219,16 @@ class FitProblem:
 
 @dataclass(eq=False)
 class FitResult:
+    """The outcome of a fit.
+
+    `params` maps each parameter name to its fitted value and `x` holds
+    them in order; `objective` is the weighted sum of squared residuals
+    there and `per_series_rms` each series' weighted RMS residual, by
+    name.  `nm` is the `NelderMeadResult`: the command line reports its
+    `nm.n_evals` and `nm.converged`, the benchmark its `nm.n_evals`, and
+    `nm.trace` holds the search's progress.
+    """
+
     params: dict
     x: np.ndarray
     objective: float
@@ -217,7 +239,7 @@ class FitResult:
 def fit_weibull(times, values, weights=None, x0=None) -> FitResult:
     """Least-squares Weibull CDF fit of (t, alpha) data; returns tau and h."""
     series = DataSeries("alpha", times, values, weights)
-    times, values, w = series.x, series.y, series.weights
+    times, values = series.x, series.y
     if times.size < 3:
         raise FitError("need at least three (t, value) points")
     if np.any(times < 0.0):
@@ -229,41 +251,39 @@ def fit_weibull(times, values, weights=None, x0=None) -> FitResult:
         tau0 = float(times[above][0]) if np.any(above) else float(np.max(times))
         x0 = np.array([max(tau0, 1e-2), 1.5])
 
-    def objective(x):
-        tau, h = x
-        resid = weibull_alpha(times, tau, h) - values
-        return float(np.sum(w * resid**2))
-
-    nm = nelder_mead(objective, x0, bounds=[(1e-3, 1e4), (0.05, 50.0)],
-                     max_evals=4000, xtol=1e-10, ftol=1e-16)
-    return _fit_result(["tau", "h"], nm, [series],
-                       [weibull_alpha(times, *nm.x)])
+    problem = FitProblem(param_names=["tau", "h"], x0=x0,
+                         bounds=[(1e-3, 1e4), (0.05, 50.0)], series=[series],
+                         model=lambda x, ss: [weibull_alpha(ss[0].x, *x)],
+                         max_evals=4000)
+    return _fit(problem, xtol=1e-10, ftol=1e-16)
 
 
 def fit_material(problem: FitProblem) -> FitResult:
     """Weighted least squares over all series of a FitProblem.
 
-    A `PointModel` is evaluated with a warm-start store that this call
-    owns: it holds each program prepared once, and each evaluation's
-    free-axis solve starts where the last successful one converged (see
-    `PointModel.predict`).
+    A `PointModel` is evaluated on one program that this call prepares
+    from the problem's series and owns: each evaluation's free-axis solve
+    starts where the last successful one converged (see `_Program.solve`).
     """
-    predict = getattr(problem.model, "predict", None)
-    if isinstance(problem.model, PointModel):
-        predict = functools.partial(predict, warm={})
+    model = problem.model
+    if isinstance(model, PointModel):
+        model = functools.partial(model, program=model.program(problem.series))
+    return _fit(dataclasses.replace(problem, model=model), xtol=1e-8, ftol=1e-12)
 
-    def predictions(x):
-        if predict is not None:
-            return predict(x, problem.series)
-        return [problem.model(x, s) for s in problem.series]
+
+def _fit(problem, xtol, ftol):
+    """Nelder-Mead on the weighted squared residuals of the problem's
+    series; the `FitResult` with each series' weighted RMS residual at the
+    optimum."""
+    series = problem.series
 
     def objective(x):
         try:
-            preds = predictions(x)
+            preds = problem.model(x, series)
         except Exception:
             return np.inf
         total = 0.0
-        for s, pred in zip(problem.series, preds):
+        for s, pred in zip(series, preds):
             pred = np.asarray(pred, dtype=float)
             if pred.shape != s.y.shape or not np.all(np.isfinite(pred)):
                 return np.inf
@@ -271,21 +291,14 @@ def fit_material(problem: FitProblem) -> FitResult:
         return total
 
     nm = nelder_mead(objective, problem.x0, bounds=problem.bounds,
-                     max_evals=problem.max_evals, xtol=1e-8, ftol=1e-12)
-    return _fit_result(problem.param_names, nm, problem.series,
-                       predictions(nm.x))
-
-
-def _fit_result(param_names, nm, series, preds):
-    """The `FitResult` of a Nelder-Mead run: its parameters by name and the
-    weighted RMS residual of each series' predictions at the optimum."""
+                     max_evals=problem.max_evals, xtol=xtol, ftol=ftol)
     rms = {}
-    for s, pred in zip(series, preds):
+    for s, pred in zip(series, problem.model(nm.x, series)):
         pred = np.asarray(pred, dtype=float)
         wsum = float(np.sum(s.weights))
         rms[s.name] = float(np.sqrt(np.sum(s.weights * (pred - s.y) ** 2) / wsum)) \
             if wsum > 0 else 0.0
-    params = {k: float(v) for k, v in zip(param_names, nm.x)}
+    params = {k: float(v) for k, v in zip(problem.param_names, nm.x)}
     return FitResult(params=params, x=nm.x, objective=nm.f,
                      per_series_rms=rms, nm=nm)
 
@@ -316,7 +329,7 @@ def substitute(base: MaterialParams, names, values) -> MaterialParams:
 
 def uniaxial_eng_stress(params: MaterialParams, stretches, rho):
     """P11 over a quasi-static uniaxial protocol at frozen density rho."""
-    return _axis0_stress(params, "uniaxial", [stretches], [rho])[0]
+    return _Program("uniaxial", [stretches], [rho], None).solve(params)[0]
 
 
 def biaxial_eng_stress(params: MaterialParams, strains, ratio, rho):
@@ -326,38 +339,7 @@ def biaxial_eng_stress(params: MaterialParams, strains, ratio, rho):
     second yarn, e.g. `k1_2`) are weakly identified by these series.
     """
     _check_ratios([ratio])
-    return _axis0_stress(params, "biaxial", [strains], [rho], [ratio])[0]
-
-
-def _axis0_stress(params, kind, xs, rhos, ratios=None, warm=None):
-    """P11 of several frozen-density protocols, solved as one program.
-
-    `xs` holds one abscissa array per protocol with its density in `rhos`:
-    uniaxial stretches of axis 0 with the other axes free, or biaxial
-    engineering strains e1 of axis 0 with e2 = e1 / ratio and the thickness
-    free.  The knots of a frozen program are independent, so all of them,
-    after one reference knot at the unit stretch, form one lockstep batch
-    with one density per knot.  Returns one P11 array per protocol.
-
-    `warm`, a dict, keys each program by all of its inputs and holds it
-    prepared (see `_Program`) with the free-axis stretches its last solve
-    converged to: the solve starts from them, and a solve whose P11 are all
-    finite replaces them.
-    """
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    key = (kind, tuple(x.tobytes() for x in xs), tuple(rhos), tuple(ratios or ()))
-    prog = None if warm is None else warm.get(key)
-    if prog is None:
-        prog = _Program(kind, xs, rhos, ratios)
-    lams, S = _solve_program(prog, params)
-    P = lams[1:, 0] * S[1:, 0]
-    if warm is not None and np.all(np.isfinite(P)):
-        stretches = lams[:, prog.free]
-        prog.at_start = (prog.start is not None
-                         and np.array_equal(stretches, prog.start))
-        prog.start = stretches
-        warm[key] = prog
-    return np.split(P, prog.splits)
+    return _Program("biaxial", [strains], [rho], [ratio]).solve(params)[0]
 
 
 def _check_ratios(ratios):
@@ -369,17 +351,23 @@ def _check_ratios(ratios):
 
 
 class _Program:
-    """One frozen-density program of `_axis0_stress`, prepared once.
+    """Frozen-density protocols prepared once as one program.
 
-    Holds the path stretches with the controlled axes set (`lams`, one row
-    per knot), the free axes and the knot densities (`rho`), laid out by
-    `program_path` from a `LoadProgram` that validates the abscissae, and,
-    once a solve of it succeeded within a fit, the free stretches that
-    solve converged to (`start`) and whether it converged at its own start
-    (`at_start`).
+    `xs` holds one abscissa array per protocol with its density in `rhos`:
+    uniaxial stretches of axis 0 with the other axes free, or biaxial
+    engineering strains e1 of axis 0 with e2 = e1 / ratio and the thickness
+    free.  The knots of a frozen program are independent, so all of them,
+    after one reference knot at the unit stretch, form one lockstep batch
+    with one density per knot.  Holds the path stretches with the
+    controlled axes set (`lams`, one row per knot), the free axes and the
+    knot densities (`rho`), laid out by `program_path` from a `LoadProgram`
+    that validates the abscissae, and, once a solve of it succeeded, the
+    free stretches that solve converged to (`start`) and whether it
+    converged at its own start (`at_start`).
     """
 
     def __init__(self, kind, xs, rhos, ratios):
+        xs = [np.asarray(x, dtype=float) for x in xs]
         sizes = [x.size for x in xs]
         self.rho = np.concatenate([[0.0]] + [np.full(n, float(r))
                                              for n, r in zip(sizes, rhos)])
@@ -399,6 +387,22 @@ class _Program:
         self.start = None
         self.at_start = False
 
+    def solve(self, params):
+        """P11 of each protocol at `params`, one array per protocol.
+
+        The solve starts from `start` (see `_solve_program`); one whose P11
+        are all finite keeps its free stretches as the next `start`, and
+        one that raises or is not finite leaves the program as it was.
+        """
+        lams, S = _solve_program(self, params)
+        P = lams[1:, 0] * S[1:, 0]
+        if np.all(np.isfinite(P)):
+            stretches = lams[:, self.free]
+            self.at_start = (self.start is not None
+                             and np.array_equal(stretches, self.start))
+            self.start = stretches
+        return np.split(P, self.splits)
+
 
 def _solve_program(prog, params):
     """Free-axis solve of a prepared program: (stretches, S), one row per
@@ -412,13 +416,14 @@ def _solve_program(prog, params):
 class PointModel:
     """Forward model of a material fit on frozen-density point protocols.
 
-    `predict(x, series_list)` builds the parameter bundle for x once and
-    solves every series as one lockstep program; `model(x, series)` is its
-    one-series view.  See `make_point_model`.  `predict` is cold and
-    history-free unless given a `warm` store (see `_axis0_stress`), as
-    `fit_material` does, one store per fit: a warm evaluation runs the
-    lockstep free-axis Newton on its prepared program's arrays and builds
-    no load program and no records.
+    `model(x, series_list, program=None)` builds the parameter bundle for x
+    once and solves every series as one lockstep program, one P11 array per
+    series.  Without `program` it prepares a fresh one, so the call is cold
+    and history-free.  `fit_material` prepares one with
+    `model.program(series_list)` per fit and passes it to every
+    evaluation: a warm evaluation runs the lockstep free-axis Newton on its
+    arrays from where the last successful one converged, and builds no
+    load program and no records.  See `make_point_model`.
     """
 
     def __init__(self, base, param_names, kind, rho_by_series, ratio_by_series):
@@ -430,15 +435,17 @@ class PointModel:
         GrowthState(rho=np.array(list(self.rho_by_series.values()), dtype=float))
         _check_ratios(self.ratio_by_series.values())
 
-    def predict(self, x, series_list, warm=None):
-        p = substitute(self.base, self.param_names, x)
-        rhos = [self.rho_by_series.get(s.name, 0.0) for s in series_list]
-        ratios = [self.ratio_by_series.get(s.name, 1.0) for s in series_list]
-        return _axis0_stress(p, self.kind, [s.x for s in series_list], rhos,
-                             ratios, warm)
+    def program(self, series_list):
+        """The series' protocols prepared as one `_Program`."""
+        return _Program(self.kind, [s.x for s in series_list],
+                        [self.rho_by_series.get(s.name, 0.0) for s in series_list],
+                        [self.ratio_by_series.get(s.name, 1.0) for s in series_list])
 
-    def __call__(self, x, series):
-        return self.predict(x, [series])[0]
+    def __call__(self, x, series_list, program=None):
+        p = substitute(self.base, self.param_names, x)
+        if program is None:
+            program = self.program(series_list)
+        return program.solve(p)
 
 
 def make_point_model(base: MaterialParams, param_names, kind="uniaxial",
@@ -451,9 +458,9 @@ def make_point_model(base: MaterialParams, param_names, kind="uniaxial",
     r = `ratio_by_series[name]` (e1 = r * e2, as in `biaxial_eng_stress`);
     predictions are P along axis 0 only, so second-yarn constants such as
     `textile.k1_2` are weakly identified by biaxial series.  The model is
-    a `PointModel`: `model(x, series)` predicts one series, and
-    `model.predict(x, series_list)` all of them from one bundle and one
-    lockstep program.  A density that is negative or not finite raises
+    a `PointModel`: `model(x, series_list)` predicts every series from one
+    bundle and one lockstep program, cold unless given the `program` of a
+    fit.  A density that is negative or not finite raises
     StateError, and a ratio of 0 or NaN FitError, here and not within a fit.
     """
     if kind not in ("uniaxial", "biaxial"):

@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._files import atomic_open
 from .calibrate import fit_weibull
 from .config import (DEFAULTS, RunConfig, load_config, parse_config, read_json,
                      save_config)
@@ -121,7 +122,7 @@ def _cmd_grow(args):
     g = cfg.material.growth
     times, rhos = unloaded_maturation(g, cfg.simulation.t_end, args.dt)
     path = os.path.join(out, "growth.csv")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("time,alpha,rho\n")
         fh.write("0,0,0\n")
         for t, r in zip(times, rhos):
@@ -153,7 +154,7 @@ def _cmd_matpoint(args):
                           grow=not args.no_grow)
     records = solve_mixed_point(program, cfg.material)
     path = os.path.join(out, "matpoint.csv")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(records_to_csv(records))
     save_config(cfg, os.path.join(out, "config.json"))
     last = records[-1]
@@ -177,7 +178,7 @@ def _cmd_fit(args):
               "n_evals": result.nm.n_evals,
               "converged": result.nm.converged}
     path = os.path.join(out, "fit.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     log.info("wrote %s (tau %.4f, h %.4f)", path, report["tau"], report["h"])
@@ -217,7 +218,7 @@ def _cmd_fem(args):
     history, u, aux = march_maturation(
         model, **dataclasses.asdict(cfg.simulation), on_step=on_step)
     path = os.path.join(out, "history.csv")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("time,deflection,rho_mean,rho_max,newton_iters,cutbacks\n")
         for rec in history:
             fh.write(f"{rec.time:.17g},{rec.deflection:.17g},"
@@ -229,8 +230,7 @@ def _cmd_fem(args):
                "rho_mean": last.rho_mean, "rho_max": last.rho_max,
                "n_steps": len(history) - 1,
                "cutbacks": sum(rec.cutbacks for rec in history)}
-    with open(os.path.join(out, "summary.json"), "w",
-              encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, "summary.json")) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     log.info("wrote %s (day %.1f deflection %.4f mm, mean density %.4f)",

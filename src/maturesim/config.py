@@ -19,6 +19,7 @@ from operator import getitem
 
 import numpy as np
 
+from ._files import atomic_open
 from .errors import ConfigError
 from .growth import GrowthParams
 from .materials import CollagenParams, MaterialParams, MatrixParams, TextileParams
@@ -229,6 +230,6 @@ def load_config(path):
 
 
 def save_config(cfg, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._files import atomic_open
 from ..errors import MeshError
 
 # local face id -> corner slots, outward orientation
@@ -134,7 +135,7 @@ def mesh_from_dict(data):
 
 
 def save_mesh(mesh: Mesh, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(mesh_to_dict(mesh), fh)
         fh.write("\n")
 

@@ -646,12 +646,13 @@ def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
     (`_KeptFactor`).  Accepted steps commit the Gauss state and append a
     StepRecord with the number of cutbacks; `on_step(time, u, aux, model)`
     runs after each accepted step when given.  Returns (history, u, aux).
-    Rejects t_end <= 0, which would end the run after the ramp alone, and
-    dt0 <= 0, dt_max <= 0 and dt_ratio < 1: a step that is not positive, or
-    that shrinks, may never reach t_end.
+    Rejects t_end <= 0, which would end the run after the ramp alone, a
+    t_end that is not finite, which no march reaches, and dt0 <= 0,
+    dt_max <= 0 and dt_ratio < 1: a step that is not positive, or that
+    shrinks, may never reach t_end.
     """
-    if not t_end > 0.0:
-        raise ParameterError(f"need t_end > 0, got {t_end}")
+    if not 0.0 < t_end < np.inf:
+        raise ParameterError(f"need 0 < t_end < inf, got {t_end}")
     if not (dt0 > 0.0 and dt_max > 0.0 and dt_ratio >= 1.0):
         raise ParameterError("need dt0 > 0, dt_max > 0 and dt_ratio >= 1, got "
                              f"{dt0}, {dt_max}, {dt_ratio}")

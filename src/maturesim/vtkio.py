@@ -1,14 +1,12 @@
 """Legacy ASCII VTK output for hexahedral meshes and result fields.
 
-Writes are atomic: the file appears under its final name only when complete,
-so a crash mid-run never leaves a truncated result behind.
+Writes are atomic (`_files.atomic_open`), as are all of the package's
+result files.
 """
-
-import os
-import tempfile
 
 import numpy as np
 
+from ._files import atomic_open
 from .errors import MeshError
 
 HEX_CELL_TYPE = 12
@@ -57,15 +55,5 @@ def write_vtk(path, mesh, point_vectors=None, cell_scalars=None):
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
             lines.extend(f"{v:.9g}" for v in np.asarray(arr, dtype=float))
-    payload = "\n".join(lines) + "\n"
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".vtk.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -233,4 +233,4 @@ class TestCalibrationInputs:
         model = calibrate.make_point_model(base, ["textile.k1_1"], kind="biaxial",
                                            ratio_by_series={"a": np.inf})
         series = calibrate.DataSeries("a", [0.05, 0.1], P)
-        assert np.array_equal(model([base.textile.k1_1], series), P)
+        assert np.array_equal(model([base.textile.k1_1], [series])[0], P)

@@ -113,6 +113,26 @@ class TestFitWeibull:
         with pytest.raises(FitError):
             fit_weibull([0.0, 1.0], [0.0, 0.5])
 
+    def test_fit_is_nelder_mead_on_the_weighted_objective(self):
+        # the shared fit loop adds nothing to the Weibull objective: the fit
+        # is bit for bit the simplex run on the weighted squared residuals,
+        # from tau0 = the first time whose value reaches 1 - 1/e
+        from maturesim.growth import weibull_alpha
+        t, y = map(np.asarray, zip(*MATURATION_POINTS))
+        w = np.array([1.0, 2.0, 0.5, 1.0, 3.0])
+
+        def objective(x):
+            return float(np.sum(w * (weibull_alpha(t, *x) - y) ** 2))
+
+        res = fit_weibull(t, y, w)
+        ref = nelder_mead(objective, np.array([21.0, 1.5]),
+                          bounds=[(1e-3, 1e4), (0.05, 50.0)], max_evals=4000,
+                          xtol=1e-10, ftol=1e-16)
+        assert np.array_equal(res.nm.x, ref.x)
+        assert res.nm.f == ref.f
+        assert res.nm.n_evals == ref.n_evals
+        assert res.nm.trace == ref.trace
+
 
 class TestSubstitute:
     def test_nested_replacement(self, material_params):
@@ -163,11 +183,11 @@ class TestFitMaterial:
         y = uniaxial_eng_stress(base, stretches, base.collagen.rho_f)
         names = ["collagen.k1"]
 
-        def flaky(x, series):
+        def flaky(x, series_list):
             if x[0] > 1.0:
                 raise RuntimeError("boom")
-            return uniaxial_eng_stress(substitute(base, names, x), series.x,
-                                       base.collagen.rho_f)
+            return [uniaxial_eng_stress(substitute(base, names, x), s.x,
+                                        base.collagen.rho_f) for s in series_list]
 
         prob = FitProblem(param_names=names, x0=np.array([0.9]),
                           bounds=[(0.05, 5.0)], model=flaky, max_evals=200,
@@ -186,12 +206,12 @@ class TestPointModelBatch:
                   for i, k in enumerate(rhos)]
         x = np.array([0.9, 3.5])
         p = substitute(base, prob.param_names, x)
-        preds = prob.model.predict(x, series)
+        preds = prob.model(x, series)
         assert len(preds) == len(series)
         for s, pred in zip(series, preds):
             alone = uniaxial_eng_stress(p, s.x, rhos[s.name])
             assert np.array_equal(pred, alone)
-            assert np.array_equal(prob.model(x, s), alone)
+            assert np.array_equal(prob.model(x, [s])[0], alone)
 
     def test_biaxial_batch_matches_each_series(self):
         base = make_material()
@@ -203,7 +223,7 @@ class TestPointModelBatch:
         series = [DataSeries(k, strains, np.zeros(6)) for k in ratios]
         x = np.array([0.04, 0.2])
         p = substitute(base, names, x)
-        for s, pred in zip(series, model.predict(x, series)):
+        for s, pred in zip(series, model(x, series)):
             assert np.array_equal(pred, biaxial_eng_stress(p, s.x, ratios[s.name], 0.0))
 
     def test_one_bundle_and_one_program_per_evaluation(self, monkeypatch):
@@ -253,11 +273,11 @@ class TestWarmStart:
         # STRESS_TOL = 1e-10 MPa, so they agree to that tolerance, against
         # P11 of 0.005 to 0.2 MPa
         _, _, prob = collagen_problem(kappa=0.15)
-        warm = {}
-        prob.model.predict(np.array([0.5, 6.0]), prob.series, warm=warm)
+        program = prob.model.program(prob.series)
+        prob.model(np.array([0.5, 6.0]), prob.series, program)
         for x in ([0.55, 6.6], [0.9, 3.5], [0.3, 9.0]):
-            hot = prob.model.predict(np.array(x), prob.series, warm=warm)
-            cold = prob.model.predict(np.array(x), prob.series)
+            hot = prob.model(np.array(x), prob.series, program)
+            cold = prob.model(np.array(x), prob.series)
             for h, c in zip(hot, cold):
                 assert np.all(np.abs(h - c) <= 1e-8 * np.abs(c))
 
@@ -271,29 +291,30 @@ class TestWarmStart:
             model, series, xs = prob.model, prob.series, ([0.5, 6.0], [0.9, 3.5])
         else:
             (model, series), xs = textile_model(), ([0.03, 0.25], [0.05, 0.1])
-        warm = {}
+        program = model.program(series)
         for x in xs:
-            hot = model.predict(np.array(x), series, warm=warm)
-            cold = model.predict(np.array(x), series)
+            hot = model(np.array(x), series, program)
+            cold = model(np.array(x), series)
             assert all(np.array_equal(h, c) for h, c in zip(hot, cold))
 
     def test_equal_shape_programs_never_share_a_start(self):
         # "equi" and "onethird" have the same abscissae and differ in the
-        # controlled axis 1: each keeps its own start, so the second program
-        # solved with the store answers its cold solve bit for bit
+        # controlled axis 1: each program of one model keeps its own start,
+        # so the second one, solved after the first, answers its cold solve
+        # bit for bit
         model, (equi, onethird) = textile_model()
         x = np.array([0.04, 0.2])
-        warm = {}
-        model.predict(x, [equi], warm=warm)
-        hot = model.predict(x, [onethird], warm=warm)[0]
-        assert len(warm) == 2
-        assert np.array_equal(hot, model.predict(x, [onethird])[0])
+        first, second = model.program([equi]), model.program([onethird])
+        model(x, [equi], first)
+        assert second.start is None
+        hot = model(x, [onethird], second)[0]
+        assert np.array_equal(hot, model(x, [onethird])[0])
 
     def test_failed_trial_leaves_the_store(self, monkeypatch):
         _, _, prob = collagen_problem(kappa=0.15)
-        warm = {}
-        prob.model.predict(np.array([0.5, 6.0]), prob.series, warm=warm)
-        kept = {k: v.start.copy() for k, v in warm.items()}
+        program = prob.model.program(prob.series)
+        prob.model(np.array([0.5, 6.0]), prob.series, program)
+        kept = program.start.copy()
         solve = calibrate._solve_program
 
         def stalled(*args, **kwargs):
@@ -307,18 +328,16 @@ class TestWarmStart:
         for fake in (stalled, non_finite):
             monkeypatch.setattr(calibrate, "_solve_program", fake)
             try:
-                preds = prob.model.predict(np.array([0.9, 3.5]), prob.series,
-                                           warm=warm)
+                preds = prob.model(np.array([0.9, 3.5]), prob.series, program)
             except SolverError:
                 pass
             else:
                 assert not np.all(np.isfinite(preds[-1]))
-            assert warm.keys() == kept.keys()
-            assert all(np.array_equal(warm[k].start, kept[k]) for k in kept)
+            assert np.array_equal(program.start, kept)
 
     def test_fit_owns_its_store(self, monkeypatch):
-        # one store per fit: its first evaluation is cold, each later one
-        # starts from the last, and predict outside a fit stays cold
+        # one program per fit: its first evaluation is cold, each later one
+        # starts from the last, and a call outside a fit stays cold
         _, _, prob = collagen_problem(max_evals=20, kappa=0.15)
         starts = []
         solve = calibrate._solve_program
@@ -333,8 +352,8 @@ class TestWarmStart:
             assert starts[0] is None
             assert all(s is not None for s in starts[1:])
             starts.clear()
-        prob.model.predict(prob.x0, prob.series)
-        prob.model(prob.x0, prob.series[0])
+        prob.model(prob.x0, prob.series)
+        prob.model(prob.x0, prob.series[:1])
         assert starts == [None, None]
 
 
@@ -377,7 +396,7 @@ class ReferenceWarmModel:
         self.model = model
         self.starts = {}
 
-    def predict(self, x, series_list):
+    def __call__(self, x, series_list):
         m = self.model
         p = substitute(m.base, m.param_names, x)
         rho = np.concatenate([[0.0]] + [np.full(s.x.size, m.rho_by_series[s.name])
@@ -417,7 +436,8 @@ class TestPreparedProgram:
         prob = benchmark_fits()[fit]
         model = prob.model
         warm = fit_material(prob)
-        cold = fit_material(dataclasses.replace(prob, model=lambda x, s: model(x, s)))
+        cold = fit_material(dataclasses.replace(
+            prob, model=lambda x, ss: [model(x, [s])[0] for s in ss]))
         assert np.array_equal(warm.x, cold.x)
         assert warm.nm.n_evals == cold.nm.n_evals
         assert warm.nm.trace == cold.nm.trace
@@ -447,13 +467,12 @@ class TestPreparedProgram:
         # (1e10) is dropped, and the evaluation answers the cold solve
         _, _, prob = collagen_problem()
         x = np.array([0.9, 3.5])
-        warm = {}
-        prob.model.predict(x, prob.series, warm=warm)
-        for prog in warm.values():
-            prog.start = np.full_like(prog.start, value)
+        program = prob.model.program(prob.series)
+        prob.model(x, prob.series, program)
+        program.start = np.full_like(program.start, value)
         with deadline(30):
-            hot = prob.model.predict(x, prob.series, warm=warm)
-        cold = prob.model.predict(x, prob.series)
+            hot = prob.model(x, prob.series, program)
+        cold = prob.model(x, prob.series)
         assert all(np.array_equal(h, c) for h, c in zip(hot, cold))
 
     def test_a_start_at_its_root_is_checked_by_its_stress_alone(self, monkeypatch):
@@ -463,12 +482,12 @@ class TestPreparedProgram:
         _, _, prob = collagen_problem(kappa=0.15)
         ref = ReferenceWarmModel(prob.model)
         flags = record_tangent_flags(monkeypatch)
-        warm, seen, ref_seen = {}, [], []
+        program, seen, ref_seen = prob.model.program(prob.series), [], []
         for x in ([0.5, 6.0], [0.5, 6.0], [0.5, 6.0], [0.9, 3.5]):
-            hot = prob.model.predict(np.array(x), prob.series, warm=warm)
+            hot = prob.model(np.array(x), prob.series, program)
             seen.append(list(flags))
             flags.clear()
-            want = ref.predict(np.array(x), prob.series)
+            want = ref(np.array(x), prob.series)
             ref_seen.append(list(flags))
             flags.clear()
             assert all(np.array_equal(h, w) for h, w in zip(hot, want))

@@ -89,10 +89,26 @@ class TestVtkWriter:
         def boom(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr("maturesim.vtkio.os.replace", boom)
+        monkeypatch.setattr(os, "replace", boom)
         with pytest.raises(OSError):
             write_vtk(tmp_path / "x.vtk", mesh)
         assert os.listdir(tmp_path) == []
+
+    def test_failed_cli_write_leaves_no_files(self, tmp_path, monkeypatch):
+        # every result file goes through the same temp file and rename: a
+        # fit whose rename fails leaves no fit.json, truncated or not
+        datafile = tmp_path / "data.json"
+        _write_json(datafile, {"times": [p[0] for p in MATURATION_POINTS],
+                               "values": [p[1] for p in MATURATION_POINTS]})
+        out = tmp_path / "out"
+
+        def boom(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", boom)
+        with pytest.raises(OSError):
+            main(["-q", "fit", "--data", str(datafile), "--out", str(out)])
+        assert os.listdir(out) == []
 
 
 class TestConfig:

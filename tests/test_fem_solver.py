@@ -823,11 +823,11 @@ class TestMaturationMarch:
     @pytest.mark.parametrize("steps", [
         {"dt0": 0.0}, {"dt0": -0.1}, {"dt0": float("nan")}, {"dt_max": 0.0},
         {"dt_ratio": 0.9}, {"t_end": 0.0}, {"t_end": -1.0},
-        {"t_end": float("nan")}])
+        {"t_end": float("nan")}, {"t_end": float("inf")}])
     def test_steps_that_cannot_reach_t_end_rejected(self, steps):
-        # a zero step never advances the time, and a march to t_end <= 0
-        # would end after the ramp; under a deadline a regression fails
-        # instead of hanging the suite
+        # a zero step never advances the time, a march to t_end <= 0
+        # would end after the ramp and one to t_end = inf never ends; under
+        # a deadline a regression fails instead of hanging the suite
         model = clamped_strip_model(make_material(), nx=2, ny=1, nz=1)
         with deadline(60), pytest.raises(ParameterError):
             march_maturation(model, **{"t_end": 1.0, **steps})
