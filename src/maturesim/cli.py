@@ -26,7 +26,7 @@ from .config import (DEFAULTS, RunConfig, load_config, parse_config, read_json,
                      save_config)
 from .errors import (ConfigError, DeformationError, FitError, MeshError,
                      ParameterError, SolverError, StateError)
-from .fem import clamped_strip_model, march_maturation, save_mesh, strip_mesh
+from .fem import clamped_strip_model, march_steps, save_mesh, strip_mesh
 from .growth import weibull_alpha
 from .matpoint import (LoadProgram, records_to_csv, solve_mixed_point,
                        unloaded_maturation)
@@ -203,33 +203,30 @@ def _cmd_fem(args):
         raise ParameterError("--vtk-every must be >= 0")
     model = clamped_strip_model(cfg.material, **dataclasses.asdict(cfg.strip))
     save_config(cfg, os.path.join(out, "config.json"))
-    counter = {"n": 0}
-
-    def on_step(t, u, aux, model):
-        k = counter["n"]
-        counter["n"] = k + 1
-        level = logging.INFO if k % 20 == 0 else logging.DEBUG
-        rec = model.record(t, u, aux, 0)
-        log.log(level, "t=%7.3f  deflection=%.4f  rho_mean=%.4f",
-                t, rec.deflection, rec.rho_mean)
-        if args.vtk_every and k % args.vtk_every == 0:
-            _write_state(out, f"state_{k:04d}", model, u, aux)
-
-    history, u, aux = march_maturation(
-        model, **dataclasses.asdict(cfg.simulation), on_step=on_step)
     path = os.path.join(out, "history.csv")
+    cutbacks, failure = 0, None
     with atomic_open(path) as fh:
         fh.write("time,deflection,rho_mean,rho_max,newton_iters,cutbacks\n")
-        for rec in history:
-            fh.write(f"{rec.time:.17g},{rec.deflection:.17g},"
-                     f"{rec.rho_mean:.17g},{rec.rho_max:.17g},"
-                     f"{rec.newton_iters},{rec.cutbacks}\n")
+        try:
+            for k, (last, u, aux) in enumerate(march_steps(
+                    model, **dataclasses.asdict(cfg.simulation))):
+                level = logging.INFO if k % 20 == 0 else logging.DEBUG
+                log.log(level, "t=%7.3f  deflection=%.4f  rho_mean=%.4f",
+                        last.time, last.deflection, last.rho_mean)
+                fh.write(f"{last.time:.17g},{last.deflection:.17g},"
+                         f"{last.rho_mean:.17g},{last.rho_max:.17g},"
+                         f"{last.newton_iters},{last.cutbacks}\n")
+                cutbacks += last.cutbacks
+                if args.vtk_every and k % args.vtk_every == 0:
+                    _write_state(out, f"state_{k:04d}", model, u, aux)
+        except (SolverError, DeformationError) as exc:
+            failure = exc     # history.csv keeps the steps accepted so far
+    if failure is not None:
+        raise failure
     _write_state(out, "final", model, u, aux)
-    last = history[-1]
     summary = {"t_end": last.time, "deflection": last.deflection,
                "rho_mean": last.rho_mean, "rho_max": last.rho_max,
-               "n_steps": len(history) - 1,
-               "cutbacks": sum(rec.cutbacks for rec in history)}
+               "n_steps": k, "cutbacks": cutbacks}
     with atomic_open(os.path.join(out, "summary.json")) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

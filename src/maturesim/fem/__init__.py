@@ -3,10 +3,12 @@
 from .mesh import (FACE_CORNERS, Mesh, load_mesh, mesh_from_dict,
                    mesh_to_dict, save_mesh, strip_mesh)
 from .solver import (Dirichlet, FemModel, PressureLoad, StepRecord,
-                     clamped_strip_model, march_maturation, ramp_pressure)
+                     clamped_strip_model, march_maturation, march_steps,
+                     ramp_pressure)
 
 __all__ = [
     "FACE_CORNERS", "Mesh", "load_mesh", "mesh_from_dict", "mesh_to_dict",
     "save_mesh", "strip_mesh", "Dirichlet", "FemModel", "PressureLoad",
-    "StepRecord", "clamped_strip_model", "march_maturation", "ramp_pressure",
+    "StepRecord", "clamped_strip_model", "march_maturation", "march_steps",
+    "ramp_pressure",
 ]

@@ -40,6 +40,11 @@ one factor across its growth steps (`_KeptFactor`): consecutive growth
 tangents differ little, so a factor made at one step's start serves the
 next steps' Newton solves until GMRES needs many steps with it, and it is
 refreshed only between steps.
+
+The one march loop is the generator `march_steps`: it ramps the load,
+then advances the growth one accepted step at a time and yields each
+step's record and state once the step is committed.  `march_maturation`
+is its list-returning wrapper.
 """
 
 import copy
@@ -632,10 +637,12 @@ def _extrapolate(past, t):
     return guess
 
 
-def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
-                     dt_ratio=1.25, on_step=None):
-    """Ramp the load, then march the growth from 0 to t_end days.
+def march_steps(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
+                dt_ratio=1.25):
+    """Ramp the load, then march the growth from 0 to t_end days, yielding
+    (record, u, aux) after the ramp and after each accepted growth step.
 
+    This is the one march loop; `march_maturation` collects its records.
     Steps start at dt0 and stretch geometrically by dt_ratio up to dt_max;
     a failed step is retried with half the size.  Each step's Newton solve
     starts from a predictor, the Lagrange polynomial in time through the
@@ -643,13 +650,16 @@ def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
     fewer states the order drops), evaluated at the step's end time and
     recomputed after a cutback.  The Newton solves are preconditioned with
     one kept LU factor, refreshed after a step that found it wanting
-    (`_KeptFactor`).  Accepted steps commit the Gauss state and append a
-    StepRecord with the number of cutbacks; `on_step(time, u, aux, model)`
-    runs after each accepted step when given.  Returns (history, u, aux).
-    Rejects t_end <= 0, which would end the run after the ramp alone, a
-    t_end that is not finite, which no march reaches, and dt0 <= 0,
-    dt_max <= 0 and dt_ratio < 1: a step that is not positive, or that
-    shrinks, may never reach t_end.
+    (`_KeptFactor`).  Before each yield the Gauss state is committed to the
+    model and the kept factor refreshed, so the model's `rho` and
+    `hist_strain` are those of the yielded step; the record is the step's
+    StepRecord with the number of cutbacks.  A step halved below STEP_MIN
+    raises SolverError with the time, the size it fell to and the cutbacks,
+    caused by the last attempt's error.  On the first step, rejects
+    t_end <= 0, which would end the run after the ramp alone, a t_end that
+    is not finite, which no march reaches, and dt0 <= 0, dt_max <= 0 and
+    dt_ratio < 1: a step that is not positive, or that shrinks, may never
+    reach t_end.
     """
     if not 0.0 < t_end < np.inf:
         raise ParameterError(f"need 0 < t_end < inf, got {t_end}")
@@ -658,9 +668,7 @@ def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
                              f"{dt0}, {dt_max}, {dt_ratio}")
     u, aux, its = ramp_pressure(model)
     model.commit(aux)
-    history = [model.record(0.0, u, aux, its)]
-    if on_step is not None:
-        on_step(0.0, u, aux, model)
+    yield model.record(0.0, u, aux, its), u, aux
 
     past = deque([(0.0, u)], maxlen=3)
     kept = _KeptFactor()
@@ -674,20 +682,33 @@ def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
                     u, t=t + step, dt=step, guess=_extrapolate(past, t + step),
                     kept=kept)
                 break
-            except SolverError:
+            except SolverError as exc:
                 step *= 0.5
                 cutbacks += 1
                 if step < STEP_MIN:
                     raise SolverError("time step collapsed during maturation",
-                                      time=t)
+                                      time=t, dt=step,
+                                      cutbacks=cutbacks) from exc
         u, t = u_new, t + step
         past.append((t, u))
         model.commit(aux)
         kept.refresh()
-        history.append(model.record(t, u, aux, its, cutbacks))
-        if on_step is not None:
-            on_step(t, u, aux, model)
+        yield model.record(t, u, aux, its, cutbacks), u, aux
         dt = min(step * dt_ratio, dt_max)
+
+
+def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
+                     dt_ratio=1.25, on_step=None):
+    """Run `march_steps` to t_end; returns (history, u, aux), the list of
+    its StepRecords and the last step's state.  `on_step(time, u, aux,
+    model)` runs after each accepted step, the ramp's end included, when
+    given.
+    """
+    history = []
+    for rec, u, aux in march_steps(model, t_end, dt0, dt_max, dt_ratio):
+        history.append(rec)
+        if on_step is not None:
+            on_step(rec.time, u, aux, model)
     return history, u, aux
 
 

@@ -10,8 +10,9 @@ import pytest
 from maturesim.cli import main
 from maturesim.config import (DEFAULTS, config_to_dict, load_config,
                               parse_config, save_config)
-from maturesim.errors import ConfigError, MeshError, SolverError
-from maturesim.fem import load_mesh, strip_mesh
+from maturesim.errors import (ConfigError, DeformationError, MeshError,
+                              SolverError)
+from maturesim.fem import FemModel, load_mesh, strip_mesh
 from maturesim.vtkio import write_vtk
 
 from conftest import deadline
@@ -303,6 +304,14 @@ def _leaves(tree, prefix=""):
     return out
 
 
+# a 4x2x1 strip marched to day 0.1 in a fraction of a second
+SMALL_FEM = {
+    "strip": {"length": 4.0, "width": 2.0, "thickness": 0.5,
+              "nx": 4, "ny": 2, "nz": 1, "pressure": 1.0,
+              "pressure_unit": "kPa"},
+    "simulation": {"t_end": 0.1, "dt0": 0.02, "dt_max": 0.05}}
+
+
 def _write_json(path, data):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh)
@@ -382,11 +391,7 @@ class TestCli:
 
     def test_fem_small_run(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
-        _write_json(cfgfile, {
-            "strip": {"length": 4.0, "width": 2.0, "thickness": 0.5,
-                      "nx": 4, "ny": 2, "nz": 1, "pressure": 1.0,
-                      "pressure_unit": "kPa"},
-            "simulation": {"t_end": 0.1, "dt0": 0.02, "dt_max": 0.05}})
+        _write_json(cfgfile, SMALL_FEM)
         out = tmp_path / "run"
         code = main(["-q", "fem", "--config", str(cfgfile),
                      "--out", str(out), "--vtk-every", "4"])
@@ -492,11 +497,34 @@ class TestCli:
         assert "solver failure" in capsys.readouterr().err
 
     def test_solver_failure_exits_two(self, tmp_path, monkeypatch, capsys):
-        def boom(*a, **k):
-            raise SolverError("no equilibrium", residual=1.0)
+        # the ramp and two growth steps succeed, then every step fails: the
+        # run exits 2 and keeps the history of the three accepted states
+        cfgfile = tmp_path / "cfg.json"
+        _write_json(cfgfile, SMALL_FEM)
+        solve_step = FemModel.solve_step
+        for error in (SolverError("no equilibrium", residual=1.0),
+                      DeformationError("inverted element")):
+            calls = []
 
-        monkeypatch.setattr("maturesim.cli.march_maturation", boom)
-        assert main(["-q", "fem", "--out", str(tmp_path / "r")]) == 2
+            def fail_after_two(self, *args, **kwargs):
+                calls.append(kwargs["t"])
+                if len(calls) > 2:
+                    raise error
+                return solve_step(self, *args, **kwargs)
+
+            monkeypatch.setattr(FemModel, "solve_step", fail_after_two)
+            out = tmp_path / type(error).__name__
+            assert main(["-q", "fem", "--config", str(cfgfile),
+                         "--out", str(out)]) == 2
+            lines = (out / "history.csv").read_text().splitlines()
+            assert lines[0] == ("time,deflection,rho_mean,rho_max,"
+                                "newton_iters,cutbacks")
+            assert len(lines) == 1 + 3
+            assert [float(row.split(",")[0]) for row in lines[1:]] == \
+                [0.0] + calls[:2]
+            assert not (out / "summary.json").exists()
+            assert sorted(p.name for p in out.iterdir()) == ["config.json",
+                                                             "history.csv"]
         capsys.readouterr()
 
     def test_quiet_suppresses_progress(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Newton solver, patch test and maturation marching tests."""
 
 import copy
+import itertools
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from maturesim import config
 from maturesim.errors import DeformationError, MeshError, ParameterError, SolverError
 from maturesim.fem import (Dirichlet, FemModel, PressureLoad,
                            clamped_strip_model, march_maturation,
-                           ramp_pressure, strip_mesh)
+                           march_steps, ramp_pressure, strip_mesh)
 from maturesim.fem import elements as el
 from maturesim.fem import solver
 from maturesim.fem.mesh import Mesh
@@ -675,6 +676,15 @@ class TestPredictor:
         assert np.allclose(line, u0 + 2.5 * (u1 - u0), rtol=0, atol=1e-15)
 
 
+_SMALL_MARCH = {"t_end": 1.0, "dt0": 0.02, "dt_max": 0.5}
+
+
+def _small_strip():
+    return clamped_strip_model(make_material(psi_crit=2e-5), nx=5, ny=2, nz=1,
+                               length=10.0, width=3.0, thickness=0.4,
+                               pressure=0.002)
+
+
 class TestMaturationMarch:
     def test_history_and_monotone_density(self):
         params = make_material(psi_crit=2e-5)
@@ -807,6 +817,55 @@ class TestMaturationMarch:
         assert calls[:2] == [0.02, 0.01]
         assert history[1].time == 0.01
         assert [r.cutbacks for r in history] == [0, 1] + [0] * (len(history) - 2)
+
+    def test_collapsed_step_keeps_its_cause(self, monkeypatch):
+        # every attempt fails: the step is halved until it collapses, and
+        # the error says where, at what size and after how many halvings,
+        # caused by the last attempt's error
+        model = clamped_strip_model(make_material(psi_crit=2e-5), nx=4, ny=2,
+                                    nz=1, length=8.0, width=3.0,
+                                    thickness=0.4, pressure=0.002)
+        errors = []
+
+        def fail(self, *args, **kwargs):
+            errors.append(SolverError("forced", residual=1.0))
+            raise errors[-1]
+
+        monkeypatch.setattr(FemModel, "solve_step", fail)
+        with pytest.raises(SolverError, match="collapsed") as info:
+            march_maturation(model, t_end=0.1, dt0=0.02, dt_max=0.05)
+        assert info.value.__cause__ is errors[-1]
+        diag = info.value.diagnostics
+        assert diag["time"] == 0.0
+        assert diag["cutbacks"] == len(errors)
+        assert diag["dt"] == 0.02 * 0.5 ** len(errors)
+        assert diag["dt"] < solver.STEP_MIN <= 2.0 * diag["dt"]
+
+    def test_steps_are_the_march(self):
+        # march_steps yields what march_maturation collects, and the model
+        # is committed to the yielded step at every yield
+        history, u, _ = march_maturation(_small_strip(), **_SMALL_MARCH)
+        model = _small_strip()
+        records = []
+        for rec, u_step, aux in march_steps(model, **_SMALL_MARCH):
+            assert np.array_equal(model.rho, aux["rho"])
+            assert np.all(model.hist_strain >= aux["fiber_strain"])
+            records.append(rec)
+        assert records == history
+        assert np.array_equal(u_step, u)
+
+    def test_steps_consumed_in_two_halves(self):
+        # a march paused after its third step, while another march runs
+        # to its end, goes on bit for bit as one that never paused
+        whole = list(march_steps(_small_strip(), **_SMALL_MARCH))
+        steps = march_steps(_small_strip(), **_SMALL_MARCH)
+        halves = list(itertools.islice(steps, 3))
+        march_maturation(_small_strip(), **_SMALL_MARCH)
+        halves += list(steps)
+        assert [rec for rec, _, _ in halves] == [rec for rec, _, _ in whole]
+        for (_, u, aux), (_, u_whole, aux_whole) in zip(halves, whole):
+            assert np.array_equal(u, u_whole)
+            assert np.array_equal(aux["rho"], aux_whole["rho"])
 
     def test_committed_state_feeds_next_step(self):
         params = make_material(psi_crit=2e-5)
