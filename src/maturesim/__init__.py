@@ -8,15 +8,11 @@ models, and calibrates the model constants against test data.
 
 from .errors import (ConfigError, DeformationError, FitError, MaturesimError,
                      MeshError, ParameterError, SolverError, StateError)
-from .growth import (GrowthParams, GrowthState, bio_rate, mech_rate,
-                     update_density, weibull_alpha, weibull_alpha_rate)
+from .growth import (GrowthParams, GrowthState, bio_rate, weibull_alpha,
+                     weibull_alpha_rate)
 from .materials import (CollagenParams, MaterialParams, MatrixParams,
                         StressTangent, TextileParams, cauchy_stress,
-                        collagen_psi_mass, collagen_stress,
-                        matrix_psi_stress_tangent, textile_psi_stress_tangent,
                         total_response)
-from .tensors import (fiber_strain, from_voigt, gen_structural_tensor,
-                      right_cauchy_green, textile_invariants, to_voigt,
-                      unit_vector)
+from .tensors import from_voigt, gen_structural_tensor, to_voigt, unit_vector
 
 __version__ = "0.1.0"

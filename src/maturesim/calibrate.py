@@ -36,17 +36,16 @@ class NelderMeadResult:
     """The outcome of `nelder_mead`.
 
     `x` is the best vertex and `f` its objective; `n_evals` counts every
-    objective evaluation and `n_iters` the simplex iterations; `converged`
-    is true when the simplex met `xtol` or `ftol` (`reason` says which, or
-    "max_evals"); `trace` holds one (evaluation count, best objective) pair
-    per iteration.  The command line reports `n_evals` and `converged`,
-    and the benchmark reads `n_evals`.
+    objective evaluation; `converged` is true when the simplex met `xtol`
+    or `ftol` (`reason` says which, or "max_evals"); `trace` holds one
+    (evaluation count, best objective) pair per simplex iteration, so its
+    length is the iteration count.  The command line reports `n_evals` and
+    `converged`, and the benchmark reads `n_evals`.
     """
 
     x: np.ndarray
     f: float
     n_evals: int
-    n_iters: int
     converged: bool
     reason: str
     trace: list
@@ -99,7 +98,6 @@ def nelder_mead(fn, x0, bounds=None, max_evals=2000, xtol=1e-8, ftol=1e-12):
         fs.append(f(xi))
 
     trace = []
-    n_iters = 0
     reason = "max_evals"
     converged = False
     while evals < max_evals:
@@ -107,7 +105,6 @@ def nelder_mead(fn, x0, bounds=None, max_evals=2000, xtol=1e-8, ftol=1e-12):
         simplex = [simplex[k] for k in order]
         fs = [fs[k] for k in order]
         trace.append((evals, fs[0]))
-        n_iters += 1
 
         diam = max(np.max(np.abs(p - simplex[0])) for p in simplex[1:])
         spread = fs[-1] - fs[0]
@@ -149,8 +146,7 @@ def nelder_mead(fn, x0, bounds=None, max_evals=2000, xtol=1e-8, ftol=1e-12):
     order = np.argsort(fs, kind="stable")
     best = order[0]
     return NelderMeadResult(x=simplex[best].copy(), f=fs[best], n_evals=evals,
-                            n_iters=n_iters, converged=converged, reason=reason,
-                            trace=trace)
+                            converged=converged, reason=reason, trace=trace)
 
 
 @dataclass(eq=False)

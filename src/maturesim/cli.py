@@ -244,6 +244,18 @@ _COMMANDS = {
 }
 
 
+def _failure_report(exc):
+    """The message of exc and of each exception chained as its cause, one
+    line each, with the diagnostics of those that carry them."""
+    lines = []
+    while exc is not None:
+        details = ", ".join(f"{k}={v}" for k, v in
+                            getattr(exc, "diagnostics", {}).items())
+        lines.append(f"{exc} ({details})" if details else str(exc))
+        exc = exc.__cause__
+    return "\n  caused by: ".join(lines)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -259,7 +271,7 @@ def main(argv=None) -> int:
         log.error("error: %s", exc)
         return USAGE_ERROR
     except (SolverError, DeformationError, StateError) as exc:
-        log.error("solver failure: %s", exc)
+        log.error("solver failure: %s", _failure_report(exc))
         return SOLVER_ERROR
 
 

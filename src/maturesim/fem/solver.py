@@ -58,8 +58,7 @@ from scipy.sparse.linalg import splu
 
 from ..errors import DeformationError, MeshError, ParameterError, SolverError
 from ..materials import (MaterialParams, cauchy_stress, response_batch,
-                         volumetric_energy, volumetric_modulus,
-                         volumetric_pressure)
+                         volumetric_modulus, volumetric_pressure)
 from ..tensors import deformation_inv_det
 from . import elements as el
 from .mesh import Mesh, strip_mesh
@@ -410,21 +409,9 @@ class FemModel:
                           rho_max=float(aux["rho"].max()),
                           newton_iters=int(iters), cutbacks=int(cutbacks))
 
-    def element_density(self, rho=None):
-        """Volume-weighted element means of the Gauss density field."""
-        rho = self.rho if rho is None else rho
+    def element_density(self, rho):
+        """Volume-weighted element means of a Gauss density field rho."""
         return (self.wdet * rho).sum(axis=1) / self.V0
-
-    def element_peak_strain(self):
-        """Largest fiber strain each element has seen, max over its points."""
-        return self.hist_strain.max(axis=1)
-
-    def total_energy(self, aux):
-        """Discrete internal energy matching the assembled forces."""
-        pointwise = float((self.wdet * aux["psi_point"]).sum())
-        vol = float((self.V0 * volumetric_energy(aux["Jbar"],
-                                                 self.params.matrix)).sum())
-        return pointwise + vol
 
     def cell_cauchy(self, aux):
         """Element-mean Cauchy stress 6-vectors from a converged aux."""

@@ -116,19 +116,6 @@ def bio_rate(t, p: GrowthParams):
     return p.a1 * p.c_cell * weibull_alpha_rate(t, p.tau, p.h)
 
 
-def mech_rate(rho, psi_m, p: GrowthParams):
-    """Mechanically driven density rate; zero below the energy threshold.
-
-    rho_dot_mech = a2 * c_cell * exp(-rho/rho_th) * rho * (psi_m - psi_crit)/psi_crit
-    """
-    GrowthState(rho=rho, psi_m=psi_m)
-    rho = np.asarray(rho, dtype=float)
-    psi_m = np.asarray(psi_m, dtype=float)
-    rate = _mech_partials(rho, (psi_m - p.psi_crit) / p.psi_crit, p)[0]
-    out = np.where(psi_m >= p.psi_crit, rate, 0.0)
-    return out if out.ndim else float(out)
-
-
 def _mech_partials(rho, q, p: GrowthParams):
     """m, dm/drho, dm/dpsi and second partials of the active mechanical rate.
 
@@ -268,11 +255,3 @@ def _update_active(base, psi_a, dt, p: GrowthParams):
     D2a = dt * (m_rr * Da**2 + 2.0 * m_rp * Da) / dr
     return x, Da, D2a
 
-
-def update_density(state: GrowthState, t_np1, dt, psi_m, p: GrowthParams) -> GrowthState:
-    """Single-point backward-Euler update; see `update_density_batch`."""
-    rho, D, _ = update_density_batch(
-        np.array([state.rho]), np.array([float(psi_m)]), t_np1, dt, p
-    )
-    return GrowthState(rho=float(rho[0]), drho_dpsim=float(D[0]),
-                       psi_m=float(psi_m))

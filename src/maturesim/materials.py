@@ -20,7 +20,8 @@ entries and a scalar field an (N,) array, so every array operation runs
 along the contiguous point axis.  `response_batch` changes layout for the
 FE and the point path: it gathers C and C^-1 from F and F^-1 and
 transposes S and CC back to the (..., 6) and (..., 6, 6) of its callers,
-once each.  The single-point helpers pass their one point as (6, 1).
+once each.  It is the kernels' one caller: the FE assembly calls it, and
+the point path through `total_response`.
 
 The answer at a point is the same bits whatever batch it is evaluated in.
 No code path depends on N, and no sum over components runs in a loop that
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensors as tn
-from .errors import DeformationError, ParameterError, StateError
+from .errors import DeformationError, ParameterError
 from .growth import GrowthParams, GrowthState, update_density_batch
 
 _I6 = tn.IDENTITY6[:, None]
@@ -84,11 +85,6 @@ def _sum_rows(P, out=None):
     out = np.add(P[0], P[1], out=out)
     out += P[2]
     return out
-
-
-def _components(A):
-    """The (6, 1) components of one symmetric 3x3 tensor."""
-    return tn.to_voigt(A)[:, None]
 
 
 @dataclass(frozen=True)
@@ -422,9 +418,9 @@ def volumetric_modulus(J, p: MatrixParams):
 def collagen_psim_batch(c, p: CollagenParams):
     """Per-mass collagen energy and its derivatives by the fiber strain E.
 
-    Takes the (6, N) components c of C; E = tr(C H) - 1 (see
-    `tensors.fiber_strain`).  Tension-only: everything vanishes for mean
-    fiber stretches below 1.  E past FIBER_STRAIN_MAX, where the
+    Takes the (6, N) components c of C; E = tr(C H) - 1 is the Green-type
+    strain of the mean fiber stretch.  Tension-only: everything vanishes
+    for mean fiber stretches below 1.  E past FIBER_STRAIN_MAX, where the
     exponential would overflow, raises DeformationError.  Returns (psi_m,
     dpsi_m/dE, d2psi_m/dE2, E), each (N,).
     """
@@ -537,51 +533,6 @@ def _cauchy_green(F, Finv, n):
     P = X.take(_CG[0], axis=0)
     P *= X.take(_CG[1], axis=0)
     return _sum_rows(P)
-
-
-def matrix_psi_stress_tangent(C, p: MatrixParams):
-    """Matrix energy density (MPa) with stress and tangent at one point.
-
-    Rejects what `tensors.deformation_inv_det` rejects.
-    """
-    C = np.asarray(C, dtype=float)
-    Cinv, detC = tn.deformation_inv_det(C)
-    psi_mu, U, S, CC = matrix_batch(_components(C), _components(Cinv),
-                                    np.sqrt(detC).reshape(1), p)
-    return float(psi_mu[0] + U[0]), StressTangent(S[:, 0], CC.reshape(6, 6))
-
-
-def collagen_psi_mass(C, p: CollagenParams):
-    """Collagen energy per unit mass and its derivative w.r.t. C (6-vector)."""
-    psi_m, dpsi, _, _ = collagen_psim_batch(_components(C), p)
-    return float(psi_m[0]), dpsi[0] * p.h6
-
-
-def collagen_stress(C, p: CollagenParams, rho, drho_dC, drho_dpsim=0.0, d2rho_dpsim2=0.0):
-    """Collagen stress S_co = 2 (psi_m drho_dC + rho dpsim_dC) with tangent.
-
-    `drho_dC` is the density sensitivity chained through psi_m, i.e.
-    drho_dpsim * dpsim_dC, as produced by the growth update; None stands
-    for that chain and a given value must match it.  The tangent is
-    consistent with that chain when the scalar sensitivities drho_dpsim and
-    d2rho_dpsim2 are supplied; with the defaults it is the frozen-density
-    tangent.
-    """
-    GrowthState(rho=rho)
-    psi_m, dpsi, curv, _ = collagen_psim_batch(_components(C), p)
-    if drho_dC is not None:
-        chain = drho_dpsim * (dpsi[0] * p.h6)
-        if not np.allclose(drho_dC, chain, rtol=1e-12, atol=1e-12 * np.max(np.abs(chain))):
-            raise StateError("drho_dC must equal drho_dpsim * dpsim_dC")
-    S, CC = _collagen_stress_tangent(p, psi_m, dpsi, curv, rho, drho_dpsim,
-                                     d2rho_dpsim2)
-    return StressTangent(S[:, 0], CC.reshape(6, 6))
-
-
-def textile_psi_stress_tangent(C, p: TextileParams):
-    """Textile energy density (MPa) with stress and tangent at one point."""
-    psi, S, CC = textile_batch(_components(C), p)
-    return float(psi[0]), StressTangent(S[:, 0], CC.reshape(6, 6))
 
 
 def response_batch(F, Finv, J, params: MaterialParams, rho_n, t, dt,

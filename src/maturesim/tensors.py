@@ -121,9 +121,8 @@ def deformation_inv_det(A):
     unless every A is finite and has det A > 0, so a NaN or infinite entry
     is rejected before anything is computed from it.  Each public entry
     point runs it once per evaluation (`FemModel.assemble`,
-    `total_response` and `cauchy_stress` on F, `matrix_psi_stress_tangent`
-    on C), and the kernels behind it take the inverse and determinant it
-    returned.
+    `total_response` and `cauchy_stress`, each on F), and the kernels
+    behind it take the inverse and determinant it returned.
     """
     A = np.asarray(A, dtype=float)
     if not np.isfinite(A).all():
@@ -133,13 +132,6 @@ def deformation_inv_det(A):
         raise DeformationError("deformation tensor must have a positive "
                                f"determinant, got min {np.min(det):g}")
     return inv, det
-
-
-def right_cauchy_green(F):
-    """C = F^T F.  Rejects what `deformation_inv_det` rejects."""
-    F = np.asarray(F, dtype=float)
-    deformation_inv_det(F)
-    return np.einsum("...ki,...kj->...ij", F, F)
 
 
 def gen_structural_tensor(a, kappa):
@@ -154,28 +146,3 @@ def gen_structural_tensor(a, kappa):
     a = unit_vector(a)
     return kappa * np.eye(3) + (1.0 - 3.0 * kappa) * np.outer(a, a)
 
-
-def fiber_strain(C, H):
-    """Squared mean fiber stretch and Green-type fiber strain.
-
-    lambda^2 = tr(C H) for symmetric C and H; E = lambda^2 - 1.  Linear in C,
-    so scaling C scales E + 1 accordingly.
-    """
-    lam_sq = np.einsum("...ij,...ij->...", np.asarray(C, dtype=float), H)
-    return lam_sq, lam_sq - 1.0
-
-
-def textile_invariants(C, M1, M2):
-    """Isotropic and yarn-direction invariants of C.
-
-    Returns (I1, I2t, I3t, I4t, I5t) with I1 = tr C, I2t = tr(C M1),
-    I3t = tr(C^2 M1), I4t = tr(C M2), I5t = tr(C^2 M2).
-    """
-    C = np.asarray(C, dtype=float)
-    C2 = C @ C
-    i1 = np.trace(C, axis1=-2, axis2=-1)
-    i2 = np.einsum("...ij,...ij->...", C, M1)
-    i3 = np.einsum("...ij,...ij->...", C2, M1)
-    i4 = np.einsum("...ij,...ij->...", C, M2)
-    i5 = np.einsum("...ij,...ij->...", C2, M2)
-    return i1, i2, i3, i4, i5

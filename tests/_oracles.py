@@ -1,7 +1,8 @@
 """Shared finite-difference oracles, random-state generators and reference
-kernels (elements, textile energy, 3x3 inverse, point solver) for tests,
-with the small helpers only tests use and wrappers that call the
-component-major material kernels in the (..., 6) layout of C.
+kernels (elements, textile energy and invariants, 3x3 inverse, mechanical
+growth rate, point solver) for tests, with the small helpers only tests
+use and adapters that call the component-major material kernels at C
+(..., 3, 3) and return their answers in the (..., 6) layout.
 
 The FD rules mirror the symmetric-tensor convention of the package: a
 6-vector direction n perturbs the component pair (i, j) and (j, i) of C
@@ -16,7 +17,9 @@ from maturesim import tensors as tn
 from maturesim.errors import SolverError
 from maturesim.fem.elements import CORNERS
 from maturesim.growth import GrowthState
-from maturesim.materials import response_batch, textile_batch, total_response
+from maturesim.materials import (_collagen_stress_tangent, collagen_psim_batch,
+                                 matrix_batch, response_batch, textile_batch,
+                                 total_response)
 from maturesim.matpoint import PointRecord
 from maturesim.tensors import VOIGT_I, VOIGT_J, from_voigt
 
@@ -82,14 +85,50 @@ def response_on_C(C, params, *args, **kwargs):
     return response_batch(F, Finv, J, params, *args, **kwargs)
 
 
-def textile_on_C(C, p):
-    """`textile_batch` at right Cauchy-Green tensors C (..., 3, 3), with
-    psi, S and CC returned over C's leading axes: (...), (..., 6) and
-    (..., 6, 6)."""
+def _components(C):
+    """The (6, N) components of right Cauchy-Green tensors C (..., 3, 3), as
+    the material kernels take them, and C's leading axes."""
     C = np.asarray(C, dtype=float)
-    lead = C.shape[:-2]
-    psi, S, CC = textile_batch(tn.to_voigt(C).reshape(-1, 6).T, p)
+    return tn.to_voigt(C).reshape(-1, 6).T, C.shape[:-2]
+
+
+def _over(lead, psi, S, CC):
+    """An energy (N,), a stress (6, N) and a tangent (36, N) of the kernels
+    over the leading axes lead: (...), (..., 6) and (..., 6, 6)."""
     return psi.reshape(lead), S.T.reshape(lead + (6,)), CC.T.reshape(lead + (6, 6))
+
+
+def matrix_on_C(C, p):
+    """`matrix_batch` at right Cauchy-Green tensors C (..., 3, 3), checked
+    and inverted by `deformation_inv_det`: the energy psi_mu + U, S and CC
+    over C's leading axes."""
+    c, lead = _components(C)
+    Cinv, detC = tn.deformation_inv_det(C)
+    psi_mu, U, S, CC = matrix_batch(c, _components(Cinv)[0],
+                                    np.sqrt(detC).reshape(-1), p)
+    return _over(lead, psi_mu + U, S, CC)
+
+
+def collagen_on_C(C, p, rho, D=0.0, D2=0.0):
+    """`collagen_psim_batch` and `_collagen_stress_tangent` at right
+    Cauchy-Green tensors C (..., 3, 3), at density rho with the
+    sensitivities D = drho/dpsi_m and D2 = d2rho/dpsi_m2 (frozen density
+    by default).  Returns a dict over C's leading axes: psi_m,
+    fiber_strain, dpsim_dC (a 6-vector), S and CC."""
+    c, lead = _components(C)
+    psi_m, dpsi, curv, E = collagen_psim_batch(c, p)
+    S, CC = _collagen_stress_tangent(p, psi_m, dpsi, curv, rho, D, D2)
+    psi_m, S, CC = _over(lead, psi_m, S, CC)
+    return {"psi_m": psi_m, "fiber_strain": E.reshape(lead),
+            "dpsim_dC": (dpsi * p.h6[:, None]).T.reshape(lead + (6,)),
+            "S": S, "CC": CC}
+
+
+def textile_on_C(C, p):
+    """`textile_batch` at right Cauchy-Green tensors C (..., 3, 3): psi, S
+    and CC over C's leading axes."""
+    c, lead = _components(C)
+    return _over(lead, *textile_batch(c, p))
 
 
 def sym_dot(a6, b6):
@@ -156,19 +195,45 @@ def ref_volume_gradient(F, J, dNdX, wdet):
     return G.reshape(G.shape[0], 24)
 
 
-# -- reference constitutive and 3x3 kernels -----------------------------------
+# -- reference constitutive, growth and 3x3 kernels ---------------------------
 # The pow-based textile kernel and the LAPACK inverse and determinant that
 # maturesim.materials.textile_batch and maturesim.tensors.inv_det3 replace,
-# kept as the plain statement of what those compute.
+# and the mechanical growth rate that maturesim.growth._mech_partials
+# differentiates, kept as the plain statement of what those compute.
+
+def ref_mech_rate(rho, psi_m, p):
+    """Mechanically driven density rate, written from its formula
+    a2 c_cell exp(-rho/rho_th) rho (psi_m - psi_crit)/psi_crit; zero below
+    psi_crit."""
+    q = (psi_m - p.psi_crit) / p.psi_crit
+    rate = p.a2 * p.c_cell * np.exp(-rho / p.rho_th) * rho * q
+    return np.where(psi_m >= p.psi_crit, rate, 0.0)
+
 
 def ref_inv_det3(A):
     return np.linalg.inv(A), np.linalg.det(A)
 
 
+def textile_invariants(C, M1, M2):
+    """Isotropic and yarn-direction invariants of C.
+
+    Returns (I1, I2t, I3t, I4t, I5t) with I1 = tr C, I2t = tr(C M1),
+    I3t = tr(C^2 M1), I4t = tr(C M2), I5t = tr(C^2 M2).
+    """
+    C = np.asarray(C, dtype=float)
+    C2 = C @ C
+    i1 = np.trace(C, axis1=-2, axis2=-1)
+    i2 = np.einsum("...ij,...ij->...", C, M1)
+    i3 = np.einsum("...ij,...ij->...", C2, M1)
+    i4 = np.einsum("...ij,...ij->...", C, M2)
+    i5 = np.einsum("...ij,...ij->...", C2, M2)
+    return i1, i2, i3, i4, i5
+
+
 def ref_textile_batch(C, p):
     """Textile energy, stress and tangent term by term, powers by `**`."""
     C = np.asarray(C, dtype=float)
-    i1, i2, i3, i4, i5 = tn.textile_invariants(C, p.M1, p.M2)
+    i1, i2, i3, i4, i5 = textile_invariants(C, p.M1, p.M2)
     u1, u2, u3, u4, u5 = i1 - 3.0, i2 - 1.0, i3 - 1.0, i4 - 1.0, i5 - 1.0
     b1, b2, g1, g2, d1, d2, xi = (
         p.beta1, p.beta2, p.gamma1, p.gamma2, p.delta1, p.delta2, p.xi)

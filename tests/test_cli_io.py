@@ -527,6 +527,31 @@ class TestCli:
                                                              "history.csv"]
         capsys.readouterr()
 
+    @pytest.mark.parametrize("error, report", [
+        # a Newton failure at every step: the march halves the first step,
+        # dt0 = 0.02, 21 times to below STEP_MIN = 1e-8 and collapses; the
+        # report names where and how, down to the error that caused it
+        (SolverError("no equilibrium", residual=0.5, iterations=25),
+         ["solver failure: time step collapsed during maturation "
+          f"(time=0.0, dt={0.02 / 2**21}, cutbacks=21)",
+          "  caused by: no equilibrium (residual=0.5, iterations=25)"]),
+        # no diagnostics and no cause: the message alone
+        (DeformationError("inverted element"),
+         ["solver failure: inverted element"])])
+    def test_solver_failure_reports_its_diagnostics(self, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     error, report):
+        cfgfile = tmp_path / "cfg.json"
+        _write_json(cfgfile, SMALL_FEM)
+
+        def fail(self, *args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(FemModel, "solve_step", fail)
+        assert main(["-q", "fem", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.splitlines() == report
+
     def test_quiet_suppresses_progress(self, tmp_path, capsys):
         out = tmp_path / "mesh.json"
         main(["-q", "strip-mesh", "--out", str(out)])

@@ -7,9 +7,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maturesim import config
-from maturesim.errors import DeformationError, MeshError, ParameterError, SolverError
+from maturesim.errors import (DeformationError, MaturesimError, MeshError,
+                              ParameterError, SolverError)
 from maturesim.fem import (Dirichlet, FemModel, PressureLoad,
                            clamped_strip_model, march_maturation,
                            march_steps, ramp_pressure, strip_mesh)
@@ -17,9 +20,9 @@ from maturesim.fem import elements as el
 from maturesim.fem import solver
 from maturesim.fem.mesh import Mesh
 from maturesim.fem.solver import RESIDUAL_TOL
-from maturesim.materials import (response_batch, volumetric_modulus,
-                                 volumetric_pressure)
-from maturesim.matpoint import LoadProgram, solve_mixed_point
+from maturesim.materials import (response_batch, volumetric_energy,
+                                 volumetric_modulus, volumetric_pressure)
+from maturesim.matpoint import STRESS_TOL, LoadProgram, solve_mixed_point
 
 from conftest import deadline, make_material
 
@@ -75,25 +78,53 @@ class TestStaticSolves:
         S = aux["S"].reshape(-1, 6)
         assert np.abs(S - S[0]).max() < 1e-8
 
-    def test_single_element_matches_material_point(self):
-        # uniaxial stretch with free lateral faces against the 0-d solver
-        params = make_material()
+    def test_element_density_is_the_volume_mean(self):
+        # on a distorted mesh of the 2 mm cube: a uniform field keeps its
+        # value, and any field's element means lie within their Gauss values
+        # and integrate to the field's integral
+        mesh = strip_mesh(2.0, 2.0, 2.0, 2, 2, 2)
+        rng = np.random.default_rng(32)
+        nodes = mesh.nodes.copy()
+        interior = np.all((nodes > 1e-9) & (nodes < 2.0 - 1e-9), axis=1)
+        nodes[interior] += rng.uniform(-0.25, 0.25, size=(interior.sum(), 3))
+        model = FemModel(Mesh(nodes=nodes, hex8=mesh.hex8,
+                              node_sets=mesh.node_sets,
+                              face_sets=mesh.face_sets), make_material())
+        assert model.V0.sum() == pytest.approx(8.0, rel=1e-12)
+        uniform = model.element_density(np.full(model.rho.shape, 3.7))
+        assert np.allclose(uniform, 3.7, rtol=1e-14, atol=0.0)
+        rho = rng.uniform(0.0, 20.0, model.rho.shape)
+        dens = model.element_density(rho)
+        assert np.all((rho.min(axis=1) <= dens) & (dens <= rho.max(axis=1)))
+        assert (model.V0 * dens).sum() == pytest.approx(
+            (model.wdet * rho).sum(), rel=1e-14)
+
+    @staticmethod
+    def _brick_and_point(stretch, t_end, kappa=0.0):
+        """One brick with free lateral faces and the material-point solver,
+        each stretched uniaxially to `stretch` in one growth step of t_end
+        days: two solves, returning the brick's converged aux and the
+        point's last record."""
+        params = make_material(kappa=kappa)
         mesh = strip_mesh(1.0, 1.0, 1.0, 1, 1, 1)
-        stretch, t_end = 1.12, 0.2
         model = FemModel(mesh, params, dirichlet=[
             Dirichlet("xmin", dofs=(0,)),
             Dirichlet("xmax", dofs=(0,), value=np.array([stretch - 1.0, 0, 0])),
             Dirichlet("ymin", dofs=(1,)),
             Dirichlet("zmin", dofs=(2,)),
         ])
-        u, aux, _ = model.solve_step(np.zeros(model.n_dof), t=t_end, dt=t_end,
-                                     tol=1e-12)
-
         program = LoadProgram(times=[0.0, t_end],
                               controls=([1.0, stretch], "free", "free"),
                               steps_per_interval=1)
-        rec = solve_mixed_point(program, params)[-1]
+        return (lambda: model.solve_step(np.zeros(model.n_dof), t=t_end,
+                                         dt=t_end, tol=1e-12)[1],
+                lambda: solve_mixed_point(program, params)[-1])
 
+    def test_single_element_matches_material_point(self):
+        # uniaxial stretch with free lateral faces against the 0-d solver
+        stretch = 1.12
+        brick, point = self._brick_and_point(stretch, 0.2)
+        aux, rec = brick(), point()
         F = aux["F"].reshape(-1, 3, 3)
         assert np.abs(F - F[0]).max() < 1e-10          # homogeneous state
         assert F[0, 0, 0] == pytest.approx(stretch, abs=1e-12)
@@ -101,6 +132,36 @@ class TestStaticSolves:
         assert F[0, 2, 2] == pytest.approx(rec.F[2, 2], abs=1e-10)
         S = aux["S"].reshape(-1, 6)
         assert np.abs(S - rec.S).max() < 1e-10
+        assert np.abs(aux["rho"] - rec.rho).max() < 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(stretch=st.floats(0.85, 1.35), t_end=st.floats(0.05, 2.0),
+           kappa=st.floats(0.0, 1.0 / 3.0))
+    def test_single_element_and_material_point_agree(self, stretch, t_end,
+                                                     kappa):
+        # drawn programs: both paths converge, to the same density, or both
+        # fail typed.  Each meets its own stopping rule on the free axes:
+        # the brick its 1e-12 N residual, the point STRESS_TOL on sigma.
+        # That rule leaves the point's F and S up to about 1e-10 off the
+        # brick's, so their 1e-10 agreement is checked at 1.12 above
+        outcomes = []
+        for solve in self._brick_and_point(stretch, t_end, kappa):
+            try:
+                with deadline(10):
+                    outcomes.append(solve())
+            except MaturesimError as exc:
+                outcomes.append(exc)
+        failed = [isinstance(out, MaturesimError) for out in outcomes]
+        assert failed[0] == failed[1], outcomes
+        if failed[0]:
+            return
+        aux, rec = outcomes
+        F = aux["F"].reshape(-1, 3, 3)
+        S = aux["S"].reshape(-1, 6)
+        assert np.abs(F - F[0]).max() < 1e-10          # homogeneous state
+        assert F[0, 0, 0] == pytest.approx(stretch, abs=1e-12)
+        assert np.abs(S[:, 1:3]).max() < 1e-10
+        assert np.abs(rec.sigma[1:3]).max() <= STRESS_TOL
         assert np.abs(aux["rho"] - rec.rho).max() < 1e-12
 
     def test_unknown_sets_rejected(self):
@@ -579,7 +640,11 @@ class TestRampAndEnergy:
             u_new, aux, _ = model.solve_step(u, t=0.0, dt=0.0)
             work += 0.5 * np.dot(aux["fext"] + fext_prev, u_new - u)
             u, fext_prev = u_new, aux["fext"]
-        energy = model.total_energy(aux)
+        # the discrete internal energy whose gradient the assembly returns:
+        # the pointwise energies and the element-mean volumetric energy
+        energy = (float((model.wdet * aux["psi_point"]).sum())
+                  + float((model.V0 * volumetric_energy(aux["Jbar"],
+                                                        params.matrix)).sum()))
         assert energy == pytest.approx(work, rel=0.01)
         assert energy > 0.0
 
@@ -704,7 +769,7 @@ class TestMaturationMarch:
         assert rho_means[-1] > 0.0
         assert np.all(model.rho >= 0.0)
         assert np.all(model.hist_strain >= 0.0)
-        assert model.element_density().shape == (model.mesh.n_elems,)
+        assert model.element_density(model.rho).shape == (model.mesh.n_elems,)
         assert [r.cutbacks for r in history] == [0] * len(history)
         copy.deepcopy(model)      # no factorization is left on the model
 

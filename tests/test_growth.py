@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from maturesim import growth
 from maturesim.errors import ParameterError, SolverError, StateError
-from maturesim.growth import (GrowthParams, GrowthState, bio_rate, mech_rate,
-                              update_density, update_density_batch,
-                              weibull_alpha, weibull_alpha_rate)
+from maturesim.growth import (GrowthParams, GrowthState, bio_rate,
+                              update_density_batch, weibull_alpha,
+                              weibull_alpha_rate)
 
+from _oracles import ref_mech_rate
 from conftest import deadline, make_growth
 
 
@@ -69,21 +70,27 @@ class TestRates:
             7.5 * weibull_alpha_rate(t, 14.21, 1.65), rel=1e-14)
 
     def test_mech_rate_below_threshold(self, growth_params):
-        assert mech_rate(5.0, 0.5 * growth_params.psi_crit, growth_params) == 0.0
+        # below psi_crit the update is the bio rate's alone
+        p = growth_params
+        rho, D, _ = update_density_batch(5.0, 0.5 * p.psi_crit, 3.0, 0.5, p)
+        assert rho[0] == 5.0 + 0.5 * bio_rate(3.0, p) and D[0] == 0.0
 
     def test_mech_rate_zero_density(self, growth_params):
-        assert mech_rate(0.0, 10 * growth_params.psi_crit, growth_params) == 0.0
+        q = 9.0   # psi_m = 10 psi_crit
+        assert growth._mech_partials(0.0, q, growth_params)[0] == 0.0
 
     def test_mech_rate_value(self):
         p = make_growth()
         rho, psi = 5.0, 0.05
         expected = (p.a2 * p.c_cell * math.exp(-rho / p.rho_th) * rho
                     * (psi - p.psi_crit) / p.psi_crit)
-        assert mech_rate(rho, psi, p) == pytest.approx(expected, rel=1e-14)
+        q = (psi - p.psi_crit) / p.psi_crit
+        assert growth._mech_partials(rho, q, p)[0] == pytest.approx(expected,
+                                                                  rel=1e-14)
 
     def test_negative_density_rejected(self, growth_params):
         with pytest.raises(StateError):
-            mech_rate(-1.0, 0.05, growth_params)
+            update_density_batch(-1.0, 0.05, 10.0, 0.28, growth_params)
 
 
 class TestParamsValidation:
@@ -107,29 +114,27 @@ class TestParamsValidation:
 class TestUpdateDensity:
     def test_first_increment(self, growth_params):
         # matches the published first-increment density 5.4634e-06 ug/mm^3
-        s = update_density(GrowthState(), 0.002, 0.002, 0.0, growth_params)
-        assert s.rho == pytest.approx(5.4634e-06, rel=1e-3)
-        assert s.rho == pytest.approx(
+        rho, D, _ = update_density_batch(0.0, 0.0, 0.002, 0.002, growth_params)
+        assert rho[0] == pytest.approx(5.4634e-06, rel=1e-3)
+        assert rho[0] == pytest.approx(
             0.002 * bio_rate(0.002, growth_params), rel=1e-14)
-        assert s.drho_dpsim == 0.0
+        assert D[0] == 0.0
 
     def test_inactive_branch_closed_form(self, growth_params):
-        s0 = GrowthState(rho=2.0)
-        s = update_density(s0, 3.0, 0.5, 0.019, growth_params)
-        assert s.rho == pytest.approx(2.0 + 0.5 * bio_rate(3.0, growth_params),
-                                      rel=1e-14)
-        assert s.drho_dpsim == 0.0
+        rho, D, _ = update_density_batch(2.0, 0.019, 3.0, 0.5, growth_params)
+        assert rho[0] == pytest.approx(2.0 + 0.5 * bio_rate(3.0, growth_params),
+                                       rel=1e-14)
+        assert D[0] == 0.0
 
     def test_zero_dt_freezes(self, growth_params):
-        s = update_density(GrowthState(rho=1.5), 4.0, 0.0, 5.0, growth_params)
-        assert s.rho == 1.5 and s.drho_dpsim == 0.0
+        rho, D, _ = update_density_batch(1.5, 5.0, 4.0, 0.0, growth_params)
+        assert rho[0] == 1.5 and D[0] == 0.0
 
     def test_residual_at_root(self, growth_params):
         p = growth_params
-        s0 = GrowthState(rho=3.0)
-        t, dt, psi = 10.0, 0.25, 0.06
-        s = update_density(s0, t, dt, psi, p)
-        r = s.rho - s0.rho - dt * (bio_rate(t, p) + mech_rate(s.rho, psi, p))
+        rho_n, t, dt, psi = 3.0, 10.0, 0.25, 0.06
+        rho = update_density_batch(rho_n, psi, t, dt, p)[0][0]
+        r = rho - rho_n - dt * (bio_rate(t, p) + ref_mech_rate(rho, psi, p))
         assert abs(r) <= 1e-12
 
     def test_active_branch_vs_rk4(self):
@@ -139,7 +144,7 @@ class TestUpdateDensity:
         t_end = 10.0
 
         def rhs(t, rho):
-            return bio_rate(t, p) + mech_rate(rho, psi, p)
+            return bio_rate(t, p) + ref_mech_rate(rho, psi, p)
 
         n = 20000
         hstep = t_end / n
@@ -153,11 +158,11 @@ class TestUpdateDensity:
             rho_rk += hstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6
 
         for dt, tol in ((0.01, 0.02), (0.005, 0.01)):
-            s = GrowthState()
+            rho = 0.0
             steps = int(round(t_end / dt))
             for i in range(steps):
-                s = update_density(s, (i + 1) * dt, dt, psi, p)
-            assert s.rho == pytest.approx(rho_rk, rel=tol)
+                rho = update_density_batch(rho, psi, (i + 1) * dt, dt, p)[0]
+            assert rho[0] == pytest.approx(rho_rk, rel=tol)
 
     def test_first_order_in_dt(self):
         # backward Euler: halving dt halves the error against a fine reference
@@ -165,10 +170,10 @@ class TestUpdateDensity:
         psi, t_end = 6e-4, 8.0
 
         def run(dt):
-            s = GrowthState()
+            rho = 0.0
             for i in range(int(round(t_end / dt))):
-                s = update_density(s, (i + 1) * dt, dt, psi, p)
-            return s.rho
+                rho = update_density_batch(rho, psi, (i + 1) * dt, dt, p)[0]
+            return rho[0]
 
         ref = run(0.0025)
         e1 = abs(run(0.08) - ref)
@@ -183,32 +188,32 @@ class TestUpdateDensity:
             psi = rng.uniform(3e-5, 2e-3)
             dt = rng.uniform(0.01, 0.3)
             t = rng.uniform(0.5, 25.0)
-            s = update_density(GrowthState(rho=rho0), t, dt, psi, p)
+            _, D, _ = update_density_batch(rho0, psi, t, dt, p)
             h = 1e-6 * psi
-            rp = update_density(GrowthState(rho=rho0), t, dt, psi + h, p).rho
-            rm = update_density(GrowthState(rho=rho0), t, dt, psi - h, p).rho
+            rp = update_density_batch(rho0, psi + h, t, dt, p)[0][0]
+            rm = update_density_batch(rho0, psi - h, t, dt, p)[0][0]
             fd = (rp - rm) / (2 * h)
-            assert s.drho_dpsim == pytest.approx(fd, rel=1e-6, abs=1e-18)
+            assert D[0] == pytest.approx(fd, rel=1e-6, abs=1e-18)
 
     def test_monotone_under_random_histories(self):
         p = make_growth(psi_crit=2e-5)
         rng = np.random.default_rng(12)
         for _ in range(20):
-            s = GrowthState()
+            rho = np.zeros(1)
             t = 0.0
             prev = 0.0
             for _ in range(40):
                 dt = rng.uniform(1e-3, 0.5)
                 t += dt
                 psi = rng.uniform(0.0, 3e-3) * (rng.random() < 0.7)
-                s = update_density(s, t, dt, float(psi), p)
-                assert s.rho >= prev
-                prev = s.rho
+                rho = update_density_batch(rho, psi, t, dt, p)[0]
+                assert rho[0] >= prev
+                prev = rho[0]
 
     def test_large_step_converges(self):
         p = make_growth(psi_crit=2e-5)
-        s = update_density(GrowthState(rho=1.0), 60.0, 50.0, 2e-3, p)
-        r = s.rho - 1.0 - 50.0 * (bio_rate(60.0, p) + mech_rate(s.rho, 2e-3, p))
+        rho = update_density_batch(1.0, 2e-3, 60.0, 50.0, p)[0][0]
+        r = rho - 1.0 - 50.0 * (bio_rate(60.0, p) + ref_mech_rate(rho, 2e-3, p))
         assert abs(r) <= 1e-12
 
     @pytest.mark.parametrize("psi, converges", [
@@ -230,7 +235,7 @@ class TestUpdateDensity:
                     raise
                 assert err.diagnostics["psi_m"] == psi
                 return
-        r = rho[0] - rho_n[0] - dt * (bio_rate(t, p) + mech_rate(rho[0], psi, p))
+        r = rho[0] - rho_n[0] - dt * (bio_rate(t, p) + ref_mech_rate(rho[0], psi, p))
         assert abs(r) <= 1e-12
         assert rho[0] > rho_n[0]
         assert np.all(np.isfinite([D[0], D2[0]]))
@@ -245,7 +250,7 @@ class TestUpdateDensity:
         with deadline(30):
             rho, D, D2 = update_density_batch(np.array([rho_n]),
                                               np.array([psi]), t, dt, p)
-        r = rho[0] - rho_n - dt * (bio_rate(t, p) + mech_rate(rho[0], psi, p))
+        r = rho[0] - rho_n - dt * (bio_rate(t, p) + ref_mech_rate(rho[0], psi, p))
         assert abs(r) <= 8.0 * np.finfo(float).eps * rho[0]
         assert rho[0] > rho_n
         assert np.all(np.isfinite([D[0], D2[0]]))
@@ -261,7 +266,7 @@ class TestUpdateDensity:
             rho, D, D2 = update_density_batch(np.array([rho_n]),
                                               np.array([psi]), t, dt, p)
         assert rho[0] == pytest.approx(rho_root, rel=1e-6)
-        r = rho[0] - rho_n - dt * (bio_rate(t, p) + mech_rate(rho[0], psi, p))
+        r = rho[0] - rho_n - dt * (bio_rate(t, p) + ref_mech_rate(rho[0], psi, p))
         assert abs(r) <= 4e-12
         assert np.all(np.isfinite([D[0], D2[0]]))
 
@@ -315,7 +320,7 @@ class TestUpdateDensity:
         base = rho_n + dt * bio_rate(t, p)
         rho, D, D2 = update_density_batch(np.array([rho_n]), np.array([psi]),
                                           t, dt, p)
-        r = rho[0] - rho_n - dt * (bio_rate(t, p) + mech_rate(rho[0], psi, p))
+        r = rho[0] - rho_n - dt * (bio_rate(t, p) + ref_mech_rate(rho[0], psi, p))
         assert abs(r) <= growth.UPDATE_TOL
         assert rho[0] >= base
         assert np.all(np.isfinite([D[0], D2[0]]))
@@ -376,15 +381,15 @@ class TestUpdateDensity:
             psi = rng.uniform(0.0, 2e-3)
             dt = rng.uniform(0.01, 0.5)
             t = rng.uniform(0.1, 20.0)
-            r1 = update_density(GrowthState(rho=rho0), t, dt, psi, base).rho
-            r2 = update_density(GrowthState(rho=rho0), t, dt, psi, double).rho
+            r1 = update_density_batch(rho0, psi, t, dt, base)[0][0]
+            r2 = update_density_batch(rho0, psi, t, dt, double)[0][0]
             assert r2 >= r1 - 1e-15
 
     def test_input_validation(self, growth_params):
         with pytest.raises(ParameterError):
-            update_density(GrowthState(), 1.0, -0.1, 0.0, growth_params)
+            update_density_batch(0.0, 0.0, 1.0, -0.1, growth_params)
         with pytest.raises(StateError):
-            update_density(GrowthState(rho=1.0), 1.0, 0.1, -1e-3, growth_params)
+            update_density_batch(1.0, -1e-3, 1.0, 0.1, growth_params)
         with pytest.raises(StateError):
             update_density_batch(np.array([-1.0]), np.array([0.0]), 1.0, 0.1,
                                  growth_params)

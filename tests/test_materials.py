@@ -12,59 +12,57 @@ from maturesim.calibrate import substitute
 from maturesim.errors import DeformationError, ParameterError, StateError
 from maturesim.growth import GrowthState
 from maturesim.materials import (CollagenParams, MatrixParams, TextileParams,
-                                 cauchy_stress, collagen_psi_mass,
-                                 collagen_stress, matrix_psi_stress_tangent,
-                                 response_batch, textile_psi_stress_tangent,
-                                 total_response)
+                                 cauchy_stress, response_batch, total_response)
 
-from _oracles import (fd_stress, fd_tangent, random_C, random_F, random_rotation,
-                      ref_textile_batch, rel_err, response_on_C, textile_on_C)
+from _oracles import (collagen_on_C, fd_stress, fd_tangent, matrix_on_C,
+                      random_C, random_F, random_rotation, ref_textile_batch,
+                      rel_err, response_on_C, textile_on_C)
 from conftest import (EX, EY, deadline, make_collagen, make_growth,
                       make_material, make_matrix, make_textile)
 
 
 class TestMatrix:
     def test_stress_free_reference(self, matrix_params):
-        psi, st = matrix_psi_stress_tangent(np.eye(3), matrix_params)
+        psi, S, _ = matrix_on_C(np.eye(3), matrix_params)
         assert psi == 0.0
-        assert np.allclose(st.S, 0.0, atol=1e-15)
+        assert np.allclose(S, 0.0, atol=1e-15)
 
     def test_uniaxial_closed_form(self, matrix_params):
         # S = mu (I - C^-1) + lam/2 (J^2 - 1) C^-1 at C = diag(1.44, 1, 1)
         C = np.diag([1.44, 1.0, 1.0])
-        _, st = matrix_psi_stress_tangent(C, matrix_params)
-        assert st.S[0] == pytest.approx(1.5430555555555552, rel=1e-12)
+        _, S, _ = matrix_on_C(C, matrix_params)
+        assert S[0] == pytest.approx(1.5430555555555552, rel=1e-12)
         mu, lam, J2 = 0.05, 10.0, 1.44
-        assert st.S[1] == pytest.approx(mu * 0.0 + lam / 2 * (J2 - 1), rel=1e-12)
-        assert np.allclose(st.S[3:], 0.0, atol=1e-15)
+        assert S[1] == pytest.approx(mu * 0.0 + lam / 2 * (J2 - 1), rel=1e-12)
+        assert np.allclose(S[3:], 0.0, atol=1e-15)
 
     def test_small_strain_moduli(self, matrix_params):
-        _, st = matrix_psi_stress_tangent(np.eye(3), matrix_params)
+        _, _, CC = matrix_on_C(np.eye(3), matrix_params)
         lam, mu = matrix_params.lam, matrix_params.mu
-        assert st.CC[0, 0] == pytest.approx(lam + 2 * mu, rel=1e-12)
-        assert st.CC[0, 1] == pytest.approx(lam, rel=1e-12)
-        assert st.CC[3, 3] == pytest.approx(mu, rel=1e-12)
+        assert CC[0, 0] == pytest.approx(lam + 2 * mu, rel=1e-12)
+        assert CC[0, 1] == pytest.approx(lam, rel=1e-12)
+        assert CC[3, 3] == pytest.approx(mu, rel=1e-12)
 
     def test_stress_matches_fd_energy(self, matrix_params):
         rng = np.random.default_rng(20)
         for _ in range(100):
             C = random_C(rng, spread=0.3)
-            psi_fn = lambda c: matrix_psi_stress_tangent(c, matrix_params)[0]
-            _, st = matrix_psi_stress_tangent(C, matrix_params)
-            assert rel_err(fd_stress(psi_fn, C), st.S) < 1e-6
+            psi_fn = lambda c: matrix_on_C(c, matrix_params)[0]
+            _, S, _ = matrix_on_C(C, matrix_params)
+            assert rel_err(fd_stress(psi_fn, C), S) < 1e-6
 
     def test_tangent_matches_fd_stress(self, matrix_params):
         rng = np.random.default_rng(21)
         for _ in range(100):
             C = random_C(rng, spread=0.3)
-            s_fn = lambda c: matrix_psi_stress_tangent(c, matrix_params)[1].S
-            _, st = matrix_psi_stress_tangent(C, matrix_params)
-            assert rel_err(fd_tangent(s_fn, C), st.CC) < 1e-5
-            assert np.allclose(st.CC, st.CC.T, rtol=1e-12)
+            s_fn = lambda c: matrix_on_C(c, matrix_params)[1]
+            _, _, CC = matrix_on_C(C, matrix_params)
+            assert rel_err(fd_tangent(s_fn, C), CC) < 1e-5
+            assert np.allclose(CC, CC.T, rtol=1e-12)
 
     def test_rejects_bad_states_and_params(self):
         with pytest.raises(DeformationError):
-            matrix_psi_stress_tangent(np.diag([1.0, 1.0, -1.0]), make_matrix())
+            matrix_on_C(np.diag([1.0, 1.0, -1.0]), make_matrix())
         with pytest.raises(ParameterError):
             MatrixParams(lam=10.0, mu=0.0)
 
@@ -84,31 +82,30 @@ class TestMatrix:
 class TestCollagen:
     def test_psi_mass_reference(self, collagen_params):
         C = np.diag([1.21, 1.0, 1.0])  # lambda = 1.1 along the fiber
-        psi_m, g = collagen_psi_mass(C, collagen_params)
+        out = collagen_on_C(C, collagen_params, 0.0)
+        psi_m, g = out["psi_m"], out["dpsim_dC"]
         assert psi_m == pytest.approx(5.139336788218925e-4, rel=1e-12)
         assert g[0] > 0.0 and np.allclose(g[1:], 0.0, atol=1e-18)
 
     def test_tension_only(self, collagen_params):
         C = np.diag([0.9025, 1.0, 1.0])  # lambda = 0.95
-        psi_m, g = collagen_psi_mass(C, collagen_params)
-        assert psi_m == 0.0
-        assert np.array_equal(g, np.zeros(6))
-        st = collagen_stress(C, collagen_params, 10.0, np.zeros(6))
-        assert np.array_equal(st.S, np.zeros(6))
+        out = collagen_on_C(C, collagen_params, 10.0)
+        assert out["psi_m"] == 0.0
+        assert np.array_equal(out["dpsim_dC"], np.zeros(6))
+        assert np.array_equal(out["S"], np.zeros(6))
 
     def test_stress_reference(self, collagen_params):
         # 2 k1 E exp(k2 E^2) at full density, lambda = 1.1, kappa = 0
         C = np.diag([1.21, 1.0, 1.0])
-        st = collagen_stress(C, collagen_params, collagen_params.rho_f, np.zeros(6))
-        assert st.S[0] == pytest.approx(0.4133450922961771, rel=1e-12)
+        S = collagen_on_C(C, collagen_params, collagen_params.rho_f)["S"]
+        assert S[0] == pytest.approx(0.4133450922961771, rel=1e-12)
 
     def test_linearity_in_density(self, collagen_params):
         C = np.diag([1.21, 1.0, 1.0])
-        full = collagen_stress(C, collagen_params, collagen_params.rho_f, np.zeros(6))
+        full = collagen_on_C(C, collagen_params, collagen_params.rho_f)["S"]
         for rel in (0.6060, 0.8357):
-            part = collagen_stress(C, collagen_params, rel * collagen_params.rho_f,
-                                   np.zeros(6))
-            assert part.S[0] == pytest.approx(rel * full.S[0], rel=1e-14)
+            part = collagen_on_C(C, collagen_params, rel * collagen_params.rho_f)["S"]
+            assert part[0] == pytest.approx(rel * full[0], rel=1e-14)
 
     def test_dispersed_stress_matches_fd(self):
         p = make_collagen(kappa=0.12, a=np.array([1.0, 0.4, -0.2]))
@@ -117,29 +114,36 @@ class TestCollagen:
         count = 0
         while count < 100:
             C = random_C(rng, spread=0.2, stretch=0.3)
-            _, E = tn.fiber_strain(C, p.H)
-            if E < 1e-3:
+            out = collagen_on_C(C, p, rho)
+            if out["fiber_strain"] < 1e-3:
                 continue
             count += 1
-            psi_fn = lambda c: rho * collagen_psi_mass(c, p)[0]
-            st = collagen_stress(C, p, rho, np.zeros(6))
-            assert rel_err(fd_stress(psi_fn, C), st.S) < 1e-6
-            s_fn = lambda c: collagen_stress(c, p, rho, np.zeros(6)).S
-            assert rel_err(fd_tangent(s_fn, C), st.CC) < 1e-5
+            psi_fn = lambda c: rho * collagen_on_C(c, p, rho)["psi_m"]
+            assert rel_err(fd_stress(psi_fn, C), out["S"]) < 1e-6
+            s_fn = lambda c: collagen_on_C(c, p, rho)["S"]
+            assert rel_err(fd_tangent(s_fn, C), out["CC"]) < 1e-5
 
-    def test_chained_sensitivity_must_match(self, collagen_params):
-        C = np.diag([1.21, 1.0, 1.0])
-        _, g = collagen_psi_mass(C, collagen_params)
-        chained = collagen_stress(C, collagen_params, 5.0, 0.3 * g, 0.3, -0.2)
-        implied = collagen_stress(C, collagen_params, 5.0, None, 0.3, -0.2)
-        assert np.array_equal(chained.S, implied.S)
-        assert np.array_equal(chained.CC, implied.CC)
-        with pytest.raises(StateError):
-            collagen_stress(C, collagen_params, 5.0, 0.3 * g)
+    def test_fiber_strain_reference_value(self):
+        # E = tr(C H) - 1: the squared mean fiber stretch is 1.308
+        p = make_collagen(kappa=0.15)
+        E = collagen_on_C(np.diag([1.44, 1.0, 1.0]), p, 0.0)["fiber_strain"]
+        assert E + 1.0 == pytest.approx(1.308, abs=1e-12)
+        assert E == pytest.approx(0.308, abs=1e-12)
 
-    def test_rejects_negative_density(self, collagen_params):
+    def test_fiber_strain_linear_in_C(self):
+        rng = np.random.default_rng(6)
+        p = make_collagen(kappa=0.1, a=rng.standard_normal(3))
+        C = random_C(rng)
+        l1 = collagen_on_C(C, p, 0.0)["fiber_strain"] + 1.0
+        l2 = collagen_on_C(2.5 * C, p, 0.0)["fiber_strain"] + 1.0
+        assert l2 == pytest.approx(2.5 * l1, rel=1e-14)
+
+    def test_rejects_negative_density(self):
+        # the density reaches the collagen stress through the growth update,
+        # which checks it
         with pytest.raises(StateError):
-            collagen_stress(np.eye(3), collagen_params, -1.0, np.zeros(6))
+            response_on_C(np.eye(3)[None], make_material(), np.array([-1.0]),
+                          0.0, 0.0)
 
     def test_param_domain(self):
         with pytest.raises(ParameterError):
@@ -150,9 +154,9 @@ class TestCollagen:
 
 class TestTextile:
     def test_stress_free_reference(self, textile_params):
-        psi, st = textile_psi_stress_tangent(np.eye(3), textile_params)
+        psi, S, _ = textile_on_C(np.eye(3), textile_params)
         assert psi == 0.0
-        assert np.allclose(st.S, 0.0, atol=1e-18)
+        assert np.allclose(S, 0.0, atol=1e-18)
 
     def test_energy_reference_value(self, textile_params):
         # direct evaluation of the polynomial at C = diag(1.44, 1.21, 1)
@@ -160,8 +164,7 @@ class TestTextile:
         expected = (38.51e-3 * u2**3 + 1.48e-3 * u3**2 + 214.39e-3 * u4**4
                     + 0.0001e-3 * u5**2 + 183.72e-3 * u1**2 * u2**2
                     + 58.71e-3 * u1**3 * u4**3 + 571.83e-3 * u2**12 * u4**12)
-        psi, _ = textile_psi_stress_tangent(np.diag([1.44, 1.21, 1.0]),
-                                            textile_params)
+        psi = textile_on_C(np.diag([1.44, 1.21, 1.0]), textile_params)[0]
         assert psi == pytest.approx(expected, rel=1e-13)
 
     def test_transverse_group_vanishes_at_first_order(self, textile_params):
@@ -174,19 +177,19 @@ class TestTextile:
             beta1=3, beta2=2, gamma1=4, gamma2=2, delta1=2, delta2=3, xi=12,
             n1=EX, n2=EY)
         C = np.diag([1.3, 1.0, 0.95])
-        _, full = textile_psi_stress_tangent(C, textile_params)
-        _, part = textile_psi_stress_tangent(C, reduced)
-        assert np.allclose(full.S, part.S, atol=1e-16)
+        full = textile_on_C(C, textile_params)[1]
+        part = textile_on_C(C, reduced)[1]
+        assert np.allclose(full, part, atol=1e-16)
 
     def test_stress_and_tangent_match_fd(self, textile_params):
         rng = np.random.default_rng(23)
         for _ in range(100):
             C = random_C(rng, spread=0.25)
-            psi_fn = lambda c: textile_psi_stress_tangent(c, textile_params)[0]
-            _, st = textile_psi_stress_tangent(C, textile_params)
-            assert rel_err(fd_stress(psi_fn, C), st.S, floor=1e-8) < 1e-6
-            s_fn = lambda c: textile_psi_stress_tangent(c, textile_params)[1].S
-            assert rel_err(fd_tangent(s_fn, C), st.CC, floor=1e-8) < 1e-5
+            psi_fn = lambda c: textile_on_C(c, textile_params)[0]
+            _, S, CC = textile_on_C(C, textile_params)
+            assert rel_err(fd_stress(psi_fn, C), S, floor=1e-8) < 1e-6
+            s_fn = lambda c: textile_on_C(c, textile_params)[1]
+            assert rel_err(fd_tangent(s_fn, C), CC, floor=1e-8) < 1e-5
 
     def test_exponent_validation(self):
         with pytest.raises(ParameterError):
@@ -419,8 +422,7 @@ class TestTotalResponse:
         count = 0
         while count < 50:
             C = random_C(rng, spread=0.15, stretch=0.25)
-            _, E = tn.fiber_strain(C, params.collagen.H)
-            if E < 5e-2:
+            if collagen_on_C(C, params.collagen, 0.0)["fiber_strain"] < 5e-2:
                 continue
             count += 1
 
@@ -439,8 +441,7 @@ class TestTotalResponse:
         count = 0
         while count < 50:
             C = random_C(rng, spread=0.15, stretch=0.25)
-            _, E = tn.fiber_strain(C, params.collagen.H)
-            if E < 5e-2:
+            if collagen_on_C(C, params.collagen, 0.0)["fiber_strain"] < 5e-2:
                 continue
             count += 1
 
@@ -450,9 +451,9 @@ class TestTotalResponse:
             out = response_on_C(C[None], params, np.array([rho_n]), t, dt)
             assert rel_err(fd_tangent(stress, C), out["CC"][0]) < 1e-5
 
-    def test_batch_is_sum_of_point_helpers(self):
-        # one implementation per constituent: the Gauss-point batch and the
-        # single-point helpers must agree to round-off
+    def test_batch_is_sum_of_constituent_kernels(self):
+        # one implementation per constituent: the Gauss-point batch and each
+        # constituent's kernel at one point must agree to round-off
         params = make_material(kappa=0.1)
         rng = np.random.default_rng(27)
         C = np.array([random_C(rng, spread=0.2) for _ in range(40)])
@@ -460,11 +461,10 @@ class TestTotalResponse:
         out = response_on_C(C, params, np.full(len(C), rho), 2.0, 0.0)
         assert np.any(out["psi_m"] > 0.0) and np.any(out["psi_m"] == 0.0)
         for c, S, CC in zip(C, out["S"], out["CC"]):
-            parts = [matrix_psi_stress_tangent(c, params.matrix)[1],
-                     textile_psi_stress_tangent(c, params.textile)[1],
-                     collagen_stress(c, params.collagen, rho, None)]
-            assert rel_err(parts[0].S + parts[1].S + parts[2].S, S) <= 1e-14
-            assert rel_err(parts[0].CC + parts[1].CC + parts[2].CC, CC) <= 1e-14
+            mat, tex = matrix_on_C(c, params.matrix), textile_on_C(c, params.textile)
+            col = collagen_on_C(c, params.collagen, rho)
+            assert rel_err(mat[1] + tex[1] + col["S"], S) <= 1e-14
+            assert rel_err(mat[2] + tex[2] + col["CC"], CC) <= 1e-14
 
     def test_rejects_inverted_deformation(self):
         params = make_material()

@@ -6,12 +6,11 @@ import pytest
 from maturesim import calibrate, config, materials, matpoint
 from maturesim.errors import ParameterError, SolverError
 from maturesim.growth import GrowthState, bio_rate
-from maturesim.materials import (MaterialParams, MatrixParams, cauchy_stress,
-                                 collagen_stress, collagen_psi_mass)
+from maturesim.materials import MaterialParams, MatrixParams, cauchy_stress
 from maturesim.matpoint import (CSV_HEADER, FREE, LoadProgram, records_to_csv,
                                 solve_mixed_point, unloaded_maturation)
 
-from _oracles import ref_solve_mixed_point
+from _oracles import collagen_on_C, ref_solve_mixed_point
 from conftest import (deadline, make_collagen, make_growth, make_material,
                       make_matrix, make_textile)
 
@@ -459,7 +458,8 @@ class TestRecordedEnergy:
         assert sum(n for n, in calls) > len(recs)
         monkeypatch.undo()
         for r in recs:
-            expect, _ = collagen_psi_mass(r.F.T @ r.F, material_params.collagen)
+            expect = collagen_on_C(r.F.T @ r.F, material_params.collagen,
+                                   r.rho)["psi_m"]
             assert r.psi_m == pytest.approx(expect, rel=1e-14, abs=0.0)
         assert recs[-1].psi_m > 0.0
 
@@ -476,7 +476,7 @@ class TestCollagenScaling:
                                      init=GrowthState(rho=rel * co.rho_f))
             r = recs[-1]
             C = r.F.T @ r.F
-            s_co = collagen_stress(C, co, r.rho, np.zeros(6)).S[0]
+            s_co = collagen_on_C(C, co, r.rho)["S"][0]
             if rel == 1.0:
                 full = s_co
             else:
