@@ -45,6 +45,14 @@ The one march loop is the generator `march_steps`: it ramps the load,
 then advances the growth one accepted step at a time and yields each
 step's record and state once the step is committed.  `march_maturation`
 is its list-returning wrapper.
+
+scipy loads with the first `FemModel`, not with this module: the package,
+its point and calibration paths and the commands `fit`, `matpoint`, `grow`
+and `--version` use numpy alone and never import it.  The model's
+constructor imports `scipy.sparse.linalg`, `assemble` and `ramp_pressure`
+import the `scipy.sparse` names they use, and `splu` is this module's own
+function, which imports scipy's in its body, so that a stand-in set on the
+module before scipy loads stays the one `_solve_reduced` calls.
 """
 
 import copy
@@ -53,8 +61,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from ..errors import DeformationError, MeshError, ParameterError, SolverError
 from ..materials import (MaterialParams, cauchy_stress, response_batch,
@@ -162,6 +168,9 @@ class FemModel:
 
     def __init__(self, mesh: Mesh, params: MaterialParams,
                  dirichlet=(), loads=()):
+        # scipy's sparse LU loads as part of building the first model, not
+        # with this module, nor later with the first solve
+        import scipy.sparse.linalg  # noqa: F401
         self.mesh = mesh
         self.params = params
         self.conn = mesh.hex8
@@ -300,8 +309,9 @@ class FemModel:
             data = np.bincount(self._slot,
                                weights=np.concatenate([Ke.ravel()] + load_blocks),
                                minlength=self._nnz + 1)[:self._nnz]
+            from scipy.sparse import csc_matrix
             nf = len(self.free_idx)
-            K = sp.csc_matrix((data, self._indices, self._indptr), shape=(nf, nf))
+            K = csc_matrix((data, self._indices, self._indptr), shape=(nf, nf))
 
         aux = {
             "rho": resp["rho"],
@@ -453,7 +463,8 @@ def ramp_pressure(model: FemModel):
     fmax = np.abs(aux["fext"]).max(initial=0.0)
     k0 = 2.0 * (fmax or rnorm)
     k = k0
-    eye = sp.identity(len(model.free_idx), format="csc")
+    from scipy.sparse import identity
+    eye = identity(len(model.free_idx), format="csc")
     best, best_step = rnorm, 0
     for step in range(PSEUDO_MAXIT):
         if rnorm < RESIDUAL_TOL:
@@ -486,6 +497,16 @@ def ramp_pressure(model: FemModel):
                               residual=rnorm)
     raise SolverError("pseudo-transient continuation ran out of steps",
                       residual=rnorm)
+
+
+def splu(A, **options):
+    """scipy's `scipy.sparse.linalg.splu`: an LU factor of the CSC matrix A.
+
+    `_solve_reduced` calls it through this module, so it can be replaced
+    here to count or fail factorizations.
+    """
+    from scipy.sparse.linalg import splu as factor
+    return factor(A, **options)
 
 
 def _solve_reduced(K, rhs, lu=None, **diagnostics):
