@@ -15,7 +15,6 @@ import dataclasses
 import json
 import logging
 import os
-import shutil
 import sys
 
 import numpy as np
@@ -192,11 +191,9 @@ def _write_state(out, tag, model, u, aux):
              "sigma_xy", "sigma_xz", "sigma_yz")
     cell = {"rho": model.element_density(aux["rho"])}
     cell.update({n: sig[:, i] for i, n in enumerate(names)})
-    path = os.path.join(out, tag + ".vtk")
-    write_vtk(path, model.mesh,
+    write_vtk(os.path.join(out, tag + ".vtk"), model.mesh,
               point_vectors={"displacement": np.asarray(u).reshape(-1, 3)},
               cell_scalars=cell)
-    return path
 
 
 def _cmd_fem(args):
@@ -220,18 +217,13 @@ def _cmd_fem(args):
                          f"{last.rho_mean:.17g},{last.rho_max:.17g},"
                          f"{last.newton_iters},{last.cutbacks}\n")
                 cutbacks += last.cutbacks
-                snapshot = (_write_state(out, f"state_{k:04d}", model, u, aux)
-                            if args.vtk_every and k % args.vtk_every == 0 else None)
+                if args.vtk_every and k % args.vtk_every == 0:
+                    _write_state(out, f"state_{k:04d}", model, u, aux)
         except (SolverError, DeformationError) as exc:
             failure = exc     # history.csv keeps the steps accepted so far
     if failure is not None:
         raise failure
-    if snapshot is None:
-        _write_state(out, "final", model, u, aux)
-    else:       # the last step is written already
-        with open(snapshot, encoding="utf-8") as src, \
-                atomic_open(os.path.join(out, "final.vtk")) as fh:
-            shutil.copyfileobj(src, fh)
+    _write_state(out, "final", model, u, aux)
     summary = {"t_end": last.time, "deflection": last.deflection,
                "rho_mean": last.rho_mean, "rho_max": last.rho_max,
                "n_steps": k, "cutbacks": cutbacks}

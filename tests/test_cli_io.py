@@ -408,37 +408,6 @@ class TestCli:
         assert summary["cutbacks"] == sum(int(row.split(",")[-1])
                                           for row in lines[1:])
 
-    @pytest.mark.parametrize("every", [4, 3])
-    def test_final_state_written_once(self, tmp_path, monkeypatch, every):
-        # the 4-step march ends on a snapshot at --vtk-every 4, whose bytes
-        # final.vtk takes; at --vtk-every 3 it does not, and final.vtk is
-        # computed from the last state
-        calls = []
-        cell_cauchy = FemModel.cell_cauchy
-
-        def counted(model, aux):
-            calls.append(aux)
-            return cell_cauchy(model, aux)
-
-        monkeypatch.setattr(FemModel, "cell_cauchy", counted)
-        cfgfile = tmp_path / "cfg.json"
-        _write_json(cfgfile, SMALL_FEM)
-        out = tmp_path / "run"
-        assert main(["-q", "fem", "--config", str(cfgfile), "--out", str(out),
-                     "--vtk-every", str(every)]) == 0
-        n_steps = json.loads((out / "summary.json").read_text())["n_steps"]
-        assert n_steps == 4
-        states = sorted(out.glob("state_*.vtk"))
-        assert [p.name for p in states] == [f"state_{k:04d}.vtk"
-                                            for k in range(0, n_steps + 1, every)]
-        final = (out / "final.vtk").read_bytes()
-        if n_steps % every == 0:
-            assert final == states[-1].read_bytes()
-            assert len(calls) == len(states)
-        else:
-            assert final != states[-1].read_bytes()
-            assert len(calls) == len(states) + 1
-
     def test_bad_config_exits_one(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         _write_json(cfgfile, {"material": {"elastic": {}}})
