@@ -318,8 +318,6 @@ class FemModel:
             "fiber_strain": resp["fiber_strain"],
             "S": S6,
             "F": F,
-            "Jbar": Jbar,
-            "psi_point": resp["psi_point"],
             "residual": R,
             "fext": fext,
         }

@@ -59,8 +59,8 @@ class GrowthParams:
 @dataclass(frozen=True)
 class GrowthState:
     """Per-point internal state: density, and the per-mass collagen energy
-    and density sensitivity of its last update.  The fields are arrays when
-    the state belongs to a stack of points (see `total_response`).
+    of its last update.  The fields are arrays when the state belongs to a
+    stack of points (see `total_response`).
 
     Construction is the package's one admissibility check of a density and
     of psi_m: each must be finite and non-negative at every point, NaN
@@ -69,7 +69,6 @@ class GrowthState:
     """
 
     rho: float = 0.0
-    drho_dpsim: float = 0.0
     psi_m: float = 0.0
 
     def __post_init__(self):

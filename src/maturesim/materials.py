@@ -3,7 +3,9 @@
 All constituents are formulated in the reference configuration in terms of
 the right Cauchy-Green tensor C.  Second Piola-Kirchhoff stresses follow
 from S = 2 d psi / d C and tangents from CC = 4 d^2 psi / d C^2; see
-`tensors` for the 6-vector and 6x6 conventions.
+`tensors` for the 6-vector and 6x6 conventions.  The kernels evaluate
+those derivatives in closed form and not the energies themselves, except
+the collagen energy per mass psi_m, which drives the growth.
 
 The collagen energy is carried per unit collagen mass, so the stress term is
 
@@ -145,11 +147,11 @@ class TextileParams:
     builds the constants `textile_batch` evaluates with: the constant
     invariant gradients `grad_const` and the maps `inv_lin` (c to I1, I2t,
     I4t) and `grad_lin` (c to dI3t/dC, dI5t/dC); the monomial table of the
-    energy and its partials (`mono_*`, see `_textile_monomials` and
+    energy's first two partials (`mono_*`, see `_textile_monomials` and
     `_layered`); `curv`, the constant columns of the tangent; and the
-    positions among the monomial sums of psi and dpsi (`value_rows`), of
-    the coefficients of `curv` (`curv_rows`) and of the second partials by
-    u3 and u4 (`var_rows`).  Only the coefficients `mono_coef` depend on
+    positions among the monomial sums of dpsi (`dpsi_rows`), of the
+    coefficients of `curv` (`curv_rows`) and of the second partials by u3
+    and u4 (`var_rows`).  Only the coefficients `mono_coef` depend on
     the stiffness factors; `replace` keeps every other table when it
     changes nothing else.
     """
@@ -180,7 +182,7 @@ class TextileParams:
     mono_term: np.ndarray = field(init=False, repr=False)
     mono_pow: np.ndarray = field(init=False, repr=False)
     mono_layers: tuple = field(init=False, repr=False)
-    value_rows: np.ndarray = field(init=False, repr=False)
+    dpsi_rows: np.ndarray = field(init=False, repr=False)
     curv_rows: np.ndarray = field(init=False, repr=False)
     var_rows: np.ndarray = field(init=False, repr=False)
     curv: np.ndarray = field(init=False, repr=False)
@@ -209,7 +211,7 @@ class TextileParams:
         object.__setattr__(self, "mono_pow", powers[:, perm])
         object.__setattr__(self, "mono_layers", layers)
         at = {r: i for i, r in enumerate(order)}   # output row -> its sum
-        object.__setattr__(self, "value_rows", np.array([at[r] for r in range(6)]))
+        object.__setattr__(self, "dpsi_rows", np.array([at[r] for r in range(1, 6)]))
         object.__setattr__(self, "var_rows", np.array([at[24], at[30]]))
         # the tangent's constant columns, 4 times: a dyad of two constant
         # gradients, symmetrized, per second partial in I1, I2t and I4t,
@@ -269,7 +271,7 @@ _TEX_SHIFT = np.array([3.0, 1.0, 1.0, 1.0, 1.0])[:, None]
 
 
 def _textile_monomials(p):
-    """Monomial table of the textile energy and of its first two partials.
+    """Monomial table of the first two partials of the textile energy.
 
     In the shifted invariants u = (I1 - 3, I2t - 1, I4t - 1, I3t - 1,
     I5t - 1), the three with constant gradients first, the energy is a sum
@@ -279,11 +281,12 @@ def _textile_monomials(p):
     factors f, the index k of each monomial's stiffness factor in
     `TEXTILE_STIFFNESS` (its coefficient is f times that factor), the rows
     5 ea + a and 5 eb + b of the two factors in the power table
-    u^e_v (2, M), and each monomial's output row (psi 0, dpsi/du_v 1 + v,
-    d2psi/du_w du_v 6 + 5 w + v for w <= v), sorted by row; within a row
-    the seven terms keep their order.  Only the exponents enter the table.
-    I3t and I5t enter one term each, so no second partial pairs them with
-    another invariant.
+    u^e_v (2, M), and each monomial's output row (dpsi/du_v 1 + v,
+    d2psi/du_w du_v 6 + 5 w + v for w <= v; row 0 would be psi, which is
+    differentiated but not tabled), sorted by row; within a row the seven
+    terms keep their order.  Only the exponents enter the table.  I3t and
+    I5t enter one term each, so no second partial pairs them with another
+    invariant.
     """
     terms = [  # (k, a, ea, b, eb), k indexing TEXTILE_STIFFNESS
         (0, 1, p.beta1, 0, 0),
@@ -295,7 +298,7 @@ def _textile_monomials(p):
         (6, 1, p.xi, 2, p.xi),
     ]
     level = [(1, k, a, ea, b, eb, 0) for k, a, ea, b, eb in terms]
-    table = list(level)
+    table = []
     # the partial by u_v of a monomial in row r lands in row
     # base + 5 (r - prev) + v: psi (row 0) feeds rows 1 + v, and
     # dpsi/du_w (row 1 + w) feeds rows 6 + 5 w + v, kept for w <= v
@@ -363,28 +366,25 @@ class StressTangent:
 
 
 def matrix_batch(c, ci, J, p: MatrixParams, pbar=None, tangent=True):
-    """Matrix energy, stress and tangent for a batch of C tensors.
+    """Matrix stress and tangent for a batch of C tensors.
 
-    Takes the (6, N) components c of C and ci of C^-1 with J = sqrt(det C),
-    (N,), from a caller that has checked the deformation; nothing is
-    inverted or checked here.  The volumetric law U(J) is
-    `volumetric_energy`; its stress is p J C^-1.  With `pbar=None`
-    p = U'(J) pointwise and the tangent has the bulk block
-    J^2 U''(J) C^-1 (x) C^-1.  Otherwise p = `pbar` (N,), the
-    (element-mean) U'(Jbar), and the caller owns the element-level coupling.
+    The energy is mu/2 (I1 - 3) - mu ln J + U(J), with the volumetric law
+    U(J) = lam/4 (J^2 - 1 - 2 ln J).  Takes the (6, N) components c of C
+    and ci of C^-1 with J = sqrt(det C), (N,), from a caller that has
+    checked the deformation; nothing is inverted or checked here.  The
+    volumetric stress is p J C^-1.  With `pbar=None` p = U'(J) pointwise
+    and the tangent has the bulk block J^2 U''(J) C^-1 (x) C^-1.
+    Otherwise p = `pbar` (N,), the (element-mean) U'(Jbar), and the caller
+    owns the element-level coupling.
 
-    Returns (psi_mu, U_local, S (6, N), CC (36, N)); CC is None with
-    tangent=False.
+    Returns (S (6, N), CC (36, N)); CC is None with tangent=False.
     """
-    I1 = c[0] + c[1] + c[2]
-    psi_mu = 0.5 * p.mu * (I1 - 3.0) - p.mu * np.log(J)
-    U_local = volumetric_energy(J, p)
     pv = volumetric_pressure(J, p) if pbar is None else np.asarray(pbar, dtype=float)
     pJ = pv * J
 
     S = p.mu * (_I6 - ci) + pJ * ci
     if not tangent:
-        return psi_mu, U_local, S, None
+        return S, None
     # CC = 2 (mu - p J) C^-1 (.) C^-1 + w C^-1 (x) C^-1, w = p J plus the
     # bulk term J^2 U''(J) where p is pointwise; C^-1 (.) C^-1 is half the
     # sum of two gathers of ci (x) ci, and the half and the 2 cancel exactly
@@ -394,13 +394,7 @@ def matrix_batch(c, ci, J, p: MatrixParams, pbar=None, tangent=True):
     CC *= p.mu - pJ
     w = pJ if pbar is not None else pJ + J**2 * volumetric_modulus(J, p)
     CC += ((w * ci)[:, None] * ci).reshape(36, -1)
-    return psi_mu, U_local, S, CC
-
-
-def volumetric_energy(J, p: MatrixParams):
-    """Matrix volumetric energy U(J) = lam/4 (J^2 - 1 - 2 ln J)."""
-    J = np.asarray(J, dtype=float)
-    return 0.25 * p.lam * (J**2 - 1.0 - 2.0 * np.log(J))
+    return S, CC
 
 
 def volumetric_pressure(J, p: MatrixParams):
@@ -458,7 +452,7 @@ def _collagen_stress_tangent(p: CollagenParams, psi_m, dpsi, curv, rho, D, D2,
 
 
 def _textile_sums(c, lin, p: TextileParams):
-    """The monomial sums of the textile energy and its partials at the
+    """The monomial sums of the textile energy's partials at the
     (6, N) components c of C, with lin the (2, 6, N) gradients dI3t/dC and
     dI5t/dC: an (R, N) array, its rows in the order `_layered` gives them.
     The power table is freed on return."""
@@ -492,7 +486,7 @@ def _textile_sums(c, lin, p: TextileParams):
 
 
 def textile_batch(c, p: TextileParams, tangent=True):
-    """Textile energy, stress and tangent for a batch of C tensors.
+    """Textile stress and tangent for a batch of C tensors.
 
     Takes the (6, N) components c of C.  The energy is a polynomial in the
     shifted invariants u (see `_textile_monomials`).  With A the (5, 6, N)
@@ -500,12 +494,11 @@ def textile_batch(c, p: TextileParams, tangent=True):
     in the order of u), S = 2 A^T dpsi and CC = 4 (A^T P A +
     dpsi_3 d2I3t/dC2 + dpsi_4 d2I5t/dC2).  All powers of u come from one
     table built by repeated multiplication; the monomials and their sums
-    into psi, dpsi and P are tables on `p` (see `_layered`).  Rows 0-2 of
-    A are constant, so every term of CC but P_33 and P_44 is a constant
+    into dpsi and P are tables on `p` (see `_layered`).  Rows 0-2 of A
+    are constant, so every term of CC but P_33 and P_44 is a constant
     column of `p.curv` times a partial; those two are per-point dyads of
-    the rows linear in C.  Returns (psi (N,), S (6, N), CC (36, N)); CC is
-    None with tangent=False, and the second partials are then summed but
-    not used.
+    the rows linear in C.  Returns (S (6, N), CC (36, N)); CC is None with
+    tangent=False, and the second partials are then summed but not used.
     """
     n = c.shape[1]
     # rows of A: dI/dC = I, M1, M2, C M1 + M1 C, C M2 + M2 C
@@ -513,15 +506,14 @@ def textile_batch(c, p: TextileParams, tangent=True):
     A[:3] = p.grad_const[..., None]
     lin = np.einsum("bvk,bn->vkn", p.grad_lin, c, out=A[3:])
     d = _textile_sums(c, lin, p)
-    val = d.take(p.value_rows, axis=0)   # psi, dpsi/du
-    S = np.einsum("vn,van->an", val[1:], A)
+    S = np.einsum("vn,van->an", d.take(p.dpsi_rows, axis=0), A)
     S *= 2.0
     if not tangent:
-        return val[0], S, None
+        return S, None
     CC = np.einsum("kc,kn->cn", p.curv, d.take(p.curv_rows, axis=0))
     dyad = (4.0 * d.take(p.var_rows, axis=0))[:, None] * lin
     CC += np.einsum("van,vbn->abn", dyad, lin).reshape(36, n)
-    return val[0], S, CC
+    return S, CC
 
 
 def _cauchy_green(F, Finv, n):
@@ -554,11 +546,9 @@ def response_batch(F, Finv, J, params: MaterialParams, rho_n, t, dt,
     the float range raises DeformationError.  The answer at a point does
     not depend on the other points of the batch, bit for bit.
 
-    Returns a dict of arrays over F's leading axes: S, CC, rho,
-    drho_dpsim, psi_m, fiber_strain, psi_point (pointwise energy
-    density: matrix shear + textile + collagen), U_local (pointwise matrix
-    volumetric energy).  With tangent=False no tangent work is done and CC
-    is None; the other arrays are unchanged.
+    Returns a dict of arrays over F's leading axes: S, CC, rho, psi_m and
+    fiber_strain.  With tangent=False no tangent work is done and CC is
+    None; the other arrays are unchanged.
     """
     lead = F.shape[:-2]
     n = F.size // 9
@@ -573,9 +563,9 @@ def response_batch(F, Finv, J, params: MaterialParams, rho_n, t, dt,
             # the textile first, so that the tangent buffer it returns is
             # the only (36, N) array alive through its peak; adding the
             # matrix terms into it gives the bits of the reverse order
-            psi_tex, S, CC = textile_batch(c, params.textile, tangent=tangent)
-            psi_mu, U_local, S_mat, CC_mat = matrix_batch(
-                c, ci, J, params.matrix, pbar=pbar, tangent=tangent)
+            S, CC = textile_batch(c, params.textile, tangent=tangent)
+            S_mat, CC_mat = matrix_batch(c, ci, J, params.matrix, pbar=pbar,
+                                         tangent=tangent)
             rho, D, D2 = update_density_batch(rho_n, psi_m, t, dt, params.growth)
             S_co, CC_co = _collagen_stress_tangent(params.collagen, psi_m, dpsi,
                                                    curv, rho, D, D2,
@@ -586,7 +576,6 @@ def response_batch(F, Finv, J, params: MaterialParams, rho_n, t, dt,
                 CC += CC_mat
                 CC += CC_co
                 CC = np.ascontiguousarray(CC.T).reshape(lead + (6, 6))
-            psi_point = psi_mu + psi_tex + rho * psi_m
     except FloatingPointError as exc:
         raise DeformationError("material response overflows at this "
                                "deformation") from exc
@@ -594,11 +583,8 @@ def response_batch(F, Finv, J, params: MaterialParams, rho_n, t, dt,
         "S": np.ascontiguousarray(S.T).reshape(lead + (6,)),
         "CC": CC,
         "rho": rho.reshape(lead),
-        "drho_dpsim": D.reshape(lead),
         "psi_m": psi_m.reshape(lead),
         "fiber_strain": E.reshape(lead),
-        "psi_point": psi_point.reshape(lead),
-        "U_local": U_local.reshape(lead),
     }
 
 
@@ -609,8 +595,8 @@ def total_response(F, params: MaterialParams, state: GrowthState, dt, t,
     Runs the density update over the step (t - dt, t] when dt > 0 and
     returns the total stress/tangent pair together with the new growth
     state.  With dt == 0 the density is frozen: the new state keeps
-    `state.rho` but carries this deformation's psi_m and drho_dpsim = 0,
-    not the input state's.  F may also be a stack (..., 3, 3) of points;
+    `state.rho` but carries this deformation's psi_m, not the input
+    state's.  F may also be a stack (..., 3, 3) of points;
     `state.rho` is then one density for all of them or an array over F's
     leading axes, one per point, and the stress, tangent and the fields of
     the new state are stacks over those axes.  With tangent=False the
@@ -625,7 +611,7 @@ def total_response(F, params: MaterialParams, state: GrowthState, dt, t,
     Finv, J = tn.deformation_inv_det(F)
     rho_n = np.broadcast_to(np.asarray(state.rho, dtype=float), lead).reshape(-1)
     out = response_batch(F, Finv, J, params, rho_n, t, dt, tangent=tangent)
-    fields = {k: out[k].reshape(lead) for k in ("rho", "drho_dpsim", "psi_m")}
+    fields = {k: out[k].reshape(lead) for k in ("rho", "psi_m")}
     if not lead:
         fields = {k: float(v) for k, v in fields.items()}
     CC = out["CC"].reshape(lead + (6, 6)) if tangent else None

@@ -29,8 +29,9 @@ STRESS_TOL = 1e-10
 #: where the stresses are so large that STRESS_TOL lies below their round-off
 STEP_RTOL = 1e-15
 NEWTON_MAXIT = 30
-#: most steps `unloaded_maturation` takes (its arrays are allocated whole)
-UNLOADED_MAX_STEPS = 1_000_000
+#: most steps of a load program or of `unloaded_maturation` (their paths
+#: are allocated whole)
+MAX_STEPS = 1_000_000
 
 FREE = "free"
 
@@ -46,8 +47,9 @@ class LoadProgram:
     array of knot values.  Values are stretches, or engineering strains when
     `strain_measure` == "engineering" (converted at construction).  Between
     knots the controlled values are interpolated linearly and each interval
-    is cut into `steps_per_interval` equal growth steps.  `grow=False`
-    freezes the density (pure hyperelastic protocol).
+    is cut into `steps_per_interval` equal growth steps, at most
+    MAX_STEPS in all.  `grow=False` freezes the density (pure hyperelastic
+    protocol).
     """
 
     times: np.ndarray
@@ -71,6 +73,8 @@ class LoadProgram:
             raise ParameterError("controls must cover exactly three axes")
         if self.steps_per_interval < 1:
             raise ParameterError("steps_per_interval must be at least 1")
+        if self.steps_per_interval * (times.size - 1) > MAX_STEPS:
+            raise ParameterError(f"program has more than {MAX_STEPS} steps")
         parsed = []
         n_controlled = 0
         for ax, c in enumerate(self.controls):
@@ -322,8 +326,8 @@ def unloaded_maturation(p: GrowthParams, t_end, dt):
     """
     if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
         raise ParameterError("t_end and dt must be positive and finite")
-    if t_end / dt > UNLOADED_MAX_STEPS:
-        raise ParameterError(f"dt = {dt:g} gives more than {UNLOADED_MAX_STEPS} "
+    if t_end / dt > MAX_STEPS:
+        raise ParameterError(f"dt = {dt:g} gives more than {MAX_STEPS} "
                              f"steps up to t_end = {t_end:g}")
     n = int(round(t_end / dt))
     if n < 1:

@@ -1,8 +1,13 @@
 """Shared finite-difference oracles, random-state generators and reference
-kernels (elements, textile energy and invariants, 3x3 inverse, mechanical
-growth rate, point solver) for tests, with the small helpers only tests
-use and adapters that call the component-major material kernels at C
-(..., 3, 3) and return their answers in the (..., 6) layout.
+kernels (elements, constituent energies, textile invariants and kernel,
+3x3 inverse, growth rates and density update, point solver) for tests,
+with the small helpers only tests use and adapters that call the
+component-major material kernels at C (..., 3, 3) and return their
+answers in the (..., 6) layout.
+
+The package evaluates no energy but the collagen energy per mass; every
+check of S = 2 d psi / d C differentiates a reference energy written
+here from the model's formulas.
 
 The FD rules mirror the symmetric-tensor convention of the package: a
 6-vector direction n perturbs the component pair (i, j) and (j, i) of C
@@ -11,6 +16,7 @@ multiplicity w_n.
 """
 
 import numpy as np
+from scipy.optimize import brentq
 
 from maturesim import matpoint
 from maturesim import tensors as tn
@@ -92,21 +98,20 @@ def _components(C):
     return tn.to_voigt(C).reshape(-1, 6).T, C.shape[:-2]
 
 
-def _over(lead, psi, S, CC):
-    """An energy (N,), a stress (6, N) and a tangent (36, N) of the kernels
-    over the leading axes lead: (...), (..., 6) and (..., 6, 6)."""
-    return psi.reshape(lead), S.T.reshape(lead + (6,)), CC.T.reshape(lead + (6, 6))
+def _over(lead, S, CC):
+    """A stress (6, N) and a tangent (36, N) of the kernels over the leading
+    axes lead: (..., 6) and (..., 6, 6)."""
+    return S.T.reshape(lead + (6,)), CC.T.reshape(lead + (6, 6))
 
 
 def matrix_on_C(C, p):
     """`matrix_batch` at right Cauchy-Green tensors C (..., 3, 3), checked
-    and inverted by `deformation_inv_det`: the energy psi_mu + U, S and CC
-    over C's leading axes."""
+    and inverted by `deformation_inv_det`: S and CC over C's leading
+    axes."""
     c, lead = _components(C)
     Cinv, detC = tn.deformation_inv_det(C)
-    psi_mu, U, S, CC = matrix_batch(c, _components(Cinv)[0],
-                                    np.sqrt(detC).reshape(-1), p)
-    return _over(lead, psi_mu + U, S, CC)
+    return _over(lead, *matrix_batch(c, _components(Cinv)[0],
+                                     np.sqrt(detC).reshape(-1), p))
 
 
 def collagen_on_C(C, p, rho, D=0.0, D2=0.0):
@@ -118,15 +123,15 @@ def collagen_on_C(C, p, rho, D=0.0, D2=0.0):
     c, lead = _components(C)
     psi_m, dpsi, curv, E = collagen_psim_batch(c, p)
     S, CC = _collagen_stress_tangent(p, psi_m, dpsi, curv, rho, D, D2)
-    psi_m, S, CC = _over(lead, psi_m, S, CC)
-    return {"psi_m": psi_m, "fiber_strain": E.reshape(lead),
+    S, CC = _over(lead, S, CC)
+    return {"psi_m": psi_m.reshape(lead), "fiber_strain": E.reshape(lead),
             "dpsim_dC": (dpsi * p.h6[:, None]).T.reshape(lead + (6,)),
             "S": S, "CC": CC}
 
 
 def textile_on_C(C, p):
-    """`textile_batch` at right Cauchy-Green tensors C (..., 3, 3): psi, S
-    and CC over C's leading axes."""
+    """`textile_batch` at right Cauchy-Green tensors C (..., 3, 3): S and
+    CC over C's leading axes."""
     c, lead = _components(C)
     return _over(lead, *textile_batch(c, p))
 
@@ -195,11 +200,56 @@ def ref_volume_gradient(F, J, dNdX, wdet):
     return G.reshape(G.shape[0], 24)
 
 
-# -- reference constitutive, growth and 3x3 kernels ---------------------------
-# The pow-based textile kernel and the LAPACK inverse and determinant that
+# -- reference energies, constitutive, growth and 3x3 kernels -----------------
+# The constituent energies the package differentiates in closed form, the
+# pow-based textile kernel and the LAPACK inverse and determinant that
 # maturesim.materials.textile_batch and maturesim.tensors.inv_det3 replace,
-# and the mechanical growth rate that maturesim.growth._mech_partials
-# differentiates, kept as the plain statement of what those compute.
+# and the growth rates and density update of maturesim.growth, kept as the
+# plain statement of what those compute.  The energies take right
+# Cauchy-Green tensors C (..., 3, 3) and return (...).
+
+def volumetric_energy(J, p):
+    """Matrix volumetric energy U(J) = lam/4 (J^2 - 1 - 2 ln J)."""
+    J = np.asarray(J, dtype=float)
+    return 0.25 * p.lam * (J**2 - 1.0 - 2.0 * np.log(J))
+
+
+def ref_matrix_energy(C, p, volumetric=True):
+    """Compressible Neo-Hooke energy mu/2 (I1 - 3) - mu ln J + U(J),
+    J = sqrt(det C); without U(J) with volumetric=False, the pointwise part
+    of the FE assembly, whose volumetric energy is the element-mean one."""
+    C = np.asarray(C, dtype=float)
+    J = np.sqrt(np.linalg.det(C))
+    psi = 0.5 * p.mu * (np.trace(C, axis1=-2, axis2=-1) - 3.0) - p.mu * np.log(J)
+    return psi + volumetric_energy(J, p) if volumetric else psi
+
+
+def ref_collagen_psim(C, p):
+    """Collagen energy per mass k1/(2 k2) (exp(k2 E^2) - 1)/rho_f of the
+    fiber strain E = tr(C H) - 1, H = kappa I + (1 - 3 kappa) a (x) a;
+    zero where E <= 0."""
+    C = np.asarray(C, dtype=float)
+    H = p.kappa * np.eye(3) + (1.0 - 3.0 * p.kappa) * np.outer(p.a, p.a)
+    E = np.maximum(np.einsum("...ij,ij->...", C, H) - 1.0, 0.0)
+    return 0.5 * p.k1 / p.k2 * (np.exp(p.k2 * E**2) - 1.0) / p.rho_f
+
+
+def ref_textile_energy(C, p):
+    """Textile energy: the seven monomials of the shifted invariants."""
+    u1, u2, u3, u4, u5 = _shifted_invariants(C, p)
+    return (p.k1_1 * u2**p.beta1 + p.k2_1 * u3**p.beta2 + p.k1_2 * u4**p.gamma1
+            + p.k2_2 * u5**p.gamma2 + p.k_coup1 * u1**p.delta1 * u2**p.delta1
+            + p.k_coup2 * u1**p.delta2 * u4**p.delta2
+            + p.k_coup_ani * u2**p.xi * u4**p.xi)
+
+
+def ref_energy(C, params, rho, volumetric=True):
+    """Energy density of the mixture at density rho: matrix (see
+    `ref_matrix_energy` for `volumetric`), textile and rho psi_m."""
+    return (ref_matrix_energy(C, params.matrix, volumetric)
+            + ref_textile_energy(C, params.textile)
+            + rho * ref_collagen_psim(C, params.collagen))
+
 
 def ref_mech_rate(rho, psi_m, p):
     """Mechanically driven density rate, written from its formula
@@ -208,6 +258,25 @@ def ref_mech_rate(rho, psi_m, p):
     q = (psi_m - p.psi_crit) / p.psi_crit
     rate = p.a2 * p.c_cell * np.exp(-rho / p.rho_th) * rho * q
     return np.where(psi_m >= p.psi_crit, rate, 0.0)
+
+
+def ref_density_update(rho_n, psi_m, t, dt, p):
+    """Backward-Euler density of one point: the root of
+    rho - rho_n - dt (bio(t) + mech(rho, psi_m)) above the bio-only
+    predictor, bracketed by doubling and found by `brentq` to round-off.
+    The bio rate is a1 c_cell h/tau (t/tau)^(h-1) exp(-(t/tau)^h)."""
+    x = t / p.tau
+    base = rho_n + dt * p.a1 * p.c_cell * p.h / p.tau * x ** (p.h - 1.0) * np.exp(-x**p.h)
+
+    def r(rho):
+        return rho - base - dt * float(ref_mech_rate(rho, psi_m, p))
+
+    if r(base) == 0.0:
+        return base
+    hi = 2.0 * base + 1.0
+    while r(hi) <= 0.0:
+        hi *= 2.0
+    return brentq(r, base, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 
 def ref_inv_det3(A):
@@ -230,17 +299,18 @@ def textile_invariants(C, M1, M2):
     return i1, i2, i3, i4, i5
 
 
-def ref_textile_batch(C, p):
-    """Textile energy, stress and tangent term by term, powers by `**`."""
-    C = np.asarray(C, dtype=float)
+def _shifted_invariants(C, p):
+    """u = (I1 - 3, I2t - 1, I3t - 1, I4t - 1, I5t - 1) of the textile."""
     i1, i2, i3, i4, i5 = textile_invariants(C, p.M1, p.M2)
-    u1, u2, u3, u4, u5 = i1 - 3.0, i2 - 1.0, i3 - 1.0, i4 - 1.0, i5 - 1.0
+    return i1 - 3.0, i2 - 1.0, i3 - 1.0, i4 - 1.0, i5 - 1.0
+
+
+def ref_textile_batch(C, p):
+    """Textile stress and tangent term by term, powers by `**`."""
+    C = np.asarray(C, dtype=float)
+    u1, u2, u3, u4, u5 = _shifted_invariants(C, p)
     b1, b2, g1, g2, d1, d2, xi = (
         p.beta1, p.beta2, p.gamma1, p.gamma2, p.delta1, p.delta2, p.xi)
-
-    psi = (p.k1_1 * u2**b1 + p.k2_1 * u3**b2 + p.k1_2 * u4**g1 + p.k2_2 * u5**g2
-           + p.k_coup1 * u1**d1 * u2**d1 + p.k_coup2 * u1**d2 * u4**d2
-           + p.k_coup_ani * u2**xi * u4**xi)
 
     # first partials w.r.t. the shifted invariants u1..u5
     p1 = d1 * p.k_coup1 * u1 ** (d1 - 1) * u2**d1 + d2 * p.k_coup2 * u1 ** (d2 - 1) * u4**d2
@@ -288,7 +358,7 @@ def ref_textile_batch(C, p):
         CC += coef[..., None, None] * (tn.sym_outer_product(np.eye(3), M)
                                        + tn.sym_outer_product(M, np.eye(3)))
     CC *= 4.0
-    return psi, S, CC
+    return S, CC
 
 
 # -- reference point solver ----------------------------------------------------

@@ -434,12 +434,14 @@ class TestCli:
 
     @pytest.mark.parametrize("command, flag, value", [
         ("grow", "--dt", "nan"), ("grow", "--dt", "inf"), ("grow", "--dt", "1e-300"),
-        ("matpoint", "--stretch", "nan"), ("matpoint", "--ratio", "inf")])
+        ("matpoint", "--stretch", "nan"), ("matpoint", "--ratio", "inf"),
+        ("matpoint", "--steps", "1000000000000")])
     def test_non_finite_flags_exit_one(self, tmp_path, capsys, command, flag,
                                        value):
         # usage errors, not a traceback or a "solver failure" (2), and
         # rejected before any arithmetic on them can warn; --dt 1e-300 asks
-        # for 2.8e301 unloaded steps, past the step bound
+        # for 2.8e301 unloaded steps and --steps 1e12 for a 1e12-step path,
+        # both past the step bound
         with deadline(60), warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["-q", command, "--out", str(tmp_path / "r"), flag, value])

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maturesim import config
@@ -20,8 +20,8 @@ from maturesim.fem import elements as el
 from maturesim.fem import solver
 from maturesim.fem.mesh import Mesh
 from maturesim.fem.solver import RESIDUAL_TOL
-from maturesim.materials import (response_batch, volumetric_energy,
-                                 volumetric_modulus, volumetric_pressure)
+from maturesim.materials import (response_batch, volumetric_modulus,
+                                 volumetric_pressure)
 from maturesim.matpoint import STRESS_TOL, LoadProgram, solve_mixed_point
 
 from conftest import deadline, make_material
@@ -75,6 +75,40 @@ class TestStaticSolves:
         u_exact = mesh.nodes @ A.T
         assert np.abs(u.reshape(-1, 3) - u_exact).max() < 1e-8
         # every Gauss point carries the same stress
+        S = aux["S"].reshape(-1, 6)
+        assert np.abs(S - S[0]).max() < 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(shift=st.lists(st.floats(-0.6, 0.6), min_size=12, max_size=12),
+           grad=st.lists(st.floats(-0.01, 0.01), min_size=9, max_size=9))
+    def test_patch_test_on_random_meshes(self, shift, grad):
+        # the four interior nodes of a 3x3x2 strip of unit cubes moved at
+        # random, an affine field prescribed on every boundary node: a
+        # folded element is refused as a MeshError when the model is built,
+        # and on a non-degenerate mesh, every Gauss-point Jacobian at least
+        # 5 % of the undistorted cube's 1/8, the solve from zero reproduces
+        # the field with one stress at every Gauss point.  (Newton from
+        # zero can invert an element whose Jacobian is below about 1 %.)
+        mesh = strip_mesh(3.0, 3.0, 2.0, 3, 3, 2)
+        nodes = mesh.nodes.copy()
+        bnd = _all_boundary(mesh)
+        interior = np.setdiff1d(np.arange(mesh.n_nodes), bnd)
+        assert len(interior) == 4
+        nodes[interior] += np.reshape(shift, (4, 3))
+        mesh = Mesh(nodes=nodes, hex8=mesh.hex8,
+                    node_sets={**mesh.node_sets, "boundary": bnd},
+                    face_sets=mesh.face_sets)
+        A = np.reshape(grad, (3, 3))
+        with deadline(10):
+            try:
+                model = FemModel(mesh, make_material(), dirichlet=[
+                    Dirichlet("boundary", value=lambda X: X @ A.T)])
+            except MeshError:
+                return
+            assume(model.wdet.min() >= 0.05 / 8.0)
+            u, aux, _ = model.solve_step(np.zeros(model.n_dof), t=0.0, dt=0.0,
+                                         tol=1e-10)
+        assert np.abs(u.reshape(-1, 3) - nodes @ A.T).max() < 1e-8
         S = aux["S"].reshape(-1, 6)
         assert np.abs(S - S[0]).max() < 1e-8
 
@@ -642,9 +676,13 @@ class TestRampAndEnergy:
             u, fext_prev = u_new, aux["fext"]
         # the discrete internal energy whose gradient the assembly returns:
         # the pointwise energies and the element-mean volumetric energy
-        energy = (float((model.wdet * aux["psi_point"]).sum())
-                  + float((model.V0 * volumetric_energy(aux["Jbar"],
-                                                        params.matrix)).sum()))
+        F = aux["F"]
+        C = F.swapaxes(-1, -2) @ F
+        Jbar = el.mean_dilatation(np.linalg.det(F), model.wdet, model.V0)
+        psi = ref.ref_energy(C, params, aux["rho"], volumetric=False)
+        energy = (float((model.wdet * psi).sum())
+                  + float((model.V0 * ref.volumetric_energy(Jbar,
+                                                            params.matrix)).sum()))
         assert energy == pytest.approx(work, rel=0.01)
         assert energy > 0.0
 

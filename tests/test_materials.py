@@ -15,29 +15,31 @@ from maturesim.materials import (CollagenParams, MatrixParams, TextileParams,
                                  cauchy_stress, response_batch, total_response)
 
 from _oracles import (collagen_on_C, fd_stress, fd_tangent, matrix_on_C,
-                      random_C, random_F, random_rotation, ref_textile_batch,
-                      rel_err, response_on_C, textile_on_C)
+                      random_C, random_F, random_rotation, ref_collagen_psim,
+                      ref_density_update, ref_energy, ref_matrix_energy,
+                      ref_textile_batch, ref_textile_energy, rel_err,
+                      response_on_C, textile_on_C)
 from conftest import (EX, EY, deadline, make_collagen, make_growth,
                       make_material, make_matrix, make_textile)
 
 
 class TestMatrix:
     def test_stress_free_reference(self, matrix_params):
-        psi, S, _ = matrix_on_C(np.eye(3), matrix_params)
-        assert psi == 0.0
+        S, _ = matrix_on_C(np.eye(3), matrix_params)
+        assert ref_matrix_energy(np.eye(3), matrix_params) == 0.0
         assert np.allclose(S, 0.0, atol=1e-15)
 
     def test_uniaxial_closed_form(self, matrix_params):
         # S = mu (I - C^-1) + lam/2 (J^2 - 1) C^-1 at C = diag(1.44, 1, 1)
         C = np.diag([1.44, 1.0, 1.0])
-        _, S, _ = matrix_on_C(C, matrix_params)
+        S, _ = matrix_on_C(C, matrix_params)
         assert S[0] == pytest.approx(1.5430555555555552, rel=1e-12)
         mu, lam, J2 = 0.05, 10.0, 1.44
         assert S[1] == pytest.approx(mu * 0.0 + lam / 2 * (J2 - 1), rel=1e-12)
         assert np.allclose(S[3:], 0.0, atol=1e-15)
 
     def test_small_strain_moduli(self, matrix_params):
-        _, _, CC = matrix_on_C(np.eye(3), matrix_params)
+        _, CC = matrix_on_C(np.eye(3), matrix_params)
         lam, mu = matrix_params.lam, matrix_params.mu
         assert CC[0, 0] == pytest.approx(lam + 2 * mu, rel=1e-12)
         assert CC[0, 1] == pytest.approx(lam, rel=1e-12)
@@ -47,16 +49,16 @@ class TestMatrix:
         rng = np.random.default_rng(20)
         for _ in range(100):
             C = random_C(rng, spread=0.3)
-            psi_fn = lambda c: matrix_on_C(c, matrix_params)[0]
-            _, S, _ = matrix_on_C(C, matrix_params)
+            psi_fn = lambda c: ref_matrix_energy(c, matrix_params)
+            S, _ = matrix_on_C(C, matrix_params)
             assert rel_err(fd_stress(psi_fn, C), S) < 1e-6
 
     def test_tangent_matches_fd_stress(self, matrix_params):
         rng = np.random.default_rng(21)
         for _ in range(100):
             C = random_C(rng, spread=0.3)
-            s_fn = lambda c: matrix_on_C(c, matrix_params)[1]
-            _, _, CC = matrix_on_C(C, matrix_params)
+            s_fn = lambda c: matrix_on_C(c, matrix_params)[0]
+            _, CC = matrix_on_C(C, matrix_params)
             assert rel_err(fd_tangent(s_fn, C), CC) < 1e-5
             assert np.allclose(CC, CC.T, rtol=1e-12)
 
@@ -118,7 +120,7 @@ class TestCollagen:
             if out["fiber_strain"] < 1e-3:
                 continue
             count += 1
-            psi_fn = lambda c: rho * collagen_on_C(c, p, rho)["psi_m"]
+            psi_fn = lambda c: rho * ref_collagen_psim(c, p)
             assert rel_err(fd_stress(psi_fn, C), out["S"]) < 1e-6
             s_fn = lambda c: collagen_on_C(c, p, rho)["S"]
             assert rel_err(fd_tangent(s_fn, C), out["CC"]) < 1e-5
@@ -154,8 +156,8 @@ class TestCollagen:
 
 class TestTextile:
     def test_stress_free_reference(self, textile_params):
-        psi, S, _ = textile_on_C(np.eye(3), textile_params)
-        assert psi == 0.0
+        S, _ = textile_on_C(np.eye(3), textile_params)
+        assert ref_textile_energy(np.eye(3), textile_params) == 0.0
         assert np.allclose(S, 0.0, atol=1e-18)
 
     def test_energy_reference_value(self, textile_params):
@@ -164,7 +166,7 @@ class TestTextile:
         expected = (38.51e-3 * u2**3 + 1.48e-3 * u3**2 + 214.39e-3 * u4**4
                     + 0.0001e-3 * u5**2 + 183.72e-3 * u1**2 * u2**2
                     + 58.71e-3 * u1**3 * u4**3 + 571.83e-3 * u2**12 * u4**12)
-        psi = textile_on_C(np.diag([1.44, 1.21, 1.0]), textile_params)[0]
+        psi = ref_textile_energy(np.diag([1.44, 1.21, 1.0]), textile_params)
         assert psi == pytest.approx(expected, rel=1e-13)
 
     def test_transverse_group_vanishes_at_first_order(self, textile_params):
@@ -177,18 +179,18 @@ class TestTextile:
             beta1=3, beta2=2, gamma1=4, gamma2=2, delta1=2, delta2=3, xi=12,
             n1=EX, n2=EY)
         C = np.diag([1.3, 1.0, 0.95])
-        full = textile_on_C(C, textile_params)[1]
-        part = textile_on_C(C, reduced)[1]
+        full = textile_on_C(C, textile_params)[0]
+        part = textile_on_C(C, reduced)[0]
         assert np.allclose(full, part, atol=1e-16)
 
     def test_stress_and_tangent_match_fd(self, textile_params):
         rng = np.random.default_rng(23)
         for _ in range(100):
             C = random_C(rng, spread=0.25)
-            psi_fn = lambda c: textile_on_C(c, textile_params)[0]
-            _, S, CC = textile_on_C(C, textile_params)
+            psi_fn = lambda c: ref_textile_energy(c, textile_params)
+            S, CC = textile_on_C(C, textile_params)
             assert rel_err(fd_stress(psi_fn, C), S, floor=1e-8) < 1e-6
-            s_fn = lambda c: textile_on_C(c, textile_params)[1]
+            s_fn = lambda c: textile_on_C(c, textile_params)[0]
             assert rel_err(fd_tangent(s_fn, C), CC, floor=1e-8) < 1e-5
 
     def test_exponent_validation(self):
@@ -239,7 +241,7 @@ class TestTextileKernel:
         got = textile_on_C(C, p)
         self._agree(got, ref_textile_batch(C, p))
         if state == "identity":
-            assert np.all(got[0] == 0.0) and np.all(got[1] == 0.0)
+            assert np.all(got[0] == 0.0)
 
     def test_substituted_params_use_their_own_tables(self):
         # a fit rebuilds TextileParams for every trial point and drops the
@@ -248,13 +250,13 @@ class TestTextileKernel:
         base = make_material()
         rng = np.random.default_rng(41)
         C = np.array([random_C(rng, spread=0.2, stretch=0.1) for _ in range(5)])
-        seen = [textile_on_C(C, base.textile)[0]]
+        seen = [textile_on_C(C, base.textile)[0]]   # the stresses
         for k1_1, k_ani in ((0.031, 0.2), (0.5, 0.9), (0.2, 0.05), (2.0, 0.0)):
             p = substitute(base, ["textile.k1_1", "textile.k_coup_ani"],
                            [k1_1, k_ani]).textile
             got = textile_on_C(C, p)
             self._agree(got, ref_textile_batch(C, p))
-            assert not any(np.allclose(got[0], psi) for psi in seen)
+            assert not any(np.allclose(got[0], S) for S in seen)
             seen.append(got[0])
             del p, got
 
@@ -292,9 +294,9 @@ class TestTextileKernel:
     def test_batch_shape_follows_input(self, textile_params):
         rng = np.random.default_rng(43)
         C = np.array([random_C(rng) for _ in range(6)]).reshape(2, 3, 3, 3)
-        psi, S, CC = textile_on_C(C, textile_params)
-        assert psi.shape == (2, 3) and S.shape == (2, 3, 6) and CC.shape == (2, 3, 6, 6)
-        self._agree((psi, S, CC), ref_textile_batch(C, textile_params))
+        S, CC = textile_on_C(C, textile_params)
+        assert S.shape == (2, 3, 6) and CC.shape == (2, 3, 6, 6)
+        self._agree((S, CC), ref_textile_batch(C, textile_params))
 
 
 class TestTotalResponse:
@@ -311,7 +313,7 @@ class TestTotalResponse:
 
     def test_frozen_growth_passthrough(self):
         params = make_material()
-        state = GrowthState(rho=3.0, drho_dpsim=0.5)
+        state = GrowthState(rho=3.0)
         _, new = total_response(np.diag([1.1, 1.0, 1.0]), params, state, 0.0, 1.0)
         assert new.rho == 3.0
 
@@ -320,7 +322,6 @@ class TestTotalResponse:
         st, new = total_response(np.diag([1.1, 1.0, 1.0]), params,
                                  GrowthState(rho=5.0), 0.1, 2.0)
         assert new.rho > 5.0
-        assert new.drho_dpsim > 0.0
 
     def test_fiber_strain_limit(self):
         # E = 15 along the fibers: the collagen law refuses it before its
@@ -367,7 +368,7 @@ class TestTotalResponse:
         alone, alone_new = total_response(F, params, state, dt, 2.0, tangent=False)
         assert alone.CC is None
         assert np.array_equal(alone.S, full.S)
-        for name in ("rho", "drho_dpsim", "psi_m"):
+        for name in ("rho", "psi_m"):
             assert np.array_equal(getattr(alone_new, name), getattr(full_new, name))
 
     @pytest.mark.parametrize("dt", [0.0, 0.1])
@@ -382,13 +383,13 @@ class TestTotalResponse:
         state = GrowthState(rho=5.0)
         st, new = total_response(F, params, state, dt, 2.0)
         assert st.S.shape == (2, 3, 6) and st.CC.shape == (2, 3, 6, 6)
-        assert new.rho.shape == new.psi_m.shape == new.drho_dpsim.shape == (2, 3)
+        assert new.rho.shape == new.psi_m.shape == (2, 3)
         for idx in np.ndindex(2, 3):
             one, one_new = total_response(F[idx], params, state, dt, 2.0)
             assert isinstance(one_new.rho, float) and one.S.shape == (6,)
             assert rel_err(st.S[idx], one.S) <= 1e-14
             assert rel_err(st.CC[idx], one.CC) <= 1e-14
-            for name in ("rho", "drho_dpsim", "psi_m"):
+            for name in ("rho", "psi_m"):
                 assert getattr(new, name)[idx] == pytest.approx(
                     getattr(one_new, name), rel=1e-14, abs=0.0)
         assert np.all(new.rho > 5.0) if dt > 0.0 else np.all(new.rho == 5.0)
@@ -409,7 +410,7 @@ class TestTotalResponse:
                                           GrowthState(rho=float(rho[idx])), dt, 2.0)
             assert np.array_equal(st.S[idx], one.S[idx])
             assert np.array_equal(st.CC[idx], one.CC[idx])
-            for name in ("rho", "drho_dpsim", "psi_m"):
+            for name in ("rho", "psi_m"):
                 assert getattr(new, name)[idx] == getattr(one_new, name)[idx]
         assert np.all(new.rho > rho) if dt > 0.0 else np.array_equal(new.rho, rho)
 
@@ -427,11 +428,12 @@ class TestTotalResponse:
             count += 1
 
             def potential(c):
-                out = response_on_C(c[None], params, np.array([rho_n]), t, dt)
-                return float(out["psi_point"][0] + out["U_local"][0])
+                psi_m = ref_collagen_psim(c, params.collagen)
+                rho = ref_density_update(rho_n, psi_m, t, dt, params.growth)
+                return float(ref_energy(c, params, rho))
 
             out = response_on_C(C[None], params, np.array([rho_n]), t, dt)
-            assert out["drho_dpsim"][0] > 0.0
+            assert out["psi_m"][0] >= params.growth.psi_crit   # growth active
             assert rel_err(fd_stress(potential, C), out["S"][0]) < 1e-6
 
     def test_coupled_tangent_matches_fd_of_stress(self):
@@ -463,8 +465,8 @@ class TestTotalResponse:
         for c, S, CC in zip(C, out["S"], out["CC"]):
             mat, tex = matrix_on_C(c, params.matrix), textile_on_C(c, params.textile)
             col = collagen_on_C(c, params.collagen, rho)
-            assert rel_err(mat[1] + tex[1] + col["S"], S) <= 1e-14
-            assert rel_err(mat[2] + tex[2] + col["CC"], CC) <= 1e-14
+            assert rel_err(mat[0] + tex[0] + col["S"], S) <= 1e-14
+            assert rel_err(mat[1] + tex[1] + col["CC"], CC) <= 1e-14
 
     def test_rejects_inverted_deformation(self):
         params = make_material()
@@ -484,9 +486,10 @@ class TestTotalResponse:
         full = response_on_C(C, params, rho_n, 3.0, dt, pbar=pbar)
         lean = response_on_C(C, params, rho_n, 3.0, dt, pbar=pbar, tangent=False)
         assert lean["CC"] is None
-        assert np.any(full["psi_m"] > 0.0)
-        assert np.any(full["drho_dpsim"] > 0.0) == (dt > 0.0)
-        for key in ("S", "rho", "drho_dpsim", "psi_m", "psi_point", "U_local"):
+        assert full.keys() == {"S", "CC", "rho", "psi_m", "fiber_strain"}
+        # the mechanical growth branch runs at some points when dt > 0
+        assert np.any(full["psi_m"] >= params.growth.psi_crit)
+        for key in ("S", "rho", "psi_m", "fiber_strain"):
             assert np.array_equal(lean[key], full[key]), key
 
 
@@ -508,8 +511,8 @@ class TestTotalResponse:
                 if with_pbar else None)
         full = response_batch(F, Finv, J, params, rho_n, 3.0, dt, pbar=pbar,
                               tangent=tangent)
-        assert np.any(full["psi_m"] > 0.0)
-        assert np.any(full["drho_dpsim"] > 0.0) == (dt > 0.0)
+        # the mechanical growth branch runs at some points when dt > 0
+        assert np.any(full["psi_m"] >= params.growth.psi_crit)
         for sl in (np.s_[0, 0], np.s_[117, 5], np.s_[239:240, 7:8],
                    np.s_[40:57, 3]):
             part = response_batch(F[sl], Finv[sl], J[sl], params, rho_n[sl],

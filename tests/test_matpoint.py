@@ -47,6 +47,20 @@ class TestProgramValidation:
             with pytest.raises(ParameterError):
                 LoadProgram(times=times, controls=([1.0, 1.1, 1.2], FREE, FREE))
 
+    def test_step_count_bounds(self):
+        # the path is allocated whole, so a program of more than MAX_STEPS
+        # steps is refused at construction (1e12 steps used to end in a
+        # numpy allocation error); MAX_STEPS itself is accepted
+        bound = matpoint.MAX_STEPS
+        for times, steps in [([0.0, 1.0], 0), ([0.0, 1.0], bound + 1),
+                             ([0.0, 1.0, 2.0], bound // 2 + 1),
+                             ([0.0, 1.0], 10**12)]:
+            with pytest.raises(ParameterError):
+                LoadProgram(times=times, controls=(FREE, np.ones(len(times)), FREE),
+                            steps_per_interval=steps)
+        LoadProgram(times=[0.0, 1.0], controls=(FREE, np.ones(2), FREE),
+                    steps_per_interval=bound)
+
     def test_engineering_measure_converts(self):
         p = LoadProgram(times=[0.0, 1.0], controls=([0.0, 0.2], FREE, FREE),
                         strain_measure="engineering")
@@ -534,7 +548,7 @@ class TestUnloadedMaturation:
     def test_domain(self, growth_params):
         # dt = inf, or a dt over twice t_end, gives no step at all; a tiny
         # dt more steps than the bound (the arrays are allocated whole)
-        over = matpoint.UNLOADED_MAX_STEPS + 1.0
+        over = matpoint.MAX_STEPS + 1.0
         for t_end, dt in [(-1.0, 0.1), (1.0, 0.0), (np.nan, 0.1), (np.inf, 0.1),
                           (1.0, np.nan), (1.0, np.inf), (1.0, 2.5),
                           (28.0, 1e-300), (28.0, 5e-324), (over, 1.0)]:
