@@ -15,8 +15,8 @@ That program belongs to the one `fit_material` call, so its history
 repeats with the fit; a prediction within a fit meets the same free-axis
 stress tolerance as a cold call of the model, and equals it bit for bit
 where the fitted constants leave the free stretches in place.
-`substitute` keeps the textile tables that a trial's constants leave
-unchanged.
+`substitute` keeps the collagen and textile tables that a trial's
+constants leave unchanged.
 """
 
 import dataclasses
@@ -281,9 +281,9 @@ def _fit(problem, xtol, ftol):
         total = 0.0
         for s, pred in zip(series, preds):
             pred = np.asarray(pred, dtype=float)
-            if pred.shape != s.y.shape or not np.all(np.isfinite(pred)):
+            if pred.shape != s.y.shape or not np.isfinite(pred).all():
                 return np.inf
-            total += float(np.sum(s.weights * (pred - s.y) ** 2))
+            total += float((s.weights * (pred - s.y) ** 2).sum())
         return total
 
     nm = nelder_mead(objective, problem.x0, bounds=problem.bounds,
@@ -303,9 +303,11 @@ def substitute(base: MaterialParams, names, values) -> MaterialParams:
     """Rebuild a parameter bundle with dotted fields replaced.
 
     Names take the form "collagen.k1", "textile.k_coup_ani", "matrix.mu" or
-    "growth.a2"; replacement re-validates the affected block.  A textile
-    block whose stiffness factors alone change keeps its direction and
-    exponent tables (`TextileParams.replace`).
+    "growth.a2"; replacement re-validates the affected block.  A collagen
+    block whose k1, k2 or rho_f alone change keeps its direction tables
+    (`CollagenParams.replace`), and a textile block whose stiffness factors
+    alone change its direction and exponent tables
+    (`TextileParams.replace`).
     """
     groups = {}
     for name, v in zip(names, values):
@@ -316,7 +318,7 @@ def substitute(base: MaterialParams, names, values) -> MaterialParams:
     kw = {}
     for block, fields in groups.items():
         old = getattr(base, block)
-        if block == "textile":
+        if block in ("collagen", "textile"):
             kw[block] = old.replace(**fields)
         else:
             kw[block] = dataclasses.replace(old, **fields)
@@ -357,7 +359,8 @@ class _Program:
     with one density per knot.  Holds the path stretches with the
     controlled axes set (`lams`, one row per knot), the free axes and the
     knot densities (`rho`), laid out by `program_path` from a `LoadProgram`
-    that validates the abscissae, and, once a solve of it succeeded, the
+    that validates the abscissae, each protocol's slice of the knots after
+    the reference one (`parts`), and, once a solve of it succeeded, the
     free stretches that solve converged to (`start`) and whether it
     converged at its own start (`at_start`).
     """
@@ -379,7 +382,8 @@ class _Program:
         _, self.lams, self.free = program_path(LoadProgram(
             times=np.arange(self.rho.size, dtype=float), controls=controls,
             strain_measure=measure, grow=False))
-        self.splits = np.cumsum(sizes)[:-1]
+        ends = np.cumsum(sizes).tolist()
+        self.parts = [slice(end - n, end) for n, end in zip(sizes, ends)]
         self.start = None
         self.at_start = False
 
@@ -392,12 +396,12 @@ class _Program:
         """
         lams, S = _solve_program(self, params)
         P = lams[1:, 0] * S[1:, 0]
-        if np.all(np.isfinite(P)):
+        if np.isfinite(P).all():
             stretches = lams[:, self.free]
             self.at_start = (self.start is not None
-                             and np.array_equal(stretches, self.start))
+                             and bool((stretches == self.start).all()))
             self.start = stretches
-        return np.split(P, self.splits)
+        return [P[part] for part in self.parts]
 
 
 def _solve_program(prog, params):

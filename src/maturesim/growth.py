@@ -49,11 +49,14 @@ class GrowthParams:
     h: float
 
     def __post_init__(self):
+        # each bound is a comparison that NaN fails
         for name in ("a1", "a2", "psi_crit", "rho_th", "c_cell", "tau"):
-            if getattr(self, name) <= 0.0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.h <= 1.0:
-            raise ParameterError(f"Weibull shape h must exceed 1, got {self.h}")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ParameterError(f"{name} must be positive and finite, "
+                                     f"got {getattr(self, name)}")
+        if not 1.0 < self.h < np.inf:
+            raise ParameterError(f"Weibull shape h must exceed 1 and be finite, "
+                                 f"got {self.h}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ class GrowthState:
                            ("psi_m", "collagen energy per unit mass")):
             value = np.asarray(getattr(self, name), dtype=float)
             # NaN fails both comparisons
-            if not np.all((value >= 0.0) & (value < np.inf)):
+            if not ((value >= 0.0) & (value < np.inf)).all():
                 raise StateError(f"{what} must be finite and non-negative, "
                                  f"got {getattr(self, name)}")
 
@@ -146,14 +149,14 @@ def update_density_batch(rho_n, psi_m, t_np1, dt, p: GrowthParams):
     if not 0.0 <= dt < np.inf:
         raise ParameterError(f"dt must be finite and non-negative, got {dt}")
 
-    D = np.zeros_like(rho_n)
-    D2 = np.zeros_like(rho_n)
+    D = np.zeros(rho_n.shape)
+    D2 = np.zeros(rho_n.shape)
     if dt == 0.0:
         return rho_n.copy(), D, D2
 
     rho = rho_n + dt * bio_rate(t_np1, p)
     active = psi_m >= p.psi_crit
-    if not np.any(active):
+    if not active.any():
         return rho, D, D2
 
     x, Da, D2a = _update_active(rho[active], psi_m[active], dt, p)
@@ -201,7 +204,7 @@ def _update_active(base, psi_a, dt, p: GrowthParams):
     """
     with np.errstate(over="ignore"):
         q = (psi_a - p.psi_crit) / p.psi_crit
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         # an excess that overflows leaves no root to find in floating point
         worst = int(np.argmax(psi_a))
         raise SolverError("density update did not converge", residual=np.inf,
@@ -218,7 +221,7 @@ def _update_active(base, psi_a, dt, p: GrowthParams):
         m, m_r, m_p, m_rr, m_rp = _mech_partials(x, q, p)
         r = x - base - dt * m
         dr = 1.0 - dt * m_r
-        if np.any(dr == 0.0):
+        if (dr == 0.0).any():
             # the bifurcation of the roots rho = 0 and rho = rho_th*L (base
             # = 0, L = 0): neither a Newton step on r nor D exists there
             worst = int(np.argmax(dr == 0.0))
@@ -228,7 +231,7 @@ def _update_active(base, psi_a, dt, p: GrowthParams):
                               iterations=it)
         tol = _update_tolerance(x, dr)
         converged = np.abs(r) <= tol
-        if np.all(converged):
+        if converged.all():
             break
         d = x - base
         # d = 0 only at points converged at base; their step is discarded
@@ -242,7 +245,7 @@ def _update_active(base, psi_a, dt, p: GrowthParams):
         x_new = np.where(converged, x,
                          np.where(np.abs(x_log - x) < 1e-8 * x, x_r, x_log))
         failed = ~converged & ((x_new == prev) | (it == UPDATE_MAXIT))
-        if np.any(failed):
+        if failed.any():
             worst = int(np.argmax(np.where(failed, np.abs(r) / tol, 0.0)))
             raise SolverError("density update did not converge",
                               residual=float(abs(r[worst])),

@@ -53,6 +53,8 @@ _I6 = tn.IDENTITY6[:, None]
 _W = tn.VOIGT_WEIGHTS[:, None]
 _EYE3 = np.eye(3)
 FIBER_STRAIN_MAX = 10.0   # far outside any physical state
+#: the collagen constants that no direction table depends on
+COLLAGEN_SCALARS = ("k1", "k2", "rho_f")
 #: the textile stiffness factors, in the order of `_textile_monomials`
 TEXTILE_STIFFNESS = ("k1_1", "k2_1", "k1_2", "k2_2", "k_coup1", "k_coup2",
                      "k_coup_ani")
@@ -89,6 +91,16 @@ def _sum_rows(P, out=None):
     return out
 
 
+def _validated_copy(p, changes):
+    """A shallow copy of the frozen parameter block p, sharing its tables,
+    with the fields in `changes` set and checked by its `_validate`."""
+    new = copy.copy(p)
+    for name, value in changes.items():
+        object.__setattr__(new, name, value)
+    new._validate()
+    return new
+
+
 @dataclass(frozen=True)
 class MatrixParams:
     """Compressible Neo-Hooke ground matrix; lam and mu in MPa."""
@@ -97,10 +109,11 @@ class MatrixParams:
     mu: float
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ParameterError(f"mu must be positive, got {self.mu}")
-        if self.lam < 0.0:
-            raise ParameterError(f"lam must be non-negative, got {self.lam}")
+        # each bound is a comparison that NaN fails
+        if not 0.0 < self.mu < np.inf:
+            raise ParameterError(f"mu must be positive and finite, got {self.mu}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ParameterError(f"lam must be non-negative and finite, got {self.lam}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +125,8 @@ class CollagenParams:
     fully mature density the energy is normalized with.  Construction
     builds H, its components h6, the (6, 1) weights hw with
     tr(C H) = sum(hw * c) and the tangent block H (x) H as a (36, 1)
-    column, hh.
+    column, hh.  Only kappa and `a` enter them; `replace` keeps them when
+    it changes nothing else.
     """
 
     k1: float
@@ -126,15 +140,30 @@ class CollagenParams:
     hh: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.k1 <= 0.0 or self.k2 <= 0.0:
-            raise ParameterError("k1 and k2 must be positive")
-        if self.rho_f <= 0.0:
-            raise ParameterError(f"rho_f must be positive, got {self.rho_f}")
+        self._validate()
         object.__setattr__(self, "a", tn.unit_vector(self.a))
         object.__setattr__(self, "H", tn.gen_structural_tensor(self.a, self.kappa))
         object.__setattr__(self, "h6", tn.to_voigt(self.H))
         object.__setattr__(self, "hw", (tn.VOIGT_WEIGHTS * self.h6)[:, None])
         object.__setattr__(self, "hh", tn.outer6(self.h6, self.h6).reshape(36, 1))
+
+    def _validate(self):
+        # a comparison that NaN fails; kappa and `a` are checked as H is built
+        for name in COLLAGEN_SCALARS:
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ParameterError(f"{name} must be positive and finite, "
+                                     f"got {getattr(self, name)}")
+
+    def replace(self, **changes):
+        """`dataclasses.replace(self, **changes)`, validated alike.
+
+        Where `changes` holds k1, k2 or rho_f only, the copy keeps this
+        instance's direction tables (H, h6, hw, hh); a kappa or `a` change
+        rebuilds them.
+        """
+        if not set(changes) <= set(COLLAGEN_SCALARS):
+            return dataclasses.replace(self, **changes)
+        return _validated_copy(self, changes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,12 +265,14 @@ class TextileParams:
         self._set_coef()
 
     def _validate(self):
+        # comparisons that NaN fails, the exponents' before int() sees them
         for name in TEXTILE_STIFFNESS:
-            if getattr(self, name) < 0.0:
-                raise ParameterError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ParameterError(f"{name} must be non-negative and finite, "
+                                     f"got {getattr(self, name)}")
         for name in ("beta1", "beta2", "gamma1", "gamma2", "delta1", "delta2", "xi"):
             e = getattr(self, name)
-            if int(e) != e or e < 2:
+            if not 2 <= e < np.inf or int(e) != e:
                 raise ParameterError(f"exponent {name} must be an integer >= 2, got {e}")
             object.__setattr__(self, name, int(e))
 
@@ -258,10 +289,7 @@ class TextileParams:
         """
         if not set(changes) <= set(TEXTILE_STIFFNESS):
             return dataclasses.replace(self, **changes)
-        new = copy.copy(self)
-        for name, value in changes.items():
-            object.__setattr__(new, name, value)
-        new._validate()
+        new = _validated_copy(self, changes)
         new._set_coef()
         return new
 
@@ -609,7 +637,7 @@ def total_response(F, params: MaterialParams, state: GrowthState, dt, t,
     lead = F.shape[:-2]
     F = F.reshape(-1, 3, 3)
     Finv, J = tn.deformation_inv_det(F)
-    rho_n = np.broadcast_to(np.asarray(state.rho, dtype=float), lead).reshape(-1)
+    rho_n = np.full(lead, state.rho, dtype=float).reshape(-1)
     out = response_batch(F, Finv, J, params, rho_n, t, dt, tangent=tangent)
     fields = {k: out[k].reshape(lead) for k in ("rho", "psi_m")}
     if not lead:

@@ -35,6 +35,8 @@ MAX_STEPS = 1_000_000
 
 FREE = "free"
 
+_EYE3 = np.eye(3)
+
 CSV_HEADER = "time,F11,F22,F33,S11,S22,S33,sigma11,sigma22,sigma33,rho,psi_m"
 
 
@@ -252,33 +254,37 @@ def _newton_free_axes(lams, free, params, rho, dt, t, probe=False):
     """
     lams = np.array(lams, dtype=float)
     n = len(lams)
-    S, sigma = np.empty((n, 6)), np.empty((n, 6))
-    rho_new, psi_m = np.empty(n), np.empty(n)
-    rho = np.broadcast_to(rho, n)
-    h_diag = np.diag(params.collagen.H)
-    diag = np.diag_indices(len(free))
+    rho = np.full(n, rho, dtype=float)
     todo = np.arange(n)
-    at_root = np.zeros(n, dtype=bool)
+    lam = lams
+    at_root = False
+    out = None   # (S, sigma, rho, psi_m), once a pass leaves points to go
     for _ in range(NEWTON_MAXIT):
-        lam = lams[todo]
-        st, new_state = total_response(lam[:, :, None] * np.eye(3), params,
+        st, new_state = total_response(lam[:, :, None] * _EYE3, params,
                                        GrowthState(rho=rho[todo]), dt, t,
                                        tangent=not probe)
-        J = np.prod(lam, axis=1)[:, None]
+        J = lam.prod(axis=1)[:, None]
         sig = (lam[:, VOIGT_I] * st.S) * lam[:, VOIGT_J] / J
         res = sig[:, free]
-        err = np.max(np.abs(res), axis=1, initial=0.0)
+        err = np.abs(res).max(axis=1, initial=0.0)
         done = (err <= STRESS_TOL) | at_root
+        found = (st.S, sig, new_state.rho, new_state.psi_m)
+        if out is None:
+            if done.all():
+                # every point converged at its start: the pass's arrays
+                # are the answer
+                return (lams,) + found
+            out = tuple(np.empty((n,) + a.shape[1:]) for a in found)
         hit = todo[done]
-        S[hit], sigma[hit] = st.S[done], sig[done]
-        rho_new[hit], psi_m[hit] = new_state.rho[done], new_state.psi_m[done]
+        for a, v in zip(out, found):
+            a[hit] = v[done]
         if done.all():
-            return lams, S, sigma, rho_new, psi_m
+            return (lams,) + out
         go = ~done
         todo, lam, J, res, err = todo[go], lam[go], J[go], res[go], err[go]
         if probe:
             # the points off their root, at the same stretches
-            st, _ = total_response(lam[:, :, None] * np.eye(3), params,
+            st, _ = total_response(lam[:, :, None] * _EYE3, params,
                                    GrowthState(rho=rho[todo]), dt, t)
             S_go, CC_go, probe = st.S, st.CC, False
         else:
@@ -289,6 +295,7 @@ def _newton_free_axes(lams, free, params, rho, dt, t, probe=False):
         CCf = CC_go[:, free][:, :, free]
         jac = (lf[:, :, None] ** 2 * (CCf * lf[:, None, :]) / J[:, :, None]
                - res[:, :, None] / lf[:, None, :])
+        diag = np.diag_indices(len(free))
         jac[:, diag[0], diag[1]] += 2.0 * lf * S_go[:, free] / J
         try:
             step = np.linalg.solve(jac, -res[:, :, None])[:, :, 0]
@@ -297,11 +304,12 @@ def _newton_free_axes(lams, free, params, rho, dt, t, probe=False):
                               residual=float(np.max(err))) from exc
         # a full step within STEP_RTOL of the stretches: the point's next
         # evaluation is its last
-        at_root = np.all(np.abs(step) <= STEP_RTOL * lf, axis=1)
+        at_root = (np.abs(step) <= STEP_RTOL * lf).all(axis=1)
         # keep iterates physical: halve a free stretch's step until it stays
         # above a twentieth of its old value, and a point's whole step until
         # its fiber strain stays within the collagen law's limit; the old
         # iterate meets both bounds, so halving always ends
+        h_diag = np.diag(params.collagen.H)
         trial = lam.copy()
         while True:
             trial[:, free] = lf + step
@@ -312,6 +320,7 @@ def _newton_free_axes(lams, free, params, rho, dt, t, probe=False):
             step[low] *= 0.5
             step[over] *= 0.5
         lams[todo[:, None], free] = trial[:, free]
+        lam = trial
     worst = int(np.argmax(err))
     raise SolverError("free-axis Newton did not converge",
                       residual=float(err[worst]), tolerance=STRESS_TOL,

@@ -103,10 +103,13 @@ def inv_det3(A):
 
 
 def unit_vector(v):
-    """Normalize a direction vector; reject vectors of vanishing length."""
+    """Normalize a direction vector; reject vectors that are not finite or
+    of vanishing length."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ParameterError(f"direction must be a 3-vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ParameterError(f"direction must be finite, got {v}")
     n = float(np.linalg.norm(v))
     if n < 1e-12:
         raise ParameterError("direction vector has (near-)zero length")

@@ -4,11 +4,14 @@ negative (`GrowthState`, StateError), a deformation that is not finite or
 has det F <= 0 (`tensors.deformation_inv_det`, DeformationError) or whose
 material response overflows (`materials.response_batch`, DeformationError),
 a Weibull time, scale, shape or step that is not finite and positive
-(ParameterError), a calibration density (StateError) or biaxial ratio
+(ParameterError), a material or growth constant or direction that is not
+finite or breaks its bound (the parameter blocks, whether built or
+replaced, ParameterError), a calibration density (StateError) or biaxial ratio
 (FitError) that no solve could use, raised before any solve, and a data
 point that is not finite or a weight that is not finite and >= 0
 (`calibrate.DataSeries`, FitError), raised before any fit."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -45,6 +48,43 @@ def with_bad(bad, size, index, good=1.0):
     out = np.full(size, good)
     out[index % size] = bad
     return out
+
+
+# every bounded scalar of the parameter blocks, as `substitute` names it
+PARAM_NAMES = (["matrix.lam", "matrix.mu"]
+               + [f"collagen.{k}" for k in ("k1", "k2", "kappa", "rho_f")]
+               + [f"textile.{k}" for k in materials.TEXTILE_STIFFNESS
+                  + ("beta1", "beta2", "gamma1", "gamma2", "delta1", "delta2", "xi")]
+               + [f"growth.{k}" for k in ("a1", "a2", "psi_crit", "rho_th",
+                                          "c_cell", "tau", "h")])
+
+
+class TestParameterBlocks:
+    # NaN compares false with every bound, so a bound written as a test for
+    # the inadmissible side lets it through; an exponent must fail its bound
+    # before int() sees it
+    @SETTINGS
+    @given(bad=NON_FINITE, name=st.sampled_from(PARAM_NAMES))
+    @example(bad=np.nan, name="growth.psi_crit")
+    @example(bad=np.nan, name="matrix.lam")
+    @example(bad=np.inf, name="collagen.k2")
+    @example(bad=np.inf, name="textile.k1_2")
+    @example(bad=np.nan, name="textile.xi")
+    def test_non_finite_constants(self, bad, name):
+        base = make_material()
+        block, _, field = name.partition(".")
+        # by a trial's replacement, and by construction
+        raises_typed(ParameterError, calibrate.substitute, base, [name], [bad])
+        raises_typed(ParameterError, dataclasses.replace, getattr(base, block),
+                     **{field: bad})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block,field", [("collagen", "a"), ("textile", "n1"),
+                                             ("textile", "n2")])
+    def test_non_finite_directions(self, bad, block, field):
+        raises_typed(ParameterError, dataclasses.replace,
+                     getattr(make_material(), block),
+                     **{field: np.array([1.0, bad, 0.0])})
 
 
 class TestGrowthInputs:

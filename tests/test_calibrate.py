@@ -141,6 +141,14 @@ class TestSubstitute:
         assert p.textile.k1_1 == 0.02
         assert p.matrix.mu == material_params.matrix.mu
 
+    def test_collagen_scalars_keep_the_direction_tables(self, material_params):
+        p = substitute(material_params, ["collagen.k1", "collagen.rho_f"], [0.9, 30.0])
+        assert (p.collagen.k1, p.collagen.rho_f) == (0.9, 30.0)
+        assert p.collagen.hh is material_params.collagen.hh
+        q = substitute(material_params, ["collagen.kappa"], [0.2])
+        assert q.collagen.hh is not material_params.collagen.hh
+        assert q.collagen.kappa == 0.2
+
     def test_unknown_name(self, material_params):
         with pytest.raises(FitError):
             substitute(material_params, ["fabric.k1"], [1.0])

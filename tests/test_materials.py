@@ -153,6 +153,50 @@ class TestCollagen:
         with pytest.raises(ParameterError):
             CollagenParams(k1=-1.0, k2=4.0, kappa=0.0, a=EX, rho_f=38.71)
 
+    _RAW = {"k1": 0.825, "k2": 4.0, "kappa": 0.15,
+            "a": np.array([1.0, 0.4, -0.2]), "rho_f": 38.71}
+    _TABLES = ("H", "h6", "hw", "hh")
+
+    def _replaced_and_fresh(self, changes):
+        base = CollagenParams(**self._RAW)
+        return base, base.replace(**changes), CollagenParams(**{**self._RAW, **changes})
+
+    @pytest.mark.parametrize("changes", [{"k1": 0.5}, {"k2": 6.0, "rho_f": 20.0},
+                                         {"k1": 1.1, "k2": 3.0, "rho_f": 40.0}])
+    def test_replace_of_scalars_keeps_the_direction_tables(self, changes):
+        base, p, fresh = self._replaced_and_fresh(changes)
+        for name in self._TABLES:
+            assert getattr(p, name) is getattr(base, name)
+        for name in ("a",) + self._TABLES:
+            assert np.array_equal(getattr(p, name), getattr(fresh, name))
+        for name in ("k1", "k2", "kappa", "rho_f"):
+            assert getattr(p, name) == getattr(fresh, name)
+        assert base.k1 == self._RAW["k1"] and base.rho_f == self._RAW["rho_f"]
+        rng = np.random.default_rng(7)
+        C = np.array([random_C(rng, spread=0.2, stretch=0.2) for _ in range(5)])
+        got = collagen_on_C(C, p, 20.0, 0.3, 0.1)
+        want = collagen_on_C(C, fresh, 20.0, 0.3, 0.1)
+        for key in want:
+            assert np.array_equal(got[key], want[key])
+
+    @pytest.mark.parametrize("changes", [{"kappa": 0.2}, {"a": EY},
+                                         {"kappa": 0.1, "k1": 0.5}])
+    def test_replace_of_a_direction_rebuilds_the_tables(self, changes):
+        base, p, fresh = self._replaced_and_fresh(changes)
+        for name in self._TABLES:
+            assert getattr(p, name) is not getattr(base, name)
+            assert np.array_equal(getattr(p, name), getattr(fresh, name))
+
+    @pytest.mark.parametrize("name,bad", [
+        ("k1", 0.0), ("k2", -1.0), ("rho_f", np.nan), ("k1", np.inf),
+        ("k2", np.nan), ("rho_f", -np.inf), ("kappa", 0.5), ("kappa", np.nan),
+        ("a", np.zeros(3)), ("a", np.array([np.nan, 0.0, 1.0]))])
+    def test_replace_validates_as_construction(self, name, bad):
+        with pytest.raises(ParameterError):
+            CollagenParams(**{**self._RAW, name: bad})
+        with pytest.raises(ParameterError):
+            CollagenParams(**self._RAW).replace(**{name: bad})
+
 
 class TestTextile:
     def test_stress_free_reference(self, textile_params):
