@@ -37,9 +37,9 @@ class NelderMeadResult:
 
     `x` is the best vertex and `f` its objective; `n_evals` counts every
     objective evaluation; `converged` is true when the simplex met `xtol`
-    or `ftol` (`reason` says which, or "max_evals"); `trace` holds one
-    (evaluation count, best objective) pair per simplex iteration, so its
-    length is the iteration count.  The command line reports `n_evals` and
+    or `ftol` before `max_evals` ran out; `trace` holds one (evaluation
+    count, best objective) pair per simplex iteration, so its length is the
+    iteration count.  The command line reports `n_evals` and
     `converged`, and the benchmark reads `n_evals`.
     """
 
@@ -47,7 +47,6 @@ class NelderMeadResult:
     f: float
     n_evals: int
     converged: bool
-    reason: str
     trace: list
 
 
@@ -98,7 +97,6 @@ def nelder_mead(fn, x0, bounds=None, max_evals=2000, xtol=1e-8, ftol=1e-12):
         fs.append(f(xi))
 
     trace = []
-    reason = "max_evals"
     converged = False
     while evals < max_evals:
         order = np.argsort(fs, kind="stable")
@@ -108,11 +106,8 @@ def nelder_mead(fn, x0, bounds=None, max_evals=2000, xtol=1e-8, ftol=1e-12):
 
         diam = max(np.max(np.abs(p - simplex[0])) for p in simplex[1:])
         spread = fs[-1] - fs[0]
-        if diam < xtol:
-            converged, reason = True, "simplex diameter below xtol"
-            break
-        if spread < ftol:
-            converged, reason = True, "objective spread below ftol"
+        if diam < xtol or spread < ftol:
+            converged = True
             break
 
         centroid = np.mean(simplex[:-1], axis=0)
@@ -146,7 +141,7 @@ def nelder_mead(fn, x0, bounds=None, max_evals=2000, xtol=1e-8, ftol=1e-12):
     order = np.argsort(fs, kind="stable")
     best = order[0]
     return NelderMeadResult(x=simplex[best].copy(), f=fs[best], n_evals=evals,
-                            converged=converged, reason=reason, trace=trace)
+                            converged=converged, trace=trace)
 
 
 @dataclass(eq=False)

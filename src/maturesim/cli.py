@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 bad usage or configuration, 2 solver failure.
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -20,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._files import atomic_open
+from ._files import atomic_open, csv_row, write_json
 from .calibrate import fit_weibull
 from .config import (DEFAULTS, RunConfig, load_config, parse_config, read_json,
                      save_config)
@@ -123,11 +122,9 @@ def _cmd_grow(args):
     times, rhos = unloaded_maturation(g, cfg.simulation.t_end, args.dt)
     path = os.path.join(out, "growth.csv")
     with atomic_open(path) as fh:
-        fh.write("time,alpha,rho\n")
-        fh.write("0,0,0\n")
+        fh.write("time,alpha,rho\n0,0,0\n")
         for t, r in zip(times, rhos):
-            fh.write(f"{t:.17g},{weibull_alpha(t, g.tau, g.h):.17g},"
-                     f"{r:.17g}\n")
+            fh.write(csv_row((t, weibull_alpha(t, g.tau, g.h), r)))
     save_config(cfg, os.path.join(out, "config.json"))
     log.info("wrote %s (%d steps, final density %.4f)", path, len(times),
              rhos[-1])
@@ -178,9 +175,7 @@ def _cmd_fit(args):
               "n_evals": result.nm.n_evals,
               "converged": result.nm.converged}
     path = os.path.join(out, "fit.json")
-    with atomic_open(path) as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report, path)
     log.info("wrote %s (tau %.4f, h %.4f)", path, report["tau"], report["h"])
     return 0
 
@@ -213,9 +208,7 @@ def _cmd_fem(args):
                 level = logging.INFO if k % 20 == 0 else logging.DEBUG
                 log.log(level, "t=%7.3f  deflection=%.4f  rho_mean=%.4f",
                         last.time, last.deflection, last.rho_mean)
-                fh.write(f"{last.time:.17g},{last.deflection:.17g},"
-                         f"{last.rho_mean:.17g},{last.rho_max:.17g},"
-                         f"{last.newton_iters},{last.cutbacks}\n")
+                fh.write(csv_row(dataclasses.astuple(last)))
                 cutbacks += last.cutbacks
                 if args.vtk_every and k % args.vtk_every == 0:
                     _write_state(out, f"state_{k:04d}", model, u, aux)
@@ -227,9 +220,7 @@ def _cmd_fem(args):
     summary = {"t_end": last.time, "deflection": last.deflection,
                "rho_mean": last.rho_mean, "rho_max": last.rho_max,
                "n_steps": k, "cutbacks": cutbacks}
-    with atomic_open(os.path.join(out, "summary.json")) as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, os.path.join(out, "summary.json"))
     log.info("wrote %s (day %.1f deflection %.4f mm, mean density %.4f)",
              path, last.time, last.deflection, last.rho_mean)
     return 0

@@ -19,7 +19,7 @@ from operator import getitem
 
 import numpy as np
 
-from ._files import atomic_open
+from ._files import write_json
 from .errors import ConfigError
 from .growth import GrowthParams
 from .materials import CollagenParams, MaterialParams, MatrixParams, TextileParams
@@ -230,6 +230,4 @@ def load_config(path):
 
 
 def save_config(cfg, path):
-    with atomic_open(path) as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(config_to_dict(cfg), path)

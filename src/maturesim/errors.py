@@ -1,4 +1,7 @@
-"""Exception taxonomy shared by all maturesim modules."""
+"""Exception taxonomy shared by all maturesim modules, and the one bounds
+check of the parameter blocks."""
+
+import sys
 
 
 class MaturesimError(Exception):
@@ -7,6 +10,20 @@ class MaturesimError(Exception):
 
 class ParameterError(MaturesimError, ValueError):
     """A parameter is outside its admissible domain."""
+
+
+def check_range(params, names, low, what, high=sys.float_info.max, closed=False):
+    """Raise ParameterError unless low < v <= high, or low <= v <= high
+    with `closed`, for each field v of `params` named in `names`.
+
+    Each comparison is one that NaN fails, and the default `high`, the
+    largest finite float, fails infinities.  `what` states the range in
+    the error message.
+    """
+    for name in names:
+        v = getattr(params, name)
+        if not ((low <= v if closed else low < v) and v <= high):
+            raise ParameterError(f"{name} must be {what}, got {v}")
 
 
 class DeformationError(MaturesimError, ValueError):

@@ -199,8 +199,7 @@ class FemModel:
                 values[3 * ids + ax] = vals[:, ax]
         self.fixed = fixed
         self.fixed_values = values
-        self.free = ~fixed
-        self.free_idx = np.flatnonzero(self.free)
+        self.free_idx = np.flatnonzero(~fixed)
         reduced = np.full(self.n_dof, -1, dtype=int)
         reduced[self.free_idx] = np.arange(len(self.free_idx))
         self._reduced = reduced
@@ -341,11 +340,26 @@ class FemModel:
             return np.inf, err
         return np.abs(R[self.free_idx]).max(initial=0.0), (R, K, aux)
 
+    def _feasible_start(self, candidates, t, dt):
+        """The first of `candidates` that is feasible (see `_try_assemble`)
+        once the Dirichlet values are imposed on a copy of it.
+
+        Returns (u, rnorm, (R, K, aux)) of that start; where no candidate
+        is feasible, raises the last one's error.
+        """
+        for u in candidates:
+            u = np.asarray(u, dtype=float).copy()
+            u[self.fixed] = self.fixed_values[self.fixed]
+            rnorm, out = self._try_assemble(u, t, dt)
+            if not isinstance(out, Exception):
+                return u, rnorm, out
+        raise out
+
     def solve_step(self, u, t, dt, tol=RESIDUAL_TOL, guess=None, kept=None):
         """Newton solve of one step; returns (u, aux, iterations).
 
         `u` is the last converged displacement.  Newton starts at `guess`
-        when one is given, unless it is infeasible (see `_try_assemble`):
+        when one is given, unless it is infeasible (see `_feasible_start`):
         then it starts at `u`, so a guess outside the feasible range costs
         one assembly, not a cutback; where `u` is infeasible too, its error
         is raised.  Every iteration assembles the tangent once and solves
@@ -358,15 +372,8 @@ class FemModel:
         (previous densities) is left untouched; call `commit(aux)` once
         the step is accepted.
         """
-        for start in ([u] if guess is None else [guess, u]):
-            start = np.asarray(start, dtype=float).copy()
-            start[self.fixed] = self.fixed_values[self.fixed]
-            rnorm, out = self._try_assemble(start, t, dt)
-            if not isinstance(out, Exception):
-                break
-        else:
-            raise out
-        u, (R, K, aux) = start, out
+        u, rnorm, (R, K, aux) = self._feasible_start(
+            [u] if guess is None else [guess, u], t, dt)
         kept = _KeptFactor() if kept is None else kept
         kept.start_step()
         stalled = 0
@@ -449,15 +456,12 @@ def ramp_pressure(model: FemModel):
     damping keeps shrinking while the sheet climbs its residual hill; held
     there, it would make the ramp crawl.  The damping starts at twice the largest external
     force, or at twice the initial residual when nothing is loaded; a
-    start already in equilibrium returns with 0 iterations.  A linear
-    solve that fails counts as a rejected step.
+    start already in equilibrium returns with 0 iterations, and one that
+    is infeasible with the prescribed values imposed raises its error (see
+    `FemModel._feasible_start`).  A linear solve that fails counts as a
+    rejected step.
     """
-    u = np.zeros(model.n_dof)
-    u[model.fixed] = model.fixed_values[model.fixed]
-    rnorm, out = model._try_assemble(u, 0.0, 0.0)
-    if isinstance(out, Exception):
-        raise out
-    R, K, aux = out
+    u, rnorm, (R, K, aux) = model._feasible_start([np.zeros(model.n_dof)], 0.0, 0.0)
     fmax = np.abs(aux["fext"]).max(initial=0.0)
     k0 = 2.0 * (fmax or rnorm)
     k = k0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SolverError, StateError
+from .errors import ParameterError, SolverError, StateError, check_range
 
 #: absolute residual tolerance of the density update, ug/mm^3
 UPDATE_TOL = 1e-12
@@ -49,14 +49,9 @@ class GrowthParams:
     h: float
 
     def __post_init__(self):
-        # each bound is a comparison that NaN fails
-        for name in ("a1", "a2", "psi_crit", "rho_th", "c_cell", "tau"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ParameterError(f"{name} must be positive and finite, "
-                                     f"got {getattr(self, name)}")
-        if not 1.0 < self.h < np.inf:
-            raise ParameterError(f"Weibull shape h must exceed 1 and be finite, "
-                                 f"got {self.h}")
+        check_range(self, ("a1", "a2", "psi_crit", "rho_th", "c_cell", "tau"), 0.0,
+                    "positive and finite")
+        check_range(self, ("h",), 1.0, "greater than 1 and finite")
 
 
 @dataclass(frozen=True)

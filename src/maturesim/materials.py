@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensors as tn
-from .errors import DeformationError, ParameterError
+from .errors import DeformationError, ParameterError, check_range
 from .growth import GrowthParams, GrowthState, update_density_batch
 
 _I6 = tn.IDENTITY6[:, None]
@@ -58,6 +58,12 @@ COLLAGEN_SCALARS = ("k1", "k2", "rho_f")
 #: the textile stiffness factors, in the order of `_textile_monomials`
 TEXTILE_STIFFNESS = ("k1_1", "k2_1", "k1_2", "k2_2", "k_coup1", "k_coup2",
                      "k_coup_ani")
+#: the textile exponents, integers from 2 to `TEXTILE_EXPONENT_MAX`
+TEXTILE_EXPONENTS = ("beta1", "beta2", "gamma1", "gamma2", "delta1", "delta2", "xi")
+#: the largest textile exponent, far above the published 12: the power
+#: table of `textile_batch` holds 5 (max exponent + 1) rows per point, about
+#: 10 MB at 32 for the 7 680 Gauss points of the 960-element strip
+TEXTILE_EXPONENT_MAX = 32
 
 # C_m = sum_k F_ki F_kj and (C^-1)_m = sum_k Finv_ik Finv_jk for the Voigt
 # pair m = (i, j): the two factors as rows of [F, F^-1] flattened row-major,
@@ -65,14 +71,6 @@ TEXTILE_STIFFNESS = ("k1_1", "k2_1", "k1_2", "k2_2", "k_coup1", "k_coup2",
 _K = np.arange(3)[:, None]
 _CG = np.stack([np.stack([3 * _K + tn.VOIGT_I, 9 + 3 * tn.VOIGT_I + _K], axis=1),
                 np.stack([3 * _K + tn.VOIGT_J, 9 + 3 * tn.VOIGT_J + _K], axis=1)])
-# Entry (m, q) of A (.) A, m = (i, j) and q = (k, l), is
-# (A_ik A_jl + A_il A_jk) / 2; with v(i, k) the Voigt position of (i, k) the
-# two products are entries 6 v(ik) + v(jl) and 6 v(il) + v(jk) of a (x) a
-_V = np.empty((3, 3), dtype=int)
-_V[tn.VOIGT_I, tn.VOIGT_J] = _V[tn.VOIGT_J, tn.VOIGT_I] = np.arange(6)
-_VI, _VJ = tn.VOIGT_I[:, None], tn.VOIGT_J[:, None]
-_SYM = np.stack([6 * _V[_VI, tn.VOIGT_I] + _V[_VJ, tn.VOIGT_J],
-                 6 * _V[_VI, tn.VOIGT_J] + _V[_VJ, tn.VOIGT_I]]).reshape(2, 36)
 
 
 def _sum_rows(P, out=None):
@@ -109,11 +107,8 @@ class MatrixParams:
     mu: float
 
     def __post_init__(self):
-        # each bound is a comparison that NaN fails
-        if not 0.0 < self.mu < np.inf:
-            raise ParameterError(f"mu must be positive and finite, got {self.mu}")
-        if not 0.0 <= self.lam < np.inf:
-            raise ParameterError(f"lam must be non-negative and finite, got {self.lam}")
+        check_range(self, ("mu",), 0.0, "positive and finite")
+        check_range(self, ("lam",), 0.0, "non-negative and finite", closed=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,11 +143,8 @@ class CollagenParams:
         object.__setattr__(self, "hh", tn.outer6(self.h6, self.h6).reshape(36, 1))
 
     def _validate(self):
-        # a comparison that NaN fails; kappa and `a` are checked as H is built
-        for name in COLLAGEN_SCALARS:
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ParameterError(f"{name} must be positive and finite, "
-                                     f"got {getattr(self, name)}")
+        # kappa and `a` are checked as H is built
+        check_range(self, COLLAGEN_SCALARS, 0.0, "positive and finite")
 
     def replace(self, **changes):
         """`dataclasses.replace(self, **changes)`, validated alike.
@@ -265,15 +257,16 @@ class TextileParams:
         self._set_coef()
 
     def _validate(self):
-        # comparisons that NaN fails, the exponents' before int() sees them
-        for name in TEXTILE_STIFFNESS:
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ParameterError(f"{name} must be non-negative and finite, "
-                                     f"got {getattr(self, name)}")
-        for name in ("beta1", "beta2", "gamma1", "gamma2", "delta1", "delta2", "xi"):
+        check_range(self, TEXTILE_STIFFNESS, 0.0, "non-negative and finite",
+                    closed=True)
+        # the exponents' range before int() sees them
+        check_range(self, TEXTILE_EXPONENTS, 2,
+                    f"an integer in [2, {TEXTILE_EXPONENT_MAX}]",
+                    high=TEXTILE_EXPONENT_MAX, closed=True)
+        for name in TEXTILE_EXPONENTS:
             e = getattr(self, name)
-            if not 2 <= e < np.inf or int(e) != e:
-                raise ParameterError(f"exponent {name} must be an integer >= 2, got {e}")
+            if int(e) != e:
+                raise ParameterError(f"{name} must be an integer, got {e}")
             object.__setattr__(self, name, int(e))
 
     def _set_coef(self):
@@ -417,8 +410,8 @@ def matrix_batch(c, ci, J, p: MatrixParams, pbar=None, tangent=True):
     # bulk term J^2 U''(J) where p is pointwise; C^-1 (.) C^-1 is half the
     # sum of two gathers of ci (x) ci, and the half and the 2 cancel exactly
     outer = (ci[:, None] * ci).reshape(36, -1)
-    CC = outer.take(_SYM[0], axis=0)
-    CC += outer.take(_SYM[1], axis=0)
+    CC = outer.take(tn.SYM_OUTER[0], axis=0)
+    CC += outer.take(tn.SYM_OUTER[1], axis=0)
     CC *= p.mu - pJ
     w = pJ if pbar is not None else pJ + J**2 * volumetric_modulus(J, p)
     CC += ((w * ci)[:, None] * ci).reshape(36, -1)

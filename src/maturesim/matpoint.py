@@ -12,11 +12,11 @@ incompressible guess, then knot by knot), for `solve_mixed_point` and
 `calibrate` alike.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import csv_row
 from .errors import DeformationError, ParameterError, SolverError
 from .growth import GrowthParams, GrowthState, bio_rate
 from .materials import FIBER_STRAIN_MAX, MaterialParams, total_response
@@ -347,11 +347,8 @@ def unloaded_maturation(p: GrowthParams, t_end, dt):
 
 def records_to_csv(records) -> str:
     """Serialize point records to the canonical CSV layout."""
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for r in records:
-        fields = [r.time, r.F[0, 0], r.F[1, 1], r.F[2, 2],
-                  r.S[0], r.S[1], r.S[2],
-                  r.sigma[0], r.sigma[1], r.sigma[2], r.rho, r.psi_m]
-        buf.write(",".join(f"{v:.17g}" for v in fields) + "\n")
-    return buf.getvalue()
+    return CSV_HEADER + "\n" + "".join(
+        csv_row((r.time, r.F[0, 0], r.F[1, 1], r.F[2, 2],
+                 r.S[0], r.S[1], r.S[2],
+                 r.sigma[0], r.sigma[1], r.sigma[2], r.rho, r.psi_m))
+        for r in records)

@@ -55,24 +55,27 @@ def outer6(a6, b6):
     return a6[..., :, None] * b6[..., None, :]
 
 
-# entry (m, n) of a 6x6 block pairs (i, j) = VOIGT pair m with (k, l) =
-# pair n; flat indices into the 9 entries of A for (A_ik, A_il) and of B
-# for (B_jl, B_jk)
-_SYM_A = np.stack([3 * VOIGT_I[:, None] + VOIGT_I, 3 * VOIGT_I[:, None] + VOIGT_J])
-_SYM_B = np.stack([3 * VOIGT_J[:, None] + VOIGT_J, 3 * VOIGT_J[:, None] + VOIGT_I])
+# Entry (m, q) of A (.) B, m = (i, j) and q = (k, l), is
+# (A_ik B_jl + A_il B_jk) / 2; with v(i, k) the Voigt position of (i, k) the
+# two products are entries 6 v(ik) + v(jl) and 6 v(il) + v(jk) of a (x) b
+_V = np.empty((3, 3), dtype=int)
+_V[VOIGT_I, VOIGT_J] = _V[VOIGT_J, VOIGT_I] = np.arange(6)
+_VI, _VJ = VOIGT_I[:, None], VOIGT_J[:, None]
+SYM_OUTER = np.stack([6 * _V[_VI, VOIGT_I] + _V[_VJ, VOIGT_J],
+                      6 * _V[_VI, VOIGT_J] + _V[_VJ, VOIGT_I]]).reshape(2, 36)
 
 
 def sym_outer_product(A, B):
     """Symmetrized product (A . B)_ijkl = (A_ik B_jl + A_il B_jk) / 2.
 
     Both arguments are full (..., 3, 3) symmetric tensors; the result is the
-    6x6 tangent block of that fourth-order tensor.
+    6x6 tangent block of that fourth-order tensor, two gathers of
+    a (x) b by `SYM_OUTER`.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    a = A.reshape(A.shape[:-2] + (9,))[..., _SYM_A]
-    b = B.reshape(B.shape[:-2] + (9,))[..., _SYM_B]
-    return 0.5 * (a[..., 0, :, :] * b[..., 0, :, :] + a[..., 1, :, :] * b[..., 1, :, :])
+    ab = outer6(to_voigt(A), to_voigt(B))
+    ab = ab.reshape(ab.shape[:-2] + (36,))
+    sym = 0.5 * (ab[..., SYM_OUTER[0]] + ab[..., SYM_OUTER[1]])
+    return sym.reshape(sym.shape[:-1] + (6, 6))
 
 
 # adj(A)_ij = A_(j+1)(i+1) A_(j+2)(i+2) - A_(j+1)(i+2) A_(j+2)(i+1), indices

@@ -1,5 +1,6 @@
 """VTK export, config parsing/normalization, and the command line."""
 
+import dataclasses
 import json
 import os
 import warnings
@@ -7,12 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
+from maturesim._files import csv_row
 from maturesim.cli import main
 from maturesim.config import (DEFAULTS, config_to_dict, load_config,
                               parse_config, save_config)
 from maturesim.errors import (ConfigError, DeformationError, MeshError,
                               SolverError)
-from maturesim.fem import FemModel, load_mesh, strip_mesh
+from maturesim.fem import FemModel, StepRecord, load_mesh, strip_mesh
 from maturesim.vtkio import write_vtk
 
 from conftest import deadline
@@ -565,3 +567,61 @@ class TestCli:
         assert main(["strip-mesh", "--out", str(out), "-q"]) == 0
         captured = capsys.readouterr()
         assert captured.out == ""
+
+
+@pytest.fixture(scope="module")
+def cli_runs(tmp_path_factory):
+    """One small run of each command that writes result files."""
+    root = tmp_path_factory.mktemp("cli")
+    data, cfg = root / "points.json", root / "fem.json"
+    _write_json(data, {"times": [p[0] for p in MATURATION_POINTS],
+                       "values": [p[1] for p in MATURATION_POINTS]})
+    _write_json(cfg, SMALL_FEM)
+    for argv in (["grow", "--dt", "0.5"],
+                 ["matpoint", "--stretch", "1.05", "--steps", "5"],
+                 ["fit", "--data", str(data)],
+                 ["fem", "--config", str(cfg)]):
+        assert main(["-q", *argv, "--out", str(root / argv[0])]) == 0
+    return root
+
+
+class TestResultFiles:
+    """Every JSON result file in one canonical form, every CSV row exact."""
+
+    @pytest.mark.parametrize("name", ["grow/config.json", "matpoint/config.json",
+                                      "fem/config.json", "fit/fit.json",
+                                      "fem/summary.json"])
+    def test_json_is_canonical(self, cli_runs, name):
+        text = (cli_runs / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("name, int_columns", [
+        ("grow/growth.csv", ()), ("matpoint/matpoint.csv", ()),
+        ("fem/history.csv", ("newton_iters", "cutbacks"))])
+    def test_csv_rows_round_trip(self, cli_runs, name, int_columns):
+        header, *rows = (cli_runs / name).read_text().splitlines()
+        columns = header.split(",")
+        assert rows
+        for row in rows:
+            fields = row.split(",")
+            assert len(fields) == len(columns)
+            for column, text in zip(columns, fields):
+                if column in int_columns:
+                    assert text == str(int(text))
+                else:
+                    # 17 significant digits: a double prints as the text
+                    # that reads back as itself
+                    assert f"{float(text):.17g}" == text
+
+    def test_history_columns_are_the_step_record(self, cli_runs):
+        header = (cli_runs / "fem/history.csv").read_text().splitlines()[0]
+        assert header.split(",") == [f.name for f in dataclasses.fields(StepRecord)]
+
+    def test_csv_row_is_exact(self):
+        rng = np.random.default_rng(5)
+        values = [*rng.standard_normal(20) * 10.0 ** rng.integers(-300, 300, 20),
+                  5e-324, -0.0, np.float64(1.0) / 3.0, 0.1]
+        line = csv_row(values)
+        assert line.endswith("\n")
+        assert [float(v) for v in line[:-1].split(",")] == values
+        assert csv_row([0, 3, 2**53]) == f"0,3,{2**53}\n"

@@ -312,6 +312,51 @@ class TestInvertedElements:
                 model.assemble(u.reshape(-1), 0.0, 0.0, tangent=tangent)
 
 
+def _recording_assemble(monkeypatch):
+    """Patch FemModel.assemble to keep each DeformationError it raises."""
+    raised = []
+    assemble = FemModel.assemble
+
+    def recording(self, *args, **kwargs):
+        try:
+            return assemble(self, *args, **kwargs)
+        except DeformationError as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(FemModel, "assemble", recording)
+    return raised
+
+
+class TestInfeasibleStart:
+    def test_ramp_raises_the_error_of_its_zero_start(self, monkeypatch):
+        # the xmax face is prescribed 5 mm back along x, past the interior
+        # nodes that the zero start leaves at rest: the last element inverts
+        mesh = strip_mesh(2.0, 1.0, 0.5, 2, 1, 1)
+        model = FemModel(mesh, make_material(),
+                         dirichlet=[Dirichlet("xmin"),
+                                    Dirichlet("xmax", dofs=(0,), value=-5.0)])
+        raised = _recording_assemble(monkeypatch)
+        with pytest.raises(DeformationError) as info:
+            ramp_pressure(model)
+        assert len(raised) == 1 and raised[0] is info.value
+
+    def test_solve_step_raises_the_last_candidates_error(self, monkeypatch):
+        # the guess collapses the strip to a point, u stretches the fibers
+        # past the collagen law's range: both fail to assemble, and the
+        # error raised is u's, the last one tried
+        model = FemModel(strip_mesh(2.0, 1.0, 0.5, 2, 1, 1), make_material())
+        X = model.mesh.nodes
+        guess = -X.reshape(-1)
+        u = np.zeros_like(X)
+        u[:, 0] = 3.0 * X[:, 0]
+        raised = _recording_assemble(monkeypatch)
+        with pytest.raises(DeformationError, match="fiber strain") as info:
+            model.solve_step(u.reshape(-1), 0.0, 0.0, guess=guess)
+        assert len(raised) == 2 and raised[-1] is info.value
+        assert "fiber strain" not in str(raised[0])
+
+
 class TestSparsityPattern:
     """The pattern and scatter map built at construction against np.add.at."""
 

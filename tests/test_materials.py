@@ -1,5 +1,6 @@
 """Constitutive tests: closed-form values, FD oracles, model structure."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from maturesim import tensors as tn
 from maturesim.calibrate import substitute
+from maturesim.config import parse_config
 from maturesim.errors import DeformationError, ParameterError, StateError
 from maturesim.growth import GrowthState
-from maturesim.materials import (CollagenParams, MatrixParams, TextileParams,
+from maturesim.materials import (TEXTILE_EXPONENT_MAX, TEXTILE_EXPONENTS,
+                                 CollagenParams, MatrixParams, TextileParams,
                                  cauchy_stress, response_batch, total_response)
 
 from _oracles import (collagen_on_C, fd_stress, fd_tangent, matrix_on_C,
@@ -243,6 +246,22 @@ class TestTextile:
                           k_coup2=1.0, k_coup_ani=1.0, beta1=1, beta2=2,
                           gamma1=4, gamma2=2, delta1=2, delta2=3, xi=12,
                           n1=EX, n2=EY)
+
+    @pytest.mark.parametrize("name", TEXTILE_EXPONENTS)
+    def test_exponent_upper_bound(self, name):
+        # an exponent above the bound is refused before any table is built,
+        # directly, from a config and as a calibration trial; at 10**20 an
+        # evaluation's power table would not fit in any memory
+        base = make_textile()
+        for bad in (TEXTILE_EXPONENT_MAX + 1, 10**20):
+            with pytest.raises(ParameterError, match=name):
+                dataclasses.replace(base, **{name: bad})
+            with pytest.raises(ParameterError, match=name):
+                parse_config({"material": {"textile": {name: bad}}})
+            with pytest.raises(ParameterError, match=name):
+                substitute(make_material(), [f"textile.{name}"], [bad])
+        assert getattr(dataclasses.replace(base, **{name: TEXTILE_EXPONENT_MAX}),
+                       name) == TEXTILE_EXPONENT_MAX
 
 
 _STIFFNESSES = ("k1_1", "k2_1", "k1_2", "k2_2", "k_coup1", "k_coup2", "k_coup_ani")

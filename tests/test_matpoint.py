@@ -566,3 +566,11 @@ class TestCsv:
         row = [float(x) for x in lines[-1].split(",")]
         assert row[1] == pytest.approx(1.1, rel=1e-14)
         assert len(row) == 12
+
+    def test_rows_read_back_exactly(self, material_params):
+        recs = solve_mixed_point(uniaxial(1.1, steps=2, grow=True), material_params)
+        rows = records_to_csv(recs).splitlines()[1:]
+        assert len(rows) == len(recs)
+        for r, row in zip(recs, rows):
+            assert [float(v) for v in row.split(",")] == [
+                r.time, *np.diag(r.F), *r.S[:3], *r.sigma[:3], r.rho, r.psi_m]

@@ -40,6 +40,25 @@ class TestVoigt:
         contracted = M @ (tn.VOIGT_WEIGHTS * tn.to_voigt(B))
         assert np.allclose(contracted, tn.to_voigt(A @ B @ A), rtol=1e-13)
 
+    def test_sym_outer_product_index_rule(self):
+        # entry ((i, j), (k, l)) is (A_ik B_jl + A_il B_jk) / 2, the same
+        # products summed in the same order, so bit for bit
+        rng = np.random.default_rng(3)
+        A, B = (0.5 * (X + X.T) for X in rng.standard_normal((2, 3, 3)))
+        M = tn.sym_outer_product(A, B)
+        for m, (i, j) in enumerate(zip(tn.VOIGT_I, tn.VOIGT_J)):
+            for q, (k, l) in enumerate(zip(tn.VOIGT_I, tn.VOIGT_J)):
+                assert M[m, q] == 0.5 * (A[i, k] * B[j, l] + A[i, l] * B[j, k])
+
+    def test_sym_outer_product_of_a_stack_is_per_item(self):
+        rng = np.random.default_rng(4)
+        A, B = rng.standard_normal((2, 2, 3, 3, 3))
+        A, B = A + A.swapaxes(-1, -2), B + B.swapaxes(-1, -2)
+        M = tn.sym_outer_product(A, B)
+        assert M.shape == (2, 3, 6, 6)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(M[idx], tn.sym_outer_product(A[idx], B[idx]))
+
 
 class TestInvDet3:
     """The closed-form 3x3 inverse and determinant against LAPACK."""
