@@ -25,7 +25,7 @@ from .config import (DEFAULTS, RunConfig, load_config, parse_config, read_json,
                      save_config)
 from .errors import (ConfigError, DeformationError, FitError, MeshError,
                      ParameterError, SolverError, StateError)
-from .fem import clamped_strip_model, march_steps, save_mesh, strip_mesh
+from .fem import clamped_strip_model, march_steps, ramp_pressure, save_mesh, strip_mesh
 from .growth import weibull_alpha
 from .matpoint import (LoadProgram, records_to_csv, solve_mixed_point,
                        unloaded_maturation)
@@ -204,7 +204,7 @@ def _cmd_fem(args):
         fh.write("time,deflection,rho_mean,rho_max,newton_iters,cutbacks\n")
         try:
             for k, (last, u, aux) in enumerate(march_steps(
-                    model, **dataclasses.asdict(cfg.simulation))):
+                    model, ramp_pressure(model), **dataclasses.asdict(cfg.simulation))):
                 level = logging.INFO if k % 20 == 0 else logging.DEBUG
                 log.log(level, "t=%7.3f  deflection=%.4f  rho_mean=%.4f",
                         last.time, last.deflection, last.rho_mean)

@@ -41,10 +41,12 @@ tangents differ little, so a factor made at one step's start serves the
 next steps' Newton solves until GMRES needs many steps with it, and it is
 refreshed only between steps.
 
-The one march loop is the generator `march_steps`: it ramps the load,
-then advances the growth one accepted step at a time and yields each
-step's record and state once the step is committed.  `march_maturation`
-is its list-returning wrapper.
+The one march loop is the generator `march_steps`: it starts from a ramp
+end that `ramp_pressure` computed, possibly for another model on the same
+mesh and load, checks that start on its own model, then advances the
+growth one accepted step at a time and yields each step's record and
+state once the step is committed.  `march_maturation` ramps its model and
+collects that march in a list.
 
 scipy loads with the first `FemModel`, not with this module: the package,
 its point and calibration paths and the commands `fit`, `matpoint`, `grow`
@@ -647,36 +649,49 @@ def _extrapolate(past, t):
     return guess
 
 
-def march_steps(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
+def march_steps(model: FemModel, ramp, t_end, dt0=0.002, dt_max=0.25,
                 dt_ratio=1.25):
-    """Ramp the load, then march the growth from 0 to t_end days, yielding
-    (record, u, aux) after the ramp and after each accepted growth step.
+    """March the growth from the ramp end `ramp` to t_end days, yielding
+    (record, u, aux) at the ramp's end and after each accepted growth step.
 
     This is the one march loop; `march_maturation` collects its records.
-    Steps start at dt0 and stretch geometrically by dt_ratio up to dt_max;
-    a failed step is retried with half the size.  Each step's Newton solve
-    starts from a predictor, the Lagrange polynomial in time through the
-    last three accepted states (the ramp's end counts as the first; with
-    fewer states the order drops), evaluated at the step's end time and
-    recomputed after a cutback.  The Newton solves are preconditioned with
-    one kept LU factor, refreshed after a step that found it wanting
-    (`_KeptFactor`).  Before each yield the Gauss state is committed to the
-    model and the kept factor refreshed, so the model's `rho` and
-    `hist_strain` are those of the yielded step; the record is the step's
-    StepRecord with the number of cutbacks.  A step halved below STEP_MIN
-    raises SolverError with the time, the size it fell to and the cutbacks,
-    caused by the last attempt's error.  On the first step, rejects
-    t_end <= 0, which would end the run after the ramp alone, a t_end that
-    is not finite, which no march reaches, and dt0 <= 0, dt_max <= 0 and
-    dt_ratio < 1: a step that is not positive, or that shrinks, may never
-    reach t_end.
+    `ramp` is (u, aux, iterations) as `ramp_pressure` returns it, for this
+    model or for another on the same mesh and load.  Its aux is not used:
+    the march assembles u once at t = 0, dt = 0 on its own model, with the
+    Dirichlet values imposed, and commits that assembly, so `hist_strain`
+    starts from this model's fiber strains.  A u whose shape is not
+    (n_dof,) raises MeshError, an infeasible one its error (see
+    `FemModel._feasible_start`), and one whose residual there is not below
+    RESIDUAL_TOL SolverError; the first record carries the ramp's
+    iterations.  Steps start at dt0 and stretch geometrically by dt_ratio
+    up to dt_max; a failed step is retried with half the size.  Each
+    step's Newton solve starts from a predictor, the Lagrange polynomial in
+    time through the last three accepted states (the ramp's end counts as
+    the first; with fewer states the order drops), evaluated at the step's
+    end time and recomputed after a cutback.  The Newton solves are
+    preconditioned with one kept LU factor, refreshed after a step that
+    found it wanting (`_KeptFactor`).  Before each yield the Gauss state is
+    committed to the model and the kept factor refreshed, so the model's
+    `rho` and `hist_strain` are those of the yielded step; the record is
+    the step's StepRecord with the number of cutbacks.  A step halved below
+    STEP_MIN raises SolverError with the time, the size it fell to and the
+    cutbacks, caused by the last attempt's error.  Before the start is
+    checked, rejects t_end <= 0, which would end the run at the ramp, a
+    t_end that is not finite, which no march reaches, and dt0 <= 0,
+    dt_max <= 0 and dt_ratio < 1: a step that is not positive, or that
+    shrinks, may never reach t_end.
     """
     if not 0.0 < t_end < np.inf:
         raise ParameterError(f"need 0 < t_end < inf, got {t_end}")
     if not (dt0 > 0.0 and dt_max > 0.0 and dt_ratio >= 1.0):
         raise ParameterError("need dt0 > 0, dt_max > 0 and dt_ratio >= 1, got "
                              f"{dt0}, {dt_max}, {dt_ratio}")
-    u, aux, its = ramp_pressure(model)
+    u, _, its = ramp
+    if np.shape(u) != (model.n_dof,):
+        raise MeshError(f"ramp end of shape {np.shape(u)} on a model of {model.n_dof} dofs")
+    u, rnorm, (_, _, aux) = model._feasible_start([u], 0.0, 0.0)
+    if not rnorm < RESIDUAL_TOL:
+        raise SolverError("ramp end out of equilibrium on this model", residual=rnorm)
     model.commit(aux)
     yield model.record(0.0, u, aux, its), u, aux
 
@@ -709,13 +724,14 @@ def march_steps(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
 
 def march_maturation(model: FemModel, t_end, dt0=0.002, dt_max=0.25,
                      dt_ratio=1.25, on_step=None):
-    """Run `march_steps` to t_end; returns (history, u, aux), the list of
-    its StepRecords and the last step's state.  `on_step(time, u, aux,
-    model)` runs after each accepted step, the ramp's end included, when
-    given.
+    """Ramp the model's load and run `march_steps` from there to t_end;
+    returns (history, u, aux), the list of its StepRecords and the last
+    step's state.  `on_step(time, u, aux, model)` runs after each accepted
+    step, the ramp's end included, when given.
     """
     history = []
-    for rec, u, aux in march_steps(model, t_end, dt0, dt_max, dt_ratio):
+    for rec, u, aux in march_steps(model, ramp_pressure(model), t_end, dt0,
+                                   dt_max, dt_ratio):
         history.append(rec)
         if on_step is not None:
             on_step(rec.time, u, aux, model)

@@ -26,16 +26,13 @@ def write_vtk(path, mesh, point_vectors=None, cell_scalars=None):
     point_vectors = dict(point_vectors or {})
     cell_scalars = dict(cell_scalars or {})
     n, e = mesh.n_nodes, mesh.n_elems
-    for name, arr in point_vectors.items():
-        if " " in name:
-            raise MeshError(f"field name '{name}' contains spaces")
-        if np.shape(arr) != (n, 3):
-            raise MeshError(f"point field '{name}' must be ({n}, 3)")
-    for name, arr in cell_scalars.items():
-        if " " in name:
-            raise MeshError(f"field name '{name}' contains spaces")
-        if np.shape(arr) != (e,):
-            raise MeshError(f"cell field '{name}' must be ({e},)")
+    for kind, fields, shape in (("point", point_vectors, (n, 3)),
+                                ("cell", cell_scalars, (e,))):
+        for name, arr in fields.items():
+            if " " in name:
+                raise MeshError(f"field name '{name}' contains spaces")
+            if np.shape(arr) != shape:
+                raise MeshError(f"{kind} field '{name}' must be {shape}")
 
     lines = ["# vtk DataFile Version 3.0", "maturesim result", "ASCII",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double"]

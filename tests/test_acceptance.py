@@ -11,7 +11,8 @@ import pytest
 
 from maturesim.calibrate import fit_weibull
 from maturesim.fem import (Dirichlet, FemModel, PressureLoad,
-                           clamped_strip_model, march_maturation, strip_mesh)
+                           clamped_strip_model, march_steps, ramp_pressure,
+                           strip_mesh)
 from maturesim.fem.mesh import Mesh
 from maturesim.growth import GrowthState, update_density_batch, weibull_alpha
 from maturesim.materials import cauchy_stress, total_response
@@ -336,14 +337,22 @@ def test_criterion_7_fem_verification():
 
 @pytest.fixture(scope="module")
 def strip_runs():
-    cache = {}
+    # growth is frozen during the ramp (rho = 0), so the material variants
+    # on one mesh ramp to the same end: each mesh ramps once, and every
+    # march checks that ramp end on its own model before it starts
+    cache, ramps = {}, {}
 
     def run(tag, dt_max=0.5, nx=20, ny=6, nz=2, **material_kw):
         if tag not in cache:
             params = make_material(**{**STRIP_MATERIAL, **material_kw})
             model = clamped_strip_model(params, nx=nx, ny=ny, nz=nz)
-            history, u, aux = march_maturation(model, STRIP_DAYS,
-                                               dt_max=dt_max)
+            mesh = (nx, ny, nz)
+            if mesh not in ramps:
+                ramps[mesh] = ramp_pressure(model)
+            history = []
+            for rec, u, aux in march_steps(model, ramps[mesh], STRIP_DAYS,
+                                           dt_max=dt_max):
+                history.append(rec)
             cache[tag] = (model, history, u, aux)
         return cache[tag]
 

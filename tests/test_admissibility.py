@@ -54,7 +54,7 @@ def with_bad(bad, size, index, good=1.0):
 PARAM_NAMES = (["matrix.lam", "matrix.mu"]
                + [f"collagen.{k}" for k in ("k1", "k2", "kappa", "rho_f")]
                + [f"textile.{k}" for k in materials.TEXTILE_STIFFNESS
-                  + ("beta1", "beta2", "gamma1", "gamma2", "delta1", "delta2", "xi")]
+                  + materials.TEXTILE_EXPONENTS]
                + [f"growth.{k}" for k in ("a1", "a2", "psi_crit", "rho_th",
                                           "c_cell", "tau", "h")])
 

@@ -14,7 +14,7 @@ from maturesim.config import (DEFAULTS, config_to_dict, load_config,
                               parse_config, save_config)
 from maturesim.errors import (ConfigError, DeformationError, MeshError,
                               SolverError)
-from maturesim.fem import FemModel, StepRecord, load_mesh, strip_mesh
+from maturesim.fem import FemModel, StepRecord, load_mesh, solver, strip_mesh
 from maturesim.vtkio import write_vtk
 
 from conftest import deadline
@@ -530,6 +530,25 @@ class TestCli:
             assert sorted(p.name for p in out.iterdir()) == ["config.json",
                                                              "history.csv"]
         capsys.readouterr()
+
+    def test_ramp_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        # every linear solve of the ramp fails, so its damping grows until
+        # it diverges: the run exits 2 before any state is accepted, with
+        # the history's header alone and no summary
+        def fail(*args, **kwargs):
+            raise SolverError("forced", **kwargs)
+
+        cfgfile = tmp_path / "cfg.json"
+        _write_json(cfgfile, SMALL_FEM)
+        monkeypatch.setattr(solver, "_solve_reduced", fail)
+        out = tmp_path / "r"
+        assert main(["-q", "fem", "--config", str(cfgfile),
+                     "--out", str(out)]) == 2
+        assert "pseudo-transient damping diverged" in capsys.readouterr().err
+        assert (out / "history.csv").read_text() == (
+            "time,deflection,rho_mean,rho_max,newton_iters,cutbacks\n")
+        assert sorted(p.name for p in out.iterdir()) == ["config.json",
+                                                         "history.csv"]
 
     @pytest.mark.parametrize("error, report", [
         # a Newton failure at every step: the march halves the first step,

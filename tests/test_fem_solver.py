@@ -827,10 +827,14 @@ class TestPredictor:
 _SMALL_MARCH = {"t_end": 1.0, "dt0": 0.02, "dt_max": 0.5}
 
 
-def _small_strip():
-    return clamped_strip_model(make_material(psi_crit=2e-5), nx=5, ny=2, nz=1,
-                               length=10.0, width=3.0, thickness=0.4,
-                               pressure=0.002)
+def _small_strip(pressure=0.002, nx=5, **material_kw):
+    return clamped_strip_model(make_material(**{"psi_crit": 2e-5, **material_kw}),
+                               nx=nx, ny=2, nz=1, length=10.0, width=3.0,
+                               thickness=0.4, pressure=pressure)
+
+
+def _own_march(model):
+    return march_steps(model, ramp_pressure(model), **_SMALL_MARCH)
 
 
 class TestMaturationMarch:
@@ -995,7 +999,7 @@ class TestMaturationMarch:
         history, u, _ = march_maturation(_small_strip(), **_SMALL_MARCH)
         model = _small_strip()
         records = []
-        for rec, u_step, aux in march_steps(model, **_SMALL_MARCH):
+        for rec, u_step, aux in _own_march(model):
             assert np.array_equal(model.rho, aux["rho"])
             assert np.all(model.hist_strain >= aux["fiber_strain"])
             records.append(rec)
@@ -1005,8 +1009,8 @@ class TestMaturationMarch:
     def test_steps_consumed_in_two_halves(self):
         # a march paused after its third step, while another march runs
         # to its end, goes on bit for bit as one that never paused
-        whole = list(march_steps(_small_strip(), **_SMALL_MARCH))
-        steps = march_steps(_small_strip(), **_SMALL_MARCH)
+        whole = list(_own_march(_small_strip()))
+        steps = _own_march(_small_strip())
         halves = list(itertools.islice(steps, 3))
         march_maturation(_small_strip(), **_SMALL_MARCH)
         halves += list(steps)
@@ -1038,6 +1042,10 @@ class TestMaturationMarch:
         model = clamped_strip_model(make_material(), nx=2, ny=1, nz=1)
         with deadline(60), pytest.raises(ParameterError):
             march_maturation(model, **{"t_end": 1.0, **steps})
+        # before the start is checked: this one would fail its own check
+        with pytest.raises(ParameterError):
+            next(march_steps(model, (np.zeros(3), None, 0),
+                             **{"t_end": 1.0, **steps}))
 
     def test_unloaded_march_matches_point_growth(self):
         # no load: every Gauss point follows the homogeneous growth curve
@@ -1053,3 +1061,71 @@ class TestMaturationMarch:
         times, rhos = unloaded_maturation(params.growth, 2.0, 0.25)
         assert history[-1].rho_mean == pytest.approx(rhos[-1], rel=1e-12)
         assert history[-1].deflection == 0.0
+
+
+class TestMarchStart:
+    """`march_steps` starts from a ramp end it is given, checked on its own
+    model."""
+
+    @pytest.fixture(scope="class")
+    def base_ramp(self):
+        return ramp_pressure(_small_strip())
+
+    @pytest.mark.parametrize("variant", [
+        {"a1": 1e-3}, {"a2": 1e-6}, {"psi_crit": 4e-5}, {"kappa": 0.15},
+        {"rho_th": 5.0}], ids=lambda v: next(iter(v)))
+    def test_shared_ramp_end_is_the_own_ramp(self, base_ramp, variant):
+        # during the ramp rho = 0, so the growth constants and kappa leave
+        # its end alone; the march from the base model's ramp end equals
+        # the march that ramps itself, fiber strain maxima included
+        own = _small_strip(**variant)
+        whole = list(_own_march(own))
+        model = _small_strip(**variant)
+        shared = list(march_steps(model, base_ramp, **_SMALL_MARCH))
+        assert [rec for rec, _, _ in shared] == [rec for rec, _, _ in whole]
+        for (_, u, aux), (_, u_own, aux_own) in zip(shared, whole):
+            assert np.array_equal(u, u_own)
+            assert np.array_equal(aux["rho"], aux_own["rho"])
+            assert np.array_equal(aux["fiber_strain"], aux_own["fiber_strain"])
+        assert np.array_equal(model.rho, own.rho)
+        assert np.array_equal(model.hist_strain, own.hist_strain)
+
+    def test_start_follows_the_marching_model(self, base_ramp):
+        # the given aux is not trusted: the first record's state and the
+        # committed strain maxima are the marching model's own, and the
+        # ramp end itself is left as it was
+        u0 = base_ramp[0].copy()
+        model = _small_strip(kappa=0.15)
+        rec, u, aux = next(march_steps(model, base_ramp, **_SMALL_MARCH))
+        assert rec.newton_iters == base_ramp[2]
+        assert not np.array_equal(aux["fiber_strain"],
+                                  base_ramp[1]["fiber_strain"])
+        assert np.array_equal(model.hist_strain, aux["fiber_strain"])
+        assert u is not base_ramp[0]
+        assert np.array_equal(base_ramp[0], u0)
+
+    @pytest.mark.parametrize("u", [
+        lambda u: u[:-3], lambda u: np.append(u, 0.0), lambda u: u.reshape(-1, 3),
+        lambda u: ramp_pressure(_small_strip(nx=4))[0]],
+        ids=["short", "long", "nodal", "other_mesh"])
+    def test_ramp_end_of_another_size_rejected(self, base_ramp, u):
+        model = _small_strip()
+        with pytest.raises(MeshError, match="ramp end"):
+            next(march_steps(model, (u(base_ramp[0]), None, 0), **_SMALL_MARCH))
+        assert not model.hist_strain.any()
+
+    def test_ramp_end_at_another_pressure_rejected(self, base_ramp):
+        model = _small_strip(pressure=0.0025)
+        with pytest.raises(SolverError, match="out of equilibrium") as info:
+            next(march_steps(model, base_ramp, **_SMALL_MARCH))
+        assert info.value.diagnostics["residual"] > RESIDUAL_TOL
+        assert not model.hist_strain.any()
+
+    def test_infeasible_ramp_end_rejected(self, base_ramp):
+        # every free node mirrored through the origin: X + u = -X inverts
+        # the interior elements
+        model = _small_strip()
+        u = -2.0 * model.mesh.nodes.ravel()
+        with pytest.raises(DeformationError):
+            next(march_steps(model, (u, None, 0), **_SMALL_MARCH))
+        assert not model.hist_strain.any()

@@ -13,7 +13,8 @@ from maturesim.calibrate import substitute
 from maturesim.config import parse_config
 from maturesim.errors import DeformationError, ParameterError, StateError
 from maturesim.growth import GrowthState
-from maturesim.materials import (TEXTILE_EXPONENT_MAX, TEXTILE_EXPONENTS,
+from maturesim.materials import (COLLAGEN_SCALARS, TEXTILE_EXPONENT_MAX,
+                                 TEXTILE_EXPONENTS, TEXTILE_STIFFNESS,
                                  CollagenParams, MatrixParams, TextileParams,
                                  cauchy_stress, response_batch, total_response)
 
@@ -263,9 +264,18 @@ class TestTextile:
         assert getattr(dataclasses.replace(base, **{name: TEXTILE_EXPONENT_MAX}),
                        name) == TEXTILE_EXPONENT_MAX
 
+    def test_name_lists_are_the_numeric_fields(self):
+        # the bounds checks and `replace` go by these lists, so a numeric
+        # field renamed or added in a parameter block must appear in them;
+        # kappa builds the collagen direction tables and is checked there
+        def numeric(cls):
+            return [f.name for f in dataclasses.fields(cls)
+                    if f.init and f.type in (float, int)]
 
-_STIFFNESSES = ("k1_1", "k2_1", "k1_2", "k2_2", "k_coup1", "k_coup2", "k_coup_ani")
-_EXPONENTS = ("beta1", "beta2", "gamma1", "gamma2", "delta1", "delta2", "xi")
+        assert sorted(numeric(CollagenParams)) == sorted(COLLAGEN_SCALARS
+                                                         + ("kappa",))
+        assert numeric(TextileParams) == list(TEXTILE_STIFFNESS
+                                              + TEXTILE_EXPONENTS)
 
 
 class TestTextileKernel:
@@ -299,8 +309,8 @@ class TestTextileKernel:
             # every stretch below 1: negative u, odd powers negative
             C = np.array([np.diag(rng.uniform(0.6, 0.99, 3) ** 2)
                           for _ in range(6)])
-        p = TextileParams(**dict(zip(_STIFFNESSES, stiff)),
-                          **dict(zip(_EXPONENTS, exps)), n1=n1, n2=n2)
+        p = TextileParams(**dict(zip(TEXTILE_STIFFNESS, stiff)),
+                          **dict(zip(TEXTILE_EXPONENTS, exps)), n1=n1, n2=n2)
         got = textile_on_C(C, p)
         self._agree(got, ref_textile_batch(C, p))
         if state == "identity":
@@ -324,11 +334,11 @@ class TestTextileKernel:
             del p, got
 
     @settings(max_examples=100, deadline=None)
-    @given(stiff=st.dictionaries(st.sampled_from(_STIFFNESSES),
+    @given(stiff=st.dictionaries(st.sampled_from(TEXTILE_STIFFNESS),
                                  st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
                                  max_size=3),
-           exps=st.dictionaries(st.sampled_from(_EXPONENTS), st.integers(2, 12),
-                                max_size=2),
+           exps=st.dictionaries(st.sampled_from(TEXTILE_EXPONENTS),
+                                st.integers(2, 12), max_size=2),
            seed=st.integers(0, 2**32 - 1))
     def test_substitute_matches_a_fresh_construction(self, stiff, exps, seed):
         # a substitute of stiffness factors alone keeps the direction and
@@ -338,11 +348,12 @@ class TestTextileKernel:
         assume(stiff or exps)
         changes = {**stiff, **exps}
         base = make_material()
-        fields = {k: getattr(base.textile, k) for k in _STIFFNESSES + _EXPONENTS}
+        fields = {k: getattr(base.textile, k)
+                  for k in TEXTILE_STIFFNESS + TEXTILE_EXPONENTS}
         fresh = TextileParams(**{**fields, **changes}, n1=EX, n2=EY)
         p = substitute(base, [f"textile.{k}" for k in changes],
                        list(changes.values())).textile
-        if set(changes) <= set(_STIFFNESSES):
+        if set(changes) <= set(TEXTILE_STIFFNESS):
             assert p.mono_pow is base.textile.mono_pow
             assert p.curv is base.textile.curv
         rng = np.random.default_rng(seed)
