@@ -24,7 +24,7 @@ from .calibrate import fit_weibull
 from .config import (DEFAULTS, RunConfig, load_config, parse_config, read_json,
                      save_config)
 from .errors import (ConfigError, DeformationError, FitError, MeshError,
-                     ParameterError, SolverError, StateError)
+                     ParameterError, SolverError, StateError, check_range)
 from .fem import clamped_strip_model, march_steps, ramp_pressure, save_mesh, strip_mesh
 from .growth import weibull_alpha
 from .matpoint import (LoadProgram, records_to_csv, solve_mixed_point,
@@ -117,9 +117,9 @@ def _cmd_strip_mesh(args):
 
 def _cmd_grow(args):
     cfg = _load(args)
-    out = _outdir(args)
     g = cfg.material.growth
     times, rhos = unloaded_maturation(g, cfg.simulation.t_end, args.dt)
+    out = _outdir(args)
     path = os.path.join(out, "growth.csv")
     with atomic_open(path) as fh:
         fh.write("time,alpha,rho\n0,0,0\n")
@@ -133,23 +133,22 @@ def _cmd_grow(args):
 
 def _cmd_matpoint(args):
     cfg = _load(args)
-    out = _outdir(args)
-    if not 0.0 < args.stretch < np.inf:
-        raise ParameterError("--stretch must be positive and finite")
-    if args.ratio is not None and not np.isfinite(args.ratio):
-        raise ParameterError("--ratio must be finite")
+    check_range({"--stretch": args.stretch}, 0.0, "positive and finite")
     axis = _AXES[args.axis]
     knots = np.array([1.0, args.stretch])
     controls = ["free", "free", "free"]
     controls[axis] = knots
     if args.ratio is not None:
-        trans = 1.0 + args.ratio * (knots - 1.0)
-        controls[(axis + 1) % 3] = trans
+        check_range({"--ratio": args.ratio}, -sys.float_info.max, "finite", closed=True)
+        # a transverse stretch past the float range is refused by LoadProgram
+        with np.errstate(over="ignore"):
+            controls[(axis + 1) % 3] = 1.0 + args.ratio * (knots - 1.0)
     program = LoadProgram(times=np.array([0.0, cfg.simulation.t_end]),
                           controls=tuple(controls),
                           steps_per_interval=args.steps,
                           grow=not args.no_grow)
     records = solve_mixed_point(program, cfg.material)
+    out = _outdir(args)
     path = os.path.join(out, "matpoint.csv")
     with atomic_open(path) as fh:
         fh.write(records_to_csv(records))
@@ -161,7 +160,6 @@ def _cmd_matpoint(args):
 
 
 def _cmd_fit(args):
-    out = _outdir(args)
     data = read_json(args.data, "data")
     if not isinstance(data, dict) or "times" not in data or \
             "values" not in data:
@@ -170,6 +168,7 @@ def _cmd_fit(args):
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)}", args.data)
     result = fit_weibull(data["times"], data["values"], data.get("weights"))
+    out = _outdir(args)
     report = {"tau": result.params["tau"], "h": result.params["h"],
               "objective": result.objective,
               "n_evals": result.nm.n_evals,
@@ -193,10 +192,10 @@ def _write_state(out, tag, model, u, aux):
 
 def _cmd_fem(args):
     cfg = _load(args)
-    out = _outdir(args)
-    if args.vtk_every < 0:
-        raise ParameterError("--vtk-every must be >= 0")
+    check_range({"--vtk-every": args.vtk_every}, 0, "at least 0", high=np.inf,
+                closed=True)
     model = clamped_strip_model(cfg.material, **dataclasses.asdict(cfg.strip))
+    out = _outdir(args)
     save_config(cfg, os.path.join(out, "config.json"))
     path = os.path.join(out, "history.csv")
     cutbacks, failure = 0, None

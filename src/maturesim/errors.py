@@ -1,7 +1,9 @@
-"""Exception taxonomy shared by all maturesim modules, and the one bounds
-check of the parameter blocks."""
+"""Exception taxonomy shared by all maturesim modules, and the one range
+check of scalar inputs."""
 
 import sys
+
+import numpy as np
 
 
 class MaturesimError(Exception):
@@ -12,18 +14,23 @@ class ParameterError(MaturesimError, ValueError):
     """A parameter is outside its admissible domain."""
 
 
-def check_range(params, names, low, what, high=sys.float_info.max, closed=False):
-    """Raise ParameterError unless low < v <= high, or low <= v <= high
-    with `closed`, for each field v of `params` named in `names`.
+def check_range(values, low, what, high=sys.float_info.max, closed=False,
+                integer=False, error=ParameterError):
+    """Raise `error` unless each value v in the mapping `values` (a scalar,
+    or an array taken entry by entry) lies in low < v <= high, or in
+    low <= v <= high with `closed`, and is a whole number with `integer`.
 
-    Each comparison is one that NaN fails, and the default `high`, the
-    largest finite float, fails infinities.  `what` states the range in
-    the error message.
+    The package's one range check of a scalar input.  Each comparison is one
+    that NaN fails, and the default `high`, the largest finite float, fails
+    infinities.  The message names the value by its key and states its
+    range as `what`.
     """
-    for name in names:
-        v = getattr(params, name)
-        if not ((low <= v if closed else low < v) and v <= high):
-            raise ParameterError(f"{name} must be {what}, got {v}")
+    for name, v in values.items():
+        ok = (low <= v if closed else low < v) & (v <= high)
+        if integer and np.all(ok):
+            ok = v % 1 == 0     # of values in the range only, which are finite
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+            raise error(f"{name} must be {what}, got {v}")
 
 
 class DeformationError(MaturesimError, ValueError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._files import atomic_open
-from ..errors import MeshError
+from ..errors import MeshError, check_range
 
 # local face id -> corner slots, outward orientation
 FACE_CORNERS = np.array([
@@ -24,6 +24,10 @@ FACE_CORNERS = np.array([
     [0, 4, 7, 3],  # 4: xmin
     [1, 2, 6, 5],  # 5: xmax
 ])
+
+# most elements of a strip: the solver holds a dense 24 x 24 block per
+# element, 4.6 GB of tangent blocks at this size
+_MAX_ELEMS = 10**6
 
 
 @dataclass
@@ -86,16 +90,20 @@ def strip_mesh(length, width, thickness, nx, ny, nz):
 
     Node sets xmin/xmax/ymin/ymax/zmin/zmax collect the boundary planes;
     face sets 'bottom' (z = 0) and 'top' (z = t) carry pressure loads.
+    The sizes must be positive and finite, the element counts whole numbers
+    of at least 1 and at most 10**6 elements in all; MeshError if not.
     """
+    check_range({"length": length, "width": width, "thickness": thickness}, 0.0,
+                "positive and finite", error=MeshError)
+    check_range({"nx": nx, "ny": ny, "nz": nz}, 1, "a whole number of at least 1",
+                closed=True, integer=True, error=MeshError)
     nx, ny, nz = int(nx), int(ny), int(nz)
-    if min(nx, ny, nz) < 1:
-        raise MeshError("element counts must be at least 1 per direction")
-    if min(length, width, thickness) <= 0.0:
-        raise MeshError("strip dimensions must be positive")
+    check_range({"nx * ny * nz": nx * ny * nz}, 1, f"at most {_MAX_ELEMS}",
+                high=_MAX_ELEMS, closed=True, error=MeshError)
 
-    xs = np.linspace(0.0, length, nx + 1)
-    ys = np.linspace(0.0, width, ny + 1)
-    zs = np.linspace(0.0, thickness, nz + 1)
+    xs = np.linspace(0.0, float(length), nx + 1)
+    ys = np.linspace(0.0, float(width), ny + 1)
+    zs = np.linspace(0.0, float(thickness), nz + 1)
     X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
     nodes = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
 

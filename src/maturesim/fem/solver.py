@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DeformationError, MeshError, ParameterError, SolverError
+from ..errors import DeformationError, MeshError, SolverError, check_range
 from ..materials import (MaterialParams, cauchy_stress, response_batch,
                          volumetric_modulus, volumetric_pressure)
 from ..tensors import deformation_inv_det
@@ -119,7 +119,8 @@ class Dirichlet:
 
     `value` is a constant (scalar or 3-vector) or a callable mapping node
     coordinates (m, 3) to displacements (m, 3); only the axes listed in
-    `dofs` are constrained.
+    `dofs`, each 0, 1 or 2, are constrained.  `FemModel` raises MeshError
+    for any other axis.
     """
 
     node_set: str
@@ -196,7 +197,10 @@ class FemModel:
             else:
                 vals = np.broadcast_to(np.asarray(bc.value, dtype=float),
                                        (len(ids), 3))
-            for ax in bc.dofs:
+            dofs = np.asarray(bc.dofs)
+            check_range({f"Dirichlet dofs on '{bc.node_set}'": dofs}, 0, "0, 1 or 2",
+                        high=2, closed=True, integer=True, error=MeshError)
+            for ax in dofs.astype(int):
                 fixed[3 * ids + ax] = True
                 values[3 * ids + ax] = vals[:, ax]
         self.fixed = fixed
@@ -342,17 +346,18 @@ class FemModel:
             return np.inf, err
         return np.abs(R[self.free_idx]).max(initial=0.0), (R, K, aux)
 
-    def _feasible_start(self, candidates, t, dt):
+    def _feasible_start(self, candidates, t, dt, tangent=True):
         """The first of `candidates` that is feasible (see `_try_assemble`)
         once the Dirichlet values are imposed on a copy of it.
 
-        Returns (u, rnorm, (R, K, aux)) of that start; where no candidate
-        is feasible, raises the last one's error.
+        Returns (u, rnorm, (R, K, aux)) of that start, K None without
+        `tangent`; where no candidate is feasible, raises the last one's
+        error.
         """
         for u in candidates:
             u = np.asarray(u, dtype=float).copy()
             u[self.fixed] = self.fixed_values[self.fixed]
-            rnorm, out = self._try_assemble(u, t, dt)
+            rnorm, out = self._try_assemble(u, t, dt, tangent=tangent)
             if not isinstance(out, Exception):
                 return u, rnorm, out
         raise out
@@ -658,11 +663,11 @@ def march_steps(model: FemModel, ramp, t_end, dt0=0.002, dt_max=0.25,
     `ramp` is (u, aux, iterations) as `ramp_pressure` returns it, for this
     model or for another on the same mesh and load.  Its aux is not used:
     the march assembles u once at t = 0, dt = 0 on its own model, with the
-    Dirichlet values imposed, and commits that assembly, so `hist_strain`
-    starts from this model's fiber strains.  A u whose shape is not
-    (n_dof,) raises MeshError, an infeasible one its error (see
-    `FemModel._feasible_start`), and one whose residual there is not below
-    RESIDUAL_TOL SolverError; the first record carries the ramp's
+    Dirichlet values imposed and without the tangent, and commits that
+    assembly, so `hist_strain` starts from this model's fiber strains.  A
+    u whose shape is not (n_dof,) raises MeshError, an infeasible one its
+    error (see `FemModel._feasible_start`), and one whose residual there is
+    not below RESIDUAL_TOL SolverError; the first record carries the ramp's
     iterations.  Steps start at dt0 and stretch geometrically by dt_ratio
     up to dt_max; a failed step is retried with half the size.  Each
     step's Newton solve starts from a predictor, the Lagrange polynomial in
@@ -676,20 +681,18 @@ def march_steps(model: FemModel, ramp, t_end, dt0=0.002, dt_max=0.25,
     the step's StepRecord with the number of cutbacks.  A step halved below
     STEP_MIN raises SolverError with the time, the size it fell to and the
     cutbacks, caused by the last attempt's error.  Before the start is
-    checked, rejects t_end <= 0, which would end the run at the ramp, a
-    t_end that is not finite, which no march reaches, and dt0 <= 0,
-    dt_max <= 0 and dt_ratio < 1: a step that is not positive, or that
-    shrinks, may never reach t_end.
+    checked, raises ParameterError for t_end <= 0, which would end the run
+    at the ramp, a t_end that is not finite, which no march reaches, and
+    dt0 <= 0, dt_max <= 0 and dt_ratio < 1 (NaN among them): a step that
+    is not positive, or that shrinks, may never reach t_end.
     """
-    if not 0.0 < t_end < np.inf:
-        raise ParameterError(f"need 0 < t_end < inf, got {t_end}")
-    if not (dt0 > 0.0 and dt_max > 0.0 and dt_ratio >= 1.0):
-        raise ParameterError("need dt0 > 0, dt_max > 0 and dt_ratio >= 1, got "
-                             f"{dt0}, {dt_max}, {dt_ratio}")
+    check_range({"t_end": t_end}, 0.0, "positive and finite")
+    check_range({"dt0": dt0, "dt_max": dt_max}, 0.0, "positive", high=np.inf)
+    check_range({"dt_ratio": dt_ratio}, 1.0, "at least 1", high=np.inf, closed=True)
     u, _, its = ramp
     if np.shape(u) != (model.n_dof,):
         raise MeshError(f"ramp end of shape {np.shape(u)} on a model of {model.n_dof} dofs")
-    u, rnorm, (_, _, aux) = model._feasible_start([u], 0.0, 0.0)
+    u, rnorm, (_, _, aux) = model._feasible_start([u], 0.0, 0.0, tangent=False)
     if not rnorm < RESIDUAL_TOL:
         raise SolverError("ramp end out of equilibrium on this model", residual=rnorm)
     model.commit(aux)

@@ -49,9 +49,9 @@ class GrowthParams:
     h: float
 
     def __post_init__(self):
-        check_range(self, ("a1", "a2", "psi_crit", "rho_th", "c_cell", "tau"), 0.0,
-                    "positive and finite")
-        check_range(self, ("h",), 1.0, "greater than 1 and finite")
+        # every field is a positive constant, and the shape h exceeds 1
+        check_range(vars(self), 0.0, "positive and finite")
+        check_range({"h": self.h}, 1.0, "greater than 1 and finite")
 
 
 @dataclass(frozen=True)
@@ -79,38 +79,51 @@ class GrowthState:
                                  f"got {getattr(self, name)}")
 
 
-def _weibull_time(t, tau, h):
-    """t as an array, once tau and h are positive and finite and every t
-    finite and non-negative (NaN fails each test); ParameterError if not."""
-    if not (0.0 < tau < np.inf and 0.0 < h < np.inf):
-        raise ParameterError(f"tau and h must be positive and finite, got {tau}, {h}")
+def _weibull_time(t):
+    """t as an array, once every t is finite and non-negative;
+    ParameterError if not."""
     t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0.0) & (t < np.inf)):
-        raise ParameterError("time must be finite and non-negative")
+    check_range({"time": t}, 0.0, "finite and non-negative", closed=True)
     return t
 
 
 def weibull_alpha(t, tau, h):
     """Weibull CDF alpha(t) = 1 - exp(-(t/tau)^h), the bio time course."""
-    t = _weibull_time(t, tau, h)
-    out = 1.0 - np.exp(-((t / tau) ** h))
+    check_range({"tau": tau, "h": h}, 0.0, "positive and finite")
+    t = _weibull_time(t)
+    # (t/tau)^h past the float range is alpha = 1
+    with np.errstate(over="ignore"):
+        out = 1.0 - np.exp(-((t / tau) ** h))
     return out if out.ndim else float(out)
 
 
 def weibull_alpha_rate(t, tau, h):
     """d alpha / d t.  Defined as 0 at t = 0 for shapes h > 1."""
-    t = _weibull_time(t, tau, h)
+    check_range({"tau": tau, "h": h}, 0.0, "positive and finite")
+    t = _weibull_time(t)
     if h <= 1.0 and np.any(t == 0.0):
         raise ParameterError("rate at t = 0 is undefined for h <= 1")
-    x = t / tau
-    with np.errstate(divide="ignore"):
-        out = np.where(x > 0.0, (h / tau) * np.exp(-(x**h)) * x ** (h - 1.0), 0.0)
+    return _alpha_rate(t, tau, h)
+
+
+def _alpha_rate(t, tau, h):
+    """d alpha / d t at checked times t, for a checked tau and h."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = t / tau
+        xh = x**h
+        # where (t/tau)^h passes the float range the rate is 0 and the
+        # product below is not finite
+        out = np.where((x > 0.0) & (xh < np.inf),
+                       (h / tau) * np.exp(-xh) * x ** (h - 1.0), 0.0)
     return out if out.ndim else float(out)
 
 
 def bio_rate(t, p: GrowthParams):
-    """Cell-driven density rate a1 * c_cell * d alpha/dt, ug/mm^3/day."""
-    return p.a1 * p.c_cell * weibull_alpha_rate(t, p.tau, p.h)
+    """Cell-driven density rate a1 * c_cell * d alpha/dt, ug/mm^3/day.
+
+    Only t is checked here: `p` checked tau and h when it was built.
+    """
+    return p.a1 * p.c_cell * _alpha_rate(_weibull_time(t), p.tau, p.h)
 
 
 def _mech_partials(rho, q, p: GrowthParams):
@@ -141,8 +154,7 @@ def update_density_batch(rho_n, psi_m, t_np1, dt, p: GrowthParams):
     if rho_n.shape != psi_m.shape:
         raise ParameterError("rho_n and psi_m must have matching shapes")
     GrowthState(rho=rho_n, psi_m=psi_m)
-    if not 0.0 <= dt < np.inf:
-        raise ParameterError(f"dt must be finite and non-negative, got {dt}")
+    check_range({"dt": dt}, 0.0, "finite and non-negative", closed=True)
 
     D = np.zeros(rho_n.shape)
     D2 = np.zeros(rho_n.shape)
@@ -205,7 +217,7 @@ def _update_active(base, psi_a, dt, p: GrowthParams):
         raise SolverError("density update did not converge", residual=np.inf,
                           psi_m=float(psi_a[worst]), tolerance=UPDATE_TOL)
     with np.errstate(divide="ignore"):  # q = 0 at psi_m = psi_crit
-        L = np.log(dt) + np.log(p.a2 * p.c_cell) + np.log(q)
+        L = np.log(float(dt)) + np.log(p.a2 * p.c_cell) + np.log(q)
     # start at base + dt*m(base) where that lift is at most base; a larger
     # lift puts the root above max(2*base, rho_th*L), a start from which the
     # first step in s is bounded (the capped exponent cannot overflow)

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensors as tn
-from .errors import DeformationError, ParameterError, check_range
+from .errors import DeformationError, check_range
 from .growth import GrowthParams, GrowthState, update_density_batch
 
 _I6 = tn.IDENTITY6[:, None]
@@ -107,8 +107,8 @@ class MatrixParams:
     mu: float
 
     def __post_init__(self):
-        check_range(self, ("mu",), 0.0, "positive and finite")
-        check_range(self, ("lam",), 0.0, "non-negative and finite", closed=True)
+        check_range({"mu": self.mu}, 0.0, "positive and finite")
+        check_range({"lam": self.lam}, 0.0, "non-negative and finite", closed=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +144,8 @@ class CollagenParams:
 
     def _validate(self):
         # kappa and `a` are checked as H is built
-        check_range(self, COLLAGEN_SCALARS, 0.0, "positive and finite")
+        check_range({k: getattr(self, k) for k in COLLAGEN_SCALARS}, 0.0,
+                    "positive and finite")
 
     def replace(self, **changes):
         """`dataclasses.replace(self, **changes)`, validated alike.
@@ -210,6 +211,12 @@ class TextileParams:
 
     def __post_init__(self):
         self._validate()
+        # the exponents' range before int() sees them
+        check_range({k: getattr(self, k) for k in TEXTILE_EXPONENTS}, 2,
+                    f"an integer in [2, {TEXTILE_EXPONENT_MAX}]",
+                    high=TEXTILE_EXPONENT_MAX, closed=True, integer=True)
+        for name in TEXTILE_EXPONENTS:
+            object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "n1", tn.unit_vector(self.n1))
         object.__setattr__(self, "n2", tn.unit_vector(self.n2))
         object.__setattr__(self, "M1", np.outer(self.n1, self.n1))
@@ -257,17 +264,9 @@ class TextileParams:
         self._set_coef()
 
     def _validate(self):
-        check_range(self, TEXTILE_STIFFNESS, 0.0, "non-negative and finite",
-                    closed=True)
-        # the exponents' range before int() sees them
-        check_range(self, TEXTILE_EXPONENTS, 2,
-                    f"an integer in [2, {TEXTILE_EXPONENT_MAX}]",
-                    high=TEXTILE_EXPONENT_MAX, closed=True)
-        for name in TEXTILE_EXPONENTS:
-            e = getattr(self, name)
-            if int(e) != e:
-                raise ParameterError(f"{name} must be an integer, got {e}")
-            object.__setattr__(self, name, int(e))
+        # the exponents are checked once, as the tables are built
+        check_range({k: getattr(self, k) for k in TEXTILE_STIFFNESS}, 0.0,
+                    "non-negative and finite", closed=True)
 
     def _set_coef(self):
         k = np.array([getattr(self, name) for name in TEXTILE_STIFFNESS], dtype=float)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import csv_row
-from .errors import DeformationError, ParameterError, SolverError
+from .errors import DeformationError, ParameterError, SolverError, check_range
 from .growth import GrowthParams, GrowthState, bio_rate
 from .materials import FIBER_STRAIN_MAX, MaterialParams, total_response
 from .tensors import VOIGT_I, VOIGT_J
@@ -49,9 +49,9 @@ class LoadProgram:
     array of knot values.  Values are stretches, or engineering strains when
     `strain_measure` == "engineering" (converted at construction).  Between
     knots the controlled values are interpolated linearly and each interval
-    is cut into `steps_per_interval` equal growth steps, at most
-    MAX_STEPS in all.  `grow=False` freezes the density (pure hyperelastic
-    protocol).
+    is cut into `steps_per_interval` equal growth steps, a whole number,
+    at most MAX_STEPS in all.  `grow=False` freezes the density (pure
+    hyperelastic protocol).
     """
 
     times: np.ndarray
@@ -73,10 +73,9 @@ class LoadProgram:
             raise ParameterError(f"unknown strain measure {self.strain_measure!r}")
         if len(self.controls) != 3:
             raise ParameterError("controls must cover exactly three axes")
-        if self.steps_per_interval < 1:
-            raise ParameterError("steps_per_interval must be at least 1")
-        if self.steps_per_interval * (times.size - 1) > MAX_STEPS:
-            raise ParameterError(f"program has more than {MAX_STEPS} steps")
+        most = MAX_STEPS // (times.size - 1)
+        check_range({"steps_per_interval": self.steps_per_interval}, 1,
+                    f"an integer in [1, {most}]", high=most, closed=True, integer=True)
         parsed = []
         n_controlled = 0
         for ax, c in enumerate(self.controls):
@@ -90,8 +89,7 @@ class LoadProgram:
                 raise ParameterError(f"axis {ax}: need one value per knot")
             if self.strain_measure == "engineering":
                 vals = vals + 1.0
-            if not np.all((vals > 0.0) & np.isfinite(vals)):
-                raise ParameterError(f"axis {ax}: stretches must be positive and finite")
+            check_range({f"axis {ax} stretches": vals}, 0.0, "positive and finite")
             parsed.append(vals)
             n_controlled += 1
         if n_controlled == 0:
@@ -333,15 +331,12 @@ def unloaded_maturation(p: GrowthParams, t_end, dt):
     Returns (times, rho) arrays with backward-Euler steps of size dt; with
     psi_m = 0 the update is explicit, a cumulative sum of bio increments.
     """
-    if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
-        raise ParameterError("t_end and dt must be positive and finite")
-    if t_end / dt > MAX_STEPS:
-        raise ParameterError(f"dt = {dt:g} gives more than {MAX_STEPS} "
-                             f"steps up to t_end = {t_end:g}")
+    check_range({"t_end": t_end, "dt": dt}, 0.0, "positive and finite")
+    # the number of steps, round(t_end / dt), from 1 to MAX_STEPS
+    check_range({"t_end / dt": t_end / dt}, 0.5, f"above 0.5 and at most {MAX_STEPS}",
+                high=MAX_STEPS)
     n = int(round(t_end / dt))
-    if n < 1:
-        raise ParameterError(f"dt = {dt:g} gives no step up to t_end = {t_end:g}")
-    times = np.arange(1, n + 1) * dt
+    times = np.arange(1.0, n + 1) * dt
     return times, np.cumsum(dt * bio_rate(times, p))
 
 

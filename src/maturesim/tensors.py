@@ -24,7 +24,7 @@ Gauss-point evaluations share one code path.
 
 import numpy as np
 
-from .errors import DeformationError, ParameterError
+from .errors import DeformationError, ParameterError, check_range
 
 # Component order of the symmetric 6-vector: (i, j) index pairs.
 VOIGT_I = np.array([0, 1, 2, 0, 0, 1])
@@ -147,8 +147,7 @@ def gen_structural_tensor(a, kappa):
     of the fiber family (0: perfectly aligned, 1/3: isotropic).  trace(H) = 1
     up to round-off by construction.
     """
-    if not 0.0 <= kappa <= 1.0 / 3.0:
-        raise ParameterError(f"kappa must lie in [0, 1/3], got {kappa}")
+    check_range({"kappa": kappa}, 0.0, "in [0, 1/3]", high=1.0 / 3.0, closed=True)
     a = unit_vector(a)
     return kappa * np.eye(3) + (1.0 - 3.0 * kappa) * np.outer(a, a)
 

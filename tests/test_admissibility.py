@@ -9,9 +9,15 @@ finite or breaks its bound (the parameter blocks, whether built or
 replaced, ParameterError), a calibration density (StateError) or biaxial ratio
 (FitError) that no solve could use, raised before any solve, and a data
 point that is not finite or a weight that is not finite and >= 0
-(`calibrate.DataSeries`, FitError), raised before any fit."""
+(`calibrate.DataSeries`, FitError), raised before any fit.  Every scalar
+input that `errors.check_range` guards, drawn at its limits (0, negative,
+NaN, infinite, non-integer and huge), ends in success or in its module's
+typed error (`TestScalarLimits`)."""
 
 import dataclasses
+import math
+import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -19,14 +25,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maturesim import calibrate, growth, materials, tensors
-from maturesim.errors import (DeformationError, FitError, ParameterError,
-                              StateError)
-from maturesim.fem import Dirichlet, FemModel, strip_mesh
+from maturesim import calibrate, growth, materials, matpoint, tensors
+from maturesim.cli import main
+from maturesim.errors import (DeformationError, FitError, MeshError,
+                              ParameterError, SolverError, StateError)
+from maturesim.fem import (Dirichlet, FemModel, clamped_strip_model,
+                           march_steps, ramp_pressure, strip_mesh)
 from maturesim.growth import GrowthState
 
 from _oracles import matrix_on_C, response_on_C
-from conftest import deadline, make_growth, make_material, make_matrix
+from conftest import (deadline, make_growth, make_material, make_matrix,
+                      make_textile)
 
 BAD = st.sampled_from([np.nan, np.inf, -np.inf]) | st.floats(
     max_value=-1e-300, allow_nan=False, allow_infinity=False)
@@ -277,3 +286,172 @@ class TestCalibrationInputs:
                                            ratio_by_series={"a": np.inf})
         series = calibrate.DataSeries("a", [0.05, 0.1], P)
         assert np.array_equal(model([base.textile.k1_1], [series])[0], P)
+
+
+# the limits of a scalar input: 0, negative, NaN, infinite, non-integer and
+# huge, as a float and as an integer past the int64 range
+LIMITS = [0.0, -0.0, -1.0, 0.5, 2.5, np.nan, np.inf, -np.inf, 1e300,
+          sys.float_info.max, 10**30]
+FMAX = sys.float_info.max
+
+
+def limit_or(*nominal):
+    """A limit of a scalar input, or one of its `nominal` values."""
+    return st.sampled_from(LIMITS + list(nominal))
+
+
+def ends_typed(error, fn, *args, **kwargs):
+    """fn(*args, **kwargs), or None where it raises `error`; it must warn
+    nothing and end in time."""
+    with deadline(10), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fn(*args, **kwargs)
+        except error:
+            return None
+
+
+class TestScalarLimits:
+    """The scalar inputs that `errors.check_range` guards, one entry point
+    each: a call ends in success or in its module's typed error, with no
+    numpy warning, and succeeds exactly where its input is in range."""
+
+    @SETTINGS
+    @given(value=limit_or(), which=st.integers(0, 2),
+           fn=st.sampled_from([growth.weibull_alpha, growth.weibull_alpha_rate]))
+    def test_weibull(self, value, which, fn):
+        # (t/tau)^h past the float range used to warn of an overflow
+        args = [5.0, 14.21, 1.65]
+        args[which] = value
+        out = ends_typed(ParameterError, fn, *args)
+        inside = (args[0] >= 0.0 and args[1] > 0.0 and args[2] > 0.0
+                  and max(args) <= FMAX)
+        assert (out is not None) == inside
+        assert out is None or math.isfinite(out)
+
+    @SETTINGS
+    @given(value=limit_or(), which=st.sampled_from(["t", "dt"]),
+           psi=st.sampled_from([0.0, 0.05]))
+    @example(value=10**30, which="dt", psi=0.05)
+    def test_density_update_step(self, value, which, psi):
+        # an integer dt past the int64 range used to raise TypeError from
+        # np.log in the active update
+        step = {"t": 10.0, "dt": 0.28, which: value}
+        out = ends_typed((ParameterError, SolverError), growth.update_density_batch,
+                         np.array([1.0]), np.array([psi]), step["t"], step["dt"],
+                         make_growth())
+        if not 0.0 <= value <= FMAX:
+            assert out is None
+        assert out is None or np.isfinite(out).all()
+
+    @SETTINGS
+    @given(t_end=limit_or(28.0), dt=limit_or(0.25))
+    @example(t_end=10**30, dt=10**30)
+    def test_unloaded_maturation(self, t_end, dt):
+        # an integer dt past the int64 range used to raise OverflowError
+        # as the step times were formed
+        out = ends_typed(ParameterError, matpoint.unloaded_maturation,
+                         make_growth(), t_end, dt)
+        if not (0.0 < t_end <= FMAX and 0.0 < dt <= FMAX):
+            assert out is None
+        assert out is None or all(np.isfinite(a).all() for a in out)
+
+    @SETTINGS
+    @given(steps=limit_or(3), end=limit_or(1.1),
+           engineering=st.booleans())
+    def test_load_program(self, steps, end, engineering):
+        # steps_per_interval = 2.5 used to be accepted, with a path that ran
+        # past its last knot, and NaN to fail later in `program_path`
+        first, measure = (0.0, "engineering") if engineering else (1.0, "stretch")
+        program = ends_typed(ParameterError, matpoint.LoadProgram,
+                             times=[0.0, 1.0], controls=([first, end], matpoint.FREE, matpoint.FREE),
+                             steps_per_interval=steps, strain_measure=measure)
+        stretch = end + 1.0 if engineering else end
+        assert (program is not None) == (steps == 3 and 0.0 < stretch <= FMAX)
+        if program is not None:
+            t, lams, _ = matpoint.program_path(program)
+            assert len(t) == 4 and t[-1] == 1.0
+            assert lams[-1, 0] == stretch
+
+    @pytest.fixture(scope="class")
+    def strip_ramp(self):
+        model = clamped_strip_model(make_material(), nx=2, ny=1, nz=1)
+        return model, ramp_pressure(model)
+
+    @SETTINGS
+    @given(t_end=limit_or(1.0), dt0=limit_or(0.02), dt_max=limit_or(0.25),
+           dt_ratio=limit_or(1.25))
+    def test_march_controls(self, strip_ramp, t_end, dt0, dt_max, dt_ratio):
+        # the controls are checked before the start; infinite steps are
+        # accepted, since the last step ends at t_end
+        model, ramp = strip_ramp
+        first = ends_typed(ParameterError, next,
+                           march_steps(model, ramp, t_end, dt0, dt_max, dt_ratio))
+        inside = 0.0 < t_end <= FMAX and dt0 > 0.0 and dt_max > 0.0 and dt_ratio >= 1.0
+        assert (first is not None) == inside
+        assert first is None or first[0].time == 0.0
+
+    @SETTINGS
+    @given(kappa=limit_or(1.0 / 3.0, 0.2))
+    def test_structural_tensor(self, kappa):
+        H = ends_typed(ParameterError, tensors.gen_structural_tensor,
+                       [1.0, 0.0, 0.0], kappa)
+        assert (H is not None) == (0.0 <= kappa <= 1.0 / 3.0)
+
+    @SETTINGS
+    @given(sizes=st.tuples(*[limit_or(1.0)] * 3),
+           counts=st.tuples(*[limit_or(1, 2)] * 3))
+    @example(sizes=(10**30, 1.0, 1.0), counts=(1, 1, 1))
+    def test_strip_mesh(self, sizes, counts):
+        # an infinite size used to warn before its MeshError, a NaN or huge
+        # count and an integer size past the int64 range to end in an
+        # untyped error
+        mesh = ends_typed(MeshError, strip_mesh, *sizes, *counts)
+        inside = (all(0.0 < v <= FMAX for v in sizes)
+                  and all(n in (1, 2) for n in counts))
+        assert (mesh is not None) == inside
+        assert mesh is None or mesh.n_elems == math.prod(counts)
+
+    @SETTINGS
+    @given(name=st.sampled_from(materials.TEXTILE_EXPONENTS),
+           value=limit_or(2, 3.0, materials.TEXTILE_EXPONENT_MAX))
+    def test_textile_exponents(self, name, value):
+        p = ends_typed(ParameterError, dataclasses.replace, make_textile(),
+                       **{name: value})
+        assert (p is not None) == (value in (2, 3, materials.TEXTILE_EXPONENT_MAX))
+        assert p is None or type(getattr(p, name)) is int
+
+    @SETTINGS
+    @given(dof=limit_or(0, 1, 2, -1, 3))
+    def test_dirichlet_dofs(self, dof):
+        mesh = strip_mesh(1.0, 1.0, 1.0, 2, 1, 1)
+        model = ends_typed(MeshError, FemModel, mesh, make_material(),
+                           dirichlet=[Dirichlet("xmin", dofs=(dof,))])
+        assert (model is not None) == (dof in (0, 1, 2))
+        assert model is None or model.fixed.sum() == len(mesh.node_sets["xmin"])
+
+    @settings(max_examples=20, deadline=None)
+    @given(flag=st.sampled_from(["--stretch", "--ratio"]), value=limit_or(1.1))
+    def test_cli_matpoint_flags(self, flag, value):
+        # a usage error (1) where the flag is out of range, else a record
+        # file (0) or a typed solver failure (2); `main` lets no other
+        # exception out.  --ratio 1e300 puts the transverse stretch past the
+        # float range, which LoadProgram refuses without a warning
+        with tempfile.TemporaryDirectory() as out:
+            code = ends_typed((), main, ["-q", "matpoint", "--no-grow", "--steps",
+                                         "2", f"{flag}={value}", "--out", out])
+        inside = 0.0 < value <= FMAX if flag == "--stretch" else abs(value) <= FMAX
+        assert code in ((0, 2) if inside else (1,))
+
+    @settings(max_examples=20, deadline=None)
+    @given(every=limit_or(0, 3))
+    def test_cli_vtk_every(self, every):
+        with tempfile.TemporaryDirectory() as out:
+            cfg = f"{out}/cfg.json"
+            with open(cfg, "w") as fh:
+                fh.write('{"strip": {"nx": 1, "ny": 1, "nz": 1}, '
+                         '"simulation": {"t_end": 0.02, "dt0": 0.02}}')
+            code = ends_typed((), main, ["-q", "fem", "--config", cfg, "--out", out,
+                                         f"--vtk-every={every}"])
+        # argparse takes integers only
+        assert code == (0 if isinstance(every, int) and every >= 0 else 1)

@@ -1,6 +1,7 @@
 """VTK export, config parsing/normalization, and the command line."""
 
 import dataclasses
+import inspect
 import json
 import os
 import warnings
@@ -129,6 +130,21 @@ class TestConfig:
         assert m.growth.tau == 14.21 and m.growth.h == 1.65
         assert cfg.simulation.t_end == 28.0
         assert cfg.strip.pressure == 0.002 and cfg.strip.follower is True
+
+    def test_python_defaults_are_the_config_defaults(self):
+        # the strip and the step controls have their defaults twice: in
+        # DEFAULTS and as keyword defaults of the functions that build and
+        # march the strip
+        def keyword_defaults(fn, *skip):
+            return {k: p.default for k, p in inspect.signature(fn).parameters.items()
+                    if p.default is not p.empty and k not in skip}
+
+        strip = dict(DEFAULTS["strip"])
+        assert strip.pop("pressure_unit") == "MPa"
+        assert keyword_defaults(solver.clamped_strip_model) == strip
+        steps = {k: v for k, v in DEFAULTS["simulation"].items() if k != "t_end"}
+        assert keyword_defaults(solver.march_steps) == steps
+        assert keyword_defaults(solver.march_maturation, "on_step") == steps
 
     def test_stress_unit_conversion(self):
         cfg = parse_config({"material": {"matrix": {
@@ -389,6 +405,7 @@ class TestCli:
         _write_json(datafile, {"times": [0, 1], "vals": [0, 1]})
         assert main(["-q", "fit", "--data", str(datafile),
                      "--out", str(tmp_path / "r")]) == 1
+        assert not (tmp_path / "r").exists()
         capsys.readouterr()
 
     def test_fem_small_run(self, tmp_path):
@@ -437,18 +454,23 @@ class TestCli:
     @pytest.mark.parametrize("command, flag, value", [
         ("grow", "--dt", "nan"), ("grow", "--dt", "inf"), ("grow", "--dt", "1e-300"),
         ("matpoint", "--stretch", "nan"), ("matpoint", "--ratio", "inf"),
-        ("matpoint", "--steps", "1000000000000")])
+        ("matpoint", "--steps", "1000000000000"), ("matpoint", "--steps", "0"),
+        ("strip-mesh", "--thickness", "inf"), ("strip-mesh", "--nx", "0")])
     def test_non_finite_flags_exit_one(self, tmp_path, capsys, command, flag,
                                        value):
         # usage errors, not a traceback or a "solver failure" (2), and
         # rejected before any arithmetic on them can warn; --dt 1e-300 asks
         # for 2.8e301 unloaded steps and --steps 1e12 for a 1e12-step path,
-        # both past the step bound
+        # both past the step bound.  An infinite --thickness used to warn
+        # before its MeshError, which escaped `main` as an exception.  A
+        # refused run writes nothing: grow and matpoint used to leave an
+        # empty --out directory behind
         with deadline(60), warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["-q", command, "--out", str(tmp_path / "r"), flag, value])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("stretch", [3.0, 5.0])
     def test_extreme_matpoint_converges(self, tmp_path, stretch):

@@ -61,6 +61,21 @@ class TestStripMesh:
         with pytest.raises(MeshError):
             mesh_from_dict({"nodes": m.nodes.tolist()})
 
+    @pytest.mark.parametrize("args", [
+        (20.0, 6.0, np.inf, 2, 1, 1), (20.0, 6.0, 0.3, np.nan, 1, 1),
+        (20.0, 6.0, 0.3, 2.5, 1, 1), (20.0, 6.0, 0.3, 10**6 + 1, 1, 1),
+        (20.0, 6.0, 0.3, 10**4, 10**4, 10**4)],
+        ids=["inf_size", "nan_count", "fractional_count", "one_past_the_bound",
+             "huge_counts"])
+    def test_bad_sizes_and_counts_rejected(self, args):
+        # an infinite size used to warn ("invalid value encountered in
+        # multiply", an error in this suite) before its MeshError, and a NaN
+        # count to raise an untyped ValueError; a fractional count is
+        # refused, not truncated, and more than 10**6 elements before
+        # anything is allocated
+        with pytest.raises(MeshError):
+            strip_mesh(*args)
+
     def test_repeated_corner_rejected(self):
         m = strip_mesh(3, 1, 1, 3, 1, 1)
         conn = m.hex8.copy()

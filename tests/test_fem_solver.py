@@ -10,9 +10,9 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from maturesim import config
+from maturesim import config, growth
 from maturesim.errors import (DeformationError, MaturesimError, MeshError,
-                              ParameterError, SolverError)
+                              ParameterError, SolverError, check_range)
 from maturesim.fem import (Dirichlet, FemModel, PressureLoad,
                            clamped_strip_model, march_maturation,
                            march_steps, ramp_pressure, strip_mesh)
@@ -197,6 +197,15 @@ class TestStaticSolves:
         assert np.abs(S[:, 1:3]).max() < 1e-10
         assert np.abs(rec.sigma[1:3]).max() <= STRESS_TOL
         assert np.abs(aux["rho"] - rec.rho).max() < 1e-12
+
+    @pytest.mark.parametrize("dofs", [(-1,), (3,), (0, 2.5), (np.nan,)])
+    def test_dofs_outside_the_axes_rejected(self, dofs):
+        # dofs=(-1,) used to build a model that clamped the z-dof of the
+        # wrong nodes and the mesh's last dof, and (3,) to raise an untyped
+        # IndexError
+        mesh = strip_mesh(2.0, 1.0, 1.0, 2, 1, 1)
+        with pytest.raises(MeshError, match="Dirichlet dofs on 'xmin'"):
+            FemModel(mesh, make_material(), dirichlet=[Dirichlet("xmin", dofs=dofs)])
 
     def test_unknown_sets_rejected(self):
         params = make_material()
@@ -1047,6 +1056,26 @@ class TestMaturationMarch:
             next(march_steps(model, (np.zeros(3), None, 0),
                              **{"t_end": 1.0, **steps}))
 
+    def test_growth_constants_are_checked_once(self, monkeypatch):
+        # GrowthParams checks tau and h when it is built; each density
+        # update of the march checks only its own time and step
+        model = _small_strip()
+        checked = []
+
+        def record(values, *args, **kwargs):
+            checked.extend(values)
+            return check_range(values, *args, **kwargs)
+
+        def rechecked(*args):
+            raise AssertionError("the march re-checked tau and h")
+
+        monkeypatch.setattr(growth, "check_range", record)
+        monkeypatch.setattr(growth, "weibull_alpha_rate", rechecked)
+        history, _, _ = march_maturation(model, t_end=0.1, dt0=0.02, dt_max=0.05)
+        assert history[-1].rho_mean > 0.0
+        assert {"time", "dt"} <= set(checked)
+        assert not {"tau", "h"} & set(checked)
+
     def test_unloaded_march_matches_point_growth(self):
         # no load: every Gauss point follows the homogeneous growth curve
         from maturesim.matpoint import unloaded_maturation
@@ -1120,6 +1149,21 @@ class TestMarchStart:
             next(march_steps(model, base_ramp, **_SMALL_MARCH))
         assert info.value.diagnostics["residual"] > RESIDUAL_TOL
         assert not model.hist_strain.any()
+
+    def test_start_assembles_no_tangent(self, base_ramp, monkeypatch):
+        # the start's residual and Gauss fields are all the march reads, and
+        # a residual-only assembly gives them bit for bit
+        model = _small_strip()
+        tangents = []
+        assemble = model.assemble
+
+        def spy(u, t, dt, tangent=True):
+            tangents.append(tangent)
+            return assemble(u, t, dt, tangent=tangent)
+
+        monkeypatch.setattr(model, "assemble", spy)
+        next(march_steps(model, base_ramp, **_SMALL_MARCH))
+        assert tangents == [False]
 
     def test_infeasible_ramp_end_rejected(self, base_ramp):
         # every free node mirrored through the origin: X + u = -X inverts

@@ -51,6 +51,15 @@ class TestWeibull:
             fd = (weibull_alpha(t + dt, tau, h) - weibull_alpha(t - dt, tau, h)) / (2 * dt)
             assert weibull_alpha_rate(t, tau, h) == pytest.approx(fd, rel=1e-8)
 
+    def test_past_the_float_range(self):
+        # (t/tau)^h past the float range is alpha = 1 and a rate of 0; it
+        # used to warn of an overflow, and the rate to be NaN where t/tau
+        # or (t/tau)^(h - 1) overflowed too
+        assert weibull_alpha(1e300, 14.21, 1.65) == 1.0
+        assert weibull_alpha_rate(1e300, 14.21, 1.65) == 0.0
+        assert weibull_alpha_rate(5.0, 5e-324, 1.65) == 0.0
+        assert weibull_alpha_rate(20.0, 14.21, 1e300) == 0.0
+
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
             weibull_alpha(-1.0, 14.21, 1.65)

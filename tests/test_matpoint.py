@@ -50,16 +50,24 @@ class TestProgramValidation:
     def test_step_count_bounds(self):
         # the path is allocated whole, so a program of more than MAX_STEPS
         # steps is refused at construction (1e12 steps used to end in a
-        # numpy allocation error); MAX_STEPS itself is accepted
+        # numpy allocation error); MAX_STEPS itself is accepted.  The count
+        # is a whole number: 2.5 used to be accepted, with a path that ran
+        # past its last knot (times 0, 0.4, 0.8, 1.2), and NaN to fail
+        # later, untyped, in program_path; 3.0 is the program of 3
         bound = matpoint.MAX_STEPS
         for times, steps in [([0.0, 1.0], 0), ([0.0, 1.0], bound + 1),
                              ([0.0, 1.0, 2.0], bound // 2 + 1),
-                             ([0.0, 1.0], 10**12)]:
+                             ([0.0, 1.0], 10**12), ([0.0, 1.0], 2.5),
+                             ([0.0, 1.0], np.nan), ([0.0, 1.0], np.inf)]:
             with pytest.raises(ParameterError):
                 LoadProgram(times=times, controls=(FREE, np.ones(len(times)), FREE),
                             steps_per_interval=steps)
         LoadProgram(times=[0.0, 1.0], controls=(FREE, np.ones(2), FREE),
                     steps_per_interval=bound)
+        paths = [matpoint.program_path(LoadProgram(
+            times=[0.0, 1.0], controls=([1.0, 1.1], FREE, FREE), steps_per_interval=n))
+            for n in (3, 3.0)]
+        assert all(np.array_equal(a, b) for a, b in zip(*paths))
 
     def test_engineering_measure_converts(self):
         p = LoadProgram(times=[0.0, 1.0], controls=([0.0, 0.2], FREE, FREE),
