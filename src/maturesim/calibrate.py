@@ -5,10 +5,11 @@ A direct-search Nelder-Mead simplex (reflection 1, expansion 2, contraction
 and measured series.  Box bounds are enforced by clipping trial points.
 Everything is deterministic: repeated fits of the same problem reproduce the
 same iterates bit for bit.  A fit of a `PointModel` prepares its one
-frozen-density program once (path stretches, free axes, densities) and
-warm-starts the free-axis solve of each evaluation from the stretches that
-the fit's last successful evaluation converged to; a start its program's
-last solve converged at is checked by its stress alone, with no tangent.
+frozen-density program once (one knot per series point: its stretches,
+free axes and density) and warm-starts the free-axis solve of each
+evaluation from the stretches that the fit's last successful evaluation
+converged to; a start its program's last solve converged at is checked
+by its stress alone, with no tangent.
 Each solve is one `matpoint.solve_frozen_path` call, which also drops a
 start that fails for the cold solve's guess.
 That program belongs to the one `fit_material` call, so its history
@@ -25,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError
+from .errors import FitError, check_range
 from .growth import GrowthState, weibull_alpha
 from .materials import MaterialParams
-from .matpoint import FREE, LoadProgram, program_path, solve_frozen_path
+from .matpoint import solve_frozen_path
 
 
 @dataclass(eq=False)
@@ -349,34 +350,30 @@ class _Program:
     `xs` holds one abscissa array per protocol with its density in `rhos`:
     uniaxial stretches of axis 0 with the other axes free, or biaxial
     engineering strains e1 of axis 0 with e2 = e1 / ratio and the thickness
-    free.  The knots of a frozen program are independent, so all of them,
-    after one reference knot at the unit stretch, form one lockstep batch
-    with one density per knot.  Holds the path stretches with the
-    controlled axes set (`lams`, one row per knot), the free axes and the
-    knot densities (`rho`), laid out by `program_path` from a `LoadProgram`
-    that validates the abscissae, each protocol's slice of the knots after
-    the reference one (`parts`), and, once a solve of it succeeded, the
-    free stretches that solve converged to (`start`) and whether it
-    converged at its own start (`at_start`).
+    free.  The knots of a frozen program are independent, so all of them
+    form one lockstep batch with one density per knot.  Holds one row per
+    series point: the stretches with the controlled axes set (`lams`), the
+    free axes and the knot densities (`rho`), each protocol's slice of the
+    knots (`parts`), and, once a solve of it succeeded, the free stretches
+    that solve converged to (`start`) and whether it converged at its own
+    start (`at_start`).  A controlled stretch that is not positive and
+    finite raises ParameterError.
     """
 
     def __init__(self, kind, xs, rhos, ratios):
-        xs = [np.asarray(x, dtype=float) for x in xs]
-        sizes = [x.size for x in xs]
-        self.rho = np.concatenate([[0.0]] + [np.full(n, float(r))
-                                             for n, r in zip(sizes, rhos)])
+        sizes = [np.size(x) for x in xs]
+        # the abscissae as one float array, empty for no protocols
+        x = np.concatenate([np.zeros(0), *xs])
+        self.rho = np.repeat(np.asarray(rhos, dtype=float), sizes)
+        self.lams = np.ones((x.size, 3))
         if kind == "uniaxial":
-            controls = (np.concatenate([[1.0]] + xs), FREE, FREE)
-            measure = "stretch"
+            self.lams[:, 0] = x
+            self.free = [1, 2]
         else:
-            e2 = [x / r for x, r in zip(xs, ratios)]
-            controls = (np.concatenate([[0.0]] + xs),
-                        np.concatenate([[0.0]] + e2), FREE)
-            measure = "engineering"
-        # one interval per knot: the path points are the knots
-        _, self.lams, self.free = program_path(LoadProgram(
-            times=np.arange(self.rho.size, dtype=float), controls=controls,
-            strain_measure=measure, grow=False))
+            self.lams[:, 0] = x + 1.0
+            self.lams[:, 1] = x / np.repeat(np.asarray(ratios, dtype=float), sizes) + 1.0
+            self.free = [2]
+        check_range({"stretches": self.lams}, 0.0, "positive and finite")
         ends = np.cumsum(sizes).tolist()
         self.parts = [slice(end - n, end) for n, end in zip(sizes, ends)]
         self.start = None
@@ -390,7 +387,7 @@ class _Program:
         one that raises or is not finite leaves the program as it was.
         """
         lams, S = _solve_program(self, params)
-        P = lams[1:, 0] * S[1:, 0]
+        P = lams[:, 0] * S[:, 0]
         if np.isfinite(P).all():
             stretches = lams[:, self.free]
             self.at_start = (self.start is not None
@@ -412,13 +409,14 @@ class PointModel:
     """Forward model of a material fit on frozen-density point protocols.
 
     `model(x, series_list, program=None)` builds the parameter bundle for x
-    once and solves every series as one lockstep program, one P11 array per
-    series.  Without `program` it prepares a fresh one, so the call is cold
-    and history-free.  `fit_material` prepares one with
+    once and solves every series as one lockstep program, one knot per
+    series point, one P11 array per series (an empty one for a series
+    with no points).  Without `program` it prepares a fresh one, so the
+    call is cold and history-free.  `fit_material` prepares one with
     `model.program(series_list)` per fit and passes it to every
     evaluation: a warm evaluation runs the lockstep free-axis Newton on its
     arrays from where the last successful one converged, and builds no
-    load program and no records.  See `make_point_model`.
+    records.  See `make_point_model`.
     """
 
     def __init__(self, base, param_names, kind, rho_by_series, ratio_by_series):

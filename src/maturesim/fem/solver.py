@@ -134,8 +134,9 @@ class PressureLoad:
 
     Positive pressure pushes against the outward face normal.  Follower
     loads act on the deformed surface and contribute load stiffness; with
-    `follower=False` the traction is evaluated once on the reference
-    geometry.
+    `follower=False` the load is a dead one: `assemble` evaluates its
+    traction on the reference geometry at every call, and it adds no
+    stiffness.
     """
 
     face_set: str

@@ -38,6 +38,9 @@ class GrowthParams:
     rho_th: saturation density of the mechanical term, ug/mm^3.
     c_cell: cell concentration, cells/mm^3.
     tau, h: Weibull scale (days) and shape of the bio time course.
+
+    Every field must be positive and finite, h greater than 1 and the bio
+    rate's scale h / tau finite; ParameterError otherwise.
     """
 
     a1: float
@@ -52,6 +55,8 @@ class GrowthParams:
         # every field is a positive constant, and the shape h exceeds 1
         check_range(vars(self), 0.0, "positive and finite")
         check_range({"h": self.h}, 1.0, "greater than 1 and finite")
+        # a rate scale past the float range makes rates NaN (see weibull_alpha_rate)
+        check_range({"h / tau": float(self.h) / float(self.tau)}, 0.0, "positive and finite")
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,9 @@ def weibull_alpha(t, tau, h):
 def weibull_alpha_rate(t, tau, h):
     """d alpha / d t.  Defined as 0 at t = 0 for shapes h > 1."""
     check_range({"tau": tau, "h": h}, 0.0, "positive and finite")
+    # the rate's scale, past the float range or rounded to 0, makes the rate
+    # NaN where it meets (t/tau)^(h-1) = 0 or inf; floats divide silently
+    check_range({"h / tau": float(h) / float(tau)}, 0.0, "positive and finite")
     t = _weibull_time(t)
     if h <= 1.0 and np.any(t == 0.0):
         raise ParameterError("rate at t = 0 is undefined for h <= 1")

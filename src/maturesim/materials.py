@@ -494,7 +494,7 @@ def _textile_sums(c, lin, p: TextileParams):
         j = min(k, emax - k)
         np.multiply(upow[1:j + 1], upow[k], out=upow[k + 1:k + j + 1])
         k += j
-    upow = upow.reshape(-1, n)
+    upow = upow.reshape((emax + 1) * 5, n)
     mono = upow.take(p.mono_pow[0], axis=0)
     mono *= p.mono_coef
     mono *= upow.take(p.mono_pow[1], axis=0)

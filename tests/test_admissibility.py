@@ -3,16 +3,17 @@ no numpy warning on the way: a density or psi_m that is NaN, infinite or
 negative (`GrowthState`, StateError), a deformation that is not finite or
 has det F <= 0 (`tensors.deformation_inv_det`, DeformationError) or whose
 material response overflows (`materials.response_batch`, DeformationError),
-a Weibull time, scale, shape or step that is not finite and positive
-(ParameterError), a material or growth constant or direction that is not
-finite or breaks its bound (the parameter blocks, whether built or
-replaced, ParameterError), a calibration density (StateError) or biaxial ratio
-(FitError) that no solve could use, raised before any solve, and a data
-point that is not finite or a weight that is not finite and >= 0
-(`calibrate.DataSeries`, FitError), raised before any fit.  Every scalar
-input that `errors.check_range` guards, drawn at its limits (0, negative,
-NaN, infinite, non-integer and huge), ends in success or in its module's
-typed error (`TestScalarLimits`)."""
+a Weibull time, scale, shape or step that is not finite and positive, or a
+rate scale h / tau that is not (ParameterError), a material or growth
+constant or direction that is not finite or breaks its bound (the
+parameter blocks, whether built or replaced, ParameterError), a
+calibration density (StateError), biaxial ratio (FitError) or controlled
+stretch (ParameterError) that no solve could use, raised before any
+solve, and a data point that is not finite or a weight that is not finite
+and >= 0 (`calibrate.DataSeries`, FitError), raised before any fit.  Every
+scalar input that `errors.check_range` guards, drawn at its limits (0,
+negative, NaN, infinite, non-integer and huge), ends in success or in its
+module's typed error (`TestScalarLimits`)."""
 
 import dataclasses
 import math
@@ -268,6 +269,19 @@ class TestCalibrationInputs:
                      np.arange(4.0), with_bad(bad, 4, index),
                      match=rf"series s: weights\[{index}\]")
 
+    @pytest.mark.parametrize("fn, x, ratio", [
+        (calibrate.uniaxial_eng_stress, [1.1, 0.0], None),
+        (calibrate.uniaxial_eng_stress, [1.1, np.inf], None),
+        (calibrate.biaxial_eng_stress, [0.1, -1.0], 1.0),
+        # e2 = 0.5 / -0.5 = -1 puts axis 1 at a zero stretch
+        (calibrate.biaxial_eng_stress, [0.5], -0.5)])
+    def test_protocol_stretches(self, fn, x, ratio):
+        # a controlled stretch that is not positive and finite, on either
+        # axis, is refused before any solve
+        args = (x, 0.0) if ratio is None else (x, ratio, 0.0)
+        raises_typed(ParameterError, fn, make_material(), *args,
+                     match="stretches must be positive and finite")
+
     @pytest.mark.parametrize("ratio", [0.0, -0.0, np.nan])
     def test_biaxial_ratio(self, ratio):
         raises_typed(FitError, calibrate.make_point_model, make_material(),
@@ -328,6 +342,24 @@ class TestScalarLimits:
                   and max(args) <= FMAX)
         assert (out is not None) == inside
         assert out is None or math.isfinite(out)
+
+    @SETTINGS
+    @given(tau=limit_or(14.21, 1e-10), h=limit_or(1.65, 1e300),
+           t=st.sampled_from([5e-11, 5.0]))
+    @example(tau=1e-10, h=1e300, t=5e-11)
+    def test_weibull_scale_and_shape(self, tau, h, t):
+        # tau and h drawn together: a rate scale h / tau past the float
+        # range used to be accepted, with NaN rates and densities
+        inside = 0.0 < tau <= FMAX and 0.0 < h <= FMAX
+        rate = ends_typed(ParameterError, growth.weibull_alpha_rate, t, tau, h)
+        assert (rate is not None) == (inside and h / tau <= FMAX)
+        assert rate is None or math.isfinite(rate)
+        p = ends_typed(ParameterError, dataclasses.replace, make_growth(),
+                       tau=tau, h=h)
+        assert (p is not None) == (inside and h > 1.0 and h / tau <= FMAX)
+        if p is not None:
+            rho = growth.update_density_batch(np.zeros(2), np.zeros(2), t, 1e-11, p)[0]
+            assert np.isfinite(rho).all()
 
     @SETTINGS
     @given(value=limit_or(), which=st.sampled_from(["t", "dt"]),

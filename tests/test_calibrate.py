@@ -234,6 +234,47 @@ class TestPointModelBatch:
         for s, pred in zip(series, model(x, series)):
             assert np.array_equal(pred, biaxial_eng_stress(p, s.x, ratios[s.name], 0.0))
 
+    def test_one_knot_per_series_point(self):
+        # a program lays out its series' points and nothing else, in series
+        # order: the controlled axes set, the free ones at 1
+        base = make_material()
+        series = [DataSeries("a", [1.01, 1.1], [0.0, 0.0]),
+                  DataSeries("b", [1.05], [0.0])]
+        uni = make_point_model(base, ["collagen.k1"], rho_by_series={"b": 5.0})
+        prog = uni.program(series)
+        assert np.array_equal(prog.lams, [[1.01, 1.0, 1.0], [1.1, 1.0, 1.0],
+                                          [1.05, 1.0, 1.0]])
+        assert prog.free == [1, 2] and np.array_equal(prog.rho, [0.0, 0.0, 5.0])
+        assert prog.parts == [slice(0, 2), slice(2, 3)]
+        bi = make_point_model(base, ["textile.k1_1"], kind="biaxial",
+                              ratio_by_series={"a": 4.0})
+        prog = bi.program(series)
+        # the series' x are strains e1 here, and "b" takes the ratio 1
+        assert np.array_equal(prog.lams, [[1.01 + 1.0, 1.01 / 4.0 + 1.0, 1.0],
+                                          [1.1 + 1.0, 1.1 / 4.0 + 1.0, 1.0],
+                                          [1.05 + 1.0, 1.05 + 1.0, 1.0]])
+        assert prog.free == [2] and np.array_equal(prog.rho, np.zeros(3))
+
+    @pytest.mark.parametrize("kind, x", [("uniaxial", [1.05, 1.1]),
+                                         ("biaxial", [0.05, 0.1])])
+    def test_empty_series_predict_empty_arrays(self, kind, x):
+        # a series with no points is a program with no knots: alone or next
+        # to one with points it predicts an empty array, cold or warm, and
+        # no series predict nothing.  A load program of fewer than two knot
+        # times used to refuse an empty series alone
+        base = make_material()
+        model = make_point_model(base, ["textile.k1_1"], kind=kind)
+        full, empty = DataSeries("a", x, [0.0, 0.0]), DataSeries("e", [], [])
+        xs = [base.textile.k1_1]
+        want = model(xs, [full])[0]
+        for series in ([empty], [full, empty], [empty, full], []):
+            program = model.program(series)
+            for preds in (model(xs, series), model(xs, series, program),
+                          model(xs, series, program)):
+                assert len(preds) == len(series)
+                for s, pred in zip(series, preds):
+                    assert np.array_equal(pred, want if s is full else np.zeros(0))
+
     def test_one_bundle_and_one_program_per_evaluation(self, monkeypatch):
         # every objective evaluation of a three-series fit, and the final
         # per-series report, builds one bundle and solves one program

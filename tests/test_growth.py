@@ -57,8 +57,19 @@ class TestWeibull:
         # or (t/tau)^(h - 1) overflowed too
         assert weibull_alpha(1e300, 14.21, 1.65) == 1.0
         assert weibull_alpha_rate(1e300, 14.21, 1.65) == 0.0
-        assert weibull_alpha_rate(5.0, 5e-324, 1.65) == 0.0
+        assert weibull_alpha_rate(5.0, 1e-308, 1.65) == 0.0
         assert weibull_alpha_rate(20.0, 14.21, 1e300) == 0.0
+
+    @pytest.mark.parametrize("t, tau, h", [(5e-11, 1e-10, 1e300),
+                                           (5.0, 5e-324, 1.65),
+                                           (1e-310, 10.0, 5e-324)])
+    def test_rate_scale_out_of_range(self, t, tau, h):
+        # a scale h / tau past the float range, or rounded to 0, is refused;
+        # the first and last cases gave NaN rates, where the scale met
+        # (t/tau)^(h-1) = 0 or inf, and the second, its t/tau past the float
+        # range too, gave 0
+        with pytest.raises(ParameterError, match="h / tau"):
+            weibull_alpha_rate(t, tau, h)
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):

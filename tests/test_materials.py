@@ -445,6 +445,18 @@ class TestTotalResponse:
         for name in ("rho", "psi_m"):
             assert np.array_equal(getattr(alone_new, name), getattr(full_new, name))
 
+    @pytest.mark.parametrize("tangent", [True, False])
+    @pytest.mark.parametrize("dt", [0.0, 0.1])
+    def test_empty_stack(self, tangent, dt):
+        # a stack of no points answers no points; the textile power table
+        # used to fail its reshape with an untyped ValueError
+        st, new = total_response(np.zeros((0, 3, 3)), make_material(),
+                                 GrowthState(rho=np.zeros(0)), dt, 2.0,
+                                 tangent=tangent)
+        assert st.S.shape == (0, 6)
+        assert st.CC is None if not tangent else st.CC.shape == (0, 6, 6)
+        assert new.rho.shape == new.psi_m.shape == (0,)
+
     @pytest.mark.parametrize("dt", [0.0, 0.1])
     def test_stack_matches_single_points(self, dt):
         # a (2, 3) stack of F sharing one previous density answers, point by

@@ -355,13 +355,14 @@ def solved_path(prog, params, start=None, rho=0.0):
 
 
 def solved_prepared(prog, params, start=None):
-    """The same path solved as a prepared calibration program: its axis-0
-    stretches after the unit reference knot, density 0, one interval per
-    knot; the solved stretches and PK2 stresses, as bytes."""
+    """The path after its initial knot solved as a prepared calibration
+    program: its axis-0 stretches at density 0, one knot per path point,
+    from the start's rows after the first; the solved stretches and PK2
+    stresses, as bytes."""
     _, lams, _ = matpoint.program_path(prog)
     prepared = calibrate._Program("uniaxial", [lams[1:, 0]], [0.0], None)
-    assert np.array_equal(prepared.lams, lams)
-    prepared.start = start
+    assert np.array_equal(prepared.lams, lams[1:])
+    prepared.start = None if start is None else start[1:]
     stretches, S = calibrate._solve_program(prepared, params)
     return stretches.tobytes() + S.tobytes()
 
