@@ -29,7 +29,7 @@ import numpy as np
 from .errors import FitError, check_range
 from .growth import GrowthState, weibull_alpha
 from .materials import MaterialParams
-from .matpoint import solve_frozen_path
+from .matpoint import check_one_density, solve_frozen_path
 
 
 @dataclass(eq=False)
@@ -145,6 +145,14 @@ def nelder_mead(fn, x0, bounds=None, max_evals=2000, xtol=1e-8, ftol=1e-12):
                             converged=converged, trace=trace)
 
 
+def _vector(values, what):
+    """`values`, named `what`, as a float vector; FitError unless 1-D."""
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1:
+        raise FitError(f"{what} must be a vector, got shape {x.shape}")
+    return x
+
+
 @dataclass(eq=False)
 class DataSeries:
     """One measured curve: abscissa, ordinate and optional weights.
@@ -160,9 +168,9 @@ class DataSeries:
     weights: np.ndarray = None
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
+        self.x = _vector(self.x, f"series {self.name}: x")
         self.y = np.asarray(self.y, dtype=float)
-        if self.x.shape != self.y.shape or self.x.ndim != 1:
+        if self.y.shape != self.x.shape:
             raise FitError(f"series {self.name}: x and y must be equal-length vectors")
         if self.weights is None:
             self.weights = np.ones_like(self.x)
@@ -322,8 +330,14 @@ def substitute(base: MaterialParams, names, values) -> MaterialParams:
 
 
 def uniaxial_eng_stress(params: MaterialParams, stretches, rho):
-    """P11 over a quasi-static uniaxial protocol at frozen density rho."""
-    return _Program("uniaxial", [stretches], [rho], None).solve(params)[0]
+    """P11 over a quasi-static uniaxial protocol at frozen density rho.
+
+    Stretches that are not a vector raise FitError, and a rho that is not
+    one density ParameterError.
+    """
+    check_one_density(rho, "rho")
+    return _Program("uniaxial", [_vector(stretches, "stretches")], [rho],
+                    None).solve(params)[0]
 
 
 def biaxial_eng_stress(params: MaterialParams, strains, ratio, rho):
@@ -331,9 +345,13 @@ def biaxial_eng_stress(params: MaterialParams, strains, ratio, rho):
 
     Only axis 0 is reported, so constants acting mainly along axis 1 (the
     second yarn, e.g. `k1_2`) are weakly identified by these series.
+    Strains that are not a vector raise FitError, and a rho that is not
+    one density ParameterError.
     """
     _check_ratios([ratio])
-    return _Program("biaxial", [strains], [rho], [ratio]).solve(params)[0]
+    check_one_density(rho, "rho")
+    return _Program("biaxial", [_vector(strains, "strains")], [rho],
+                    [ratio]).solve(params)[0]
 
 
 def _check_ratios(ratios):
@@ -425,6 +443,8 @@ class PointModel:
         self.kind = kind
         self.rho_by_series = rho_by_series or {}
         self.ratio_by_series = ratio_by_series or {}
+        for name, rho in self.rho_by_series.items():
+            check_one_density(rho, f"rho_by_series[{name!r}]")
         GrowthState(rho=np.array(list(self.rho_by_series.values()), dtype=float))
         _check_ratios(self.ratio_by_series.values())
 
@@ -454,7 +474,8 @@ def make_point_model(base: MaterialParams, param_names, kind="uniaxial",
     a `PointModel`: `model(x, series_list)` predicts every series from one
     bundle and one lockstep program, cold unless given the `program` of a
     fit.  A density that is negative or not finite raises
-    StateError, and a ratio of 0 or NaN FitError, here and not within a fit.
+    StateError, one that is not one number ParameterError, and a ratio of
+    0 or NaN FitError, here and not within a fit.
     """
     if kind not in ("uniaxial", "biaxial"):
         raise FitError(f"unknown model kind {kind!r}")

@@ -25,7 +25,8 @@ from .config import (DEFAULTS, RunConfig, load_config, parse_config, read_json,
                      save_config)
 from .errors import (ConfigError, DeformationError, FitError, MeshError,
                      ParameterError, SolverError, StateError, check_range)
-from .fem import clamped_strip_model, march_steps, ramp_pressure, save_mesh, strip_mesh
+from .fem import (StepRecord, clamped_strip_model, march_steps, ramp_pressure,
+                  save_mesh, strip_mesh)
 from .growth import weibull_alpha
 from .matpoint import (LoadProgram, records_to_csv, solve_mixed_point,
                        unloaded_maturation)
@@ -200,7 +201,7 @@ def _cmd_fem(args):
     path = os.path.join(out, "history.csv")
     cutbacks, failure = 0, None
     with atomic_open(path) as fh:
-        fh.write("time,deflection,rho_mean,rho_max,newton_iters,cutbacks\n")
+        fh.write(",".join(f.name for f in dataclasses.fields(StepRecord)) + "\n")
         try:
             for k, (last, u, aux) in enumerate(march_steps(
                     model, ramp_pressure(model), **dataclasses.asdict(cfg.simulation))):

@@ -8,9 +8,13 @@ written next to every run's outputs.
 
 `DEFAULTS` is the schema: it names every key, and the type of each default
 is the type a given value must have.  `_SCHEMA` adds, per section, the
-class it builds, its unit key and the keys stated in that unit.
+class it builds, its unit key and the keys stated in that unit.  The
+ranges of the simulation and strip sections are those of the code that
+uses them: `_RULES` names its one rule for each, and no range is written
+here.
 """
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +24,9 @@ from operator import getitem
 import numpy as np
 
 from ._files import write_json
-from .errors import ConfigError
+from .errors import ConfigError, MeshError, ParameterError
+from .fem.mesh import check_strip
+from .fem.solver import check_march
 from .growth import GrowthParams
 from .materials import CollagenParams, MaterialParams, MatrixParams, TextileParams
 
@@ -99,6 +105,9 @@ _SCHEMA = {
 }
 # config key -> dataclass field, where the names differ
 _RENAME = {"axis": "a"}
+# section -> the range rule of the code that uses it, called with the
+# section's keys that the rule names
+_RULES = {"simulation": check_march, "strip": check_strip}
 
 
 def _merge(section, overrides, path):
@@ -141,7 +150,7 @@ def _coerce(default, value, path):
     if not math.isfinite(value):
         raise ConfigError("expected a finite number", path)
     if isinstance(default, int):
-        if float(value) != int(value):
+        if value % 1:   # an int past float precision is whole all the same
             raise ConfigError("expected an integer", path)
         return int(value)
     return float(value)
@@ -165,18 +174,20 @@ def _slot(tree, dotted):
 
 
 def parse_config(data, path=""):
-    """Validate a config mapping and build internal-unit parameter objects."""
+    """Validate a config mapping and build internal-unit parameter objects.
+
+    The simulation and strip sections must pass the range rules of the code
+    that uses them (`_RULES`); a refusal is a ConfigError at the refused
+    key, or at the section for a rule over several keys.
+    """
     full = _merge(DEFAULTS, data, path)
-    # a march to t_end <= 0 ends after the ramp; it grows its step from dt0
-    # by dt_ratio up to dt_max, and a step that is not positive, or that
-    # shrinks, may never reach t_end
-    sim = full["simulation"]
-    for key, ok, need in (("t_end", sim["t_end"] > 0.0, "positive"),
-                          ("dt0", sim["dt0"] > 0.0, "positive"),
-                          ("dt_max", sim["dt_max"] > 0.0, "positive"),
-                          ("dt_ratio", sim["dt_ratio"] >= 1.0, "at least 1")):
-        if not ok:
-            raise ConfigError(f"must be {need}", _join(path, f"simulation.{key}"))
+    for section, rule in _RULES.items():
+        values = {k: full[section][k] for k in inspect.signature(rule).parameters}
+        try:
+            rule(**values)
+        except (ParameterError, MeshError) as exc:
+            where = f"{section}.{exc.key}" if exc.key in values else section
+            raise ConfigError(str(exc), _join(path, where)) from exc
     built = {}
     for dotted, (cls, unit_key, table, scaled) in _SCHEMA.items():
         values = dict(reduce(getitem, dotted.split("."), full))

@@ -23,14 +23,16 @@ def check_range(values, low, what, high=sys.float_info.max, closed=False,
     The package's one range check of a scalar input.  Each comparison is one
     that NaN fails, and the default `high`, the largest finite float, fails
     infinities.  The message names the value by its key and states its
-    range as `what`.
+    range as `what`; the error carries that key as `key`.
     """
     for name, v in values.items():
         ok = (low <= v if closed else low < v) & (v <= high)
         if integer and np.all(ok):
             ok = v % 1 == 0     # of values in the range only, which are finite
         if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-            raise error(f"{name} must be {what}, got {v}")
+            exc = error(f"{name} must be {what}, got {v}")
+            exc.key = name
+            raise exc
 
 
 class DeformationError(MaturesimError, ValueError):

@@ -85,21 +85,30 @@ class Mesh:
         return self.hex8[faces[:, 0][:, None], FACE_CORNERS[faces[:, 1]]]
 
 
-def strip_mesh(length, width, thickness, nx, ny, nz):
-    """Structured grid over [0,l] x [0,w] x [0,t] with boundary sets.
-
-    Node sets xmin/xmax/ymin/ymax/zmin/zmax collect the boundary planes;
-    face sets 'bottom' (z = 0) and 'top' (z = t) carry pressure loads.
-    The sizes must be positive and finite, the element counts whole numbers
-    of at least 1 and at most 10**6 elements in all; MeshError if not.
+def check_strip(length, width, thickness, nx, ny, nz):
+    """MeshError unless the sizes are positive and finite and the element
+    counts whole numbers of at least 1, with at most `_MAX_ELEMS` elements
+    in all; the error's `key` names the size or count refused, or is
+    "nx * ny * nz" for their product.  The strip's one range rule, of
+    `strip_mesh` and of a config's strip section.
     """
     check_range({"length": length, "width": width, "thickness": thickness}, 0.0,
                 "positive and finite", error=MeshError)
     check_range({"nx": nx, "ny": ny, "nz": nz}, 1, "a whole number of at least 1",
                 closed=True, integer=True, error=MeshError)
+    check_range({"nx * ny * nz": int(nx) * int(ny) * int(nz)}, 1,
+                f"at most {_MAX_ELEMS}", high=_MAX_ELEMS, closed=True, error=MeshError)
+
+
+def strip_mesh(length, width, thickness, nx, ny, nz):
+    """Structured grid over [0,l] x [0,w] x [0,t] with boundary sets.
+
+    Node sets xmin/xmax/ymin/ymax/zmin/zmax collect the boundary planes;
+    face sets 'bottom' (z = 0) and 'top' (z = t) carry pressure loads.
+    The sizes and counts must pass `check_strip`; MeshError if not.
+    """
+    check_strip(length, width, thickness, nx, ny, nz)
     nx, ny, nz = int(nx), int(ny), int(nz)
-    check_range({"nx * ny * nz": nx * ny * nz}, 1, f"at most {_MAX_ELEMS}",
-                high=_MAX_ELEMS, closed=True, error=MeshError)
 
     xs = np.linspace(0.0, float(length), nx + 1)
     ys = np.linspace(0.0, float(width), ny + 1)

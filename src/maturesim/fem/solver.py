@@ -655,6 +655,18 @@ def _extrapolate(past, t):
     return guess
 
 
+def check_march(t_end, dt0, dt_max, dt_ratio):
+    """ParameterError for t_end <= 0, which would end the run at the ramp,
+    a t_end that is not finite, which no march reaches, and dt0 <= 0,
+    dt_max <= 0 and dt_ratio < 1 (NaN among them): a step that is not
+    positive, or that shrinks, may never reach t_end.  The march controls'
+    one range rule, of `march_steps` and of a config's simulation section.
+    """
+    check_range({"t_end": t_end}, 0.0, "positive and finite")
+    check_range({"dt0": dt0, "dt_max": dt_max}, 0.0, "positive", high=np.inf)
+    check_range({"dt_ratio": dt_ratio}, 1.0, "at least 1", high=np.inf, closed=True)
+
+
 def march_steps(model: FemModel, ramp, t_end, dt0=0.002, dt_max=0.25,
                 dt_ratio=1.25):
     """March the growth from the ramp end `ramp` to t_end days, yielding
@@ -682,14 +694,9 @@ def march_steps(model: FemModel, ramp, t_end, dt0=0.002, dt_max=0.25,
     the step's StepRecord with the number of cutbacks.  A step halved below
     STEP_MIN raises SolverError with the time, the size it fell to and the
     cutbacks, caused by the last attempt's error.  Before the start is
-    checked, raises ParameterError for t_end <= 0, which would end the run
-    at the ramp, a t_end that is not finite, which no march reaches, and
-    dt0 <= 0, dt_max <= 0 and dt_ratio < 1 (NaN among them): a step that
-    is not positive, or that shrinks, may never reach t_end.
+    checked, the controls must pass `check_march`.
     """
-    check_range({"t_end": t_end}, 0.0, "positive and finite")
-    check_range({"dt0": dt0, "dt_max": dt_max}, 0.0, "positive", high=np.inf)
-    check_range({"dt_ratio": dt_ratio}, 1.0, "at least 1", high=np.inf, closed=True)
+    check_march(t_end, dt0, dt_max, dt_ratio)
     u, _, its = ramp
     if np.shape(u) != (model.n_dof,):
         raise MeshError(f"ramp end of shape {np.shape(u)} on a model of {model.n_dof} dofs")

@@ -109,6 +109,13 @@ class PointRecord:
     psi_m: float
 
 
+def check_one_density(rho, what):
+    """ParameterError unless `rho`, named `what`, is one density, not an
+    array."""
+    if np.ndim(rho):
+        raise ParameterError(f"{what} must be one density, not an array")
+
+
 def solve_mixed_point(program: LoadProgram, params: MaterialParams,
                       init: GrowthState = GrowthState()) -> list:
     """March a material point through a load program from one density.
@@ -122,8 +129,7 @@ def solve_mixed_point(program: LoadProgram, params: MaterialParams,
     DeformationError when a knot takes the fibers past the collagen law's
     strain limit or its response past the float range.
     """
-    if np.ndim(init.rho):
-        raise ParameterError("init.rho must be one density, not an array")
+    check_one_density(init.rho, "init.rho")
     path_t, path_lams, free = program_path(program)
     if program.grow:
         solved = _solve_in_turn(path_lams, free, params, init.rho, path_t)

@@ -13,13 +13,16 @@ solve, and a data point that is not finite or a weight that is not finite
 and >= 0 (`calibrate.DataSeries`, FitError), raised before any fit.  Every
 scalar input that `errors.check_range` guards, drawn at its limits (0,
 negative, NaN, infinite, non-integer and huge), ends in success or in its
-module's typed error (`TestScalarLimits`)."""
+module's typed error (`TestScalarLimits`), and a config's simulation and
+strip sections are refused exactly where their consumers' rules refuse
+them, at the refused key (ConfigError)."""
 
 import dataclasses
 import math
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,10 +31,12 @@ from hypothesis import strategies as st
 
 from maturesim import calibrate, growth, materials, matpoint, tensors
 from maturesim.cli import main
-from maturesim.errors import (DeformationError, FitError, MeshError,
+from maturesim.config import DEFAULTS, parse_config
+from maturesim.errors import (ConfigError, DeformationError, FitError, MeshError,
                               ParameterError, SolverError, StateError)
 from maturesim.fem import (Dirichlet, FemModel, clamped_strip_model,
                            march_steps, ramp_pressure, strip_mesh)
+from maturesim.fem import mesh as fem_mesh
 from maturesim.growth import GrowthState
 
 from _oracles import matrix_on_C, response_on_C
@@ -247,6 +252,15 @@ class TestCalibrationInputs:
         raises_typed(StateError, calibrate.make_point_model, make_material(),
                      ["collagen.k1"], rho_by_series={"a": 5.0, "b": bad})
 
+    def test_series_density_is_one_number(self):
+        # an array density used to end in numpy's "inhomogeneous shape"
+        # ValueError here, or alone in a broadcasting one within each call
+        for rho_by_series in ({"a": np.array([1.0, 2.0])},
+                              {"a": 5.0, "b": np.array([1.0, 2.0])}):
+            raises_typed(ParameterError, calibrate.make_point_model, make_material(),
+                         ["collagen.k1"], rho_by_series=rho_by_series,
+                         match=r"rho_by_series\[.[ab].\] must be one density")
+
     @SETTINGS
     @given(bad=NON_FINITE, field=st.sampled_from(["x", "y"]),
            index=st.integers(0, 3))
@@ -281,6 +295,18 @@ class TestCalibrationInputs:
         args = (x, 0.0) if ratio is None else (x, ratio, 0.0)
         raises_typed(ParameterError, fn, make_material(), *args,
                      match="stretches must be positive and finite")
+
+    @pytest.mark.parametrize("fn, ratio", [(calibrate.uniaxial_eng_stress, ()),
+                                           (calibrate.biaxial_eng_stress, (1.0,))])
+    @pytest.mark.parametrize("x, rho, error, match", [
+        (1.1, 0.0, FitError, r"must be a vector, got shape \(\)"),
+        ([[1.05, 1.1]], 0.0, FitError, r"must be a vector, got shape \(1, 2\)"),
+        ([1.05, 1.1], [0.0, 1.0], ParameterError, "rho must be one density")])
+    def test_protocol_shapes(self, fn, ratio, x, rho, error, match):
+        # a scalar or 2-D abscissa, or an array density, used to end in
+        # numpy's "same number of dimensions" or broadcasting ValueError
+        raises_typed(error, fn, make_material(), np.asarray(x), *ratio,
+                     np.asarray(rho), match=match)
 
     @pytest.mark.parametrize("ratio", [0.0, -0.0, np.nan])
     def test_biaxial_ratio(self, ratio):
@@ -323,6 +349,36 @@ def ends_typed(error, fn, *args, **kwargs):
             return fn(*args, **kwargs)
         except error:
             return None
+
+
+def refusal(error, fn, *args, **kwargs):
+    """The `error` that fn(*args, **kwargs) raises, or None where it
+    returns; it must warn nothing and end in time."""
+    with deadline(10), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fn(*args, **kwargs)
+        except error as exc:
+            return exc
+    return None
+
+
+def assert_config_agrees(section, values, consumer):
+    """parse_config refuses `values` as its `section` exactly where a value
+    is not a finite number, or not whole for an integer key, or where the
+    section's consumer refused them with `consumer` (None if it did not),
+    with a ConfigError at the first such key, else at the key the consumer
+    refused, or at the section for a rule over several keys."""
+    typed = [k for k, v in values.items()
+             if not math.isfinite(v) or (type(DEFAULTS[section][k]) is int and v % 1)]
+    if typed:
+        where = f"{section}.{typed[0]}"
+    elif consumer is not None:
+        where = f"{section}.{consumer.key}" if consumer.key in values else section
+    else:
+        where = None
+    err = refusal(ConfigError, parse_config, {section: values})
+    assert (err and err.path) == where
 
 
 class TestScalarLimits:
@@ -422,6 +478,37 @@ class TestScalarLimits:
         inside = 0.0 < t_end <= FMAX and dt0 > 0.0 and dt_max > 0.0 and dt_ratio >= 1.0
         assert (first is not None) == inside
         assert first is None or first[0].time == 0.0
+
+    @SETTINGS
+    @given(t_end=limit_or(1.0), dt0=limit_or(0.02), dt_max=limit_or(0.25),
+           dt_ratio=limit_or(1.25))
+    def test_config_simulation_section(self, strip_ramp, t_end, dt0, dt_max,
+                                       dt_ratio):
+        # the config takes march_steps' rule; it refuses the infinite steps
+        # that the march accepts because a config value must be finite
+        model, ramp = strip_ramp
+        controls = {"t_end": t_end, "dt0": dt0, "dt_max": dt_max, "dt_ratio": dt_ratio}
+        march = refusal(ParameterError, next, march_steps(model, ramp, **controls))
+        assert_config_agrees("simulation", controls, march)
+
+    @SETTINGS
+    @given(sizes=st.tuples(*[limit_or(1.0)] * 3),
+           counts=st.tuples(*[limit_or(1, 2, 5)] * 3))
+    @example(sizes=(1.0, 1.0, 1.0), counts=(5, 5, 1))
+    @example(sizes=(-1.0, 1.0, np.nan), counts=(10**30, 1, 1))
+    def test_config_strip_section(self, sizes, counts):
+        # the config takes strip_mesh's rule, and a section it accepts
+        # builds a mesh; a bound of 24 elements puts the count's limit
+        # within small meshes
+        section = dict(zip(("length", "width", "thickness", "nx", "ny", "nz"),
+                           sizes + counts))
+        with mock.patch.object(fem_mesh, "_MAX_ELEMS", 24):
+            mesh_refusal = refusal(MeshError, strip_mesh, *sizes, *counts)
+            assert_config_agrees("strip", section, mesh_refusal)
+            cfg = ends_typed(ConfigError, parse_config, {"strip": section})
+            if cfg is not None:
+                mesh = strip_mesh(*(getattr(cfg.strip, k) for k in section))
+                assert mesh.n_elems == math.prod(counts) <= 24
 
     @SETTINGS
     @given(kappa=limit_or(1.0 / 3.0, 0.2))

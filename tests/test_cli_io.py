@@ -451,6 +451,23 @@ class TestCli:
             assert code == 1
             assert f"{section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["grow", "matpoint", "fem"])
+    @pytest.mark.parametrize("key, value", [("nx", 0), ("thickness", -1.0)])
+    def test_bad_strip_section_exits_one(self, tmp_path, capsys, command, key,
+                                         value):
+        # every command refuses the strip section where the config is read,
+        # and writes nothing: grow and matpoint, which build no mesh, used to
+        # exit 0 and copy the section into their config.json
+        cfgfile = tmp_path / "cfg.json"
+        _write_json(cfgfile, {"strip": {key: value}})
+        with deadline(60), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["-q", command, "--config", str(cfgfile),
+                         "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert f"error: strip.{key}: " in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("command, flag, value", [
         ("grow", "--dt", "nan"), ("grow", "--dt", "inf"), ("grow", "--dt", "1e-300"),
         ("matpoint", "--stretch", "nan"), ("matpoint", "--ratio", "inf"),
