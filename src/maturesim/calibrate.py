@@ -1,15 +1,16 @@
 """Least-squares calibration of the growth and material constants.
 
-A direct-search Nelder-Mead simplex (reflection 1, expansion 2, contraction
-0.5, shrink 0.5) minimizes weighted squared residuals between model curves
-and measured series.  Box bounds are enforced by clipping trial points.
+A Levenberg-Marquardt fit (`levenberg_marquardt`, numpy only) minimizes
+the weighted squared residuals between model curves and measured series,
+with a central-difference Jacobian.  Box bounds are enforced by clipping
+trial points.
 Everything is deterministic: repeated fits of the same problem reproduce the
 same iterates bit for bit.  A fit of a `PointModel` prepares its one
 frozen-density program once (one knot per series point: its stretches,
 free axes and density) and warm-starts the free-axis solve of each
-evaluation from the stretches that the fit's last successful evaluation
-converged to; a start its program's last solve converged at is checked
-by its stress alone, with no tangent.
+evaluation, a Jacobian column's included, from the stretches that the
+fit's last successful evaluation converged to; a start its program's last
+solve converged at is checked by its stress alone, with no tangent.
 Each solve is one `matpoint.solve_frozen_path` call, which also drops a
 start that fails for the cold solve's guess.
 That program belongs to the one `fit_material` call, so its history
@@ -32,16 +33,25 @@ from .materials import MaterialParams
 from .matpoint import check_one_density, solve_frozen_path
 
 
-@dataclass(eq=False)
-class NelderMeadResult:
-    """The outcome of `nelder_mead`.
+# relative central-difference step of the Jacobian (see `levenberg_marquardt`)
+DIFF_STEP = 1e-4
+# the smallest damping factor lam (see `levenberg_marquardt`)
+LAMBDA_MIN = 1e-10
+# a fit stops once its projected step moves no parameter by this much, relative
+STEP_TOL = 1e-10
 
-    `x` is the best vertex and `f` its objective; `n_evals` counts every
-    objective evaluation; `converged` is true when the simplex met `xtol`
-    or `ftol` before `max_evals` ran out; `trace` holds one (evaluation
-    count, best objective) pair per simplex iteration, so its length is the
-    iteration count.  The command line reports `n_evals` and
-    `converged`, and the benchmark reads `n_evals`.
+
+@dataclass(eq=False)
+class LMResult:
+    """The outcome of `levenberg_marquardt`.
+
+    `x` is the last accepted point and `f` its objective, the sum of
+    squared residuals; `n_evals` counts every residual evaluation, those of
+    the Jacobian included; `converged` is true when the stop rule held
+    before `max_evals` ran out; `trace` holds one (evaluation count,
+    objective) pair per iteration, so its length is the iteration count.
+    The command line reports `n_evals` and `converged`, and the benchmark
+    reads `n_evals`.
     """
 
     x: np.ndarray
@@ -51,98 +61,102 @@ class NelderMeadResult:
     trace: list
 
 
-def nelder_mead(fn, x0, bounds=None, max_evals=2000, xtol=1e-8, ftol=1e-12):
-    """Minimize fn over a box.  Non-finite objective values count as +inf.
+def levenberg_marquardt(fn, x0, bounds=None, max_evals=2000):
+    """Minimize the sum of squares of the residual vector fn(x) over a box.
 
-    Terminates when the simplex diameter falls below `xtol`, the objective
-    spread falls below `ftol`, or `max_evals` evaluations are spent.  The
-    trace records (evaluation count, best objective) once per iteration.
+    Levenberg-Marquardt (Marquardt 1963; More 1978): each iteration takes
+    the Jacobian J at x and solves (JᵀJ + lam D) step = -Jᵀr, with
+    D = diag(JᵀJ) floored at 1e-12 of its largest entry, so that a column
+    carrying no information keeps its parameter exactly in place.  The
+    trial x + step is clipped to the box.  A trial that raises, is not
+    finite or does not lower the objective is rejected and lam multiplied
+    by 10; an accepted one divides lam by 10, down to LAMBDA_MIN, so that
+    lam never underflows and leaves the system of a column without
+    information singular.
+
+    Column j is the central difference over x_j +- h,
+    h = DIFF_STEP * max(|x_j|, 1e-8), each end cut to the box: an end on
+    the box or whose evaluation fails leaves the one-sided difference from
+    x, and with neither end the column is zero.  Its truncation error,
+    O(h^2), moves the optimum of a fit with nonzero residuals; its
+    rounding error, the evaluations' error over h, is a warm point solve's
+    free-axis stress tolerance read as slope.  Forward differences leave
+    no step that keeps both small.
+
+    The fit stops when the projected step moves no parameter by STEP_TOL
+    relative to max(|x_j|, 1e-8), when the residual is exactly zero, or,
+    with `converged` False, once `max_evals` evaluations are spent; the
+    budget is checked before each Jacobian and each trial.  The start is
+    clipped to the box and must give finite residuals (FitError).
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    if bounds is not None:
-        bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-        if len(bounds) != n or any(lo >= hi for lo, hi in bounds):
-            raise FitError("bounds must be (lo, hi) pairs, one per parameter")
-
-    def clip(x):
-        if bounds is None:
-            return x
-        return np.array([min(max(v, lo), hi) for v, (lo, hi) in zip(x, bounds)])
-
+    box = np.array([(-np.inf, np.inf)] * n if bounds is None else bounds,
+                   dtype=float)
+    if box.shape != (n, 2) or not np.all(box[:, 0] < box[:, 1]):
+        raise FitError("bounds must be (lo, hi) pairs, one per parameter")
+    lo, hi = box.T
     evals = 0
 
-    def f(x):
+    def evaluate(x):
         nonlocal evals
         evals += 1
-        v = fn(x)
-        return float(v) if np.isfinite(v) else np.inf
+        try:
+            r = np.asarray(fn(x), dtype=float)
+        except Exception:
+            return None
+        return r if np.isfinite(r).all() else None
 
-    x0 = clip(x0)
-    f0 = f(x0)
-    if not np.isfinite(f0):
-        raise FitError("objective is non-finite at the starting point")
+    def jacobian(x, r, typical):
+        J = np.zeros((r.size, n))
+        for j in range(n):
+            h = DIFF_STEP * typical[j]
+            ends = [(x[j], r)]
+            for v in (min(x[j] + h, hi[j]), max(x[j] - h, lo[j])):
+                if v != x[j]:
+                    xj = x.copy()
+                    xj[j] = v
+                    rj = evaluate(xj)
+                    if rj is not None:
+                        ends.append((v, rj))
+            if len(ends) > 1:
+                (a, ra), (b, rb) = ends[-2:]
+                J[:, j] = (ra - rb) / (a - b)
+        return J
 
-    # fminsearch-style initial simplex: 5 percent steps, absolute fallback
-    simplex = [x0]
-    fs = [f0]
-    for i in range(n):
-        xi = x0.copy()
-        xi[i] = xi[i] * 1.05 if xi[i] != 0.0 else 0.00025
-        xi = clip(xi)
-        if np.array_equal(xi, x0):
-            xi = x0.copy()
-            xi[i] -= 0.05 * max(abs(xi[i]), 1.0)
-            xi = clip(xi)
-        simplex.append(xi)
-        fs.append(f(xi))
-
+    x = np.clip(x0, lo, hi)
+    r = evaluate(x)
+    if r is None:
+        raise FitError("residuals are non-finite at the starting point")
+    f = float(r @ r)
+    lam = 1e-3
     trace = []
     converged = False
-    while evals < max_evals:
-        order = np.argsort(fs, kind="stable")
-        simplex = [simplex[k] for k in order]
-        fs = [fs[k] for k in order]
-        trace.append((evals, fs[0]))
-
-        diam = max(np.max(np.abs(p - simplex[0])) for p in simplex[1:])
-        spread = fs[-1] - fs[0]
-        if diam < xtol or spread < ftol:
+    while evals < max_evals and not converged:
+        trace.append((evals, f))
+        if f == 0.0:
             converged = True
             break
-
-        centroid = np.mean(simplex[:-1], axis=0)
-        xr = clip(centroid + (centroid - simplex[-1]))
-        fr = f(xr)
-        if fr < fs[0]:
-            xe = clip(centroid + 2.0 * (centroid - simplex[-1]))
-            fe = f(xe)
-            if fe < fr:
-                simplex[-1], fs[-1] = xe, fe
-            else:
-                simplex[-1], fs[-1] = xr, fr
-        elif fr < fs[-2]:
-            simplex[-1], fs[-1] = xr, fr
-        else:
-            if fr < fs[-1]:
-                xc = clip(centroid + 0.5 * (centroid - simplex[-1]))
-                fc = f(xc)
-                accept = fc <= fr
-            else:
-                xc = clip(centroid - 0.5 * (centroid - simplex[-1]))
-                fc = f(xc)
-                accept = fc < fs[-1]
-            if accept:
-                simplex[-1], fs[-1] = xc, fc
-            else:
-                for k in range(1, n + 1):
-                    simplex[k] = clip(simplex[0] + 0.5 * (simplex[k] - simplex[0]))
-                    fs[k] = f(simplex[k])
-
-    order = np.argsort(fs, kind="stable")
-    best = order[0]
-    return NelderMeadResult(x=simplex[best].copy(), f=fs[best], n_evals=evals,
-                            converged=converged, trace=trace)
+        typical = np.maximum(np.abs(x), 1e-8)
+        J = jacobian(x, r, typical)
+        jtj, g = J.T @ J, J.T @ r
+        d = jtj.diagonal()
+        damping = np.diag(np.maximum(d, 1e-12 * d.max() or 1.0))
+        while evals < max_evals:
+            step = np.linalg.solve(jtj + lam * damping, -g)
+            trial = np.clip(x + step, lo, hi)
+            if np.max(np.abs(trial - x) / typical) < STEP_TOL:
+                converged = True
+                break
+            rt = evaluate(trial)
+            ft = np.inf if rt is None else float(rt @ rt)
+            if ft < f:
+                x, r, f = trial, rt, ft
+                lam = max(lam / 10.0, LAMBDA_MIN)
+                break
+            lam *= 10.0
+    return LMResult(x=x.copy(), f=f, n_evals=evals, converged=converged,
+                    trace=trace)
 
 
 def _vector(values, what):
@@ -197,8 +211,8 @@ class FitProblem:
 
     `model(x, series_list)` returns the predicted ordinates of every
     series, one array per series, for trial parameters x; an exception
-    inside, or a prediction of the wrong shape or not finite, counts as an
-    infinite residual.  `fit_material` gives a `PointModel` the one program
+    inside, or predictions of the wrong number or shape or not finite, make
+    a rejected trial.  `fit_material` gives a `PointModel` the one program
     it prepares for the fit (see `PointModel`).
     """
 
@@ -224,16 +238,18 @@ class FitResult:
     `params` maps each parameter name to its fitted value and `x` holds
     them in order; `objective` is the weighted sum of squared residuals
     there and `per_series_rms` each series' weighted RMS residual, by
-    name.  `nm` is the `NelderMeadResult`: the command line reports its
-    `nm.n_evals` and `nm.converged`, the benchmark its `nm.n_evals`, and
-    `nm.trace` holds the search's progress.
+    name.  `nm` is the `LMResult` of the search: the command line reports
+    its `nm.n_evals` and `nm.converged`, the benchmark its `nm.n_evals`,
+    and `nm.trace` holds the search's progress.  The field keeps the name
+    it had when the search was a Nelder-Mead simplex, because the
+    benchmark harness reads it by that name.
     """
 
     params: dict
     x: np.ndarray
     objective: float
     per_series_rms: dict
-    nm: NelderMeadResult
+    nm: LMResult
 
 
 def fit_weibull(times, values, weights=None, x0=None) -> FitResult:
@@ -255,7 +271,7 @@ def fit_weibull(times, values, weights=None, x0=None) -> FitResult:
                          bounds=[(1e-3, 1e4), (0.05, 50.0)], series=[series],
                          model=lambda x, ss: [weibull_alpha(ss[0].x, *x)],
                          max_evals=4000)
-    return _fit(problem, xtol=1e-10, ftol=1e-16)
+    return _fit(problem)
 
 
 def fit_material(problem: FitProblem) -> FitResult:
@@ -268,39 +284,38 @@ def fit_material(problem: FitProblem) -> FitResult:
     model = problem.model
     if isinstance(model, PointModel):
         model = functools.partial(model, program=model.program(problem.series))
-    return _fit(dataclasses.replace(problem, model=model), xtol=1e-8, ftol=1e-12)
+    return _fit(dataclasses.replace(problem, model=model))
 
 
-def _fit(problem, xtol, ftol):
-    """Nelder-Mead on the weighted squared residuals of the problem's
-    series; the `FitResult` with each series' weighted RMS residual at the
-    optimum."""
+def _fit(problem):
+    """`levenberg_marquardt` on the weighted residuals sqrt(w) (pred - y)
+    of all the problem's series; the `FitResult` with each series' weighted
+    RMS residual at the optimum.  A model that raises or returns a
+    prediction of the wrong number or shape fails its trial."""
     series = problem.series
+    roots = [np.sqrt(s.weights) for s in series]
 
-    def objective(x):
-        try:
-            preds = problem.model(x, series)
-        except Exception:
-            return np.inf
-        total = 0.0
-        for s, pred in zip(series, preds):
+    def residuals(x):
+        parts = []
+        for s, root, pred in zip(series, roots, problem.model(x, series),
+                                 strict=True):
             pred = np.asarray(pred, dtype=float)
-            if pred.shape != s.y.shape or not np.isfinite(pred).all():
-                return np.inf
-            total += float((s.weights * (pred - s.y) ** 2).sum())
-        return total
+            if pred.shape != s.y.shape:
+                raise FitError(f"series {s.name}: predicted shape {pred.shape}")
+            parts.append(root * (pred - s.y))
+        return np.concatenate(parts)
 
-    nm = nelder_mead(objective, problem.x0, bounds=problem.bounds,
-                     max_evals=problem.max_evals, xtol=xtol, ftol=ftol)
+    lm = levenberg_marquardt(residuals, problem.x0, bounds=problem.bounds,
+                             max_evals=problem.max_evals)
     rms = {}
-    for s, pred in zip(series, problem.model(nm.x, series)):
+    for s, pred in zip(series, problem.model(lm.x, series)):
         pred = np.asarray(pred, dtype=float)
         wsum = float(np.sum(s.weights))
         rms[s.name] = float(np.sqrt(np.sum(s.weights * (pred - s.y) ** 2) / wsum)) \
             if wsum > 0 else 0.0
-    params = {k: float(v) for k, v in zip(problem.param_names, nm.x)}
-    return FitResult(params=params, x=nm.x, objective=nm.f,
-                     per_series_rms=rms, nm=nm)
+    params = {k: float(v) for k, v in zip(problem.param_names, lm.x)}
+    return FitResult(params=params, x=lm.x, objective=lm.f,
+                     per_series_rms=rms, nm=lm)
 
 
 def substitute(base: MaterialParams, names, values) -> MaterialParams:
@@ -343,8 +358,9 @@ def uniaxial_eng_stress(params: MaterialParams, stretches, rho):
 def biaxial_eng_stress(params: MaterialParams, strains, ratio, rho):
     """P11 for a biaxial protocol e1 = ratio * e2, thickness free.
 
-    Only axis 0 is reported, so constants acting mainly along axis 1 (the
-    second yarn, e.g. `k1_2`) are weakly identified by these series.
+    Only axis 0 is reported, and P11 does not depend on the second yarn's
+    stiffness `k1_2`: these series do not identify it, and a fit of them
+    leaves it at its start.
     Strains that are not a vector raise FitError, and a rho that is not
     one density ParameterError.
     """
@@ -469,11 +485,11 @@ def make_point_model(base: MaterialParams, param_names, kind="uniaxial",
     frozen density `rho_by_series[name]`.  kind "biaxial": series.x are
     engineering strains e1 of axis 0, and axis 1 takes e2 = e1 / r with
     r = `ratio_by_series[name]` (e1 = r * e2, as in `biaxial_eng_stress`);
-    predictions are P along axis 0 only, so second-yarn constants such as
-    `textile.k1_2` are weakly identified by biaxial series.  The model is
-    a `PointModel`: `model(x, series_list)` predicts every series from one
-    bundle and one lockstep program, cold unless given the `program` of a
-    fit.  A density that is negative or not finite raises
+    predictions are P along axis 0 only, so biaxial series do not identify
+    the second yarn's `textile.k1_2`, which a fit leaves at its start.  The
+    model is a `PointModel`: `model(x, series_list)` predicts every series
+    from one bundle and one lockstep program, cold unless given the
+    `program` of a fit.  A density that is negative or not finite raises
     StateError, one that is not one number ParameterError, and a ratio of
     0 or NaN FitError, here and not within a fit.
     """

@@ -385,6 +385,22 @@ def test_criterion_8b_mesh_convergence(strip_runs):
 
 
 @pytest.mark.slow
+def test_mesh_refinement_converges_the_mean_density(strip_runs):
+    # the day-28 mean density of the 60-, 240- and 960-element strips
+    # (nx and ny doubled, nz = 2), measured 13.1932, 13.5071 and 13.6969:
+    # its changes keep one sign and shrink, so the 240 strip's value
+    # converges from below.  rho_max is not checked: it grows with every
+    # refinement where the fiber strain concentrates at the clamped edges
+    rho = [strip_runs(tag, dt_max=0.25, nx=nx, ny=ny)[1][-1].rho_mean
+           for tag, nx, ny in (("mesh60", 10, 3), ("base_fine", 20, 6),
+                               ("mesh960", 40, 12))]
+    d = np.diff(rho)
+    print(f"day-28 rho_mean {rho[0]:.4f} -> {rho[1]:.4f} -> {rho[2]:.4f}: "
+          f"changes {d[0]:+.3f}, {d[1]:+.3f} (ratio {d[0] / d[1]:.2f})")
+    assert d[0] * d[1] > 0.0 and abs(d[1]) < abs(d[0]), rho
+
+
+@pytest.mark.slow
 def test_criterion_8c_density_follows_fiber_strain(strip_runs):
     model, _, _, _ = strip_runs("base_fine", dt_max=0.25)
     dens = model.element_density(model.rho)

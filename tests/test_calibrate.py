@@ -1,4 +1,4 @@
-"""Nelder-Mead and calibration workflow tests."""
+"""Levenberg-Marquardt and calibration workflow tests."""
 
 import dataclasses
 
@@ -7,8 +7,9 @@ import pytest
 
 from maturesim import calibrate, config, matpoint
 from maturesim.calibrate import (DataSeries, FitProblem, biaxial_eng_stress,
-                                 fit_material, fit_weibull, make_point_model,
-                                 nelder_mead, substitute, uniaxial_eng_stress)
+                                 fit_material, fit_weibull,
+                                 levenberg_marquardt, make_point_model,
+                                 substitute, uniaxial_eng_stress)
 from maturesim.errors import FitError, SolverError
 from maturesim.matpoint import FREE, LoadProgram, program_path, solve_frozen_path
 
@@ -36,44 +37,129 @@ def collagen_problem(max_evals=600, kappa=0.0):
                                   max_evals=max_evals)
 
 
-class TestNelderMead:
+def rosenbrock(x):
+    return [1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)]
+
+
+class TestLevenbergMarquardt:
     def test_quadratic_minimum(self):
-        r = nelder_mead(lambda x: (x[0] - 2.0) ** 2 + 3 * (x[1] + 1.0) ** 2,
-                        np.array([0.0, 0.0]))
+        r = levenberg_marquardt(
+            lambda x: [x[0] - 2.0, np.sqrt(3.0) * (x[1] + 1.0)], [0.0, 0.0])
         assert r.converged
-        assert np.allclose(r.x, [2.0, -1.0], atol=1e-6)
+        assert np.allclose(r.x, [2.0, -1.0], rtol=0.0, atol=1e-10)
 
     def test_rosenbrock(self):
-        r = nelder_mead(lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2,
-                        np.array([-1.2, 1.0]), max_evals=5000)
-        assert np.allclose(r.x, [1.0, 1.0], atol=1e-5)
+        r = levenberg_marquardt(rosenbrock, [-1.2, 1.0])
+        assert r.converged
+        assert np.allclose(r.x, [1.0, 1.0], rtol=0.0, atol=1e-10)
 
-    def test_trace_monotone(self):
-        r = nelder_mead(lambda x: np.sum(x**2), np.array([3.0, -4.0, 1.0]))
-        best = [f for _, f in r.trace]
-        assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
+    def test_trace_decreases(self):
+        # one (evaluations, objective) pair per iteration, from the start's
+        # single evaluation; only a trial that lowers the objective is taken
+        r = levenberg_marquardt(rosenbrock, [-1.2, 1.0])
+        evals, best = zip(*r.trace)
+        assert evals[0] == 1 and all(a < b for a, b in zip(evals, evals[1:]))
+        assert all(b2 < b1 for b1, b2 in zip(best, best[1:]))
+        assert r.f <= best[-1]
 
-    def test_bound_clipping(self):
-        r = nelder_mead(lambda x: (x[0] - 2.0) ** 2, np.array([0.5]),
-                        bounds=[(0.0, 1.0)])
-        assert r.x[0] == pytest.approx(1.0, abs=1e-8)
+    def test_optimum_outside_the_box_ends_on_the_bound(self):
+        # the projected step is zero on the bound, which stops the fit
+        r = levenberg_marquardt(lambda x: [x[0] - 2.0, x[1] + 1.0], [0.5, 0.0],
+                                bounds=[(0.0, 1.0), (-5.0, 5.0)])
+        assert r.converged
+        assert r.x[0] == 1.0
+        assert r.x[1] == pytest.approx(-1.0, abs=1e-10)
 
-    def test_nonfinite_start_rejected(self):
-        with pytest.raises(FitError):
-            nelder_mead(lambda x: np.inf, np.array([1.0]))
+    def test_a_column_without_information_keeps_its_start(self):
+        # x[1] does not enter the residuals: its column is zero, and its
+        # damping floor keeps it where it started, bit for bit
+        r = levenberg_marquardt(lambda x: [x[0] - 2.0, x[0] - 1.0], [0.3, 0.7])
+        assert r.converged
+        assert r.x[1] == 0.7
+        assert r.x[0] == pytest.approx(1.5, abs=1e-10)
 
-    def test_nonfinite_treated_as_infinite(self):
-        def f(x):
-            return np.nan if x[0] < 0 else (x[0] - 1.0) ** 2
-        r = nelder_mead(f, np.array([2.0]))
-        assert r.x[0] == pytest.approx(1.0, abs=1e-6)
+    @pytest.mark.parametrize("failure", ["raise", "nan"])
+    def test_failed_trials_are_rejected(self, failure):
+        # the Gauss-Newton step from 0.5 overshoots to 1.67, where the
+        # residual fails; lam grows until a trial lands below 1.5
+        bad = []
+
+        def residual(x):
+            if x[0] > 1.5:
+                bad.append(x[0])
+                if failure == "raise":
+                    raise RuntimeError("no residual here")
+                return [np.nan]
+            return [x[0] ** 3 - 1.0]
+
+        r = levenberg_marquardt(residual, [0.5])
+        assert bad
+        assert r.converged
+        assert r.x[0] == pytest.approx(1.0, abs=1e-10)
+
+    def test_a_failed_column_end_leaves_the_one_sided_difference(self):
+        # at x = 1 the end 1 + h fails, so the column is the backward
+        # difference from x; with neither end, x[1] keeps its start
+        r = levenberg_marquardt(
+            lambda x: [x[0] - 0.5] if x[0] <= 1.0 else [np.nan], [1.0])
+        assert r.converged
+        assert r.x[0] == pytest.approx(0.5, abs=1e-10)
+
+        def pinned(x):
+            if x[1] != 0.3:
+                raise RuntimeError("x[1] is pinned")
+            return [x[0] - 2.0, x[1] - 3.0]
+
+        r = levenberg_marquardt(pinned, [0.5, 0.3])
+        assert r.converged
+        assert r.x[1] == 0.3
+        assert r.x[0] == pytest.approx(2.0, abs=1e-10)
+
+    def test_column_ends_stay_in_the_box(self):
+        # a start on a bound differences inwards only
+        seen = []
+
+        def residual(x):
+            seen.append(x.copy())
+            return [x[0] - 2.0, x[1] - 0.5]
+
+        r = levenberg_marquardt(residual, [1.0, 0.0], bounds=[(0.0, 1.0), (0.0, 1.0)])
+        assert r.converged and r.x[0] == 1.0
+        assert all(0.0 <= v <= 1.0 for x in seen for v in x)
+
+    def test_lam_has_a_floor(self):
+        # a slow fit accepts a step on every iteration: lam stops at
+        # LAMBDA_MIN and does not underflow to 0, which would leave the
+        # zero column of x[1] a singular system
+        r = levenberg_marquardt(lambda x: [(x[0] - 2.0) ** 3 + 0.0 * x[1]],
+                                [1.0, 0.5], max_evals=2000)
+        assert len(r.trace) > 330
+        assert r.x[1] == 0.5
+
+    @pytest.mark.parametrize("start", [np.inf, "raise"])
+    def test_nonfinite_start_rejected(self, start):
+        def residual(x):
+            if start == "raise":
+                raise RuntimeError("no residual here")
+            return [start]
+
+        with pytest.raises(FitError, match="starting point"):
+            levenberg_marquardt(residual, [1.0])
+
+    def test_max_evals_exhausted(self):
+        r = levenberg_marquardt(rosenbrock, [-1.2, 1.0], max_evals=10)
+        assert not r.converged
+        assert 10 <= r.n_evals < 10 + 2 * 2
+        assert r.f > 1e-6
 
     def test_deterministic(self):
-        def f(x):
-            return (x[0] - 0.3) ** 2 + (x[1] * x[0] - 0.7) ** 2
-        r1 = nelder_mead(f, np.array([1.0, 1.0]))
-        r2 = nelder_mead(f, np.array([1.0, 1.0]))
+        def residual(x):
+            return [x[0] - 0.3, x[1] * x[0] - 0.7, np.sin(x[1])]
+
+        r1 = levenberg_marquardt(residual, [1.0, 1.0])
+        r2 = levenberg_marquardt(residual, [1.0, 1.0])
         assert np.array_equal(r1.x, r2.x)
+        assert r1.f == r2.f and r1.n_evals == r2.n_evals
         assert r1.trace == r2.trace
 
 
@@ -113,23 +199,23 @@ class TestFitWeibull:
         with pytest.raises(FitError):
             fit_weibull([0.0, 1.0], [0.0, 0.5])
 
-    def test_fit_is_nelder_mead_on_the_weighted_objective(self):
-        # the shared fit loop adds nothing to the Weibull objective: the fit
-        # is bit for bit the simplex run on the weighted squared residuals,
-        # from tau0 = the first time whose value reaches 1 - 1/e
+    def test_fit_is_the_routine_on_the_weighted_residuals(self):
+        # the shared fit loop adds nothing to the Weibull residuals: the fit
+        # is bit for bit the routine run on sqrt(w) (alpha - y), from
+        # tau0 = the first time whose value reaches 1 - 1/e
         from maturesim.growth import weibull_alpha
         t, y = map(np.asarray, zip(*MATURATION_POINTS))
         w = np.array([1.0, 2.0, 0.5, 1.0, 3.0])
 
-        def objective(x):
-            return float(np.sum(w * (weibull_alpha(t, *x) - y) ** 2))
+        def residuals(x):
+            return np.sqrt(w) * (weibull_alpha(t, *x) - y)
 
         res = fit_weibull(t, y, w)
-        ref = nelder_mead(objective, np.array([21.0, 1.5]),
-                          bounds=[(1e-3, 1e4), (0.05, 50.0)], max_evals=4000,
-                          xtol=1e-10, ftol=1e-16)
+        ref = levenberg_marquardt(residuals, np.array([21.0, 1.5]),
+                                  bounds=[(1e-3, 1e4), (0.05, 50.0)],
+                                  max_evals=4000)
         assert np.array_equal(res.nm.x, ref.x)
-        assert res.nm.f == ref.f
+        assert res.objective == res.nm.f == ref.f
         assert res.nm.n_evals == ref.n_evals
         assert res.nm.trace == ref.trace
 
@@ -543,3 +629,21 @@ class TestPreparedProgram:
         assert seen[:2] == ref_seen[:2]
         assert seen[2] == [False]
         assert seen[3] == [False] + ref_seen[3]
+
+
+class TestIdentification:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_p11_series_leave_k1_2_at_its_start(self, seed):
+        # P11 of the biaxial series does not depend on textile.k1_2, so its
+        # Jacobian column is zero: the fit from the start the benchmark
+        # draws for `seed` recovers k1_1 and leaves k1_2 where it started,
+        # bit for bit
+        prob = benchmark_fits()["textile"]
+        rng = np.random.default_rng(seed)
+        rng.uniform(-1.0, 1.0, 2)  # the collagen start's draw
+        x0 = prob.x0 * (1.0 + 0.005 * rng.uniform(-1.0, 1.0, 2))
+        res = fit_material(dataclasses.replace(prob, x0=x0))
+        truth = config.parse_config({}).material.textile.k1_1
+        assert res.nm.converged
+        assert res.x[1] == x0[1]
+        assert res.params["textile.k1_1"] == pytest.approx(truth, rel=1e-8, abs=0.0)
