@@ -2,17 +2,21 @@
 
 A Levenberg-Marquardt fit (`levenberg_marquardt`, numpy only) minimizes
 the weighted squared residuals between model curves and measured series,
-with a central-difference Jacobian.  Box bounds are enforced by clipping
-trial points.
+with a central-difference Jacobian whose ends are evaluated as one stack
+of points.  Box bounds are enforced by clipping trial points.
 Everything is deterministic: repeated fits of the same problem reproduce the
 same iterates bit for bit.  A fit of a `PointModel` prepares its one
 frozen-density program once (one knot per series point: its stretches,
 free axes and density) and warm-starts the free-axis solve of each
-evaluation, a Jacobian column's included, from the stretches that the
-fit's last successful evaluation converged to; a start its program's last
-solve converged at is checked by its stress alone, with no tangent.
-Each solve is one `matpoint.solve_frozen_path` call, which also drops a
-start that fails for the cold solve's guess.
+evaluation from the stretches that the fit's last successful one-point
+evaluation (its start or a trial) converged to; a Jacobian's stack tiles
+the program once per end and starts every copy there, leaving the start
+in place.  A start its program's last solve converged at is checked by its
+stress alone, with no tangent, and a knot whose constants change the
+free-axis stresses the start settled at goes on to its root (see
+`matpoint._newton_free_axes`).  Each solve is one
+`matpoint.solve_frozen_path` call, which also drops a start that fails
+for the cold solve's guess.
 That program belongs to the one `fit_material` call, so its history
 repeats with the fit; a prediction within a fit meets the same free-axis
 stress tolerance as a cold call of the model, and equals it bit for bit
@@ -29,7 +33,7 @@ import numpy as np
 
 from .errors import FitError, check_range
 from .growth import GrowthState, weibull_alpha
-from .materials import MaterialParams
+from .materials import PER_POINT, MaterialParams
 from .matpoint import check_one_density, solve_frozen_path
 
 
@@ -45,16 +49,17 @@ STEP_TOL = 1e-10
 class LMResult:
     """The outcome of `levenberg_marquardt`.
 
-    `x` is the last accepted point and `f` its objective, the sum of
-    squared residuals; `n_evals` counts every residual evaluation, those of
-    the Jacobian included; `converged` is true when the stop rule held
-    before `max_evals` ran out; `trace` holds one (evaluation count,
-    objective) pair per iteration, so its length is the iteration count.
-    The command line reports `n_evals` and `converged`, and the benchmark
-    reads `n_evals`.
+    `x` is the last accepted point, `r` its residual vector and `f` its
+    objective, the sum of squared residuals; `n_evals` counts every point
+    evaluated, the Jacobian's ends included; `converged` is true when the
+    stop rule held before `max_evals` ran out; `trace` holds one
+    (evaluation count, objective) pair per iteration, so its length is
+    the iteration count.  The command line reports `n_evals` and
+    `converged`, and the benchmark reads `n_evals`.
     """
 
     x: np.ndarray
+    r: np.ndarray
     f: float
     n_evals: int
     converged: bool
@@ -62,17 +67,24 @@ class LMResult:
 
 
 def levenberg_marquardt(fn, x0, bounds=None, max_evals=2000):
-    """Minimize the sum of squares of the residual vector fn(x) over a box.
+    """Minimize the sum of squares of a residual vector over a box.
+
+    `fn(X)` takes a stack X (m, n) of m points and returns their residual
+    vectors, one row per point (m, k).  The start and each trial are
+    stacks of one row, and all ends of one Jacobian are one stack.  A row
+    that is not finite is a failed evaluation of its point; a stack that
+    raises, or does not return one row per point, is evaluated again one
+    row at a time, so that a failing point fails alone.
 
     Levenberg-Marquardt (Marquardt 1963; More 1978): each iteration takes
     the Jacobian J at x and solves (JᵀJ + lam D) step = -Jᵀr, with
     D = diag(JᵀJ) floored at 1e-12 of its largest entry, so that a column
     carrying no information keeps its parameter exactly in place.  The
-    trial x + step is clipped to the box.  A trial that raises, is not
-    finite or does not lower the objective is rejected and lam multiplied
-    by 10; an accepted one divides lam by 10, down to LAMBDA_MIN, so that
-    lam never underflows and leaves the system of a column without
-    information singular.
+    trial x + step is clipped to the box.  A trial that fails or does not
+    lower the objective is rejected and lam multiplied by 10; an accepted
+    one divides lam by 10, down to LAMBDA_MIN, so that lam never
+    underflows and leaves the system of a column without information
+    singular.
 
     Column j is the central difference over x_j +- h,
     h = DIFF_STEP * max(|x_j|, 1e-8), each end cut to the box: an end on
@@ -85,7 +97,7 @@ def levenberg_marquardt(fn, x0, bounds=None, max_evals=2000):
 
     The fit stops when the projected step moves no parameter by STEP_TOL
     relative to max(|x_j|, 1e-8), when the residual is exactly zero, or,
-    with `converged` False, once `max_evals` evaluations are spent; the
+    with `converged` False, once `max_evals` points are evaluated; the
     budget is checked before each Jacobian and each trial.  The start is
     clipped to the box and must give finite residuals (FitError).
     """
@@ -98,34 +110,45 @@ def levenberg_marquardt(fn, x0, bounds=None, max_evals=2000):
     lo, hi = box.T
     evals = 0
 
-    def evaluate(x):
-        nonlocal evals
-        evals += 1
+    def rows(X):
+        # fn at each row of X: its residual vector, or None where it failed
         try:
-            r = np.asarray(fn(x), dtype=float)
+            R = np.asarray(fn(X), dtype=float)
+            if R.ndim != 2 or len(R) != len(X):
+                raise FitError(f"{R.shape} residuals for {len(X)} points")
         except Exception:
-            return None
-        return r if np.isfinite(r).all() else None
+            if len(X) == 1:
+                return [None]
+            return [rows(X[i:i + 1])[0] for i in range(len(X))]
+        return [r if np.isfinite(r).all() else None for r in R]
+
+    def evaluate(X):
+        nonlocal evals
+        evals += len(X)
+        return rows(X)
 
     def jacobian(x, r, typical):
+        # the ends of every column, inside the box, as one stack
+        h = DIFF_STEP * typical
+        ends = [(j, v) for j in range(n)
+                for v in (min(x[j] + h[j], hi[j]), max(x[j] - h[j], lo[j]))
+                if v != x[j]]
+        X = np.repeat(x[None], len(ends), axis=0)
+        for X_i, (j, v) in zip(X, ends):
+            X_i[j] = v
+        diffs = [[(x[j], r)] for j in range(n)]
+        for (j, v), rj in zip(ends, evaluate(X)):
+            if rj is not None:
+                diffs[j].append((v, rj))
         J = np.zeros((r.size, n))
-        for j in range(n):
-            h = DIFF_STEP * typical[j]
-            ends = [(x[j], r)]
-            for v in (min(x[j] + h, hi[j]), max(x[j] - h, lo[j])):
-                if v != x[j]:
-                    xj = x.copy()
-                    xj[j] = v
-                    rj = evaluate(xj)
-                    if rj is not None:
-                        ends.append((v, rj))
-            if len(ends) > 1:
-                (a, ra), (b, rb) = ends[-2:]
+        for j, col in enumerate(diffs):
+            if len(col) > 1:
+                (a, ra), (b, rb) = col[-2:]
                 J[:, j] = (ra - rb) / (a - b)
         return J
 
     x = np.clip(x0, lo, hi)
-    r = evaluate(x)
+    r = evaluate(x[None])[0]
     if r is None:
         raise FitError("residuals are non-finite at the starting point")
     f = float(r @ r)
@@ -148,14 +171,14 @@ def levenberg_marquardt(fn, x0, bounds=None, max_evals=2000):
             if np.max(np.abs(trial - x) / typical) < STEP_TOL:
                 converged = True
                 break
-            rt = evaluate(trial)
+            rt = evaluate(trial[None])[0]
             ft = np.inf if rt is None else float(rt @ rt)
             if ft < f:
                 x, r, f = trial, rt, ft
                 lam = max(lam / 10.0, LAMBDA_MIN)
                 break
             lam *= 10.0
-    return LMResult(x=x.copy(), f=f, n_evals=evals, converged=converged,
+    return LMResult(x=x.copy(), r=r, f=f, n_evals=evals, converged=converged,
                     trace=trace)
 
 
@@ -209,11 +232,13 @@ class DataSeries:
 class FitProblem:
     """Named parameters, start, bounds, data series and a forward model.
 
-    `model(x, series_list)` returns the predicted ordinates of every
-    series, one array per series, for trial parameters x; an exception
-    inside, or predictions of the wrong number or shape or not finite, make
-    a rejected trial.  `fit_material` gives a `PointModel` the one program
-    it prepares for the fit (see `PointModel`).
+    `model(X, series_list)` takes a stack X (m, n) of m trial points and
+    returns the predicted ordinates of every series, one (m, len) array
+    per series, a row per point.  A row that is not finite fails its
+    point; an exception inside, or predictions of the wrong number or
+    shape, fail the stack, whose points are then evaluated one at a time
+    (see `levenberg_marquardt`).  `fit_material` gives a `PointModel` the
+    one program it prepares for the fit (see `PointModel`).
     """
 
     param_names: list
@@ -269,7 +294,8 @@ def fit_weibull(times, values, weights=None, x0=None) -> FitResult:
 
     problem = FitProblem(param_names=["tau", "h"], x0=x0,
                          bounds=[(1e-3, 1e4), (0.05, 50.0)], series=[series],
-                         model=lambda x, ss: [weibull_alpha(ss[0].x, *x)],
+                         model=lambda X, ss: [weibull_alpha(ss[0].x, X[:, :1],
+                                                            X[:, 1:])],
                          max_evals=4000)
     return _fit(problem)
 
@@ -279,7 +305,8 @@ def fit_material(problem: FitProblem) -> FitResult:
 
     A `PointModel` is evaluated on one program that this call prepares
     from the problem's series and owns: each evaluation's free-axis solve
-    starts where the last successful one converged (see `_Program.solve`).
+    starts where the last successful one-point evaluation converged (see
+    `_Program.solve`).
     """
     model = problem.model
     if isinstance(model, PointModel):
@@ -290,29 +317,29 @@ def fit_material(problem: FitProblem) -> FitResult:
 def _fit(problem):
     """`levenberg_marquardt` on the weighted residuals sqrt(w) (pred - y)
     of all the problem's series; the `FitResult` with each series' weighted
-    RMS residual at the optimum.  A model that raises or returns a
-    prediction of the wrong number or shape fails its trial."""
+    RMS residual at the optimum, from the search's last accepted residual
+    vector.  A model that raises or returns a prediction of the wrong
+    number or shape fails its stack."""
     series = problem.series
     roots = [np.sqrt(s.weights) for s in series]
 
-    def residuals(x):
+    def residuals(X):
         parts = []
-        for s, root, pred in zip(series, roots, problem.model(x, series),
+        for s, root, pred in zip(series, roots, problem.model(X, series),
                                  strict=True):
             pred = np.asarray(pred, dtype=float)
-            if pred.shape != s.y.shape:
+            if pred.shape != (len(X),) + s.y.shape:
                 raise FitError(f"series {s.name}: predicted shape {pred.shape}")
             parts.append(root * (pred - s.y))
-        return np.concatenate(parts)
+        return np.concatenate(parts, axis=1)
 
     lm = levenberg_marquardt(residuals, problem.x0, bounds=problem.bounds,
                              max_evals=problem.max_evals)
     rms = {}
-    for s, pred in zip(series, problem.model(lm.x, series)):
-        pred = np.asarray(pred, dtype=float)
+    ends = np.cumsum([s.y.size for s in series])
+    for s, part in zip(series, np.split(lm.r, ends[:-1])):
         wsum = float(np.sum(s.weights))
-        rms[s.name] = float(np.sqrt(np.sum(s.weights * (pred - s.y) ** 2) / wsum)) \
-            if wsum > 0 else 0.0
+        rms[s.name] = float(np.sqrt(np.sum(part ** 2) / wsum)) if wsum > 0 else 0.0
     params = {k: float(v) for k, v in zip(problem.param_names, lm.x)}
     return FitResult(params=params, x=lm.x, objective=lm.f,
                      per_series_rms=rms, nm=lm)
@@ -322,18 +349,23 @@ def substitute(base: MaterialParams, names, values) -> MaterialParams:
     """Rebuild a parameter bundle with dotted fields replaced.
 
     Names take the form "collagen.k1", "textile.k_coup_ani", "matrix.mu" or
-    "growth.a2"; replacement re-validates the affected block.  A collagen
+    "growth.a2"; replacement re-validates the affected block, so a value
+    out of its range raises ParameterError naming the field.  A collagen
     block whose k1, k2 or rho_f alone change keeps its direction tables
     (`CollagenParams.replace`), and a textile block whose stiffness factors
     alone change its direction and exponent tables
-    (`TextileParams.replace`).
+    (`TextileParams.replace`).  Those constants (`materials.PER_POINT`)
+    may take an array, one value per point, for a per-point bundle (see
+    `MaterialParams`); any other takes one value, or raises FitError.
     """
     groups = {}
     for name, v in zip(names, values):
         block, _, fld = name.partition(".")
         if block not in ("matrix", "collagen", "textile", "growth") or not fld:
             raise FitError(f"unknown parameter name {name!r}")
-        groups.setdefault(block, {})[fld] = float(v)
+        if np.ndim(v) and fld not in PER_POINT.get(block, ()):
+            raise FitError(f"{name} takes one value, not one per point")
+        groups.setdefault(block, {})[fld] = v
     kw = {}
     for block, fields in groups.items():
         old = getattr(base, block)
@@ -352,7 +384,7 @@ def uniaxial_eng_stress(params: MaterialParams, stretches, rho):
     """
     check_one_density(rho, "rho")
     return _Program("uniaxial", [_vector(stretches, "stretches")], [rho],
-                    None).solve(params)[0]
+                    None).solve(params)[0][0]
 
 
 def biaxial_eng_stress(params: MaterialParams, strains, ratio, rho):
@@ -367,7 +399,7 @@ def biaxial_eng_stress(params: MaterialParams, strains, ratio, rho):
     _check_ratios([ratio])
     check_one_density(rho, "rho")
     return _Program("biaxial", [_vector(strains, "strains")], [rho],
-                    [ratio]).solve(params)[0]
+                    [ratio]).solve(params)[0][0]
 
 
 def _check_ratios(ratios):
@@ -389,8 +421,9 @@ class _Program:
     series point: the stretches with the controlled axes set (`lams`), the
     free axes and the knot densities (`rho`), each protocol's slice of the
     knots (`parts`), and, once a solve of it succeeded, the free stretches
-    that solve converged to (`start`) and whether it converged at its own
-    start (`at_start`).  A controlled stretch that is not positive and
+    that solve converged to (`start`), the free-axis Cauchy stresses it
+    converged at (`settled`) and whether it converged at its own start
+    (`at_start`).  A controlled stretch that is not positive and
     finite raises ParameterError.
     """
 
@@ -410,47 +443,64 @@ class _Program:
         check_range({"stretches": self.lams}, 0.0, "positive and finite")
         ends = np.cumsum(sizes).tolist()
         self.parts = [slice(end - n, end) for n, end in zip(sizes, ends)]
-        self.start = None
+        self.start = self.settled = None
         self.at_start = False
 
-    def solve(self, params):
-        """P11 of each protocol at `params`, one array per protocol.
+    def solve(self, params, rows=1):
+        """P11 of each protocol at `params` for `rows` copies of the
+        program, one (rows, n) array per protocol.
 
-        The solve starts from `start` (see `_solve_program`); one whose P11
-        are all finite keeps its free stretches as the next `start`, and
-        one that raises or is not finite leaves the program as it was.
+        Copy i is the program's knots at the constants of row i: a bundle
+        of `rows` > 1 holds its per-point constants one per knot of the
+        copies, in copy order.  Every copy starts from `start` (see
+        `_solve_program`).  A one-copy solve whose P11 are all finite keeps
+        its free stretches as the next `start`; one that raises or is not
+        finite, and any solve of several copies, leave the program as it
+        was.
         """
-        lams, S = _solve_program(self, params)
-        P = lams[:, 0] * S[:, 0]
-        if np.isfinite(P).all():
+        lams, S, sig = _solve_program(self, params, rows)
+        P = (lams[:, 0] * S[:, 0]).reshape(rows, self.rho.size)
+        if rows == 1 and np.isfinite(P).all():
             stretches = lams[:, self.free]
             self.at_start = (self.start is not None
                              and bool((stretches == self.start).all()))
-            self.start = stretches
-        return [P[part] for part in self.parts]
+            self.start, self.settled = stretches, sig
+        return [P[:, part] for part in self.parts]
 
 
-def _solve_program(prog, params):
-    """Free-axis solve of a prepared program: (stretches, S), one row per
-    knot, by `solve_frozen_path` from the program's `start`, checked by its
-    stress alone where its last solve converged at it."""
-    lams, S, *_ = solve_frozen_path(prog.lams, prog.free, params, prog.rho,
-                                    prog.start, probe=prog.at_start)
-    return lams, S
+def _solve_program(prog, params, rows):
+    """Free-axis solve of `rows` copies of a prepared program, tiled into
+    one batch: (stretches, S, free-axis Cauchy stresses), one row per knot,
+    by one `solve_frozen_path` call from the program's `start` and
+    `settled` stresses in every copy, checked by its stress alone where
+    the program's last solve converged at it."""
+    lams, rho, start, settled = (
+        a if a is None or rows == 1 else np.concatenate([a] * rows)
+        for a in (prog.lams, prog.rho, prog.start, prog.settled))
+    lams, S, sig, *_ = solve_frozen_path(lams, prog.free, params, rho, start,
+                                         prog.at_start, settled)
+    return lams, S, sig[:, prog.free]
 
 
 class PointModel:
     """Forward model of a material fit on frozen-density point protocols.
 
-    `model(x, series_list, program=None)` builds the parameter bundle for x
-    once and solves every series as one lockstep program, one knot per
-    series point, one P11 array per series (an empty one for a series
-    with no points).  Without `program` it prepares a fresh one, so the
-    call is cold and history-free.  `fit_material` prepares one with
-    `model.program(series_list)` per fit and passes it to every
-    evaluation: a warm evaluation runs the lockstep free-axis Newton on its
-    arrays from where the last successful one converged, and builds no
-    records.  See `make_point_model`.
+    `model(X, series_list, program=None)` predicts every series at each
+    row of the stack X (m, n), one (m, len) P11 array per series (an
+    empty row for a series with no points), with one `substitute` bundle
+    and one lockstep solve: the program, one knot per series point, tiled
+    once per row.  A one-row stack builds the bundle of that row's
+    scalars; a stack of more rows one whose fitted constants hold one
+    value per knot of the tiled program, which `substitute` allows for the
+    collagen k1, k2, rho_f and the textile stiffness factors only.  A fit
+    of any other constant thus has its stacks refused and evaluates their
+    rows one at a time (see `levenberg_marquardt`).  Without `program` the
+    call prepares a fresh one, so it is cold and history-free.
+    `fit_material` prepares one with `model.program(series_list)` per fit
+    and passes it to every evaluation: every row of a warm evaluation
+    starts the lockstep free-axis Newton on its arrays from where the last
+    successful one-row evaluation converged, which only a one-row
+    evaluation moves, and builds no records.  See `make_point_model`.
     """
 
     def __init__(self, base, param_names, kind, rho_by_series, ratio_by_series):
@@ -470,11 +520,16 @@ class PointModel:
                         [self.rho_by_series.get(s.name, 0.0) for s in series_list],
                         [self.ratio_by_series.get(s.name, 1.0) for s in series_list])
 
-    def __call__(self, x, series_list, program=None):
-        p = substitute(self.base, self.param_names, x)
+    def __call__(self, X, series_list, program=None):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != len(self.param_names):
+            raise FitError(f"a stack of points with {len(self.param_names)} "
+                           f"parameters each required, got shape {X.shape}")
         if program is None:
             program = self.program(series_list)
-        return program.solve(p)
+        # each constant one per knot of the copies, for several rows
+        values = X[0] if len(X) == 1 else np.repeat(X, program.rho.size, axis=0).T
+        return program.solve(substitute(self.base, self.param_names, values), len(X))
 
 
 def make_point_model(base: MaterialParams, param_names, kind="uniaxial",
@@ -487,11 +542,12 @@ def make_point_model(base: MaterialParams, param_names, kind="uniaxial",
     r = `ratio_by_series[name]` (e1 = r * e2, as in `biaxial_eng_stress`);
     predictions are P along axis 0 only, so biaxial series do not identify
     the second yarn's `textile.k1_2`, which a fit leaves at its start.  The
-    model is a `PointModel`: `model(x, series_list)` predicts every series
-    from one bundle and one lockstep program, cold unless given the
-    `program` of a fit.  A density that is negative or not finite raises
-    StateError, one that is not one number ParameterError, and a ratio of
-    0 or NaN FitError, here and not within a fit.
+    model is a `PointModel`: `model(X, series_list)` predicts every series
+    at each row of the stack X from one bundle and one lockstep program,
+    cold unless given the `program` of a fit.  A density that is negative
+    or not finite raises StateError, one that is not one number
+    ParameterError, and a ratio of 0 or NaN FitError, here and not within
+    a fit.
     """
     if kind not in ("uniaxial", "biaxial"):
         raise FitError(f"unknown model kind {kind!r}")

@@ -121,7 +121,8 @@ class CollagenParams:
     builds H, its components h6, the (6, 1) weights hw with
     tr(C H) = sum(hw * c) and the tangent block H (x) H as a (36, 1)
     column, hh.  Only kappa and `a` enter them; `replace` keeps them when
-    it changes nothing else.
+    it changes nothing else.  k1, k2 and rho_f may be arrays, one value
+    per point (see `MaterialParams`).
     """
 
     k1: float
@@ -175,7 +176,9 @@ class TextileParams:
     coefficients of `curv` (`curv_rows`) and of the second partials by u3
     and u4 (`var_rows`).  Only the coefficients `mono_coef` depend on
     the stiffness factors; `replace` keeps every other table when it
-    changes nothing else.
+    changes nothing else.  A stiffness factor may be an array, one value
+    per point (see `MaterialParams`): `mono_coef` is (M, 1) for scalar
+    factors and (M, N) for N points.
     """
 
     k1_1: float
@@ -269,8 +272,12 @@ class TextileParams:
                     "non-negative and finite", closed=True)
 
     def _set_coef(self):
-        k = np.array([getattr(self, name) for name in TEXTILE_STIFFNESS], dtype=float)
-        object.__setattr__(self, "mono_coef", (self.mono_factor * k[self.mono_term])[:, None])
+        # (7, 1) for scalar factors, (7, N) where some hold one per point
+        k = np.broadcast_arrays(*(np.asarray(getattr(self, name), dtype=float)
+                                  for name in TEXTILE_STIFFNESS))
+        k = np.reshape(k, (len(k), -1))
+        object.__setattr__(self, "mono_coef",
+                           self.mono_factor[:, None] * k[self.mono_term])
 
     def replace(self, **changes):
         """`dataclasses.replace(self, **changes)`, validated alike.
@@ -367,14 +374,41 @@ def _layered(rows):
     return np.array(perm), order, tuple(layers)
 
 
+#: the constants a bundle may hold one per point, by block (see `MaterialParams`)
+PER_POINT = {"collagen": COLLAGEN_SCALARS, "textile": TEXTILE_STIFFNESS}
+
+
 @dataclass(frozen=True)
 class MaterialParams:
-    """Bundle of all constituent parameters for one material point."""
+    """Bundle of all constituent parameters of a material point.
+
+    The collagen k1, k2 and rho_f and the textile stiffness factors
+    (`PER_POINT`) may each be an array instead, one value per point of
+    the batch the bundle is evaluated on, as a calibration's stack of
+    trial constants is: the kernels broadcast them along the point axis,
+    the textile's through an (M, N) `mono_coef`, and each point gets the
+    bits of the bundle of its own scalars.  Every other constant is one
+    for all points.  `at_points` takes such a bundle to some of its
+    points.  The FE path passes scalars.
+    """
 
     matrix: MatrixParams
     collagen: CollagenParams
     textile: TextileParams
     growth: GrowthParams
+
+
+def at_points(params: MaterialParams, idx) -> MaterialParams:
+    """The bundle at the points `idx` (an index array or a slice) of a
+    batch: each per-point constant of `params` indexed by `idx`.  A bundle
+    of scalars is returned as it is."""
+    kw = {}
+    for block, names in PER_POINT.items():
+        old = getattr(params, block)
+        fields = {k: getattr(old, k)[idx] for k in names if np.ndim(getattr(old, k))}
+        if fields:
+            kw[block] = old.replace(**fields)
+    return dataclasses.replace(params, **kw) if kw else params
 
 
 @dataclass(eq=False)

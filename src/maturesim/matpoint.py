@@ -19,7 +19,7 @@ import numpy as np
 from ._files import csv_row
 from .errors import DeformationError, ParameterError, SolverError, check_range
 from .growth import GrowthParams, GrowthState, bio_rate
-from .materials import FIBER_STRAIN_MAX, MaterialParams, total_response
+from .materials import FIBER_STRAIN_MAX, MaterialParams, at_points, total_response
 from .tensors import VOIGT_I, VOIGT_J
 
 #: free-axis convergence tolerance on Cauchy stress, MPa
@@ -162,17 +162,20 @@ def program_path(program: LoadProgram):
     return path_t, path_lams, free
 
 
-def solve_frozen_path(path_lams, free, params, rho, start=None, probe=False):
+def solve_frozen_path(path_lams, free, params, rho, start=None, probe=False,
+                      settled=None):
     """Free-axis solve of a frozen-density path, every knot at dt = 0.
 
     `path_lams` (N, 3) holds the path's stretches with the controlled axes
     set, `free` the free axes in axis order and `rho` the densities, one for
-    all knots or one per knot; `start`, if given, the free-axis stretches
+    all knots or one per knot, as `params` may hold its per-point constants
+    (see `materials.MaterialParams`); `start`, if given, the free-axis stretches
     to begin from, (N, len(free)), positive and finite, such as an earlier
-    solve's converged stretches.  The knots do not depend on one another,
-    so the path is one lockstep batch, tried from
-    1. `start`, checked by its stress alone first with `probe` (see
-       `_newton_free_axes`), and dropped where it does not lead every knot
+    solve's converged stretches, and `settled` the free-axis Cauchy
+    stresses that solve converged at, if known.  The knots do not depend on
+    one another, so the path is one lockstep batch, tried from
+    1. `start`, checked by its stress alone first with `probe` and held to
+       `settled` (see `_newton_free_axes`), and dropped where it does not lead every knot
        to its root: its batch stalls (SolverError) or leaves the range the
        material laws evaluate (DeformationError);
     2. the incompressible guess, free stretches (1 / prod of the controlled
@@ -187,7 +190,8 @@ def solve_frozen_path(path_lams, free, params, rho, start=None, probe=False):
         guess = path_lams.copy()
         guess[:, free] = start
         try:
-            return _newton_free_axes(guess, free, params, rho, 0.0, 0.0, probe)
+            return _newton_free_axes(guess, free, params, rho, 0.0, 0.0, probe,
+                                     settled)
         except (SolverError, DeformationError):
             pass
     guess = path_lams.copy()
@@ -217,7 +221,8 @@ def _solve_in_turn(path_lams, free, params, rho, path_t=None):
     The free axes start at 1.  Given the knot times `path_t`, the density
     grows from knot to knot, starting at the scalar `rho`; without them
     each knot keeps its frozen density, `rho` being one for all knots or
-    one per knot, and solves at dt = 0.  Returns the arrays of
+    one per knot, and its own per-point constants of `params`, and solves
+    at dt = 0.  Returns the arrays of
     `_newton_free_axes` over the path.
     """
     controlled = [ax for ax in range(3) if ax not in free]
@@ -227,24 +232,26 @@ def _solve_in_turn(path_lams, free, params, rho, path_t=None):
     knots, lams, t_prev = [], np.ones((1, 3)), times[0]
     for k, t in enumerate(times):
         # the initial knot solves at dt = 0, so its density stays frozen
+        knot_params = params
         if frozen:
-            rho = rhos[k]
+            rho, knot_params = rhos[k], at_points(params, slice(k, k + 1))
         lams[0, controlled] = path_lams[k, controlled]
-        knots.append(_newton_free_axes(lams, free, params, rho, t - t_prev, t))
+        knots.append(_newton_free_axes(lams, free, knot_params, rho, t - t_prev, t))
         # a copy: the next knot writes its controlled axes into `lams`
         lams, rho, t_prev = knots[-1][0].copy(), knots[-1][3][0], t
     return tuple(np.concatenate(field) for field in zip(*knots))
 
 
-def _newton_free_axes(lams, free, params, rho, dt, t, probe=False):
+def _newton_free_axes(lams, free, params, rho, dt, t, probe=False, settled=None):
     """Zero the Cauchy stress on the free axes of a stack of points.
 
     `lams` (N, 3) holds the starting stretches of N points that share the
     free axes, `rho` the previous-level density, one for all points or one
-    per point (the caller has checked it, as a `GrowthState`'s), and
-    (dt, t) the step.  The Newton runs in lockstep: each
-    iterate evaluates the points not yet converged, with their own
-    densities, in one `total_response` call.  F = diag(lams), so
+    per point (the caller has checked it, as a `GrowthState`'s), `params`
+    the constants, some of them possibly one per point, and (dt, t) the
+    step.  The Newton runs in lockstep: each iterate evaluates the points
+    not yet converged, with their own densities and constants, in one
+    `total_response` call.  F = diag(lams), so
     J = l1 l2 l3, the push-forward of the PK2 stress is
     sigma_ij = l_i S_ij l_j / J and the fiber strain is
     sum_i l_i^2 H_ii - 1; each iterate takes J, sigma and the free-axis
@@ -252,7 +259,14 @@ def _newton_free_axes(lams, free, params, rho, dt, t, probe=False):
     their root, the first iterate evaluates the stress alone and only the
     points it leaves off their root take a tangent evaluation, at the same
     stretches; the stress is that of a full evaluation bit for bit, so the
-    iterates are those without `probe`.  Returns the converged stretches
+    iterates are those without `probe`.  `settled` (N, len(free)), for
+    starts where an earlier solve converged, holds the free-axis Cauchy
+    stresses it converged at.  A point whose start gives exactly these is
+    converged there; one whose constants moved them, however little, is
+    not, even within STRESS_TOL, and goes on to its root as closely as
+    floating point resolves it (STEP_RTOL), so that the answers of
+    nearby constants from one start differ by their roots' difference,
+    not by where STRESS_TOL stopped each.  Returns the converged stretches
     with the evaluation each point converged at, all over the N points:
     (lams, S, sigma, rho, psi_m), rho being the updated density.
     """
@@ -261,17 +275,22 @@ def _newton_free_axes(lams, free, params, rho, dt, t, probe=False):
     rho = np.full(n, rho, dtype=float)
     todo = np.arange(n)
     lam = lams
+    pts = params   # the constants at the points `todo`
     at_root = False
+    tol = STRESS_TOL
     out = None   # (S, sigma, rho, psi_m), once a pass leaves points to go
     for _ in range(NEWTON_MAXIT):
-        st, new_state = total_response(lam[:, :, None] * _EYE3, params,
+        st, new_state = total_response(lam[:, :, None] * _EYE3, pts,
                                        GrowthState(rho=rho[todo]), dt, t,
                                        tangent=not probe)
         J = lam.prod(axis=1)[:, None]
         sig = (lam[:, VOIGT_I] * st.S) * lam[:, VOIGT_J] / J
         res = sig[:, free]
         err = np.abs(res).max(axis=1, initial=0.0)
-        done = (err <= STRESS_TOL) | at_root
+        done = (err <= tol) | at_root
+        if settled is not None:
+            done &= (res == settled).all(axis=1)
+            settled, tol = None, 0.0
         found = (st.S, sig, new_state.rho, new_state.psi_m)
         if out is None:
             if done.all():
@@ -286,9 +305,10 @@ def _newton_free_axes(lams, free, params, rho, dt, t, probe=False):
             return (lams,) + out
         go = ~done
         todo, lam, J, res, err = todo[go], lam[go], J[go], res[go], err[go]
+        pts = at_points(params, todo)
         if probe:
             # the points off their root, at the same stretches
-            st, _ = total_response(lam[:, :, None] * _EYE3, params,
+            st, _ = total_response(lam[:, :, None] * _EYE3, pts,
                                    GrowthState(rho=rho[todo]), dt, t)
             S_go, CC_go, probe = st.S, st.CC, False
         else:

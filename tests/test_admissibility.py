@@ -93,6 +93,23 @@ class TestParameterBlocks:
         raises_typed(ParameterError, dataclasses.replace, getattr(base, block),
                      **{field: bad})
 
+    @SETTINGS
+    @given(bad=BAD, name=st.sampled_from(
+               [f"collagen.{k}" for k in materials.COLLAGEN_SCALARS]
+               + [f"textile.{k}" for k in materials.TEXTILE_STIFFNESS]),
+           size=st.integers(1, 4), index=st.integers(0, 3))
+    @example(bad=np.nan, name="collagen.k1", size=3, index=1)
+    @example(bad=np.inf, name="collagen.rho_f", size=2, index=0)
+    @example(bad=-1.0, name="textile.k_coup_ani", size=4, index=3)
+    def test_per_point_constants(self, bad, name, size, index):
+        # a stack's constants, one per point, are checked entry by entry:
+        # one NaN, infinite or negative entry fails the field it is in
+        base = make_material()
+        block, _, field = name.partition(".")
+        good = getattr(getattr(base, block), field)
+        raises_typed(ParameterError, calibrate.substitute, base, [name],
+                     [with_bad(bad, size, index, good)], match=rf"^{field} must be")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("block,field", [("collagen", "a"), ("textile", "n1"),
                                              ("textile", "n2")])
@@ -325,7 +342,7 @@ class TestCalibrationInputs:
         model = calibrate.make_point_model(base, ["textile.k1_1"], kind="biaxial",
                                            ratio_by_series={"a": np.inf})
         series = calibrate.DataSeries("a", [0.05, 0.1], P)
-        assert np.array_equal(model([base.textile.k1_1], [series])[0], P)
+        assert np.array_equal(model([[base.textile.k1_1]], [series])[0][0], P)
 
 
 # the limits of a scalar input: 0, negative, NaN, infinite, non-integer and

@@ -1,5 +1,6 @@
 """Levenberg-Marquardt and calibration workflow tests."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -37,6 +38,13 @@ def collagen_problem(max_evals=600, kappa=0.0):
                                   max_evals=max_evals)
 
 
+def per_point(residual):
+    """The stacked form of `residual`, a function of one point: one
+    residual row per row of the stack, evaluated one after the other."""
+    return lambda X: [residual(x) for x in X]
+
+
+@per_point
 def rosenbrock(x):
     return [1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)]
 
@@ -44,7 +52,7 @@ def rosenbrock(x):
 class TestLevenbergMarquardt:
     def test_quadratic_minimum(self):
         r = levenberg_marquardt(
-            lambda x: [x[0] - 2.0, np.sqrt(3.0) * (x[1] + 1.0)], [0.0, 0.0])
+            per_point(lambda x: [x[0] - 2.0, np.sqrt(3.0) * (x[1] + 1.0)]), [0.0, 0.0])
         assert r.converged
         assert np.allclose(r.x, [2.0, -1.0], rtol=0.0, atol=1e-10)
 
@@ -64,7 +72,7 @@ class TestLevenbergMarquardt:
 
     def test_optimum_outside_the_box_ends_on_the_bound(self):
         # the projected step is zero on the bound, which stops the fit
-        r = levenberg_marquardt(lambda x: [x[0] - 2.0, x[1] + 1.0], [0.5, 0.0],
+        r = levenberg_marquardt(per_point(lambda x: [x[0] - 2.0, x[1] + 1.0]), [0.5, 0.0],
                                 bounds=[(0.0, 1.0), (-5.0, 5.0)])
         assert r.converged
         assert r.x[0] == 1.0
@@ -73,7 +81,7 @@ class TestLevenbergMarquardt:
     def test_a_column_without_information_keeps_its_start(self):
         # x[1] does not enter the residuals: its column is zero, and its
         # damping floor keeps it where it started, bit for bit
-        r = levenberg_marquardt(lambda x: [x[0] - 2.0, x[0] - 1.0], [0.3, 0.7])
+        r = levenberg_marquardt(per_point(lambda x: [x[0] - 2.0, x[0] - 1.0]), [0.3, 0.7])
         assert r.converged
         assert r.x[1] == 0.7
         assert r.x[0] == pytest.approx(1.5, abs=1e-10)
@@ -92,7 +100,7 @@ class TestLevenbergMarquardt:
                 return [np.nan]
             return [x[0] ** 3 - 1.0]
 
-        r = levenberg_marquardt(residual, [0.5])
+        r = levenberg_marquardt(per_point(residual), [0.5])
         assert bad
         assert r.converged
         assert r.x[0] == pytest.approx(1.0, abs=1e-10)
@@ -101,7 +109,7 @@ class TestLevenbergMarquardt:
         # at x = 1 the end 1 + h fails, so the column is the backward
         # difference from x; with neither end, x[1] keeps its start
         r = levenberg_marquardt(
-            lambda x: [x[0] - 0.5] if x[0] <= 1.0 else [np.nan], [1.0])
+            per_point(lambda x: [x[0] - 0.5] if x[0] <= 1.0 else [np.nan]), [1.0])
         assert r.converged
         assert r.x[0] == pytest.approx(0.5, abs=1e-10)
 
@@ -110,7 +118,7 @@ class TestLevenbergMarquardt:
                 raise RuntimeError("x[1] is pinned")
             return [x[0] - 2.0, x[1] - 3.0]
 
-        r = levenberg_marquardt(pinned, [0.5, 0.3])
+        r = levenberg_marquardt(per_point(pinned), [0.5, 0.3])
         assert r.converged
         assert r.x[1] == 0.3
         assert r.x[0] == pytest.approx(2.0, abs=1e-10)
@@ -123,7 +131,8 @@ class TestLevenbergMarquardt:
             seen.append(x.copy())
             return [x[0] - 2.0, x[1] - 0.5]
 
-        r = levenberg_marquardt(residual, [1.0, 0.0], bounds=[(0.0, 1.0), (0.0, 1.0)])
+        r = levenberg_marquardt(per_point(residual), [1.0, 0.0],
+                                bounds=[(0.0, 1.0), (0.0, 1.0)])
         assert r.converged and r.x[0] == 1.0
         assert all(0.0 <= v <= 1.0 for x in seen for v in x)
 
@@ -131,7 +140,7 @@ class TestLevenbergMarquardt:
         # a slow fit accepts a step on every iteration: lam stops at
         # LAMBDA_MIN and does not underflow to 0, which would leave the
         # zero column of x[1] a singular system
-        r = levenberg_marquardt(lambda x: [(x[0] - 2.0) ** 3 + 0.0 * x[1]],
+        r = levenberg_marquardt(per_point(lambda x: [(x[0] - 2.0) ** 3 + 0.0 * x[1]]),
                                 [1.0, 0.5], max_evals=2000)
         assert len(r.trace) > 330
         assert r.x[1] == 0.5
@@ -144,7 +153,7 @@ class TestLevenbergMarquardt:
             return [start]
 
         with pytest.raises(FitError, match="starting point"):
-            levenberg_marquardt(residual, [1.0])
+            levenberg_marquardt(per_point(residual), [1.0])
 
     def test_max_evals_exhausted(self):
         r = levenberg_marquardt(rosenbrock, [-1.2, 1.0], max_evals=10)
@@ -156,11 +165,65 @@ class TestLevenbergMarquardt:
         def residual(x):
             return [x[0] - 0.3, x[1] * x[0] - 0.7, np.sin(x[1])]
 
-        r1 = levenberg_marquardt(residual, [1.0, 1.0])
-        r2 = levenberg_marquardt(residual, [1.0, 1.0])
+        r1 = levenberg_marquardt(per_point(residual), [1.0, 1.0])
+        r2 = levenberg_marquardt(per_point(residual), [1.0, 1.0])
         assert np.array_equal(r1.x, r2.x)
         assert r1.f == r2.f and r1.n_evals == r2.n_evals
         assert r1.trace == r2.trace
+
+    def test_a_jacobian_is_one_call(self):
+        # the start and each trial are one-row stacks, and all 2n ends of a
+        # Jacobian one stack: one call per Jacobian, none retried
+        sizes = []
+
+        def residual(X):
+            sizes.append(len(X))
+            return rosenbrock(X)
+
+        r = levenberg_marquardt(residual, [-1.2, 1.0])
+        assert r.converged
+        assert sum(sizes) == r.n_evals
+        assert set(sizes) == {1, 4}
+        assert sizes.count(4) == len(r.trace)
+        ref = levenberg_marquardt(rosenbrock, [-1.2, 1.0])
+        assert np.array_equal(r.x, ref.x) and r.trace == ref.trace
+
+    def test_a_raising_stack_is_retried_row_by_row(self):
+        # a stack that raises, or returns the wrong number of rows, is
+        # evaluated again one row at a time: each failing point fails
+        # alone, and the fit is that of the per-point residual
+        for failure in ("raise", "rows"):
+            sizes = []
+
+            def residual(X, failure=failure):
+                sizes.append(len(X))
+                if len(X) > 1:
+                    if failure == "raise":
+                        raise RuntimeError("no stacks here")
+                    return rosenbrock(X[:1])
+                return rosenbrock(X)
+
+            r = levenberg_marquardt(residual, [-1.2, 1.0])
+            ref = levenberg_marquardt(rosenbrock, [-1.2, 1.0])
+            assert np.array_equal(r.x, ref.x) and r.trace == ref.trace
+            assert r.n_evals == ref.n_evals
+            assert sizes[1:6] == [4, 1, 1, 1, 1]
+
+    def test_a_non_finite_row_fails_its_end_alone(self):
+        # at x = 1 the row of the end 1 + h is NaN; the stack is not
+        # evaluated again, and the column is the backward difference from x
+        sizes, seen = [], []
+
+        def residual(X):
+            sizes.append(len(X))
+            seen.extend(X[:, 0])
+            return np.where(X <= 1.0, X - 0.5, np.nan)
+
+        r = levenberg_marquardt(residual, [1.0])
+        assert r.converged
+        assert r.x[0] == pytest.approx(0.5, abs=1e-10)
+        assert sizes[:2] == [1, 2] and seen[1] > 1.0 > seen[2]
+        assert sum(sizes) == r.n_evals
 
 
 class TestFitWeibull:
@@ -211,7 +274,7 @@ class TestFitWeibull:
             return np.sqrt(w) * (weibull_alpha(t, *x) - y)
 
         res = fit_weibull(t, y, w)
-        ref = levenberg_marquardt(residuals, np.array([21.0, 1.5]),
+        ref = levenberg_marquardt(per_point(residuals), np.array([21.0, 1.5]),
                                   bounds=[(1e-3, 1e4), (0.05, 50.0)],
                                   max_evals=4000)
         assert np.array_equal(res.nm.x, ref.x)
@@ -234,6 +297,19 @@ class TestSubstitute:
         q = substitute(material_params, ["collagen.kappa"], [0.2])
         assert q.collagen.hh is not material_params.collagen.hh
         assert q.collagen.kappa == 0.2
+
+    def test_constants_per_point(self, material_params):
+        # the collagen k1, k2, rho_f and the textile stiffness factors may
+        # hold one value per point, sharing the tables; any other constant
+        # takes one value
+        p = substitute(material_params, ["collagen.k2", "textile.k1_1"],
+                       [np.array([3.0, 5.0]), np.array([0.02, 0.04])])
+        assert np.array_equal(p.collagen.k2, [3.0, 5.0])
+        assert p.collagen.hh is material_params.collagen.hh
+        assert p.textile.mono_coef.shape == (len(p.textile.mono_factor), 2)
+        for name in ("collagen.kappa", "matrix.mu", "textile.beta1", "growth.a1"):
+            with pytest.raises(FitError, match="one value"):
+                substitute(material_params, [name], [np.array([0.1, 0.2])])
 
     def test_unknown_name(self, material_params):
         with pytest.raises(FitError):
@@ -277,11 +353,12 @@ class TestFitMaterial:
         y = uniaxial_eng_stress(base, stretches, base.collagen.rho_f)
         names = ["collagen.k1"]
 
-        def flaky(x, series_list):
-            if x[0] > 1.0:
+        def flaky(X, series_list):
+            if np.any(X[:, 0] > 1.0):
                 raise RuntimeError("boom")
-            return [uniaxial_eng_stress(substitute(base, names, x), s.x,
-                                        base.collagen.rho_f) for s in series_list]
+            return [np.array([uniaxial_eng_stress(substitute(base, names, x), s.x,
+                                                  base.collagen.rho_f) for x in X])
+                    for s in series_list]
 
         prob = FitProblem(param_names=names, x0=np.array([0.9]),
                           bounds=[(0.05, 5.0)], model=flaky, max_evals=200,
@@ -300,12 +377,12 @@ class TestPointModelBatch:
                   for i, k in enumerate(rhos)]
         x = np.array([0.9, 3.5])
         p = substitute(base, prob.param_names, x)
-        preds = prob.model(x, series)
+        preds = prob.model(x[None], series)
         assert len(preds) == len(series)
         for s, pred in zip(series, preds):
             alone = uniaxial_eng_stress(p, s.x, rhos[s.name])
-            assert np.array_equal(pred, alone)
-            assert np.array_equal(prob.model(x, [s])[0], alone)
+            assert np.array_equal(pred[0], alone)
+            assert np.array_equal(prob.model(x[None], [s])[0][0], alone)
 
     def test_biaxial_batch_matches_each_series(self):
         base = make_material()
@@ -317,8 +394,9 @@ class TestPointModelBatch:
         series = [DataSeries(k, strains, np.zeros(6)) for k in ratios]
         x = np.array([0.04, 0.2])
         p = substitute(base, names, x)
-        for s, pred in zip(series, model(x, series)):
-            assert np.array_equal(pred, biaxial_eng_stress(p, s.x, ratios[s.name], 0.0))
+        for s, pred in zip(series, model(x[None], series)):
+            assert np.array_equal(pred[0],
+                                  biaxial_eng_stress(p, s.x, ratios[s.name], 0.0))
 
     def test_one_knot_per_series_point(self):
         # a program lays out its series' points and nothing else, in series
@@ -351,33 +429,39 @@ class TestPointModelBatch:
         base = make_material()
         model = make_point_model(base, ["textile.k1_1"], kind=kind)
         full, empty = DataSeries("a", x, [0.0, 0.0]), DataSeries("e", [], [])
-        xs = [base.textile.k1_1]
-        want = model(xs, [full])[0]
+        xs = [[base.textile.k1_1]]
+        want = model(xs, [full])[0][0]
         for series in ([empty], [full, empty], [empty, full], []):
             program = model.program(series)
             for preds in (model(xs, series), model(xs, series, program),
                           model(xs, series, program)):
                 assert len(preds) == len(series)
                 for s, pred in zip(series, preds):
-                    assert np.array_equal(pred, want if s is full else np.zeros(0))
+                    assert np.array_equal(pred[0], want if s is full else np.zeros(0))
 
     def test_one_bundle_and_one_program_per_evaluation(self, monkeypatch):
-        # every objective evaluation of a three-series fit, and the final
-        # per-series report, builds one bundle and solves one program
+        # every model call of a three-series fit, the start, each trial and
+        # each Jacobian's stack of 2n ends, builds one bundle and solves
+        # one program, tiled once per point; the per-series report at the
+        # optimum solves nothing more
         _, _, prob = collagen_problem(max_evals=20)
         calls = {"substitute": 0, "_solve_program": 0}
+        rows = []
         for name in calls:
             fn = getattr(calibrate, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
                 calls[_name] += 1
+                if _name == "_solve_program":
+                    rows.append(args[2])
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(calibrate, name, counted)
         res = fit_material(prob)
         assert res.nm.n_evals >= 20
-        assert calls == {"substitute": res.nm.n_evals + 1,
-                         "_solve_program": res.nm.n_evals + 1}
+        assert calls == {"substitute": len(rows), "_solve_program": len(rows)}
+        assert sum(rows) == res.nm.n_evals
+        assert set(rows) == {1, 4} and rows.count(4) == len(res.nm.trace)
 
 
 def textile_model():
@@ -409,10 +493,10 @@ class TestWarmStart:
         # P11 of 0.005 to 0.2 MPa
         _, _, prob = collagen_problem(kappa=0.15)
         program = prob.model.program(prob.series)
-        prob.model(np.array([0.5, 6.0]), prob.series, program)
+        prob.model(np.array([[0.5, 6.0]]), prob.series, program)
         for x in ([0.55, 6.6], [0.9, 3.5], [0.3, 9.0]):
-            hot = prob.model(np.array(x), prob.series, program)
-            cold = prob.model(np.array(x), prob.series)
+            hot = prob.model(np.array([x]), prob.series, program)
+            cold = prob.model(np.array([x]), prob.series)
             for h, c in zip(hot, cold):
                 assert np.all(np.abs(h - c) <= 1e-8 * np.abs(c))
 
@@ -428,8 +512,8 @@ class TestWarmStart:
             (model, series), xs = textile_model(), ([0.03, 0.25], [0.05, 0.1])
         program = model.program(series)
         for x in xs:
-            hot = model(np.array(x), series, program)
-            cold = model(np.array(x), series)
+            hot = model(np.array([x]), series, program)
+            cold = model(np.array([x]), series)
             assert all(np.array_equal(h, c) for h, c in zip(hot, cold))
 
     def test_equal_shape_programs_never_share_a_start(self):
@@ -438,37 +522,62 @@ class TestWarmStart:
         # so the second one, solved after the first, answers its cold solve
         # bit for bit
         model, (equi, onethird) = textile_model()
-        x = np.array([0.04, 0.2])
+        x = np.array([[0.04, 0.2]])
         first, second = model.program([equi]), model.program([onethird])
         model(x, [equi], first)
         assert second.start is None
         hot = model(x, [onethird], second)[0]
         assert np.array_equal(hot, model(x, [onethird])[0])
 
+    @pytest.mark.parametrize("fit", ["collagen", "collagen-dispersed", "textile"])
+    def test_a_stack_solves_each_row_from_the_start_and_leaves_it(self, fit):
+        # each row of a stack, its constants one per knot of the tiled
+        # program, is bit for bit the one-row evaluation from the same
+        # start, cold or warm, also where the rows move off that start's
+        # root (kappa = 0.15); the stack leaves the start where it was
+        if fit == "textile":
+            model, series = textile_model()
+            X = np.array([[0.03, 0.25], [0.04, 0.2], [0.05, 0.1]])
+        else:
+            _, _, prob = collagen_problem(kappa=0.15 if fit != "collagen" else 0.0)
+            model, series = prob.model, prob.series
+            X = np.array([[0.5, 6.0], [0.55, 6.6], [0.9, 3.5]])
+        program = model.program(series)
+        for warm in (False, True):
+            if warm:
+                model(X[:1], series, program)
+            start, at_start = program.start, program.at_start
+            stack = model(X, series, program)
+            assert program.start is start and program.at_start == at_start
+            for i in range(len(X)):
+                alone = model(X[i:i + 1], series, copy.deepcopy(program))
+                assert all(np.array_equal(a[i], b[0]) for a, b in zip(stack, alone))
+
     def test_failed_trial_leaves_the_store(self, monkeypatch):
         _, _, prob = collagen_problem(kappa=0.15)
         program = prob.model.program(prob.series)
-        prob.model(np.array([0.5, 6.0]), prob.series, program)
-        kept = program.start.copy()
+        prob.model(np.array([[0.5, 6.0]]), prob.series, program)
+        kept, settled = program.start.copy(), program.settled.copy()
         solve = calibrate._solve_program
 
         def stalled(*args, **kwargs):
             raise SolverError("free-axis Newton did not converge")
 
         def non_finite(*args, **kwargs):
-            lams, S = solve(*args, **kwargs)
+            lams, S, sig = solve(*args, **kwargs)
             S[-1] = np.inf
-            return lams, S
+            return lams, S, sig
 
         for fake in (stalled, non_finite):
             monkeypatch.setattr(calibrate, "_solve_program", fake)
             try:
-                preds = prob.model(np.array([0.9, 3.5]), prob.series, program)
+                preds = prob.model(np.array([[0.9, 3.5]]), prob.series, program)
             except SolverError:
                 pass
             else:
                 assert not np.all(np.isfinite(preds[-1]))
             assert np.array_equal(program.start, kept)
+            assert np.array_equal(program.settled, settled)
 
     def test_fit_owns_its_store(self, monkeypatch):
         # one program per fit: its first evaluation is cold, each later one
@@ -477,9 +586,9 @@ class TestWarmStart:
         starts = []
         solve = calibrate._solve_program
 
-        def recorded(prog, params):
+        def recorded(prog, params, rows=1):
             starts.append(prog.start)
-            return solve(prog, params)
+            return solve(prog, params, rows)
 
         monkeypatch.setattr(calibrate, "_solve_program", recorded)
         for _ in range(2):
@@ -487,8 +596,8 @@ class TestWarmStart:
             assert starts[0] is None
             assert all(s is not None for s in starts[1:])
             starts.clear()
-        prob.model(prob.x0, prob.series)
-        prob.model(prob.x0, prob.series[:1])
+        prob.model(prob.x0[None], prob.series)
+        prob.model(prob.x0[None], prob.series[:1])
         assert starts == [None, None]
 
 
@@ -523,15 +632,20 @@ def benchmark_fits():
 
 class ReferenceWarmModel:
     """A uniaxial `PointModel`'s warm evaluation written with the public
-    point solver: per evaluation one `LoadProgram`, whose path
-    `solve_frozen_path` solves from the free stretches of the last
-    evaluation whose predictions were finite."""
+    point solver: per point one `LoadProgram`, whose path
+    `solve_frozen_path` solves from the free stretches and free-axis
+    stresses of the last one-point evaluation whose predictions were
+    finite; the points of a stack each start there and leave it."""
 
     def __init__(self, model):
         self.model = model
         self.starts = {}
 
-    def __call__(self, x, series_list):
+    def __call__(self, X, series_list):
+        points = [self.point(x, series_list, len(X) == 1) for x in X]
+        return [np.array(rows) for rows in zip(*points)]
+
+    def point(self, x, series_list, keep):
         m = self.model
         p = substitute(m.base, m.param_names, x)
         rho = np.concatenate([[0.0]] + [np.full(s.x.size, m.rho_by_series[s.name])
@@ -541,11 +655,12 @@ class ReferenceWarmModel:
                            controls=(knots, FREE, FREE), grow=False)
         key = tuple(s.name for s in series_list)
         _, path_lams, free = program_path(prog)
-        lams, S, *_ = solve_frozen_path(path_lams, free, p, rho,
-                                        self.starts.get(key))
+        start, settled = self.starts.get(key, (None, None))
+        lams, S, sig, *_ = solve_frozen_path(path_lams, free, p, rho, start,
+                                             settled=settled)
         P = lams[1:, 0] * S[1:, 0]
-        if np.all(np.isfinite(P)):
-            self.starts[key] = lams[:, free]
+        if keep and np.all(np.isfinite(P)):
+            self.starts[key] = lams[:, free], sig[:, free]
         return np.split(P, np.cumsum([s.x.size for s in series_list])[:-1])
 
 
@@ -572,7 +687,7 @@ class TestPreparedProgram:
         model = prob.model
         warm = fit_material(prob)
         cold = fit_material(dataclasses.replace(
-            prob, model=lambda x, ss: [model(x, [s])[0] for s in ss]))
+            prob, model=lambda X, ss: [model(X, [s])[0] for s in ss]))
         assert np.array_equal(warm.x, cold.x)
         assert warm.nm.n_evals == cold.nm.n_evals
         assert warm.nm.trace == cold.nm.trace
@@ -601,7 +716,7 @@ class TestPreparedProgram:
         # a stored start that stalls (10) or overflows the textile law
         # (1e10) is dropped, and the evaluation answers the cold solve
         _, _, prob = collagen_problem()
-        x = np.array([0.9, 3.5])
+        x = np.array([[0.9, 3.5]])
         program = prob.model.program(prob.series)
         prob.model(x, prob.series, program)
         program.start = np.full_like(program.start, value)
@@ -619,10 +734,10 @@ class TestPreparedProgram:
         flags = record_tangent_flags(monkeypatch)
         program, seen, ref_seen = prob.model.program(prob.series), [], []
         for x in ([0.5, 6.0], [0.5, 6.0], [0.5, 6.0], [0.9, 3.5]):
-            hot = prob.model(np.array(x), prob.series, program)
+            hot = prob.model(np.array([x]), prob.series, program)
             seen.append(list(flags))
             flags.clear()
-            want = ref(np.array(x), prob.series)
+            want = ref(np.array([x]), prob.series)
             ref_seen.append(list(flags))
             flags.clear()
             assert all(np.array_equal(h, w) for h, w in zip(hot, want))

@@ -500,6 +500,38 @@ class TestTotalResponse:
                 assert getattr(new, name)[idx] == getattr(one_new, name)[idx]
         assert np.all(new.rho > rho) if dt > 0.0 else np.array_equal(new.rho, rho)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), data=st.data(), tangent=st.booleans(),
+           dt=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**16))
+    def test_constants_per_point_match_scalar_bundles(self, n, data, tangent,
+                                                      dt, seed):
+        # a bundle whose collagen k1, k2, rho_f and textile stiffness
+        # factors (some or all) hold one value per point answers at each
+        # point, bit for bit, what the batch answers with that point's
+        # scalar bundle
+        names = data.draw(st.lists(st.sampled_from(
+            [f"collagen.{k}" for k in COLLAGEN_SCALARS]
+            + [f"textile.{k}" for k in TEXTILE_STIFFNESS]), min_size=1, unique=True))
+        ranges = {"k1": (0.05, 5.0), "k2": (0.5, 20.0), "rho_f": (1.0, 60.0)}
+        values = np.array([[data.draw(st.floats(*ranges[name.split(".")[1]])
+                                      if name.startswith("collagen") else
+                                      st.one_of(st.just(0.0), st.floats(1e-6, 2.0)))
+                            for name in names] for _ in range(n)])
+        base = make_material(kappa=0.1, psi_crit=2e-5)
+        rng = np.random.default_rng(seed)
+        F = np.array([random_F(rng, spread=0.2, stretch=0.2) for _ in range(n)])
+        state = GrowthState(rho=rng.uniform(0.0, 40.0, n))
+        with deadline(30):
+            batch, new = total_response(F, substitute(base, names, values.T), state,
+                                        dt, 2.0, tangent=tangent)
+            for i in range(n):
+                one, one_new = total_response(F, substitute(base, names, values[i]),
+                                              state, dt, 2.0, tangent=tangent)
+                assert np.array_equal(batch.S[i], one.S[i])
+                assert (batch.CC is None if not tangent
+                        else np.array_equal(batch.CC[i], one.CC[i]))
+                assert new.rho[i] == one_new.rho[i] and new.psi_m[i] == one_new.psi_m[i]
+
     def test_coupled_stress_matches_fd_of_discrete_potential(self):
         # the total PK2 stress must be 2 d/dC of the incremental potential
         # with the density update embedded, including the drho/dC chain

@@ -363,7 +363,7 @@ def solved_prepared(prog, params, start=None):
     prepared = calibrate._Program("uniaxial", [lams[1:, 0]], [0.0], None)
     assert np.array_equal(prepared.lams, lams[1:])
     prepared.start = None if start is None else start[1:]
-    stretches, S = calibrate._solve_program(prepared, params)
+    stretches, S, _ = calibrate._solve_program(prepared, params, 1)
     return stretches.tobytes() + S.tobytes()
 
 
@@ -389,6 +389,27 @@ class TestStart:
                            rho=38.71)
         assert calls == [(7,)]
         assert warm == solved_path(prog, params, rho=38.71)
+
+    def test_a_settled_start_follows_a_root_moved_within_the_tolerance(self):
+        # k1 up by 1e-9 changes the lateral stresses at the old root by less
+        # than STRESS_TOL: from the start alone the old root is the answer,
+        # and held to the stresses it settled at the solve goes on to the new
+        # root; at unchanged constants it is the answer at once, bit for bit
+        params = make_material(kappa=0.15)
+        _, lams, free = matpoint.program_path(uniaxial(1.15, steps=6))
+        cold = matpoint.solve_frozen_path(lams, free, params, 38.71)
+        start, settled = cold[0][:, free], cold[2][:, free]
+        nudged = calibrate.substitute(params, ["collagen.k1"],
+                                      [params.collagen.k1 * (1.0 + 1e-9)])
+        stale = matpoint.solve_frozen_path(lams, free, nudged, 38.71, start)
+        moved = matpoint.solve_frozen_path(lams, free, nudged, 38.71, start,
+                                           settled=settled)
+        assert np.array_equal(stale[0][:, free], start)
+        assert not np.array_equal(moved[0][:, free], start)
+        assert np.abs(moved[2][:, free]).max() < 1e-3 * np.abs(stale[2][:, free]).max()
+        same = matpoint.solve_frozen_path(lams, free, params, 38.71, start,
+                                          settled=settled)
+        assert all(np.array_equal(a, b) for a, b in zip(same, cold))
 
     def test_start_off_the_root_meets_the_tolerance(self):
         params = make_material(kappa=0.15)
